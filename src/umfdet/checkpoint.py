@@ -49,6 +49,25 @@ def write_tensor_file(path, named) -> None:
             fh.write(arr.tobytes())
 
 
+def _entry_fields(path, entry):
+    """(name, shape, offset) of one manifest entry, with a non-negative
+    integer offset and shape dimensions."""
+    if (not isinstance(entry, dict) or not {"name", "shape", "offset"} <= set(entry)
+            or not isinstance(entry["name"], str)):
+        raise DataError(f"{path}: manifest entry {entry!r} needs a string name, "
+                        f"a shape and an offset")
+    name, shape, offset = entry["name"], entry["shape"], entry["offset"]
+    if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
+        raise DataError(f"{path}: tensor {name} has invalid shape {shape!r}")
+    if not _is_count(offset):
+        raise DataError(f"{path}: tensor {name} has invalid offset {offset!r}")
+    return name, tuple(shape), offset
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
 def read_tensor_file(path) -> dict:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -62,11 +81,13 @@ def read_tensor_file(path) -> dict:
         manifest = json.loads(blob[start:start + manifest_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: unreadable manifest: {exc}")
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), list):
+        raise DataError(f"{path}: manifest is not an object with a 'tensors' list")
     payload = blob[start + manifest_len:]
     out = {}
     expected = 0
     for entry in manifest["tensors"]:
-        name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
+        name, shape, offset = _entry_fields(path, entry)
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
         nbytes = n * 8
         if offset + nbytes > len(payload):

@@ -29,7 +29,7 @@ from . import evalkit
 from . import textforge
 from . import trainer as trainer_mod
 from .errors import ConfigError, DataError, TemplateError, UmfdetError
-from .instruct import Vocabulary, default_template, load_template
+from .instruct import build_vocab, default_template, load_template
 from .model import ModelConfig, init_model
 from .trainer import TrainConfig, config_hash
 
@@ -268,17 +268,6 @@ def cmd_cot_validate(args):
     return 0
 
 
-def _build_vocab(train_samples, template, min_count, max_vocab):
-    from .instruct import render_prompt
-
-    texts = []
-    for s in train_samples:
-        texts.append(render_prompt(template, s.title))
-        if s.cot is not None:
-            texts.append(f"<think>{s.cot.think}</think><answer>{s.cot.answer}</answer>")
-    return Vocabulary.build(texts, min_count=min_count, max_size=max_vocab)
-
-
 def cmd_train(args):
     started = time.time()
     flag_model = {"lambda_cot": args.lambda_cot, "dropout_rate": args.dropout,
@@ -299,7 +288,7 @@ def cmd_train(args):
         params, vocab = ckpt.load_model(Path(args.out) / "checkpoint")
         mcfg = params.config
     else:
-        vocab = _build_vocab(train_s, template, extra["min_count"], extra["max_vocab"])
+        vocab = build_vocab(train_s, template, extra["min_count"], extra["max_vocab"])
         model_kv["vocab_size"] = len(vocab)
         mcfg = ModelConfig.from_json({**ModelConfig().to_json(), **model_kv})
         params = init_model(mcfg, np.random.default_rng(tcfg.seed))
@@ -391,7 +380,7 @@ def cmd_ablate(args):
     template = _template(args)
     samples = _load_corpus(args.manifest)
     splits = _split_corpus(samples, extra["split_seed"])
-    vocab = _build_vocab(splits[0], template, extra["min_count"], extra["max_vocab"])
+    vocab = build_vocab(splits[0], template, extra["min_count"], extra["max_vocab"])
     model_kv["vocab_size"] = len(vocab)
     mcfg = ModelConfig.from_json({**ModelConfig().to_json(), **model_kv})
     rows = trainer_mod.ablate(splits, vocab, template, mcfg, tcfg, args.out)

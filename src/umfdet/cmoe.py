@@ -6,6 +6,10 @@ router picks exactly one expert (argmax, lowest index on ties) and only that
 expert runs. With gate scaling on, the expert output is multiplied by its
 routing probability so the router still receives gradient through the hard
 selection.
+
+The weights live in the model's flat name -> Tensor dict: each function
+takes that dict and the name of the module it reads or writes, such as
+``cmoe.0`` for a layer or ``cmoe.0.router`` for its router.
 """
 
 from __future__ import annotations
@@ -16,44 +20,11 @@ import numpy as np
 
 from . import ndtensor as nd
 from .data import Category
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .ndtensor import Tensor
 
 EXPERT_NAMES = ("reality", "deception", "synthesis")
 N_EXPERTS = 3
-
-
-@dataclass
-class ExpertParams:
-    """Weights of one gated two-layer feed-forward expert."""
-    W_a: Tensor
-    b_a: Tensor
-    W_b: Tensor
-    b_b: Tensor
-    W_out: Tensor
-    b_out: Tensor
-
-    def tensors(self):
-        return {"W_a": self.W_a, "b_a": self.b_a, "W_b": self.W_b,
-                "b_b": self.b_b, "W_out": self.W_out, "b_out": self.b_out}
-
-
-@dataclass
-class RouterParams:
-    """Linear router: [H] -> 3 expert logits."""
-    W: Tensor
-    b: Tensor
-
-    def tensors(self):
-        return {"W": self.W, "b": self.b}
-
-
-@dataclass
-class CMoELayer:
-    experts: tuple  # (reality, deception, synthesis), order fixed
-    router: RouterParams
-    dropout_rate: float = 0.1
-    gate_scaling: bool = True
 
 
 @dataclass
@@ -65,51 +36,56 @@ class RoutingDecision:
     weights_t: Tensor | None = field(default=None, repr=False)
 
 
-def _linear_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
+def xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
+    """Trainable [fan_in, fan_out] weight, Glorot-normal initialised."""
     std = (2.0 / (fan_in + fan_out)) ** 0.5
     return Tensor(rng.normal(0.0, std, (fan_in, fan_out)), requires_grad=True)
 
 
-def init_expert(rng: np.random.Generator, h: int, expansion_ratio: int = 2) -> ExpertParams:
-    he = expansion_ratio * h
-    return ExpertParams(
-        W_a=_linear_init(rng, h, he), b_a=Tensor(np.zeros(he), requires_grad=True),
-        W_b=_linear_init(rng, h, he), b_b=Tensor(np.zeros(he), requires_grad=True),
-        W_out=_linear_init(rng, he, h), b_out=Tensor(np.zeros(h), requires_grad=True),
-    )
+def zeros(n: int) -> Tensor:
+    """Trainable zero bias of width n."""
+    return Tensor(np.zeros(n), requires_grad=True)
 
 
-def init_router(rng: np.random.Generator, h: int) -> RouterParams:
-    return RouterParams(W=_linear_init(rng, h, N_EXPERTS),
-                        b=Tensor(np.zeros(N_EXPERTS), requires_grad=True))
+def init_expert(t: dict, rng: np.random.Generator, name: str, h: int,
+                ratio: int = 2) -> None:
+    """Gated two-layer expert: name.{W_a,b_a,W_b,b_b,W_out,b_out}."""
+    he = ratio * h
+    t[f"{name}.W_a"] = xavier(rng, h, he)
+    t[f"{name}.b_a"] = zeros(he)
+    t[f"{name}.W_b"] = xavier(rng, h, he)
+    t[f"{name}.b_b"] = zeros(he)
+    t[f"{name}.W_out"] = xavier(rng, he, h)
+    t[f"{name}.b_out"] = zeros(h)
 
 
-def init_cmoe_layer(rng: np.random.Generator, h: int, expansion_ratio: int = 2,
-                    dropout_rate: float = 0.1, gate_scaling: bool = True) -> CMoELayer:
-    experts = tuple(init_expert(rng, h, expansion_ratio) for _ in EXPERT_NAMES)
-    return CMoELayer(experts=experts, router=init_router(rng, h),
-                     dropout_rate=dropout_rate, gate_scaling=gate_scaling)
+def init_cmoe_layer(t: dict, rng: np.random.Generator, name: str, h: int,
+                    ratio: int = 2) -> None:
+    """Three experts name.{reality,deception,synthesis}.*, then the linear
+    router name.router.{W,b} from [H] to the 3 expert logits."""
+    for expert in EXPERT_NAMES:
+        init_expert(t, rng, f"{name}.{expert}", h, ratio)
+    t[f"{name}.router.W"] = xavier(rng, h, N_EXPERTS)
+    t[f"{name}.router.b"] = zeros(N_EXPERTS)
 
 
-def expert_forward(p: ExpertParams, x: Tensor, training: bool = False,
+def expert_forward(t: dict, name: str, x: Tensor, training: bool = False,
                    rng: np.random.Generator | None = None,
                    dropout_rate: float = 0.0) -> Tensor:
     """Dropout(SiLU(xW_a + b_a) * sigmoid(xW_b + b_b)) W_out + b_out."""
-    u = nd.silu(nd.add(nd.matmul(x, p.W_a), p.b_a))
-    v = nd.sigmoid(nd.add(nd.matmul(x, p.W_b), p.b_b))
+    u = nd.silu(nd.add(nd.matmul(x, t[f"{name}.W_a"]), t[f"{name}.b_a"]))
+    v = nd.sigmoid(nd.add(nd.matmul(x, t[f"{name}.W_b"]), t[f"{name}.b_b"]))
     y = nd.dropout(nd.mul(u, v), dropout_rate, training, rng)
-    return nd.add(nd.matmul(y, p.W_out), p.b_out)
+    return nd.add(nd.matmul(y, t[f"{name}.W_out"]), t[f"{name}.b_out"])
 
 
-def route(r: RouterParams, x: Tensor, pooling: str = "mean",
+def route(t: dict, name: str, x: Tensor,
           sequence_id: str | None = None) -> RoutingDecision:
-    """Pool the sequence, softmax the router logits, hard-select one expert."""
+    """Mean-pool the sequence, softmax the router logits, hard-select one expert."""
     if x.shape[0] == 0:
         raise DataError("route: empty sequence")
-    if pooling != "mean":
-        raise ConfigError(f"unsupported pooling {pooling!r}")
     pooled = nd.mean_rows(x)
-    logits = nd.add(nd.matmul(pooled, r.W), r.b)
+    logits = nd.add(nd.matmul(pooled, t[f"{name}.W"]), t[f"{name}.b"])
     weights = nd.softmax(logits, axis=-1)
     return RoutingDecision(
         weights=[float(w) for w in weights.values[0]],
@@ -120,33 +96,22 @@ def route(r: RouterParams, x: Tensor, pooling: str = "mean",
     )
 
 
-def cmoe_forward(layer: CMoELayer, x: Tensor, training: bool = False,
-                 rng: np.random.Generator | None = None,
-                 sequence_id: str | None = None):
+def cmoe_forward(t: dict, name: str, x: Tensor, training: bool = False,
+                 rng: np.random.Generator | None = None, dropout_rate: float = 0.0,
+                 gate_scaling: bool = True, sequence_id: str | None = None):
     """Route, then evaluate only the selected expert.
 
     Returns (output, decision). With gate scaling the output is the expert
     output times its routing probability; without it, the literal expert
     output (router then gets exactly zero gradient).
     """
-    decision = route(layer.router, x, sequence_id=sequence_id)
-    out = expert_forward(layer.experts[decision.selected], x, training, rng,
-                         layer.dropout_rate)
-    if layer.gate_scaling:
+    decision = route(t, f"{name}.router", x, sequence_id)
+    out = expert_forward(t, f"{name}.{EXPERT_NAMES[decision.selected]}", x,
+                         training, rng, dropout_rate)
+    if gate_scaling:
         gate = nd.pick(decision.weights_t, (0, decision.selected))
         out = nd.scale_by(out, gate)
     return out, decision
-
-
-def cmoe_stack(layers, x: Tensor, training: bool = False,
-               rng: np.random.Generator | None = None,
-               sequence_id: str | None = None):
-    """Compose cmoe_forward over a list of layers; one decision per layer."""
-    decisions = []
-    for layer in layers:
-        x, decision = cmoe_forward(layer, x, training, rng, sequence_id)
-        decisions.append(decision)
-    return x, decisions
 
 
 def routing_alignment_loss(decision: RoutingDecision, label: Category,
@@ -160,14 +125,3 @@ def routing_alignment_loss(decision: RoutingDecision, label: Category,
         return Tensor(np.asarray(0.0))
     idx = label.expert_index
     return nd.scale(nd.cross_entropy_lm(decision.logits_t, [idx]), coefficient)
-
-
-def layer_named_tensors(layer: CMoELayer, layer_idx: int) -> dict:
-    """Checkpoint entries: cmoe.{i}.{expert}.{...} and cmoe.{i}.router.{...}."""
-    named = {}
-    for expert_name, expert in zip(EXPERT_NAMES, layer.experts):
-        for key, t in expert.tensors().items():
-            named[f"cmoe.{layer_idx}.{expert_name}.{key}"] = t
-    for key, t in layer.router.tensors().items():
-        named[f"cmoe.{layer_idx}.router.{key}"] = t
-    return named

@@ -21,7 +21,7 @@ from importlib import resources
 
 import requests
 
-from .data import CATEGORY_NAMES, Category, CotNote, NewsSample
+from .data import CATEGORY_NAMES, Category, CotNote, NewsSample, template_cot
 from .errors import ConfigError, TransportError
 
 ENTITY_KINDS = ("person", "location", "organization", "event_time")
@@ -338,8 +338,11 @@ class HttpGenClient(GenClient):
                 continue
             if resp.status_code != 200:
                 raise TransportError(f"generation endpoint returned {resp.status_code}")
-            body = resp.json()
-            if "text" not in body:
+            try:
+                body = resp.json()
+            except ValueError as exc:
+                raise TransportError(f"generation response is not JSON: {exc}") from None
+            if not isinstance(body, dict) or "text" not in body:
                 raise TransportError("generation response missing 'text' field")
             return body["text"]
         raise TransportError(f"generation failed after {self.retries + 1} attempts: {last}")
@@ -349,18 +352,6 @@ _LABEL_LINE = re.compile(r"^Label:\s*(\S+)", re.MULTILINE)
 _ENTITY_LINE = re.compile(r"^- (.+?) \((\w+)\):", re.MULTILINE)
 _TITLE_LINE = re.compile(r"^(?:Title|Headline):\s*(.+)$", re.MULTILINE)
 _KEEP_LINE = re.compile(r"^Keep these entity tokens verbatim:\s*(.+)$", re.MULTILINE)
-
-_MOCK_THINK = {
-    "real": ("Scene and caption line up with no manipulation traces visible [image]. "
-             "Wording around {ent} stays factual with no rewriting cues [text]. "
-             "Evidence points to authentic reporting."),
-    "human_crafted": ("The photo itself shows no editing artifacts [image]. "
-                      "Phrasing is sensational and overstates the situation around "
-                      "{ent} [text]. This reads like a human written rumor."),
-    "ai_synthesized": ("Feature patterns in the image suggest generative "
-                       "manipulation [image]. Wording of the claim about {ent} "
-                       "looks rewritten [text]. Cues match machine generated content."),
-}
 
 
 class MockGenClient(GenClient):
@@ -373,11 +364,11 @@ class MockGenClient(GenClient):
             return self._rewrite(prompt)
         label_m = _LABEL_LINE.search(prompt)
         label = label_m.group(1) if label_m else "real"
-        if label not in _MOCK_THINK:
+        if label not in CATEGORY_NAMES:
             label = "real"
         entities = _ENTITY_LINE.findall(prompt)
         ent = entities[0][0] if entities else "the subject"
-        think = _MOCK_THINK[label].format(ent=ent)
+        think = template_cot(Category(label), ent).think
         return f"<think>{think}</think><answer>{label}</answer>"
 
     def _rewrite(self, prompt: str) -> str:

@@ -90,11 +90,14 @@ class ImagePayload:
         keys = set(obj)
         if keys == {"path"}:
             return cls(path=obj["path"])
-        if keys == {"feat"}:
-            return cls(feat=np.asarray(obj["feat"], dtype=np.float64))
-        if keys == {"raw_b64", "shape"}:
-            buf = np.frombuffer(base64.b64decode(obj["raw_b64"]), dtype="<f8")
-            return cls(raw=buf.reshape(obj["shape"]).copy())
+        try:
+            if keys == {"feat"}:
+                return cls(feat=np.asarray(obj["feat"], dtype=np.float64))
+            if keys == {"raw_b64", "shape"}:
+                buf = np.frombuffer(base64.b64decode(obj["raw_b64"]), dtype="<f8")
+                return cls(raw=buf.reshape(obj["shape"]).copy())
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"image payload is not a numeric array: {exc}") from None
         raise DataError(f"unrecognized image payload keys {sorted(keys)}")
 
 
@@ -133,6 +136,8 @@ class ManipulationAnnotation:
 
     @classmethod
     def from_json(cls, obj):
+        if not isinstance(obj, dict):
+            raise DataError("manipulation field must be an object")
         allowed = {"kind", "mask_ref", "p_src", "p_mod", "rewrite_log",
                    "edit_strength", "similarity"}
         extra = set(obj) - allowed
@@ -158,9 +163,11 @@ class CotNote:
 
     @classmethod
     def from_json(cls, obj):
-        extra = set(obj) - {"think", "answer", "verdict"}
-        if extra:
-            raise DataError(f"unknown cot keys {sorted(extra)}")
+        if not isinstance(obj, dict):
+            raise DataError("cot field must be an object")
+        keys = {"think", "answer", "verdict"}
+        if set(obj) != keys:
+            raise DataError(f"cot keys must be {sorted(keys)}, got {sorted(obj)}")
         return cls(think=obj["think"], answer=obj["answer"], verdict=obj["verdict"])
 
 
@@ -190,9 +197,16 @@ class NewsSample:
 
     @classmethod
     def from_json(cls, obj):
+        if not isinstance(obj, dict):
+            raise DataError("sample must be a JSON object")
         extra = set(obj) - {"id", "title", "image", "label", "manipulation", "cot"}
         if extra:
             raise DataError(f"unknown sample keys {sorted(extra)}")
+        missing = [k for k in ("id", "title", "image") if k not in obj]
+        if missing:
+            raise DataError(f"missing sample keys {missing}")
+        if not isinstance(obj["id"], str) or not isinstance(obj["title"], str):
+            raise DataError("sample id and title must be strings")
         label = Category.parse(obj.get("label", ""))
         if label is None:
             raise DataError(f"unknown label {obj.get('label')!r}")

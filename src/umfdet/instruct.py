@@ -202,6 +202,18 @@ class Vocabulary:
         return cls([tokens[i] for i in range(len(tokens))])
 
 
+def build_vocab(samples, template: InstructionTemplate, min_count: int = 2,
+                max_size: int = 8192) -> Vocabulary:
+    """Vocabulary over each sample's rendered prompt and, when it has a
+    rationale, its <think>...</think><answer>...</answer> target."""
+    texts = []
+    for s in samples:
+        texts.append(render_prompt(template, s.title))
+        if s.cot is not None:
+            texts.append(f"<think>{s.cot.think}</think><answer>{s.cot.answer}</answer>")
+    return Vocabulary.build(texts, min_count=min_count, max_size=max_size)
+
+
 def embed_text(table, pos_table, ids):
     """Token embedding plus learned positional rows: [T] -> [T, H]."""
     from . import ndtensor as nd

@@ -10,13 +10,13 @@ to the reasoning span (markers inclusive). Generation is greedy.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import ndtensor as nd
-from .cmoe import (CMoELayer, ExpertParams, cmoe_forward, expert_forward,
-                   init_cmoe_layer, init_expert, layer_named_tensors)
+from .cmoe import (cmoe_forward, expert_forward, init_cmoe_layer, init_expert,
+                   xavier, zeros)
 from .data import ImagePayload, NewsSample
 from .errors import ConfigError, DataError
 from .instruct import (ANSWER_CLOSE, ANSWER_OPEN, BOS, EOS, THINK_CLOSE,
@@ -81,11 +81,9 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """All weights, flat name -> Tensor in a stable insertion order; the
-    mixture layers additionally keep structured views over the same tensors."""
+    """All weights, flat name -> Tensor in a stable insertion order."""
     config: ModelConfig
     tensors: dict
-    cmoe_layers: list = field(default_factory=list)
 
     def trainable(self, freeze_prefixes=()):
         out = []
@@ -96,32 +94,23 @@ class ModelParams:
         return out
 
 
-def _linear(rng, fan_in, fan_out):
-    std = (2.0 / (fan_in + fan_out)) ** 0.5
-    return Tensor(rng.normal(0.0, std, (fan_in, fan_out)), requires_grad=True)
-
-
-def _bias(n):
-    return Tensor(np.zeros(n), requires_grad=True)
-
-
 def _ln_pair(tensors, name, h):
     tensors[f"{name}.gamma"] = Tensor(np.ones(h), requires_grad=True)
-    tensors[f"{name}.beta"] = Tensor(np.zeros(h), requires_grad=True)
+    tensors[f"{name}.beta"] = zeros(h)
 
 
 def _attn_params(tensors, rng, name, h):
     for w in ("Wq", "Wk", "Wv", "Wo"):
-        tensors[f"{name}.{w}"] = _linear(rng, h, h)
+        tensors[f"{name}.{w}"] = xavier(rng, h, h)
     for b in ("bq", "bk", "bv", "bo"):
-        tensors[f"{name}.{b}"] = _bias(h)
+        tensors[f"{name}.{b}"] = zeros(h)
 
 
 def _ffn_params(tensors, rng, name, h, ratio):
-    tensors[f"{name}.W1"] = _linear(rng, h, ratio * h)
-    tensors[f"{name}.b1"] = _bias(ratio * h)
-    tensors[f"{name}.W2"] = _linear(rng, ratio * h, h)
-    tensors[f"{name}.b2"] = _bias(h)
+    tensors[f"{name}.W1"] = xavier(rng, h, ratio * h)
+    tensors[f"{name}.b1"] = zeros(ratio * h)
+    tensors[f"{name}.W2"] = xavier(rng, ratio * h, h)
+    tensors[f"{name}.b2"] = zeros(h)
 
 
 def init_model(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
@@ -131,26 +120,21 @@ def init_model(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     t["pos_emb"] = Tensor(rng.normal(0.0, 0.02, (config.max_len, h)), requires_grad=True)
     t["vis_pos_emb"] = Tensor(rng.normal(0.0, 0.02, (config.max_vis_tokens, h)),
                               requires_grad=True)
-    t["vis_proj.W"] = _linear(rng, config.h_v, h)
-    t["vis_proj.b"] = _bias(h)
-    t["patch_proj.W"] = _linear(rng, config.in_channels * PATCH * PATCH, h)
-    t["patch_proj.b"] = _bias(h)
+    t["vis_proj.W"] = xavier(rng, config.h_v, h)
+    t["vis_proj.b"] = zeros(h)
+    t["patch_proj.W"] = xavier(rng, config.in_channels * PATCH * PATCH, h)
+    t["patch_proj.b"] = zeros(h)
     for i in range(config.n_enc):
         _ln_pair(t, f"enc.{i}.ln1", h)
         _attn_params(t, rng, f"enc.{i}.attn", h)
         _ln_pair(t, f"enc.{i}.ln2", h)
         _ffn_params(t, rng, f"enc.{i}.ffn", h, r)
-    cmoe_layers = []
     for i in range(config.n_moe):
         _ln_pair(t, f"cmoe.{i}.ln", h)
         if config.moe_enabled:
-            layer = init_cmoe_layer(rng, h, r, config.dropout_rate, config.gate_scaling)
-            t.update(layer_named_tensors(layer, i))
+            init_cmoe_layer(t, rng, f"cmoe.{i}", h, r)
         else:
-            layer = init_expert(rng, h, r)
-            for key, tensor in layer.tensors().items():
-                t[f"cmoe.{i}.solo.{key}"] = tensor
-        cmoe_layers.append(layer)
+            init_expert(t, rng, f"cmoe.{i}.solo", h, r)
     _ln_pair(t, "moe_out_ln", h)
     for i in range(config.n_dec):
         _ln_pair(t, f"dec.{i}.ln1", h)
@@ -160,9 +144,9 @@ def init_model(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
         _ln_pair(t, f"dec.{i}.ln3", h)
         _ffn_params(t, rng, f"dec.{i}.ffn", h, r)
     _ln_pair(t, "final_ln", h)
-    t["head.W"] = _linear(rng, h, config.vocab_size)
-    t["head.b"] = _bias(config.vocab_size)
-    return ModelParams(config=config, tensors=t, cmoe_layers=cmoe_layers)
+    t["head.W"] = xavier(rng, h, config.vocab_size)
+    t["head.b"] = zeros(config.vocab_size)
+    return ModelParams(config=config, tensors=t)
 
 
 # ---------------------------------------------------------------------------
@@ -263,20 +247,17 @@ def encode(params: ModelParams, sample: NewsSample, vocab: Vocabulary,
         f = _ffn(t, f"enc.{i}.ffn", _ln(t, f"enc.{i}.ln2", x), training, rng, rate)
         x = nd.add(x, nd.dropout(f, rate, training, rng))
     decisions = []
-    for i, layer in enumerate(params.cmoe_layers):
+    for i in range(cfg.n_moe):
         normed = _ln(t, f"cmoe.{i}.ln", x)
         if cfg.moe_enabled:
-            out, decision = cmoe_forward(layer, normed, training, rng, sequence_id=sample.id)
+            out, decision = cmoe_forward(t, f"cmoe.{i}", normed, training, rng, rate,
+                                         cfg.gate_scaling, sample.id)
             decisions.append(decision)
         else:
-            out = expert_forward(layer, normed, training, rng, rate)
+            out = expert_forward(t, f"cmoe.{i}.solo", normed, training, rng, rate)
         x = nd.add(x, out)
     x = _ln(t, "moe_out_ln", x)
     return x, decisions
-
-
-def _attention_kv(t, name, x_q, memory, n_heads):
-    return _attention(t, name, x_q, memory, n_heads, False)
 
 
 def decode(params: ModelParams, memory, ids, training: bool = False,
@@ -293,8 +274,8 @@ def decode(params: ModelParams, memory, ids, training: bool = False,
         a = _attention(t, f"dec.{i}.self_attn", _ln(t, f"dec.{i}.ln1", y), None,
                        cfg.n_heads, True)
         y = nd.add(y, nd.dropout(a, rate, training, rng))
-        c = _attention_kv(t, f"dec.{i}.cross_attn", _ln(t, f"dec.{i}.ln2", y),
-                          memory, cfg.n_heads)
+        c = _attention(t, f"dec.{i}.cross_attn", _ln(t, f"dec.{i}.ln2", y),
+                       memory, cfg.n_heads, False)
         y = nd.add(y, nd.dropout(c, rate, training, rng))
         f = _ffn(t, f"dec.{i}.ffn", _ln(t, f"dec.{i}.ln3", y), training, rng, rate)
         y = nd.add(y, nd.dropout(f, rate, training, rng))

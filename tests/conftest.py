@@ -22,11 +22,7 @@ def template():
 
 @pytest.fixture(scope="session")
 def toy_vocab(toy_corpus, template):
-    texts = []
-    for s in toy_corpus:
-        texts.append(instruct.render_prompt(template, s.title))
-        texts.append(f"<think>{s.cot.think}</think><answer>{s.cot.answer}</answer>")
-    return instruct.Vocabulary.build(texts)
+    return instruct.build_vocab(toy_corpus, template)
 
 
 @pytest.fixture(scope="session")

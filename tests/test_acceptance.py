@@ -52,11 +52,7 @@ def splits900(corpus900):
 
 @pytest.fixture(scope="module")
 def vocab900(corpus900, template):
-    texts = []
-    for s in corpus900:
-        texts.append(instruct.render_prompt(template, s.title))
-        texts.append(f"<think>{s.cot.think}</think><answer>{s.cot.answer}</answer>")
-    return instruct.Vocabulary.build(texts)
+    return instruct.build_vocab(corpus900, template)
 
 
 @pytest.fixture(scope="module")
@@ -179,22 +175,23 @@ def _op_roster():
         return lambda: nd.cross_entropy_lm(logits, targets), [logits]
 
     def expert_path(rng):
-        p = cmoe.init_expert(rng, 5)
+        p = {}
+        cmoe.init_expert(p, rng, "e", 5)
         x = _rand(rng, 3, 5)
-        tensors = list(p.tensors().values()) + [x]
+        tensors = list(p.values()) + [x]
         for t in tensors:
             t.requires_grad = True
-        return lambda: _scalar(cmoe.expert_forward(p, x)), tensors
+        return lambda: _scalar(cmoe.expert_forward(p, "e", x)), tensors
 
     def routed_layer_path(rng):
-        layer = cmoe.init_cmoe_layer(rng, 6)
-        layer.dropout_rate = 0.0
+        layer = {}
+        cmoe.init_cmoe_layer(layer, rng, "m", 6)
         x = _rand(rng, 4, 6)
-        tensors = [x] + list(layer.router.tensors().values())
-        tensors += list(layer.experts[_routed(layer, x)].tensors().values())
+        tensors = [x] + _under(layer, "m.router")
+        tensors += _under(layer, f"m.{cmoe.EXPERT_NAMES[_routed(layer, x)]}")
         for t in tensors:
             t.requires_grad = True
-        return lambda: _scalar(cmoe.cmoe_forward(layer, x)[0]), tensors
+        return lambda: _scalar(cmoe.cmoe_forward(layer, "m", x)[0]), tensors
 
     return [add_broadcast, mul, scale, scale_by, matmul, transpose, reshape,
             concat_rows, concat_cols, slice_cols, pick, mean_rows, sigmoid,
@@ -204,7 +201,11 @@ def _op_roster():
 
 def _routed(layer, x):
     with nd.no_grad():
-        return cmoe.route(layer.router, x).selected
+        return cmoe.route(layer, "m.router", x).selected
+
+
+def _under(named, prefix):
+    return [t for name, t in named.items() if name.startswith(prefix + ".")]
 
 
 def test_gradients_match_finite_differences_everywhere(toy_corpus, toy_vocab,
@@ -246,33 +247,33 @@ def test_routing_shift_invariance_and_gradient_isolation():
     rng = np.random.default_rng(0)
     for _ in range(10_000):
         h = int(rng.integers(4, 12))
-        r = cmoe.init_router(rng, h)
+        r = {"r.W": cmoe.xavier(rng, h, cmoe.N_EXPERTS), "r.b": cmoe.zeros(cmoe.N_EXPERTS)}
         x = Tensor(rng.normal(size=(int(rng.integers(1, 6)), h)))
-        base = cmoe.route(r, x).selected
-        r.b.values += rng.uniform(-50.0, 50.0)
-        assert cmoe.route(r, x).selected == base
+        base = cmoe.route(r, "r", x).selected
+        r["r.b"].values += rng.uniform(-50.0, 50.0)
+        assert cmoe.route(r, "r", x).selected == base
 
     checked = 0
     for seed in range(60):
         case = np.random.default_rng(seed)
         gate_scaling = seed % 2 == 0
-        layer = cmoe.init_cmoe_layer(case, 8)
-        layer.gate_scaling = gate_scaling
-        layer.dropout_rate = 0.0
+        layer = {}
+        cmoe.init_cmoe_layer(layer, case, "m", 8)
         x = Tensor(case.normal(size=(5, 8)), requires_grad=True)
-        for t in _layer_tensors(layer):
+        for t in layer.values():
             t.requires_grad = True
             t.zero_grad()
-        out, decision = cmoe.cmoe_forward(layer, x)
+        out, decision = cmoe.cmoe_forward(layer, "m", x, dropout_rate=0.0,
+                                          gate_scaling=gate_scaling)
         _scalar(out).backward()
-        for idx, expert in enumerate(layer.experts):
-            grads = [np.abs(t.grad).sum() for t in expert.tensors().values()]
+        for idx, expert in enumerate(cmoe.EXPERT_NAMES):
+            grads = [np.abs(t.grad).sum() for t in _under(layer, f"m.{expert}")]
             if idx == decision.selected:
                 assert sum(grads) > 0, "selected expert received no gradient"
             else:
                 assert sum(grads) == 0.0, "unselected expert leaked gradient"
         router_mass = sum(float(np.abs(t.grad).sum())
-                          for t in layer.router.tensors().values())
+                          for t in _under(layer, "m.router"))
         if gate_scaling:
             assert router_mass > 0.0, "gate scaling on: router must learn"
         else:
@@ -281,13 +282,6 @@ def test_routing_shift_invariance_and_gradient_isolation():
     _ok(f"routing: argmax invariant under 10000 random logit shifts, "
         f"one-expert gradient isolation and gate-scaling on/off router "
         f"gradients verified over {checked} cases")
-
-
-def _layer_tensors(layer):
-    out = list(layer.router.tensors().values())
-    for expert in layer.experts:
-        out += list(expert.tensors().values())
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +354,7 @@ def test_synthetic_corpus_learning_and_no_cue_chance_floor(
 
     # zero cue strength: no signal may leak, accuracy must sit near chance
     blank = data.synth_toy_corpus(900, 0.0, seed=11)
-    texts = []
-    for s in blank:
-        texts.append(instruct.render_prompt(template, s.title))
-        texts.append(f"<think>{s.cot.think}</think><answer>{s.cot.answer}</answer>")
-    vocab0 = instruct.Vocabulary.build(texts)
+    vocab0 = instruct.build_vocab(blank, template)
     train0, val0, test0 = data.split(blank, data.SplitSpec())
     params0 = model.init_model(model.ModelConfig(vocab_size=len(vocab0)),
                                np.random.default_rng(0))
@@ -722,11 +712,7 @@ def test_similarity_gate_split_and_manifest_guarantees(corpus900, splits900,
 
 def test_ablation_grid_completes_and_mixture_does_not_hurt(template, work):
     corpus = data.synth_toy_corpus(300, 0.9, seed=3)
-    texts = []
-    for s in corpus:
-        texts.append(instruct.render_prompt(template, s.title))
-        texts.append(f"<think>{s.cot.think}</think><answer>{s.cot.answer}</answer>")
-    vocab = instruct.Vocabulary.build(texts)
+    vocab = instruct.build_vocab(corpus, template)
     splits = data.split(corpus, data.SplitSpec())
     mcfg = model.ModelConfig(vocab_size=len(vocab))
     tcfg = trainer.TrainConfig(max_steps=350, batch_size=8, eval_every=50,

@@ -146,6 +146,17 @@ def test_corrupt_manifest_exits_2(tmp_path, corpus, capsys):
     assert "line 61" in capsys.readouterr().err
 
 
+
+def test_ragged_feature_manifest_exits_2(tmp_path, corpus, capsys):
+    bad = tmp_path / "bad.jsonl"
+    line = {"id": "r", "title": "t", "image": {"feat": [[0.0], [1.0, 2.0]]},
+            "label": "real"}
+    bad.write_text(corpus.read_text() + json.dumps(line) + "\n")
+    rc = cli.main(["cot-validate", "--manifest", str(bad)])
+    assert rc == 2
+    assert "line 61" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # train / eval / route-report
 

@@ -7,7 +7,7 @@ import pytest
 import umfdet.ndtensor as nd
 from umfdet import cmoe
 from umfdet.data import Category
-from umfdet.errors import ConfigError, DataError
+from umfdet.errors import DataError
 from umfdet.ndtensor import Tensor
 
 from helpers import check_grads
@@ -17,39 +17,48 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def make_layer(h=6, seed=0, gate_scaling=True, dropout=0.0):
-    rng = np.random.default_rng(seed)
-    return cmoe.init_cmoe_layer(rng, h, dropout_rate=dropout, gate_scaling=gate_scaling)
+def make_layer(h=6, seed=0):
+    """Flat tensor dict holding one mixture layer named "m"."""
+    t = {}
+    cmoe.init_cmoe_layer(t, np.random.default_rng(seed), "m", h)
+    return t
+
+
+def under(t, prefix):
+    """The tensors of t whose names start with prefix + "."."""
+    return [v for k, v in t.items() if k.startswith(prefix + ".")]
 
 
 def test_expert_forward_matches_manual_formula():
     rng = np.random.default_rng(1)
-    p = cmoe.init_expert(rng, 5)
+    t = {}
+    cmoe.init_expert(t, rng, "e", 5)
     x = rng.normal(size=(4, 5))
-    out = cmoe.expert_forward(p, Tensor(x)).values
-    a = x @ p.W_a.values + p.b_a.values
-    b = x @ p.W_b.values + p.b_b.values
-    manual = (a * _sigmoid(a) * _sigmoid(b)) @ p.W_out.values + p.b_out.values
+    out = cmoe.expert_forward(t, "e", Tensor(x)).values
+    a = x @ t["e.W_a"].values + t["e.b_a"].values
+    b = x @ t["e.W_b"].values + t["e.b_b"].values
+    manual = (a * _sigmoid(a) * _sigmoid(b)) @ t["e.W_out"].values + t["e.b_out"].values
     assert np.allclose(out, manual, atol=1e-12)
 
 
 def test_expert_hidden_width_is_double_by_default():
-    p = cmoe.init_expert(np.random.default_rng(0), 8)
-    assert p.W_a.shape == (8, 16) and p.W_out.shape == (16, 8)
+    t = {}
+    cmoe.init_expert(t, np.random.default_rng(0), "e", 8)
+    assert t["e.W_a"].shape == (8, 16) and t["e.W_out"].shape == (16, 8)
 
 
 def test_route_weights_and_selection():
-    layer = make_layer(seed=2)
+    t = make_layer(seed=2)
     x = Tensor(np.random.default_rng(3).normal(size=(7, 6)))
-    d = cmoe.route(layer.router, x, sequence_id="s1")
+    d = cmoe.route(t, "m.router", x, sequence_id="s1")
     assert abs(sum(d.weights) - 1.0) < 1e-12
     assert d.selected == int(np.argmax(d.weights))
     assert d.sequence_id == "s1"
 
 
 def test_route_tie_breaks_to_lowest_index():
-    r = cmoe.RouterParams(W=Tensor(np.zeros((4, 3))), b=Tensor(np.zeros(3)))
-    d = cmoe.route(r, Tensor(np.ones((2, 4))))
+    r = {"r.W": Tensor(np.zeros((4, 3))), "r.b": Tensor(np.zeros(3))}
+    d = cmoe.route(r, "r", Tensor(np.ones((2, 4))))
     assert d.selected == 0
     assert np.allclose(d.weights, 1.0 / 3.0)
 
@@ -61,102 +70,90 @@ def test_route_shift_invariance_sample():
         b = rng.normal(size=3)
         c = rng.uniform(-20, 20)
         x = Tensor(rng.normal(size=(3, 5)))
-        base = cmoe.route(cmoe.RouterParams(Tensor(w), Tensor(b)), x)
-        shifted = cmoe.route(cmoe.RouterParams(Tensor(w), Tensor(b + c)), x)
+        base = cmoe.route({"r.W": Tensor(w), "r.b": Tensor(b)}, "r", x)
+        shifted = cmoe.route({"r.W": Tensor(w), "r.b": Tensor(b + c)}, "r", x)
         assert base.selected == shifted.selected
 
 
-def test_route_rejects_empty_and_bad_pooling():
-    layer = make_layer()
+def test_route_rejects_empty_sequence():
+    t = make_layer()
     with pytest.raises(DataError):
-        cmoe.route(layer.router, Tensor(np.zeros((0, 6))))
-    with pytest.raises(ConfigError):
-        cmoe.route(layer.router, Tensor(np.ones((2, 6))), pooling="max")
+        cmoe.route(t, "m.router", Tensor(np.zeros((0, 6))))
 
 
 def test_only_selected_expert_receives_gradient():
-    layer = make_layer(seed=5)
+    t = make_layer(seed=5)
     x = Tensor(np.random.default_rng(6).normal(size=(4, 6)), requires_grad=True)
-    out, decision = cmoe.cmoe_forward(layer, x)
+    out, decision = cmoe.cmoe_forward(t, "m", x)
     loss = nd.pick(nd.mean_rows(out), (0, 0))
     loss.backward()
-    for i, expert in enumerate(layer.experts):
-        touched = any(t._grad is not None and t.grad.any()
-                      for t in expert.tensors().values())
+    for i, expert in enumerate(cmoe.EXPERT_NAMES):
+        touched = any(p._grad is not None and p.grad.any() for p in under(t, f"m.{expert}"))
         assert touched == (i == decision.selected)
 
 
 def test_gate_off_router_gradient_exactly_zero():
-    layer = make_layer(seed=7, gate_scaling=False)
+    t = make_layer(seed=7)
     x = Tensor(np.random.default_rng(8).normal(size=(4, 6)), requires_grad=True)
-    out, _ = cmoe.cmoe_forward(layer, x)
+    out, _ = cmoe.cmoe_forward(t, "m", x, gate_scaling=False)
     nd.pick(nd.mean_rows(out), (0, 0)).backward()
-    assert layer.router.W._grad is None or not layer.router.W.grad.any()
-    assert layer.router.b._grad is None or not layer.router.b.grad.any()
+    assert t["m.router.W"]._grad is None or not t["m.router.W"].grad.any()
+    assert t["m.router.b"]._grad is None or not t["m.router.b"].grad.any()
 
 
 def test_gate_on_router_gradient_nonzero():
-    layer = make_layer(seed=9, gate_scaling=True)
+    t = make_layer(seed=9)
     x = Tensor(np.random.default_rng(10).normal(size=(4, 6)), requires_grad=True)
-    out, _ = cmoe.cmoe_forward(layer, x)
+    out, _ = cmoe.cmoe_forward(t, "m", x, gate_scaling=True)
     nd.pick(nd.mean_rows(out), (0, 0)).backward()
-    assert layer.router.W.grad.any()
+    assert t["m.router.W"].grad.any()
 
 
 def test_gate_scaling_multiplies_by_selected_probability():
     x_vals = np.random.default_rng(11).normal(size=(3, 6))
-    on = make_layer(seed=12, gate_scaling=True)
-    off = make_layer(seed=12, gate_scaling=False)
-    out_on, d_on = cmoe.cmoe_forward(on, Tensor(x_vals))
-    out_off, d_off = cmoe.cmoe_forward(off, Tensor(x_vals))
+    t = make_layer(seed=12)
+    out_on, d_on = cmoe.cmoe_forward(t, "m", Tensor(x_vals), gate_scaling=True)
+    out_off, d_off = cmoe.cmoe_forward(t, "m", Tensor(x_vals), gate_scaling=False)
     assert d_on.selected == d_off.selected
     p = d_on.weights[d_on.selected]
     assert np.allclose(out_on.values, out_off.values * p, atol=1e-12)
 
 
 def test_cmoe_forward_gradients_vs_oracle():
-    layer = make_layer(h=4, seed=13)
+    t = make_layer(h=4, seed=13)
     x = Tensor(np.random.default_rng(14).normal(size=(3, 4)), requires_grad=True)
-    params = [x, layer.router.W, layer.router.b]
-    sel = cmoe.route(layer.router, x).selected
-    params += list(layer.experts[sel].tensors().values())
+    params = [x, t["m.router.W"], t["m.router.b"]]
+    sel = cmoe.route(t, "m.router", x).selected
+    params += under(t, f"m.{cmoe.EXPERT_NAMES[sel]}")
     w = np.random.default_rng(15).normal(size=12)
 
     def build():
-        out, _ = cmoe.cmoe_forward(layer, x)
+        out, _ = cmoe.cmoe_forward(t, "m", x)
         flat = nd.reshape(out, (1, 12))
         return nd.pick(nd.matmul(flat, Tensor(w.reshape(-1, 1))), (0, 0))
 
     check_grads(build, params)
 
 
-def test_cmoe_stack_returns_one_decision_per_layer():
-    layers = [make_layer(seed=s) for s in (20, 21, 22)]
-    x = Tensor(np.random.default_rng(23).normal(size=(5, 6)))
-    out, decisions = cmoe.cmoe_stack(layers, x)
-    assert out.shape == (5, 6)
-    assert len(decisions) == 3
-
-
 def test_alignment_loss_zero_coefficient_is_inert():
-    layer = make_layer(seed=24)
+    t = make_layer(seed=24)
     x = Tensor(np.random.default_rng(25).normal(size=(2, 6)))
-    d = cmoe.route(layer.router, x)
+    d = cmoe.route(t, "m.router", x)
     loss = cmoe.routing_alignment_loss(d, Category.REAL, coefficient=0.0)
     assert float(loss.values) == 0.0
     assert loss._backward is None and not loss._parents
 
 
 def test_alignment_loss_matches_nll_oracle_and_reaches_router():
-    layer = make_layer(seed=26)
+    t = make_layer(seed=26)
     x = Tensor(np.random.default_rng(27).normal(size=(2, 6)))
-    d = cmoe.route(layer.router, x)
+    d = cmoe.route(t, "m.router", x)
     coeff = 0.5
     loss = cmoe.routing_alignment_loss(d, Category.AI_SYNTHESIZED, coefficient=coeff)
     expected = -np.log(d.weights[Category.AI_SYNTHESIZED.expert_index]) * coeff
     assert abs(float(loss.values) - expected) < 1e-12
     loss.backward()
-    assert layer.router.W.grad.any()
+    assert t["m.router.W"].grad.any()
 
 
 def test_expert_index_mapping():
@@ -166,11 +163,11 @@ def test_expert_index_mapping():
     assert cmoe.EXPERT_NAMES == ("reality", "deception", "synthesis")
 
 
-def test_layer_named_tensors_contract():
-    layer = make_layer(seed=28)
-    named = cmoe.layer_named_tensors(layer, 1)
+def test_init_cmoe_layer_checkpoint_names():
+    named = {}
+    cmoe.init_cmoe_layer(named, np.random.default_rng(28), "cmoe.1", 6)
     assert "cmoe.1.reality.W_a" in named
     assert "cmoe.1.synthesis.b_out" in named
     assert "cmoe.1.router.W" in named and "cmoe.1.router.b" in named
     assert len(named) == 3 * 6 + 2
-    assert named["cmoe.1.deception.W_b"] is layer.experts[1].W_b
+    assert list(named)[-2:] == ["cmoe.1.router.W", "cmoe.1.router.b"]

@@ -359,6 +359,10 @@ class _StubResponse:
         self._body = body or {}
 
     def json(self):
+        if isinstance(self._body, str):  # raw text: decode it as requests does
+            resp = requests.Response()
+            resp._content, resp.encoding = self._body.encode("utf-8"), "utf-8"
+            return resp.json()
         return self._body
 
 
@@ -421,6 +425,16 @@ def test_http_client_4xx_fails_without_retry():
     session = _StubSession([_StubResponse(404)])
     client = HttpGenClient("http://gen.local", retries=2, backoff=0.0, session=session)
     with pytest.raises(TransportError, match="404"):
+        client.generate("p")
+    assert len(session.requests) == 1
+
+
+@pytest.mark.parametrize("body, match", [("<html>gateway</html>", "not JSON"),
+                                         (["text"], "text")])
+def test_http_client_non_object_body_is_transport_error(body, match):
+    session = _StubSession([_StubResponse(200, body)])
+    client = HttpGenClient("http://gen.local", retries=2, backoff=0.0, session=session)
+    with pytest.raises(TransportError, match=match):
         client.generate("p")
     assert len(session.requests) == 1
 

@@ -233,6 +233,33 @@ def test_manifest_bad_sample_cites_line(tmp_path):
     assert exc.value.line == 2
 
 
+_GOOD = {"id": "x", "title": "t", "image": {"feat": [[0.0, 1.0], [2.0, 3.0]]},
+         "label": "real"}
+
+
+@pytest.mark.parametrize("line", [
+    {**_GOOD, "image": {"feat": [[0.0, 1.0], [2.0]]}},
+    {**_GOOD, "image": {"feat": [["a", "b"]]}},
+    {k: v for k, v in _GOOD.items() if k != "id"},
+    {k: v for k, v in _GOOD.items() if k != "title"},
+    {k: v for k, v in _GOOD.items() if k != "image"},
+    {**_GOOD, "image": {"raw_b64": "AAAA", "shape": [1, 2, 2]}},
+    {**_GOOD, "title": 7},
+    {**_GOOD, "cot": {"think": "x"}},
+    {**_GOOD, "cot": ["think", "answer", "verdict"]},
+    {**_GOOD, "manipulation": ["kind"]},
+    ["id", "title", "image"],
+], ids=["ragged_feat", "non_numeric_feat", "no_id", "no_title", "no_image",
+        "short_raw", "non_string_title", "partial_cot", "list_cot",
+        "list_manipulation", "list_line"])
+def test_manifest_malformed_line_is_manifest_error(tmp_path, line):
+    path = tmp_path / "m.jsonl"
+    path.write_text(json.dumps({**_GOOD, "id": "first"}) + "\n" + json.dumps(line) + "\n")
+    with pytest.raises(ManifestError) as exc:
+        load_manifest(path)
+    assert exc.value.line == 2
+
+
 def test_manifest_duplicate_ids_rejected(tmp_path):
     a, b = _sample(0), _sample(1)
     b.id = a.id

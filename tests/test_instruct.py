@@ -1,5 +1,7 @@
 """Templates, tokenization and the vocabulary contract."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -174,3 +176,22 @@ def test_embed_text_rejects_empty_and_overflow():
         instruct.embed_text(table, pos, [])
     with pytest.raises(DataError, match="exceeds"):
         instruct.embed_text(table, pos, [0, 1, 2])
+
+
+def test_build_vocab_covers_prompts_and_rationales(toy_corpus, template):
+    samples = toy_corpus[:20]
+    texts = [render_prompt(template, s.title) for s in samples]
+    texts += [f"<think>{s.cot.think}</think><answer>{s.cot.answer}</answer>"
+              for s in samples]
+    v = instruct.build_vocab(samples, template)
+    assert v.id_to_token == Vocabulary.build(texts).id_to_token
+    assert "[image]" in v and "human_crafted" in v
+    capped = instruct.build_vocab(samples, template, min_count=1, max_size=20)
+    assert len(capped) == 20
+
+
+def test_build_vocab_skips_missing_rationale(toy_corpus, template):
+    bare = [dataclasses.replace(s, cot=None) for s in toy_corpus[:20]]
+    v = instruct.build_vocab(bare, template, min_count=1)
+    assert "[image]" not in v
+    assert all(t in v for t in split_tokens(render_prompt(template, bare[0].title)))

@@ -71,9 +71,7 @@ def test_init_model_checkpoint_names(tiny_config):
                      "moe_out_ln.gamma", "dec.0.self_attn.Wq", "dec.0.cross_attn.Wk",
                      "dec.0.ffn.W2", "final_ln.beta", "head.W", "head.b"):
         assert expected in names, expected
-    assert len(params.cmoe_layers) == tiny_config.n_moe
-    # structured views alias the flat dict
-    assert params.tensors["cmoe.0.router.W"] is params.cmoe_layers[0].router.W
+    assert sum(n.endswith(".router.W") for n in names) == tiny_config.n_moe
 
 
 def test_init_model_solo_names_without_moe(tiny_config):
