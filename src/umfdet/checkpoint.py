@@ -84,20 +84,26 @@ def read_tensor_file(path) -> dict:
     if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), list):
         raise DataError(f"{path}: manifest is not an object with a 'tensors' list")
     payload = blob[start + manifest_len:]
-    out = {}
-    expected = 0
+    spans = []
     for entry in manifest["tensors"]:
         name, shape, offset = _entry_fields(path, entry)
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = n * 8
-        if offset + nbytes > len(payload):
+        if offset + 8 * n > len(payload):
             raise DataError(f"{path}: tensor {name} overruns payload")
-        arr = np.frombuffer(payload, dtype="<f8", count=n, offset=offset)
-        out[name] = arr.reshape(shape).astype(np.float64)
-        expected = max(expected, offset + nbytes)
+        spans.append((offset, offset + 8 * n, name, shape))
+    if manifest.get("dtype") != "<f8":
+        raise DataError(f"{path}: tensors stored as dtype {manifest.get('dtype')!r}, "
+                        f"expected '<f8'")
+    filled = sorted(s for s in spans if s[1] > s[0])
+    for (_, end, a, _), (begin, _, b, _) in zip(filled, filled[1:]):
+        if begin < end:
+            raise DataError(f"{path}: tensors {a} and {b} overlap in the payload")
+    expected = max((end for _, end, _, _ in spans), default=0)
     if expected != len(payload):
         raise DataError(f"{path}: payload has {len(payload) - expected} trailing bytes")
-    return out
+    return {name: np.frombuffer(payload, dtype="<f8", count=(end - offset) // 8,
+                                offset=offset).reshape(shape).astype(np.float64)
+            for offset, end, name, shape in spans}
 
 
 def save_model(ckpt_dir, params: ModelParams, vocab: Vocabulary) -> None:

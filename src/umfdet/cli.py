@@ -35,6 +35,7 @@ from .trainer import TrainConfig, config_hash
 
 ENDPOINT_ENV = "UMFDET_GEN_ENDPOINT"
 TOKEN_ENV = "UMFDET_GEN_TOKEN"
+MAX_WORKERS = 32
 
 
 class _Parser(argparse.ArgumentParser):
@@ -219,6 +220,8 @@ def cmd_fabricate_text(args):
 
 
 def cmd_cot_gen(args):
+    if not 1 <= args.workers <= MAX_WORKERS:
+        raise ConfigError(f"--workers must lie in 1..{MAX_WORKERS}, got {args.workers}")
     started = time.time()
     samples = data_mod.load_manifest(args.manifest)
     client = make_gen_client(args)

@@ -214,16 +214,17 @@ def build_vocab(samples, template: InstructionTemplate, min_count: int = 2,
     return Vocabulary.build(texts, min_count=min_count, max_size=max_size)
 
 
-def embed_text(table, pos_table, ids):
-    """Token embedding plus learned positional rows: [T] -> [T, H]."""
+def embed_text(table, pos_table, ids, start=0):
+    """Token embedding plus learned positional rows: [T] -> [T, H]. The
+    tokens sit at positions start, start + 1, ..."""
     from . import ndtensor as nd
 
     n = len(ids)
     if n == 0:
         raise DataError("cannot embed an empty token sequence")
-    if n > pos_table.values.shape[0]:
-        raise DataError(f"sequence length {n} exceeds positional table "
+    if start + n > pos_table.values.shape[0]:
+        raise DataError(f"sequence length {start + n} exceeds positional table "
                         f"of {pos_table.values.shape[0]} rows")
     tok = nd.embedding(table, ids)
-    pos = nd.embedding(pos_table, np.arange(n))
+    pos = nd.embedding(pos_table, np.arange(start, start + n))
     return nd.add(tok, pos)

@@ -161,30 +161,27 @@ def _proj(t, name, suffix_w, suffix_b, x):
     return nd.add(nd.matmul(x, t[f"{name}.{suffix_w}"]), t[f"{name}.{suffix_b}"])
 
 
-def _attention(t, name, x_q, x_kv, n_heads, causal):
-    """Multi-head scaled dot-product attention via per-head column slices;
-    x_kv None means self-attention."""
-    if x_kv is None:
-        x_kv = x_q
-    h = x_q.shape[1]
-    dh = h // n_heads
+def _attention(t, name, x_q, x_kv, n_heads, causal, cache=None):
+    """Multi-head attention; x_kv None means self-attention. A cache dict
+    keeps keys and values across decoder calls: self-attention appends the
+    new rows, cross-attention projects the memory once."""
     q = _proj(t, name, "Wq", "bq", x_q)
-    k = _proj(t, name, "Wk", "bk", x_kv)
-    v = _proj(t, name, "Wv", "bv", x_kv)
+    cached = cache.get(name) if cache is not None else None
+    if cached is not None and x_kv is not None:
+        k, v = cached
+    else:
+        src = x_q if x_kv is None else x_kv
+        k = _proj(t, name, "Wk", "bk", src)
+        v = _proj(t, name, "Wv", "bv", src)
+        if cached is not None:
+            k, v = nd.concat([cached[0], k]), nd.concat([cached[1], v])
+        if cache is not None:
+            cache[name] = (k, v)
     mask = None
-    if causal:
-        n = x_q.shape[0]
-        mask = Tensor(np.triu(np.full((n, n), _NEG), k=1))
-    heads = []
-    for i in range(n_heads):
-        qh = nd.slice_cols(q, i * dh, (i + 1) * dh)
-        kh = nd.slice_cols(k, i * dh, (i + 1) * dh)
-        vh = nd.slice_cols(v, i * dh, (i + 1) * dh)
-        scores = nd.scale(nd.matmul(qh, nd.transpose(kh)), 1.0 / np.sqrt(dh))
-        if mask is not None:
-            scores = nd.add(scores, mask)
-        heads.append(nd.matmul(nd.softmax(scores, axis=-1), vh))
-    return _proj(t, name, "Wo", "bo", nd.concat(heads, axis=1))
+    if causal:  # query i of the n newest sees the first m - n + 1 + i keys
+        n, m = q.shape[0], k.shape[0]
+        mask = np.triu(np.full((n, m), _NEG), k=m - n + 1)
+    return _proj(t, name, "Wo", "bo", nd.attention(q, k, v, n_heads, mask))
 
 
 def _ffn(t, name, x, training, rng, rate):
@@ -261,24 +258,30 @@ def encode(params: ModelParams, sample: NewsSample, vocab: Vocabulary,
 
 
 def decode(params: ModelParams, memory, ids, training: bool = False,
-           rng: np.random.Generator | None = None, sample_id: str = "?"):
-    """Causal decoder over the target prefix; returns [T, V] logits."""
+           rng: np.random.Generator | None = None, sample_id: str = "?",
+           cache: dict | None = None):
+    """Causal decoder; returns [T, V] logits. Without a cache, ids is the
+    whole target prefix; with a cache dict (empty at first), ids continue
+    the tokens already decoded through it, at the positions after them."""
     cfg = params.config
     t = params.tensors
     rate = cfg.dropout_rate
+    start = cache.get("len", 0) if cache is not None else 0
     try:
-        y = embed_text(t["tok_emb"], t["pos_emb"], ids)
+        y = embed_text(t["tok_emb"], t["pos_emb"], ids, start)
     except DataError as exc:
         raise DataError(f"sample {sample_id}: {exc}") from None
     for i in range(cfg.n_dec):
         a = _attention(t, f"dec.{i}.self_attn", _ln(t, f"dec.{i}.ln1", y), None,
-                       cfg.n_heads, True)
+                       cfg.n_heads, True, cache)
         y = nd.add(y, nd.dropout(a, rate, training, rng))
         c = _attention(t, f"dec.{i}.cross_attn", _ln(t, f"dec.{i}.ln2", y),
-                       memory, cfg.n_heads, False)
+                       memory, cfg.n_heads, False, cache)
         y = nd.add(y, nd.dropout(c, rate, training, rng))
         f = _ffn(t, f"dec.{i}.ffn", _ln(t, f"dec.{i}.ln3", y), training, rng, rate)
         y = nd.add(y, nd.dropout(f, rate, training, rng))
+    if cache is not None:
+        cache["len"] = start + len(ids)
     y = _ln(t, "final_ln", y)
     return _proj(t, "head", "W", "b", y)
 
@@ -364,18 +367,23 @@ class GenerationResult:
 
 def generate(params: ModelParams, sample: NewsSample, vocab: Vocabulary,
              template: InstructionTemplate, max_new: int | None = None) -> GenerationResult:
-    """Greedy decode from the fused memory until the end token or the budget."""
+    """Greedy decode from the fused memory until the end token or the budget
+    (max_new, default gen_max_tokens), one token per decoder call through a
+    key/value cache."""
     cfg = params.config
-    budget = min(max_new or cfg.gen_max_tokens, cfg.max_len - 1)
+    if max_new is not None and max_new < 1:
+        raise ConfigError(f"max_new must be >= 1, got {max_new}")
+    budget = min(cfg.gen_max_tokens if max_new is None else max_new, cfg.max_len - 1)
     with nd.no_grad():
         memory, decisions = encode(params, sample, vocab, template, training=False)
-        ids = [BOS]
+        cache = {}
+        nxt = BOS
         out = []
         for _ in range(budget):
-            logits = decode(params, memory, ids, training=False, sample_id=sample.id)
+            logits = decode(params, memory, [nxt], training=False, sample_id=sample.id,
+                            cache=cache)
             nxt = int(np.argmax(logits.values[-1]))
             if nxt == EOS:
                 break
-            ids.append(nxt)
             out.append(nxt)
     return GenerationResult(text=vocab.decode(out), token_ids=out, decisions=decisions)

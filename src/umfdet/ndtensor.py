@@ -1,9 +1,10 @@
 """Minimal dense-tensor library with reverse-mode autodiff.
 
 Covers exactly the operations the detector needs: 2-D matmul and friends,
-SiLU/sigmoid/softmax, inverted dropout, layer norm, embedding lookup and a
-fused label-masked language-modeling cross entropy. Everything runs in
-float64 so finite-difference gradient checks are meaningful.
+SiLU/sigmoid/softmax, fused multi-head attention, inverted dropout, layer
+norm, embedding lookup and a fused label-masked language-modeling cross
+entropy. Everything runs in float64 so finite-difference gradient checks
+are meaningful.
 
 Gradient tracking is implicit: every op result remembers its parents and a
 backward closure, and ``Tensor.backward()`` replays the recorded ops in
@@ -202,15 +203,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.values.ndim != 2:
-        raise ShapeError(f"transpose: needs a 2-D operand, got {a.shape}")
-    out, track = _result(a.values.T.copy(), (a,))
-    if track:
-        out._backward = lambda g: _accum(a, g.T)
-    return out
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     out, track = _result(a.values.reshape(shape), (a,))
     if track:
@@ -233,19 +225,6 @@ def concat(tensors, axis=0) -> Tensor:
                 idx[axis] = slice(offset, offset + n)
                 _accum(t, g[tuple(idx)])
                 offset += n
-        out._backward = _bw
-    return out
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.values.ndim != 2:
-        raise ShapeError(f"slice_cols: needs a 2-D operand, got {a.shape}")
-    out, track = _result(a.values[:, start:stop].copy(), (a,))
-    if track:
-        def _bw(g):
-            buf = np.zeros_like(a.values)
-            buf[:, start:stop] = g
-            _accum(a, buf)
         out._backward = _bw
     return out
 
@@ -312,6 +291,48 @@ def softmax(a: Tensor, axis=-1) -> Tensor:
         def _bw(g):
             dot = (g * s).sum(axis=axis, keepdims=True)
             _accum(a, s * (g - dot))
+        out._backward = _bw
+    return out
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None) -> Tensor:
+    """Multi-head softmax(q k^T / sqrt(dh) + mask) v, batched over heads.
+
+    q is [Tq, H] and k, v are [Tk, H]; head i owns columns i*dh:(i+1)*dh
+    with dh = H / n_heads. mask is an additive [Tq, Tk] array shared by all
+    heads, or None. Returns the head outputs side by side, [Tq, H].
+    """
+    if (q.values.ndim != 2 or k.values.ndim != 2 or k.shape != v.shape
+            or k.shape[1] != q.shape[1] or q.shape[1] % n_heads != 0):
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} do not "
+                         f"split into {n_heads} heads of one width")
+    (tq, h), tk = q.shape, k.shape[0]
+    if mask is not None and mask.shape != (tq, tk):
+        raise ShapeError(f"attention: mask shape {mask.shape} is not {(tq, tk)}")
+    dh = h // n_heads
+    c = 1.0 / np.sqrt(dh)
+
+    def split(x, n):  # [n, H] -> [heads, n, dh]
+        return x.reshape(n, n_heads, dh).transpose(1, 0, 2)
+
+    def merge(x, n):  # [heads, n, dh] -> [n, H]
+        return x.transpose(1, 0, 2).reshape(n, h)
+
+    qh, kh, vh = split(q.values, tq), split(k.values, tk), split(v.values, tk)
+    scores = (qh @ kh.transpose(0, 2, 1)) * c
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    out, track = _result(merge(p @ vh, tq), (q, k, v))
+    if track:
+        def _bw(g):
+            gh = split(g, tq)
+            dp = gh @ vh.transpose(0, 2, 1)
+            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
+            _accum(q, merge(ds @ kh, tq))
+            _accum(k, merge(ds.transpose(0, 2, 1) @ qh, tk))
+            _accum(v, merge(p.transpose(0, 2, 1) @ gh, tk))
         out._backward = _bw
     return out
 

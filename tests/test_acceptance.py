@@ -108,10 +108,6 @@ def _op_roster():
         a, b = _rand(rng, 3, 4), _rand(rng, 4, 2)
         return lambda: _scalar(nd.matmul(a, b)), [a, b]
 
-    def transpose(rng):
-        a, b = _rand(rng, 3, 4), _rand(rng, 3, 2)
-        return lambda: _scalar(nd.matmul(nd.transpose(a), b)), [a, b]
-
     def reshape(rng):
         a, w = _rand(rng, 2, 6), _rand(rng, 4, 1)
         return lambda: _scalar(nd.matmul(nd.reshape(a, (3, 4)), w)), [a, w]
@@ -124,9 +120,18 @@ def _op_roster():
         a, b, w = _rand(rng, 3, 2), _rand(rng, 3, 3), _rand(rng, 5, 1)
         return lambda: _scalar(nd.matmul(nd.concat([a, b], axis=1), w)), [a, b, w]
 
-    def slice_cols(rng):
-        a, w = _rand(rng, 3, 6), _rand(rng, 3, 1)
-        return lambda: _scalar(nd.matmul(nd.slice_cols(a, 1, 4), w)), [a, w]
+    def _attention(rng, tq, tk, mask):
+        q, k, v, w = _rand(rng, tq, 4), _rand(rng, tk, 4), _rand(rng, tk, 4), _rand(rng, 4, 1)
+        return lambda: _scalar(nd.matmul(nd.attention(q, k, v, 2, mask), w)), [q, k, v, w]
+
+    def attention_causal(rng):
+        return _attention(rng, 4, 4, np.triu(np.full((4, 4), -1e30), k=1))
+
+    def attention_cross(rng):
+        return _attention(rng, 3, 5, None)
+
+    def attention_offset_causal(rng):
+        return _attention(rng, 2, 5, np.triu(np.full((2, 5), -1e30), k=4))
 
     def pick(rng):
         a = _rand(rng, 3, 4)
@@ -193,10 +198,10 @@ def _op_roster():
             t.requires_grad = True
         return lambda: _scalar(cmoe.cmoe_forward(layer, "m", x)[0]), tensors
 
-    return [add_broadcast, mul, scale, scale_by, matmul, transpose, reshape,
-            concat_rows, concat_cols, slice_cols, pick, mean_rows, sigmoid,
-            silu, softmax_last, softmax_rows, dropout, layer_norm, embedding,
-            cross_entropy, expert_path, routed_layer_path]
+    return [add_broadcast, mul, scale, scale_by, matmul, reshape, concat_rows,
+            concat_cols, attention_causal, attention_cross, attention_offset_causal,
+            pick, mean_rows, sigmoid, silu, softmax_last, softmax_rows, dropout,
+            layer_norm, embedding, cross_entropy, expert_path, routed_layer_path]
 
 
 def _routed(layer, x):

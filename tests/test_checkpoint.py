@@ -109,8 +109,12 @@ def _with_manifest(path, manifest, payload=b"\x00" * 16):
     ({"tensors": [{"name": "x", "shape": [2], "offset": -8}]}, "offset"),
     ({"tensors": [{"name": "x", "shape": [2]}]}, "needs a string name"),
     ({"tensors": [{"name": "x", "shape": 2, "offset": 0}]}, "shape"),
+    ({"dtype": "<f4", "tensors": [{"name": "x", "shape": [2], "offset": 0}]}, "'<f4'"),
+    ({"dtype": "<f8", "tensors": [{"name": "x", "shape": [2], "offset": 0},
+                                  {"name": "y", "shape": [1], "offset": 8}]},
+     "tensors x and y overlap"),
 ], ids=["no_tensors_key", "list_manifest", "negative_offset", "missing_entry_key",
-        "non_list_shape"])
+        "non_list_shape", "foreign_dtype", "overlapping_offsets"])
 def test_tensor_file_malformed_manifest_is_data_error(tmp_path, manifest, match):
     path = _with_manifest(tmp_path / "t.umfd", manifest)
     with pytest.raises(DataError, match=match) as info:

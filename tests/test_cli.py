@@ -7,6 +7,7 @@ import pytest
 
 from umfdet import cli
 from umfdet.data import load_manifest
+from umfdet.errors import ConfigError
 
 SMALL_MODEL = """\
 h=16
@@ -119,6 +120,25 @@ def test_fabricate_text_missing_manifest_exits_2(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # rationale commands
+
+
+@pytest.mark.parametrize("workers", ["0", "33", "-1"])
+def test_cot_gen_workers_out_of_range_exits_1(tmp_path, corpus, capsys, monkeypatch,
+                                              workers):
+    def no_run(*args, **kwargs):
+        raise AssertionError("rationale generation started")
+
+    monkeypatch.setattr(cli.cot_mod, "generate_corpus_cots", no_run)
+    out = tmp_path / "cots.jsonl"
+    rc = cli.main(["cot-gen", "--manifest", str(corpus), "--mock", "--workers", workers,
+                   "--out", str(out)])
+    assert rc == 1
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+    args = cli.build_parser().parse_args(["cot-gen", "--manifest", str(corpus),
+                                          "--workers", workers, "--out", str(out)])
+    with pytest.raises(ConfigError, match="--workers"):
+        cli.cmd_cot_gen(args)
 
 
 def test_cot_gen_and_validate(tmp_path, corpus, capsys):

@@ -167,6 +167,9 @@ def test_embed_text_adds_positions():
     out = instruct.embed_text(table, pos, [2, 0, 5])
     assert out.shape == (3, 2)
     assert np.allclose(out.values[0], table.values[2] + 0.5)
+    pos = Tensor(np.arange(8, dtype=float).reshape(4, 2))
+    out = instruct.embed_text(table, pos, [2, 0], start=2)
+    assert np.array_equal(out.values, table.values[[2, 0]] + pos.values[2:4])
 
 
 def test_embed_text_rejects_empty_and_overflow():
@@ -176,6 +179,8 @@ def test_embed_text_rejects_empty_and_overflow():
         instruct.embed_text(table, pos, [])
     with pytest.raises(DataError, match="exceeds"):
         instruct.embed_text(table, pos, [0, 1, 2])
+    with pytest.raises(DataError, match="exceeds"):
+        instruct.embed_text(table, pos, [0], start=2)
 
 
 def test_build_vocab_covers_prompts_and_rationales(toy_corpus, template):

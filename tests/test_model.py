@@ -8,7 +8,7 @@ from umfdet import model as M
 from umfdet.data import Category, ImagePayload, ManipulationAnnotation, NewsSample
 from umfdet.data import CotNote, template_cot
 from umfdet.errors import ConfigError, DataError
-from umfdet.instruct import (ANSWER_CLOSE, ANSWER_OPEN, EOS, THINK_CLOSE, THINK_OPEN,
+from umfdet.instruct import (ANSWER_CLOSE, ANSWER_OPEN, BOS, EOS, THINK_CLOSE, THINK_OPEN,
                              render_prompt)
 from umfdet.trainer import FREEZE_VISUAL_PREFIXES
 
@@ -289,6 +289,63 @@ def test_generate_budget_capped_by_max_len(tiny_config, toy_vocab, template):
     params = M.init_model(tiny_config, np.random.default_rng(3))
     out = M.generate(params, _sample(), toy_vocab, template, max_new=10**6)
     assert len(out.token_ids) <= tiny_config.max_len - 1
+
+
+def test_generate_rejects_budget_below_one(tiny_model, toy_vocab, template):
+    for max_new in (0, -3):
+        with pytest.raises(ConfigError, match="max_new"):
+            M.generate(tiny_model, _sample(), toy_vocab, template, max_new=max_new)
+
+
+def test_cached_decode_rows_equal_full_prefix_rows(tiny_model, toy_vocab, template):
+    rng = np.random.default_rng(5)
+    ids = [BOS] + [int(i) for i in rng.integers(9, len(toy_vocab), 12)]
+    with nd.no_grad():
+        memory, _ = M.encode(tiny_model, _sample(), toy_vocab, template)
+        full = M.decode(tiny_model, memory, ids).values
+        cache = {}
+        rows = [M.decode(tiny_model, memory, [i], cache=cache).values for i in ids]
+    assert cache["len"] == len(ids)
+    assert np.allclose(np.concatenate(rows), full, rtol=0.0, atol=1e-10)
+
+
+def _assert_greedy(params, sample, vocab, template, tokens, budget):
+    """One teacher-forced full-prefix pass over BOS plus the generated tokens
+    picks each of them as its argmax, then EOS unless the budget was used."""
+    with nd.no_grad():
+        memory, _ = M.encode(params, sample, vocab, template)
+        logits = M.decode(params, memory, [BOS] + tokens).values
+    best = np.argmax(logits, axis=1)
+    assert list(best[:len(tokens)]) == tokens
+    assert len(tokens) <= budget
+    if len(tokens) < budget:
+        assert best[len(tokens)] == EOS
+    return logits
+
+
+@pytest.mark.parametrize("seed,moe_enabled,max_new", [
+    (0, True, None), (1, True, None), (2, True, None),
+    (0, False, None), (1, False, None), (2, False, None),
+    (3, True, 3),
+])
+def test_generate_is_greedy_under_teacher_forcing(tiny_config, toy_vocab, template,
+                                                  seed, moe_enabled, max_new):
+    cfg = M.ModelConfig(**{**tiny_config.to_json(), "moe_enabled": moe_enabled})
+    params = M.init_model(cfg, np.random.default_rng(seed))
+    sample = _sample()
+    budget = max_new or cfg.gen_max_tokens
+    out = M.generate(params, sample, toy_vocab, template, max_new=max_new)
+    logits = _assert_greedy(params, sample, toy_vocab, template, out.token_ids, budget)
+    # An untrained model never picks EOS, so each run uses its whole budget.
+    # Lifting the EOS bias just past its smallest gap to the argmax makes a
+    # second run stop at that position with the same tokens before it.
+    assert len(out.token_ids) == budget
+    gap = logits.max(axis=1) - logits[:, EOS]
+    stop = int(np.argmin(gap[:budget]))
+    params.tensors["head.b"].values[EOS] += gap[stop] + 1e-6
+    early = M.generate(params, sample, toy_vocab, template, max_new=max_new)
+    assert early.token_ids == out.token_ids[:stop]
+    _assert_greedy(params, sample, toy_vocab, template, early.token_ids, budget)
 
 
 def test_generate_accumulates_no_grads(tiny_model, toy_vocab, template):

@@ -90,12 +90,58 @@ def test_matmul_shape_errors():
         nd.matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
 
 
-def test_transpose_reshape_grads():
+def test_reshape_grads():
     rng = np.random.default_rng(6)
     a = leaf((2, 5), rng)
     w = rng.normal(size=10)
-    check_grads(lambda: wsum(nd.transpose(a), w), [a])
     check_grads(lambda: wsum(nd.reshape(a, (5, 2)), w), [a])
+
+
+def _causal(n, m):
+    return np.triu(np.full((n, m), -1e30), k=m - n + 1)
+
+
+def _attention_per_head(q, k, v, n_heads, mask):
+    """Loop-over-heads reference: each head attends over its own column block."""
+    dh = q.shape[1] // n_heads
+    heads = []
+    for i in range(n_heads):
+        cols = slice(i * dh, (i + 1) * dh)
+        scores = q[:, cols] @ k[:, cols].T / np.sqrt(dh)
+        if mask is not None:
+            scores = scores + mask
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        heads.append(e / e.sum(axis=1, keepdims=True) @ v[:, cols])
+    return np.concatenate(heads, axis=1)
+
+
+@pytest.mark.parametrize("tq,tk,n_heads,mask", [
+    (4, 4, 2, _causal(4, 4)),   # causal self-attention
+    (3, 6, 3, None),            # cross-attention, Tq != Tk
+    (2, 5, 2, _causal(2, 5)),   # cached decoding: n new queries over m keys
+    (1, 1, 1, None),
+])
+def test_attention_grads_and_per_head_reference(tq, tk, n_heads, mask):
+    rng = np.random.default_rng(6 + tq + tk)
+    h = 2 * n_heads
+    q, k, v = leaf((tq, h), rng), leaf((tk, h), rng), leaf((tk, h), rng)
+    out = nd.attention(q, k, v, n_heads, mask)
+    ref = _attention_per_head(q.values, k.values, v.values, n_heads, mask)
+    assert np.allclose(out.values, ref, rtol=0.0, atol=1e-12)
+    w = rng.normal(size=tq * h)
+    check_grads(lambda: wsum(nd.attention(q, k, v, n_heads, mask), w), [q, k, v])
+
+
+def test_attention_shape_errors():
+    x = Tensor(np.zeros((3, 4)))
+    with pytest.raises(ShapeError):
+        nd.attention(x, Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))), 2)
+    with pytest.raises(ShapeError):
+        nd.attention(x, Tensor(np.zeros((3, 6))), Tensor(np.zeros((3, 6))), 2)
+    with pytest.raises(ShapeError):
+        nd.attention(x, x, x, 3)
+    with pytest.raises(ShapeError):
+        nd.attention(x, x, x, 2, np.zeros((3, 2)))
 
 
 def test_concat_axis0_and_axis1_grads():
@@ -117,11 +163,9 @@ def test_concat_skips_empty_and_rejects_all_empty():
         nd.concat([empty], axis=0)
 
 
-def test_slice_cols_pick_mean_rows_grads():
+def test_pick_mean_rows_grads():
     rng = np.random.default_rng(9)
     a = leaf((4, 6), rng)
-    w = rng.normal(size=8)
-    check_grads(lambda: wsum(nd.slice_cols(a, 1, 3), w), [a])
     check_grads(lambda: nd.pick(a, (2, 4)), [a])
     w2 = rng.normal(size=6)
     check_grads(lambda: wsum(nd.mean_rows(a), w2), [a])
