@@ -84,9 +84,12 @@ def read_tensor_file(path) -> dict:
     if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), list):
         raise DataError(f"{path}: manifest is not an object with a 'tensors' list")
     payload = blob[start + manifest_len:]
-    spans = []
+    spans, names = [], set()
     for entry in manifest["tensors"]:
         name, shape, offset = _entry_fields(path, entry)
+        if name in names:
+            raise DataError(f"{path}: tensor {name} is listed twice in the manifest")
+        names.add(name)
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
         if offset + 8 * n > len(payload):
             raise DataError(f"{path}: tensor {name} overruns payload")

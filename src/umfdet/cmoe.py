@@ -1,11 +1,15 @@
 """Category-aware mixture-of-experts layer.
 
 Three gated-FFN experts (reality, deception, synthesis) sit behind a linear
-softmax router. Routing is per sequence: the input is mean-pooled, the
-router picks exactly one expert (argmax, lowest index on ties) and only that
-expert runs. With gate scaling on, the expert output is multiplied by its
-routing probability so the router still receives gradient through the hard
-selection.
+softmax router. Routing is per sequence: each sequence is mean-pooled over
+its valid rows, the router picks exactly one expert for it (argmax, lowest
+index on ties) and only that expert runs on its rows. With gate scaling on,
+the expert output is multiplied by its routing probability so the router
+still receives gradient through the hard selection.
+
+A batch of B sequences is one [B*T, H] tensor of B row blocks, each holding
+its sequence in the first lengths[b] of its T rows; each selected expert
+runs once, on the blocks of the sequences that chose it.
 
 The weights live in the model's flat name -> Tensor dict: each function
 takes that dict and the name of the module it reads or writes, such as
@@ -32,8 +36,9 @@ class RoutingDecision:
     weights: list          # 3 softmax probabilities
     selected: int          # argmax index, lowest index wins ties
     sequence_id: str | None = None
-    logits_t: Tensor | None = field(default=None, repr=False)
-    weights_t: Tensor | None = field(default=None, repr=False)
+    logits_t: Tensor | None = field(default=None, repr=False)   # [B, 3] for the batch
+    weights_t: Tensor | None = field(default=None, repr=False)  # [B, 3] for the batch
+    row: int = 0           # this sequence's row of logits_t and weights_t
 
 
 def xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
@@ -79,39 +84,54 @@ def expert_forward(t: dict, name: str, x: Tensor, training: bool = False,
     return nd.add(nd.matmul(y, t[f"{name}.W_out"]), t[f"{name}.b_out"])
 
 
-def route(t: dict, name: str, x: Tensor,
-          sequence_id: str | None = None) -> RoutingDecision:
-    """Mean-pool the sequence, softmax the router logits, hard-select one expert."""
+def route(t: dict, name: str, x: Tensor, sequence_ids=None,
+          lengths=None) -> list:
+    """Mean-pool each sequence over its valid rows, softmax the router
+    logits, hard-select one expert per sequence. x is one sequence, or with
+    lengths a batch of len(lengths) row blocks. Returns one decision per
+    sequence."""
     if x.shape[0] == 0:
         raise DataError("route: empty sequence")
-    pooled = nd.mean_rows(x)
+    pooled = nd.mean_rows(x, lengths)
     logits = nd.add(nd.matmul(pooled, t[f"{name}.W"]), t[f"{name}.b"])
     weights = nd.softmax(logits, axis=-1)
-    return RoutingDecision(
-        weights=[float(w) for w in weights.values[0]],
-        selected=int(np.argmax(weights.values[0])),
-        sequence_id=sequence_id,
-        logits_t=logits,
-        weights_t=weights,
-    )
+    ids = sequence_ids or [None] * len(weights.values)
+    return [RoutingDecision(weights=[float(w) for w in row],
+                            selected=int(np.argmax(row)), sequence_id=sid,
+                            logits_t=logits, weights_t=weights, row=b)
+            for b, (row, sid) in enumerate(zip(weights.values, ids))]
 
 
 def cmoe_forward(t: dict, name: str, x: Tensor, training: bool = False,
                  rng: np.random.Generator | None = None, dropout_rate: float = 0.0,
-                 gate_scaling: bool = True, sequence_id: str | None = None):
-    """Route, then evaluate only the selected expert.
+                 gate_scaling: bool = True, sequence_ids=None, lengths=None):
+    """Route each sequence, then run each selected expert once, on the row
+    blocks of the sequences that chose it.
 
-    Returns (output, decision). With gate scaling the output is the expert
-    output times its routing probability; without it, the literal expert
-    output (router then gets exactly zero gradient).
+    Returns (output, decisions), one decision per sequence. With gate
+    scaling each block of the output is the expert output times its
+    sequence's routing probability; without it, the literal expert output
+    (the router then gets exactly zero gradient).
     """
-    decision = route(t, f"{name}.router", x, sequence_id)
-    out = expert_forward(t, f"{name}.{EXPERT_NAMES[decision.selected]}", x,
-                         training, rng, dropout_rate)
-    if gate_scaling:
-        gate = nd.pick(decision.weights_t, (0, decision.selected))
-        out = nd.scale_by(out, gate)
-    return out, decision
+    decisions = route(t, f"{name}.router", x, sequence_ids, lengths)
+    n = x.shape[0] // len(decisions)
+    parts, order = [], []
+    for e, expert in enumerate(EXPERT_NAMES):
+        seqs = [d.row for d in decisions if d.selected == e]
+        if not seqs:
+            continue
+        rows = (np.asarray(seqs)[:, None] * n + np.arange(n)).ravel()
+        xe = x if len(seqs) == len(decisions) else nd.embedding(x, rows)
+        out = expert_forward(t, f"{name}.{expert}", xe, training, rng, dropout_rate)
+        if gate_scaling:
+            gate = nd.pick(decisions[0].weights_t, (np.asarray(seqs), np.full(len(seqs), e)))
+            out = nd.scale_by(out, gate)
+        parts.append(out)
+        order.append(rows)
+    if len(parts) == 1:
+        return parts[0], decisions
+    # Put the expert outputs' rows back into the input's row order.
+    return nd.embedding(nd.concat(parts), np.argsort(np.concatenate(order))), decisions
 
 
 def routing_alignment_loss(decision: RoutingDecision, label: Category,
@@ -123,5 +143,6 @@ def routing_alignment_loss(decision: RoutingDecision, label: Category,
     """
     if coefficient == 0.0:
         return Tensor(np.asarray(0.0))
-    idx = label.expert_index
-    return nd.scale(nd.cross_entropy_lm(decision.logits_t, [idx]), coefficient)
+    targets = np.full(decision.logits_t.shape[0], -100)
+    targets[decision.row] = label.expert_index
+    return nd.scale(nd.cross_entropy_lm(decision.logits_t, targets), coefficient)

@@ -388,7 +388,8 @@ def generate_with_qc(sample: NewsSample, client: GenClient,
 
     Returns the first accepted record, or the last rejected one with
     attempts_used == k_attempts. Content failures never raise; transport
-    failures from the client do.
+    failures from the client do (generate_corpus_cots turns them into a
+    rejected:transport record for that sample).
     """
     if k_attempts < 1:
         raise ConfigError(f"k_attempts must be >= 1, got {k_attempts}")
@@ -408,11 +409,16 @@ def generate_with_qc(sample: NewsSample, client: GenClient,
 def generate_corpus_cots(samples, client: GenClient, k_attempts: int = DEFAULT_ATTEMPTS,
                          gazetteer: Gazetteer | None = None,
                          limits=DEFAULT_THINK_RANGE, max_workers: int = 1):
-    """Per-sample QC generation over a corpus; output order follows input order."""
+    """Per-sample QC generation over a corpus; output order follows input order.
+    A sample whose generation fails in transport gets a record rejected for
+    reason "transport", and the other samples go on."""
     gaz = gazetteer or default_gazetteer()
 
     def one(sample):
-        return generate_with_qc(sample, client, k_attempts, gaz, limits)
+        try:
+            return generate_with_qc(sample, client, k_attempts, gaz, limits)
+        except TransportError:
+            return _rejected("transport")
 
     if max_workers <= 1:
         return [one(s) for s in samples]

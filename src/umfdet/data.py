@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import base64
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -379,8 +380,7 @@ def synth_toy_corpus(n: int, cue_strength: float, seed: int):
     if not 0.0 <= cue_strength <= 1.0:
         raise ConfigError(f"cue_strength must be in [0, 1], got {cue_strength}")
     rng = np.random.default_rng(seed)
-    lexicon = textforge.default_lexicon()
-    gazetteer = _toy_gazetteer()
+    lexicon, gazetteer = _toy_tables()
     labels = [list(Category)[i % 3] for i in range(n)]
     samples = []
     for i, label in enumerate(labels):
@@ -428,13 +428,17 @@ def synth_toy_corpus(n: int, cue_strength: float, seed: int):
     return samples
 
 
-def _toy_gazetteer():
-    from .cot import Gazetteer  # late import: cot depends on this module
+@functools.cache
+def _toy_tables():
+    """The antonym lexicon and the toy gazetteer, built once per process and
+    shared: keyword_distortion and extract_entities only read them."""
+    from . import textforge
+    from .cot import Gazetteer  # late imports: both modules depend on this one
     entries = {}
     entries.update({p: "person" for p in _PERSONS})
     entries.update({loc: "location" for loc in _LOCATIONS})
     entries.update({d: "event_time" for d in _DAYS})
-    return Gazetteer(entries)
+    return textforge.default_lexicon(), Gazetteer(entries)
 
 
 def _entities_for(title, gazetteer):

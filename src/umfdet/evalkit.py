@@ -17,6 +17,10 @@ from .data import CATEGORY_NAMES, Category
 from .errors import DataError
 from . import model as model_mod
 
+# A lockstep batch holds [B, heads, T, T] attention scores, so evaluation
+# generates at most this many posts at once to bound its memory.
+EVAL_BATCH = 64
+
 _ANSWER_RE = re.compile(r"<answer>(.*?)</answer>", re.DOTALL | re.IGNORECASE)
 
 
@@ -195,19 +199,22 @@ class EvalResult:
 
 def evaluate_model(params, samples, vocab, template, max_new=None) -> EvalResult:
     """Greedy-generate for every sample, score the parsed answers and collect
-    routing decisions along the way."""
+    routing decisions along the way. Posts are generated in batches of up to
+    EVAL_BATCH, each in one lockstep model.generate call."""
     samples = list(samples)
     if not samples:
         raise DataError("evaluation needs at least one sample")
     y_true, y_pred, rows, routed = [], [], [], []
-    for s in samples:
-        gen = model_mod.generate(params, s, vocab, template, max_new=max_new)
-        pred = parse_answer(gen.text)
-        y_true.append(s.label)
-        y_pred.append(pred)
-        rows.append((s.id, s.label.value, pred.value if pred else None, gen.text))
-        if gen.decisions:
-            routed.append((s.label, gen.decisions))
+    for i in range(0, len(samples), EVAL_BATCH):
+        chunk = samples[i:i + EVAL_BATCH]
+        for s, gen in zip(chunk, model_mod.generate(params, chunk, vocab, template,
+                                                    max_new=max_new)):
+            pred = parse_answer(gen.text)
+            y_true.append(s.label)
+            y_pred.append(pred)
+            rows.append((s.id, s.label.value, pred.value if pred else None, gen.text))
+            if gen.decisions:
+                routed.append((s.label, gen.decisions))
     routing = routing_report(routed) if routed else None
     return EvalResult(metrics=compute_metrics(y_true, y_pred), routing=routing,
                       predictions=rows)

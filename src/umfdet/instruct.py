@@ -215,16 +215,18 @@ def build_vocab(samples, template: InstructionTemplate, min_count: int = 2,
 
 
 def embed_text(table, pos_table, ids, start=0):
-    """Token embedding plus learned positional rows: [T] -> [T, H]. The
-    tokens sit at positions start, start + 1, ..."""
+    """Token embedding plus learned positional rows: [T] -> [T, H], or
+    [B, T] -> [B*T, H] for B rows of tokens. Each row's tokens sit at
+    positions start, start + 1, ..."""
     from . import ndtensor as nd
 
-    n = len(ids)
+    ids = np.asarray(ids, dtype=np.int64)
+    n = ids.shape[-1]
     if n == 0:
         raise DataError("cannot embed an empty token sequence")
     if start + n > pos_table.values.shape[0]:
         raise DataError(f"sequence length {start + n} exceeds positional table "
                         f"of {pos_table.values.shape[0]} rows")
-    tok = nd.embedding(table, ids)
-    pos = nd.embedding(pos_table, np.arange(start, start + n))
+    tok = nd.embedding(table, ids.ravel())
+    pos = nd.embedding(pos_table, np.tile(np.arange(start, start + n), ids.size // n))
     return nd.add(tok, pos)

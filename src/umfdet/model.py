@@ -18,7 +18,7 @@ from . import ndtensor as nd
 from .cmoe import (cmoe_forward, expert_forward, init_cmoe_layer, init_expert,
                    xavier, zeros)
 from .data import ImagePayload, NewsSample
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, GraphError
 from .instruct import (ANSWER_CLOSE, ANSWER_OPEN, BOS, EOS, THINK_CLOSE,
                        THINK_OPEN, InstructionTemplate, Vocabulary,
                        embed_text, render_prompt)
@@ -161,27 +161,47 @@ def _proj(t, name, suffix_w, suffix_b, x):
     return nd.add(nd.matmul(x, t[f"{name}.{suffix_w}"]), t[f"{name}.{suffix_b}"])
 
 
-def _attention(t, name, x_q, x_kv, n_heads, causal, cache=None):
-    """Multi-head attention; x_kv None means self-attention. A cache dict
-    keeps keys and values across decoder calls: self-attention appends the
-    new rows, cross-attention projects the memory once."""
+def _attention(t, name, x_q, x_kv, n_heads, mask, batch=1, cache=None):
+    """Multi-head attention over batch sequences stacked as row blocks;
+    x_kv None means self-attention. A cache dict keeps keys and values across
+    decoder calls: cross-attention projects the memory once, and
+    self-attention writes the new rows of each sequence after its first
+    cache["len"] rows, in buffers of cache["size"] rows per sequence."""
     q = _proj(t, name, "Wq", "bq", x_q)
-    cached = cache.get(name) if cache is not None else None
-    if cached is not None and x_kv is not None:
-        k, v = cached
+    if cache is not None and x_kv is not None and name in cache:
+        k, v = cache[name]
     else:
         src = x_q if x_kv is None else x_kv
         k = _proj(t, name, "Wk", "bk", src)
         v = _proj(t, name, "Wv", "bv", src)
-        if cached is not None:
-            k, v = nd.concat([cached[0], k]), nd.concat([cached[1], v])
-        if cache is not None:
+        if cache is not None and x_kv is None:
+            k, v = _write_kv(cache, name, k, v, batch)
+        elif cache is not None:
             cache[name] = (k, v)
-    mask = None
-    if causal:  # query i of the n newest sees the first m - n + 1 + i keys
-        n, m = q.shape[0], k.shape[0]
-        mask = np.triu(np.full((n, m), _NEG), k=m - n + 1)
-    return _proj(t, name, "Wo", "bo", nd.attention(q, k, v, n_heads, mask))
+    return _proj(t, name, "Wo", "bo", nd.attention(q, k, v, n_heads, mask, batch))
+
+
+def _write_kv(cache, name, k, v, batch):
+    """Copy the new key/value rows into the layer's preallocated buffers and
+    return the whole buffers as [batch * size, H] tensors."""
+    size, start = cache["size"], cache["len"]
+    if name not in cache:
+        cache[name] = tuple(np.zeros((batch, size, k.shape[1])) for _ in range(2))
+    n = k.shape[0] // batch
+    out = []
+    for buf, new in zip(cache[name], (k, v)):
+        buf[:, start:start + n] = new.values.reshape(batch, n, -1)
+        out.append(Tensor(buf.reshape(batch * size, -1)))
+    return out
+
+
+def _key_padding(lengths, n):
+    """Additive [B, 1, n] mask hiding rows at or after each sequence's
+    length, or None when every sequence fills all n rows."""
+    lengths = np.asarray(lengths)
+    if (lengths == n).all():
+        return None
+    return np.where(np.arange(n) < lengths[:, None], 0.0, _NEG)[:, None, :]
 
 
 def _ffn(t, name, x, training, rng, rate):
@@ -223,65 +243,105 @@ def embed_image(params: ModelParams, payload: ImagePayload, sample_id: str = "?"
     return nd.add(tokens, pos)
 
 
-def encode(params: ModelParams, sample: NewsSample, vocab: Vocabulary,
+def encode(params: ModelParams, samples, vocab: Vocabulary,
            template: InstructionTemplate, training: bool = False,
            rng: np.random.Generator | None = None):
     """Fused memory over [visual tokens; prompt tokens] after the encoder
-    stack, the mixture stage and the output norm. Returns (memory, decisions)."""
+    stack, the mixture stage and the output norm.
+
+    One NewsSample gives (memory [T, H], decisions per mixture layer). A list
+    of B samples is encoded as one padded batch: sample b fills the first
+    lengths[b] of the T = max(lengths) rows of block b, no row attends to
+    padding or to another sample, and the result is
+    (memory [B*T, H], lengths, decisions per sample per mixture layer).
+    """
+    single = isinstance(samples, NewsSample)
+    batch = [samples] if single else list(samples)
+    if not batch:
+        raise DataError("encode needs at least one sample")
     cfg = params.config
     t = params.tensors
     rate = cfg.dropout_rate
-    prompt_ids = vocab.encode(render_prompt(template, sample.title))
-    try:
-        e_t = embed_text(t["tok_emb"], t["pos_emb"], prompt_ids)
-    except DataError as exc:
-        raise DataError(f"sample {sample.id}: {exc}") from None
-    e_v = embed_image(params, sample.image, sample.id)
-    x = nd.concat([e_v, e_t], axis=0)
+    seqs = []
+    for s in batch:
+        prompt_ids = vocab.encode(render_prompt(template, s.title))
+        try:
+            e_t = embed_text(t["tok_emb"], t["pos_emb"], prompt_ids)
+        except DataError as exc:
+            raise DataError(f"sample {s.id}: {exc}") from None
+        seqs.append((embed_image(params, s.image, s.id), e_t))
+    lengths = [e_v.shape[0] + e_t.shape[0] for e_v, e_t in seqs]
+    n = max(lengths)
+    x = nd.concat([part for (e_v, e_t), m in zip(seqs, lengths)
+                   for part in (e_v, e_t, Tensor(np.zeros((n - m, cfg.h))))], axis=0)
+    b = len(batch)
+    mask = _key_padding(lengths, n)
     for i in range(cfg.n_enc):
-        a = _attention(t, f"enc.{i}.attn", _ln(t, f"enc.{i}.ln1", x), None, cfg.n_heads, False)
+        a = _attention(t, f"enc.{i}.attn", _ln(t, f"enc.{i}.ln1", x), None, cfg.n_heads,
+                       mask, b)
         x = nd.add(x, nd.dropout(a, rate, training, rng))
         f = _ffn(t, f"enc.{i}.ffn", _ln(t, f"enc.{i}.ln2", x), training, rng, rate)
         x = nd.add(x, nd.dropout(f, rate, training, rng))
-    decisions = []
+    decisions = [[] for _ in batch]
     for i in range(cfg.n_moe):
         normed = _ln(t, f"cmoe.{i}.ln", x)
         if cfg.moe_enabled:
-            out, decision = cmoe_forward(t, f"cmoe.{i}", normed, training, rng, rate,
-                                         cfg.gate_scaling, sample.id)
-            decisions.append(decision)
+            out, layer = cmoe_forward(t, f"cmoe.{i}", normed, training, rng, rate,
+                                      cfg.gate_scaling, [s.id for s in batch], lengths)
+            for per_sample, decision in zip(decisions, layer):
+                per_sample.append(decision)
         else:
             out = expert_forward(t, f"cmoe.{i}.solo", normed, training, rng, rate)
         x = nd.add(x, out)
     x = _ln(t, "moe_out_ln", x)
-    return x, decisions
+    return (x, decisions[0]) if single else (x, lengths, decisions)
 
 
 def decode(params: ModelParams, memory, ids, training: bool = False,
            rng: np.random.Generator | None = None, sample_id: str = "?",
-           cache: dict | None = None):
-    """Causal decoder; returns [T, V] logits. Without a cache, ids is the
-    whole target prefix; with a cache dict (empty at first), ids continue
-    the tokens already decoded through it, at the positions after them."""
+           cache: dict | None = None, memory_lengths=None):
+    """Causal decoder over B target rows in lockstep; returns [B*n, V] logits.
+
+    ids is one target [n] (B = 1) or B targets [B, n]; memory is B row blocks
+    [B*T, H] whose first memory_lengths[b] rows are valid (None: all rows).
+    Without a cache, ids are the whole target prefixes. With a cache dict
+    (under no_grad), ids continue the tokens already decoded through it, at
+    the positions after them; the self-attention keys and values go into
+    buffers of cache["size"] rows per target (default max_len), set at the
+    first call.
+    """
     cfg = params.config
     t = params.tensors
     rate = cfg.dropout_rate
-    start = cache.get("len", 0) if cache is not None else 0
+    ids = np.asarray(ids, dtype=np.int64)
+    b, n = (1, ids.size) if ids.ndim == 1 else ids.shape
+    start, m = 0, n
+    if cache is not None:
+        if nd.is_grad_enabled():
+            raise GraphError("a decode cache holds no gradients; decode under no_grad")
+        start, m = cache.setdefault("len", 0), cache.setdefault("size", cfg.max_len)
+        if start + n > m:
+            raise DataError(f"sample {sample_id}: {start + n} tokens exceed the decode "
+                            f"cache of {m}")
     try:
         y = embed_text(t["tok_emb"], t["pos_emb"], ids, start)
     except DataError as exc:
         raise DataError(f"sample {sample_id}: {exc}") from None
+    # Query i of the n newest sees key positions up to start + i.
+    self_mask = np.triu(np.full((n, m), _NEG), k=start + 1)
+    memory_mask = (None if memory_lengths is None
+                   else _key_padding(memory_lengths, memory.shape[0] // b))
     for i in range(cfg.n_dec):
         a = _attention(t, f"dec.{i}.self_attn", _ln(t, f"dec.{i}.ln1", y), None,
-                       cfg.n_heads, True, cache)
+                       cfg.n_heads, self_mask, b, cache)
         y = nd.add(y, nd.dropout(a, rate, training, rng))
         c = _attention(t, f"dec.{i}.cross_attn", _ln(t, f"dec.{i}.ln2", y),
-                       memory, cfg.n_heads, False, cache)
+                       memory, cfg.n_heads, memory_mask, b, cache)
         y = nd.add(y, nd.dropout(c, rate, training, rng))
         f = _ffn(t, f"dec.{i}.ffn", _ln(t, f"dec.{i}.ln3", y), training, rng, rate)
         y = nd.add(y, nd.dropout(f, rate, training, rng))
     if cache is not None:
-        cache["len"] = start + len(ids)
+        cache["len"] = start + n
     y = _ln(t, "final_ln", y)
     return _proj(t, "head", "W", "b", y)
 
@@ -365,25 +425,33 @@ class GenerationResult:
     decisions: list
 
 
-def generate(params: ModelParams, sample: NewsSample, vocab: Vocabulary,
-             template: InstructionTemplate, max_new: int | None = None) -> GenerationResult:
-    """Greedy decode from the fused memory until the end token or the budget
-    (max_new, default gen_max_tokens), one token per decoder call through a
-    key/value cache."""
+def generate(params: ModelParams, samples, vocab: Vocabulary,
+             template: InstructionTemplate, max_new: int | None = None) -> list:
+    """Greedy decode of every sample from one padded batch encode, all rows in
+    lockstep with one decoder call per token step through a key/value cache.
+
+    A row stops at its end token; decoding stops when every row has stopped
+    or the budget (max_new, default gen_max_tokens) is spent. Returns one
+    GenerationResult per sample, in order.
+    """
     cfg = params.config
     if max_new is not None and max_new < 1:
         raise ConfigError(f"max_new must be >= 1, got {max_new}")
     budget = min(cfg.gen_max_tokens if max_new is None else max_new, cfg.max_len - 1)
+    samples = list(samples)
     with nd.no_grad():
-        memory, decisions = encode(params, sample, vocab, template, training=False)
-        cache = {}
-        nxt = BOS
-        out = []
+        memory, lengths, decisions = encode(params, samples, vocab, template, training=False)
+        cache = {"size": budget}
+        nxt = np.full((len(samples), 1), BOS)
+        done = np.zeros(len(samples), dtype=bool)
+        out = [[] for _ in samples]
         for _ in range(budget):
-            logits = decode(params, memory, [nxt], training=False, sample_id=sample.id,
-                            cache=cache)
-            nxt = int(np.argmax(logits.values[-1]))
-            if nxt == EOS:
+            logits = decode(params, memory, nxt, cache=cache, memory_lengths=lengths)
+            nxt = np.argmax(logits.values, axis=1)[:, None]
+            done |= nxt[:, 0] == EOS
+            if done.all():
                 break
-            out.append(nxt)
-    return GenerationResult(text=vocab.decode(out), token_ids=out, decisions=decisions)
+            for i in np.flatnonzero(~done):
+                out[i].append(int(nxt[i, 0]))
+    return [GenerationResult(text=vocab.decode(ids), token_ids=ids, decisions=d)
+            for ids, d in zip(out, decisions)]

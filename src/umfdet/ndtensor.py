@@ -1,10 +1,10 @@
 """Minimal dense-tensor library with reverse-mode autodiff.
 
 Covers exactly the operations the detector needs: 2-D matmul and friends,
-SiLU/sigmoid/softmax, fused multi-head attention, inverted dropout, layer
-norm, embedding lookup and a fused label-masked language-modeling cross
-entropy. Everything runs in float64 so finite-difference gradient checks
-are meaningful.
+SiLU/sigmoid/softmax, fused multi-head attention over a batch of sequences
+stacked as row blocks, inverted dropout, layer norm, embedding lookup and a
+fused label-masked language-modeling cross entropy. Everything runs in
+float64 so finite-difference gradient checks are meaningful.
 
 Gradient tracking is implicit: every op result remembers its parents and a
 backward closure, and ``Tensor.backward()`` replays the recorded ops in
@@ -23,6 +23,11 @@ from .errors import ConfigError, DataError, GraphError, ShapeError
 
 _seq_counter = itertools.count()
 _grad_enabled = True
+
+
+def is_grad_enabled() -> bool:
+    """False inside a no_grad block."""
+    return _grad_enabled
 
 
 @contextmanager
@@ -176,15 +181,20 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def scale_by(a: Tensor, s: Tensor) -> Tensor:
-    """Multiply a by a 0-d tensor, differentiable in both arguments."""
-    if s.values.size != 1:
-        raise ShapeError(f"scale_by: scalar operand has shape {s.shape}")
-    sv = float(s.values)
-    out, track = _result(a.values * sv, (a, s))
+    """Multiply a by the n entries of s, differentiable in both arguments:
+    a splits into n equal blocks of rows and block i is scaled by s[i], so a
+    single entry scales all of a."""
+    n = s.values.size
+    if n == 0 or a.values.ndim == 0 or a.shape[0] % n:
+        raise ShapeError(f"scale_by: {a.shape} does not split into {n} row blocks")
+    blocks = a.values.reshape(n, -1)
+    sv = s.values.reshape(n, 1)
+    out, track = _result((blocks * sv).reshape(a.shape), (a, s))
     if track:
         def _bw(g):
-            _accum(a, g * sv)
-            _accum(s, np.asarray((g * a.values).sum()).reshape(s.shape))
+            gb = g.reshape(n, -1)
+            _accum(a, (gb * sv).reshape(a.shape))
+            _accum(s, (gb * blocks).sum(axis=1).reshape(s.shape))
         out._backward = _bw
     return out
 
@@ -230,7 +240,8 @@ def concat(tensors, axis=0) -> Tensor:
 
 
 def pick(a: Tensor, index) -> Tensor:
-    """Extract a single element as a 0-d tensor."""
+    """Extract one element as a 0-d tensor (a tuple of ints), or n distinct
+    elements as an [n] tensor (a tuple of equal-length index arrays)."""
     out, track = _result(np.asarray(a.values[index]), (a,))
     if track:
         def _bw(g):
@@ -241,14 +252,22 @@ def pick(a: Tensor, index) -> Tensor:
     return out
 
 
-def mean_rows(a: Tensor) -> Tensor:
-    """Mean over the sequence axis of an [N, H] tensor, kept as [1, H]."""
+def mean_rows(a: Tensor, lengths=None) -> Tensor:
+    """Mean over the rows of an [N, H] tensor, kept as [1, H]. With lengths,
+    a holds B = len(lengths) blocks of N / B rows, and row b of the [B, H]
+    result averages the first lengths[b] rows of block b."""
     if a.values.ndim != 2 or a.shape[0] == 0:
         raise DataError(f"mean_rows: needs a non-empty 2-D operand, got {a.shape}")
-    n = a.shape[0]
-    out, track = _result(a.values.mean(axis=0, keepdims=True), (a,))
+    lens = np.asarray([a.shape[0]] if lengths is None else lengths, dtype=np.int64)
+    rows = a.shape[0] // max(lens.size, 1)
+    if lens.size == 0 or a.shape[0] % lens.size or lens.min() < 1 or lens.max() > rows:
+        raise DataError(f"mean_rows: lengths {lens.tolist()} do not fit {a.shape[0]} rows")
+    blocks = a.values.reshape(lens.size, rows, a.shape[1])
+    valid = (np.arange(rows) < lens[:, None])[:, :, None]
+    out, track = _result(np.where(valid, blocks, 0.0).sum(axis=1) / lens[:, None], (a,))
     if track:
-        out._backward = lambda g: _accum(a, np.repeat(g / n, n, axis=0))
+        out._backward = lambda g: _accum(a, np.where(valid, (g / lens[:, None])[:, None],
+                                                     0.0).reshape(a.shape))
     return out
 
 
@@ -257,12 +276,9 @@ def mean_rows(a: Tensor) -> Tensor:
 
 
 def _sigmoid_vals(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1/(1+e) for x >= 0 and e/(1+e) below, with e = exp(-|x|) <= 1: no
+    # exponent overflows, and exp(min(x, 0)) picks the numerator without a branch.
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -295,44 +311,58 @@ def softmax(a: Tensor, axis=-1) -> Tensor:
     return out
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None) -> Tensor:
-    """Multi-head softmax(q k^T / sqrt(dh) + mask) v, batched over heads.
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None,
+              batch: int = 1) -> Tensor:
+    """Multi-head softmax(q k^T / sqrt(dh) + mask) v over a batch of sequences.
 
-    q is [Tq, H] and k, v are [Tk, H]; head i owns columns i*dh:(i+1)*dh
-    with dh = H / n_heads. mask is an additive [Tq, Tk] array shared by all
-    heads, or None. Returns the head outputs side by side, [Tq, H].
+    q is [B*Tq, H] and k, v are [B*Tk, H] for B = batch: sequence b owns rows
+    b*Tq:(b+1)*Tq of q and b*Tk:(b+1)*Tk of k and v, and no row attends
+    outside its own sequence. Head i owns columns i*dh:(i+1)*dh with
+    dh = H / n_heads. mask is an additive array that broadcasts to
+    [B, Tq, Tk] and is shared by all heads, such as a causal [Tq, Tk] or a
+    key-padding [B, 1, Tk], or None. Scores are [B, heads, Tq, Tk]. Returns
+    the head outputs side by side, [B*Tq, H].
     """
     if (q.values.ndim != 2 or k.values.ndim != 2 or k.shape != v.shape
-            or k.shape[1] != q.shape[1] or q.shape[1] % n_heads != 0):
+            or k.shape[1] != q.shape[1] or q.shape[1] % n_heads != 0
+            or batch < 1 or q.shape[0] % batch or k.shape[0] % batch):
         raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} do not "
-                         f"split into {n_heads} heads of one width")
-    (tq, h), tk = q.shape, k.shape[0]
-    if mask is not None and mask.shape != (tq, tk):
-        raise ShapeError(f"attention: mask shape {mask.shape} is not {(tq, tk)}")
+                         f"split into {batch} sequences and {n_heads} heads of one width")
+    tq, tk, h = q.shape[0] // batch, k.shape[0] // batch, q.shape[1]
+    if mask is not None:
+        shape = (1,) * (3 - mask.ndim) + mask.shape
+        if mask.ndim > 3 or any(m not in (1, n) for m, n in zip(shape, (batch, tq, tk))):
+            raise ShapeError(f"attention: mask shape {mask.shape} does not broadcast "
+                             f"to {(batch, tq, tk)}")
+        if mask.ndim == 3:
+            mask = mask[:, None]
     dh = h // n_heads
     c = 1.0 / np.sqrt(dh)
 
-    def split(x, n):  # [n, H] -> [heads, n, dh]
-        return x.reshape(n, n_heads, dh).transpose(1, 0, 2)
+    def split(x, n):  # [B*n, H] -> [B, heads, n, dh]
+        return x.reshape(batch, n, n_heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(x, n):  # [heads, n, dh] -> [n, H]
-        return x.transpose(1, 0, 2).reshape(n, h)
+    def merge(x, n):  # [B, heads, n, dh] -> [B*n, H]
+        return x.transpose(0, 2, 1, 3).reshape(batch * n, h)
 
     qh, kh, vh = split(q.values, tq), split(k.values, tk), split(v.values, tk)
-    scores = (qh @ kh.transpose(0, 2, 1)) * c
+    # The softmax runs in place, so a batch holds one [B, heads, Tq, Tk] array.
+    p = qh @ kh.swapaxes(-1, -2)
+    p *= c
     if mask is not None:
-        scores = scores + mask
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+        p += mask
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
     out, track = _result(merge(p @ vh, tq), (q, k, v))
     if track:
         def _bw(g):
             gh = split(g, tq)
-            dp = gh @ vh.transpose(0, 2, 1)
+            dp = gh @ vh.swapaxes(-1, -2)
             ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
             _accum(q, merge(ds @ kh, tq))
-            _accum(k, merge(ds.transpose(0, 2, 1) @ qh, tk))
-            _accum(v, merge(p.transpose(0, 2, 1) @ gh, tk))
+            _accum(k, merge(ds.swapaxes(-1, -2) @ qh, tk))
+            _accum(v, merge(p.swapaxes(-1, -2) @ gh, tk))
         out._backward = _bw
     return out
 

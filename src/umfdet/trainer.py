@@ -216,6 +216,11 @@ def train(params: ModelParams, train_samples, val_samples, vocab, template,
         if state is None:
             raise ConfigError(f"--resume given but {ckpt_dir} holds no trainer state")
         arrays, meta = state
+        saved_n = len(meta["sampler"]["perm"])
+        if saved_n != len(train_samples):
+            raise ConfigError(f"checkpoint {ckpt_dir} was trained on {saved_n} samples, "
+                              f"not the {len(train_samples)} given; resume needs the "
+                              f"same training set")
         optim.load_moments(arrays, meta["step"])
         rng.bit_generator.state = meta["rng_state"]
         sampler.load(meta["sampler"])

@@ -133,6 +133,24 @@ def _op_roster():
     def attention_offset_causal(rng):
         return _attention(rng, 2, 5, np.triu(np.full((2, 5), -1e30), k=4))
 
+    def _batched_attention(rng, tq, tk, mask):
+        q, k, v = _rand(rng, 3 * tq, 4), _rand(rng, 3 * tk, 4), _rand(rng, 3 * tk, 4)
+        w = _rand(rng, 4, 1)
+        return (lambda: _scalar(nd.matmul(nd.attention(q, k, v, 2, mask, batch=3), w)),
+                [q, k, v, w])
+
+    def _key_padding(lengths, tk):
+        return np.where(np.arange(tk) < np.array(lengths)[:, None], 0.0, -1e30)[:, None]
+
+    def attention_batched_padding(rng):
+        return _batched_attention(rng, 4, 4, _key_padding([4, 1, 3], 4))
+
+    def attention_batched_causal(rng):
+        return _batched_attention(rng, 3, 3, np.triu(np.full((3, 3), -1e30), k=1))
+
+    def attention_batched_cross(rng):
+        return _batched_attention(rng, 2, 5, _key_padding([5, 2, 4], 5))
+
     def pick(rng):
         a = _rand(rng, 3, 4)
         return lambda: nd.scale(nd.pick(a, (1, 2)), 2.5), [a]
@@ -140,6 +158,14 @@ def _op_roster():
     def mean_rows(rng):
         a, w = _rand(rng, 4, 5), _rand(rng, 5, 1)
         return lambda: _scalar(nd.matmul(nd.mean_rows(a), w)), [a, w]
+
+    def mean_rows_blocks(rng):
+        a, w = _rand(rng, 6, 5), _rand(rng, 5, 1)
+        return lambda: _scalar(nd.matmul(nd.mean_rows(a, [3, 1]), w)), [a, w]
+
+    def scale_by_blocks(rng):
+        a, s = _rand(rng, 6, 4), _rand(rng, 3)
+        return lambda: _scalar(nd.scale_by(a, s)), [a, s]
 
     def sigmoid(rng):
         a, m = _rand(rng, 3, 4), _rand(rng, 3, 4)
@@ -193,20 +219,36 @@ def _op_roster():
         cmoe.init_cmoe_layer(layer, rng, "m", 6)
         x = _rand(rng, 4, 6)
         tensors = [x] + _under(layer, "m.router")
-        tensors += _under(layer, f"m.{cmoe.EXPERT_NAMES[_routed(layer, x)]}")
+        tensors += _under(layer, f"m.{cmoe.EXPERT_NAMES[_routed(layer, x)[0]]}")
         for t in tensors:
             t.requires_grad = True
         return lambda: _scalar(cmoe.cmoe_forward(layer, "m", x)[0]), tensors
 
-    return [add_broadcast, mul, scale, scale_by, matmul, reshape, concat_rows,
-            concat_cols, attention_causal, attention_cross, attention_offset_causal,
-            pick, mean_rows, sigmoid, silu, softmax_last, softmax_rows, dropout,
-            layer_norm, embedding, cross_entropy, expert_path, routed_layer_path]
+    def routed_batch_path(rng):
+        layer = {}
+        cmoe.init_cmoe_layer(layer, rng, "m", 4)
+        x = _rand(rng, 3 * 3, 4)
+        lengths = [3, 1, 2]
+        tensors = [x] + _under(layer, "m.router")
+        for e in sorted(set(_routed(layer, x, lengths))):
+            tensors += _under(layer, f"m.{cmoe.EXPERT_NAMES[e]}")
+        for t in tensors:
+            t.requires_grad = True
+        return (lambda: _scalar(cmoe.cmoe_forward(layer, "m", x, lengths=lengths)[0]),
+                tensors)
+
+    return [add_broadcast, mul, scale, scale_by, scale_by_blocks, matmul, reshape,
+            concat_rows, concat_cols, attention_causal, attention_cross,
+            attention_offset_causal, attention_batched_padding, attention_batched_causal,
+            attention_batched_cross, pick, mean_rows, mean_rows_blocks, sigmoid, silu,
+            softmax_last, softmax_rows, dropout, layer_norm, embedding, cross_entropy,
+            expert_path, routed_layer_path, routed_batch_path]
 
 
-def _routed(layer, x):
+def _routed(layer, x, lengths=None):
+    """The expert each sequence of x is routed to."""
     with nd.no_grad():
-        return cmoe.route(layer, "m.router", x).selected
+        return [d.selected for d in cmoe.route(layer, "m.router", x, lengths=lengths)]
 
 
 def _under(named, prefix):
@@ -254,9 +296,9 @@ def test_routing_shift_invariance_and_gradient_isolation():
         h = int(rng.integers(4, 12))
         r = {"r.W": cmoe.xavier(rng, h, cmoe.N_EXPERTS), "r.b": cmoe.zeros(cmoe.N_EXPERTS)}
         x = Tensor(rng.normal(size=(int(rng.integers(1, 6)), h)))
-        base = cmoe.route(r, "r", x).selected
+        base = cmoe.route(r, "r", x)[0].selected
         r["r.b"].values += rng.uniform(-50.0, 50.0)
-        assert cmoe.route(r, "r", x).selected == base
+        assert cmoe.route(r, "r", x)[0].selected == base
 
     checked = 0
     for seed in range(60):
@@ -268,7 +310,7 @@ def test_routing_shift_invariance_and_gradient_isolation():
         for t in layer.values():
             t.requires_grad = True
             t.zero_grad()
-        out, decision = cmoe.cmoe_forward(layer, "m", x, dropout_rate=0.0,
+        out, [decision] = cmoe.cmoe_forward(layer, "m", x, dropout_rate=0.0,
                                           gate_scaling=gate_scaling)
         _scalar(out).backward()
         for idx, expert in enumerate(cmoe.EXPERT_NAMES):

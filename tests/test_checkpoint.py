@@ -113,8 +113,11 @@ def _with_manifest(path, manifest, payload=b"\x00" * 16):
     ({"dtype": "<f8", "tensors": [{"name": "x", "shape": [2], "offset": 0},
                                   {"name": "y", "shape": [1], "offset": 8}]},
      "tensors x and y overlap"),
+    ({"dtype": "<f8", "tensors": [{"name": "x", "shape": [2], "offset": 0},
+                                  {"name": "x", "shape": [2], "offset": 16}]},
+     "tensor x is listed twice"),
 ], ids=["no_tensors_key", "list_manifest", "negative_offset", "missing_entry_key",
-        "non_list_shape", "foreign_dtype", "overlapping_offsets"])
+        "non_list_shape", "foreign_dtype", "overlapping_offsets", "duplicate_name"])
 def test_tensor_file_malformed_manifest_is_data_error(tmp_path, manifest, match):
     path = _with_manifest(tmp_path / "t.umfd", manifest)
     with pytest.raises(DataError, match=match) as info:

@@ -7,7 +7,7 @@ import pytest
 
 from umfdet import cli
 from umfdet.data import load_manifest
-from umfdet.errors import ConfigError
+from umfdet.errors import ConfigError, TransportError
 
 SMALL_MODEL = """\
 h=16
@@ -156,6 +156,27 @@ def test_cot_gen_and_validate(tmp_path, corpus, capsys):
     assert body["n_samples"] == 60
     assert body["accepted"] == 60
     assert body["rejected_by_reason"] == {}
+
+
+@pytest.mark.parametrize("workers", ["1", "4"])
+def test_cot_gen_survives_a_transport_failure(tmp_path, corpus, capsys, monkeypatch,
+                                              workers):
+    failing = load_manifest(corpus)[7]
+
+    class FailsForOnePost(cli.cot_mod.MockGenClient):
+        def generate(self, prompt):
+            if failing.title in prompt:
+                raise TransportError("connection reset")
+            return super().generate(prompt)
+
+    monkeypatch.setattr(cli, "make_gen_client", lambda args: FailsForOnePost())
+    out = tmp_path / "cots.jsonl"
+    assert cli.main(["cot-gen", "--manifest", str(corpus), "--workers", workers,
+                     "--out", str(out)]) == 0
+    assert "59/60 accepted (1 rejected)" in capsys.readouterr().out
+    verdicts = {s.id: s.cot.verdict for s in load_manifest(out)}
+    assert verdicts.pop(failing.id) == "rejected:transport"
+    assert set(verdicts.values()) == {"accepted"}
 
 
 def test_corrupt_manifest_exits_2(tmp_path, corpus, capsys):

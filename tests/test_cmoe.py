@@ -50,7 +50,7 @@ def test_expert_hidden_width_is_double_by_default():
 def test_route_weights_and_selection():
     t = make_layer(seed=2)
     x = Tensor(np.random.default_rng(3).normal(size=(7, 6)))
-    d = cmoe.route(t, "m.router", x, sequence_id="s1")
+    [d] = cmoe.route(t, "m.router", x, sequence_ids=["s1"])
     assert abs(sum(d.weights) - 1.0) < 1e-12
     assert d.selected == int(np.argmax(d.weights))
     assert d.sequence_id == "s1"
@@ -58,7 +58,7 @@ def test_route_weights_and_selection():
 
 def test_route_tie_breaks_to_lowest_index():
     r = {"r.W": Tensor(np.zeros((4, 3))), "r.b": Tensor(np.zeros(3))}
-    d = cmoe.route(r, "r", Tensor(np.ones((2, 4))))
+    [d] = cmoe.route(r, "r", Tensor(np.ones((2, 4))))
     assert d.selected == 0
     assert np.allclose(d.weights, 1.0 / 3.0)
 
@@ -70,8 +70,8 @@ def test_route_shift_invariance_sample():
         b = rng.normal(size=3)
         c = rng.uniform(-20, 20)
         x = Tensor(rng.normal(size=(3, 5)))
-        base = cmoe.route({"r.W": Tensor(w), "r.b": Tensor(b)}, "r", x)
-        shifted = cmoe.route({"r.W": Tensor(w), "r.b": Tensor(b + c)}, "r", x)
+        [base] = cmoe.route({"r.W": Tensor(w), "r.b": Tensor(b)}, "r", x)
+        [shifted] = cmoe.route({"r.W": Tensor(w), "r.b": Tensor(b + c)}, "r", x)
         assert base.selected == shifted.selected
 
 
@@ -84,7 +84,7 @@ def test_route_rejects_empty_sequence():
 def test_only_selected_expert_receives_gradient():
     t = make_layer(seed=5)
     x = Tensor(np.random.default_rng(6).normal(size=(4, 6)), requires_grad=True)
-    out, decision = cmoe.cmoe_forward(t, "m", x)
+    out, [decision] = cmoe.cmoe_forward(t, "m", x)
     loss = nd.pick(nd.mean_rows(out), (0, 0))
     loss.backward()
     for i, expert in enumerate(cmoe.EXPERT_NAMES):
@@ -112,8 +112,8 @@ def test_gate_on_router_gradient_nonzero():
 def test_gate_scaling_multiplies_by_selected_probability():
     x_vals = np.random.default_rng(11).normal(size=(3, 6))
     t = make_layer(seed=12)
-    out_on, d_on = cmoe.cmoe_forward(t, "m", Tensor(x_vals), gate_scaling=True)
-    out_off, d_off = cmoe.cmoe_forward(t, "m", Tensor(x_vals), gate_scaling=False)
+    out_on, [d_on] = cmoe.cmoe_forward(t, "m", Tensor(x_vals), gate_scaling=True)
+    out_off, [d_off] = cmoe.cmoe_forward(t, "m", Tensor(x_vals), gate_scaling=False)
     assert d_on.selected == d_off.selected
     p = d_on.weights[d_on.selected]
     assert np.allclose(out_on.values, out_off.values * p, atol=1e-12)
@@ -123,7 +123,7 @@ def test_cmoe_forward_gradients_vs_oracle():
     t = make_layer(h=4, seed=13)
     x = Tensor(np.random.default_rng(14).normal(size=(3, 4)), requires_grad=True)
     params = [x, t["m.router.W"], t["m.router.b"]]
-    sel = cmoe.route(t, "m.router", x).selected
+    sel = cmoe.route(t, "m.router", x)[0].selected
     params += under(t, f"m.{cmoe.EXPERT_NAMES[sel]}")
     w = np.random.default_rng(15).normal(size=12)
 
@@ -138,7 +138,7 @@ def test_cmoe_forward_gradients_vs_oracle():
 def test_alignment_loss_zero_coefficient_is_inert():
     t = make_layer(seed=24)
     x = Tensor(np.random.default_rng(25).normal(size=(2, 6)))
-    d = cmoe.route(t, "m.router", x)
+    [d] = cmoe.route(t, "m.router", x)
     loss = cmoe.routing_alignment_loss(d, Category.REAL, coefficient=0.0)
     assert float(loss.values) == 0.0
     assert loss._backward is None and not loss._parents
@@ -147,7 +147,7 @@ def test_alignment_loss_zero_coefficient_is_inert():
 def test_alignment_loss_matches_nll_oracle_and_reaches_router():
     t = make_layer(seed=26)
     x = Tensor(np.random.default_rng(27).normal(size=(2, 6)))
-    d = cmoe.route(t, "m.router", x)
+    [d] = cmoe.route(t, "m.router", x)
     coeff = 0.5
     loss = cmoe.routing_alignment_loss(d, Category.AI_SYNTHESIZED, coefficient=coeff)
     expected = -np.log(d.weights[Category.AI_SYNTHESIZED.expert_index]) * coeff
@@ -171,3 +171,42 @@ def test_init_cmoe_layer_checkpoint_names():
     assert "cmoe.1.router.W" in named and "cmoe.1.router.b" in named
     assert len(named) == 3 * 6 + 2
     assert list(named)[-2:] == ["cmoe.1.router.W", "cmoe.1.router.b"]
+
+
+@pytest.mark.parametrize("seed", [0, 1])  # three experts; two sequences sharing one
+@pytest.mark.parametrize("gate_scaling", [True, False])
+def test_batched_cmoe_forward_equals_one_sequence_calls(seed, gate_scaling):
+    t = make_layer(seed=seed)
+    lengths = [4, 2, 3]
+    x = Tensor(np.random.default_rng(100 + seed).normal(0, 3, size=(12, 6)),
+               requires_grad=True)
+    out, decisions = cmoe.cmoe_forward(t, "m", x, gate_scaling=gate_scaling,
+                                       sequence_ids=["a", "b", "c"], lengths=lengths)
+    assert len({d.selected for d in decisions}) > 1
+    for b, (d, n) in enumerate(zip(decisions, lengths)):
+        rows = slice(4 * b, 4 * b + n)
+        one, [d_one] = cmoe.cmoe_forward(t, "m", Tensor(x.values[rows]),
+                                         gate_scaling=gate_scaling)
+        assert d.selected == d_one.selected and d.sequence_id == "abc"[b] and d.row == b
+        assert np.allclose(d.weights, d_one.weights, rtol=0.0, atol=1e-12)
+        assert np.allclose(out.values[rows], one.values, rtol=0.0, atol=1e-12)
+    w = np.random.default_rng(200 + seed).normal(size=72)
+    params = [x] + under(t, "m.router") + [p for d in decisions
+                                          for p in under(t, f"m.{cmoe.EXPERT_NAMES[d.selected]}")]
+
+    def build():
+        out, _ = cmoe.cmoe_forward(t, "m", x, gate_scaling=gate_scaling, lengths=lengths)
+        flat = nd.reshape(out, (1, 72))
+        return nd.pick(nd.matmul(flat, Tensor(w.reshape(-1, 1))), (0, 0))
+
+    check_grads(build, list({id(p): p for p in params}.values()))
+
+
+def test_alignment_loss_reads_its_own_row_of_a_batch():
+    t = make_layer(seed=29)
+    x = Tensor(np.random.default_rng(30).normal(size=(6, 6)))
+    decisions = cmoe.route(t, "m.router", x, lengths=[3, 2])
+    for d in decisions:
+        loss = cmoe.routing_alignment_loss(d, Category.HUMAN_CRAFTED, coefficient=2.0)
+        expected = -np.log(d.weights[Category.HUMAN_CRAFTED.expert_index]) * 2.0
+        assert abs(float(loss.values) - expected) < 1e-12

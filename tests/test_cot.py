@@ -349,6 +349,31 @@ def test_generate_corpus_cots_order_and_parallel():
     assert all(r.accepted for r in serial)
 
 
+class _FailsForOneTitle(MockGenClient):
+    """The offline client, except that the prompt for one title fails in transport."""
+
+    def __init__(self, title):
+        self.title = title
+
+    def generate(self, prompt):
+        if self.title in prompt:
+            raise TransportError("connection reset")
+        return super().generate(prompt)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_generate_corpus_cots_marks_a_transport_failure_and_goes_on(workers):
+    samples = [_sample(title=f"word Merkel opens the harbor in Oslo run {i}")
+               for i in range(6)]
+    client = _FailsForOneTitle(samples[3].title)
+    records = generate_corpus_cots(samples, client, gazetteer=_gaz(), max_workers=workers)
+    assert records[3].to_note().verdict == "rejected:transport"
+    plain = generate_corpus_cots(samples, MockGenClient(), gazetteer=_gaz())
+    for i, (rec, ref) in enumerate(zip(records, plain)):
+        if i != 3:
+            assert rec.accepted and rec.think == ref.think
+
+
 # ---------------------------------------------------------------------------
 # http client
 

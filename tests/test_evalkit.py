@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from umfdet import evalkit
 from umfdet.cmoe import RoutingDecision
 from umfdet.data import Category
 from umfdet.errors import DataError
@@ -218,3 +219,22 @@ def test_evaluate_model_smoke(tiny_model, toy_vocab, template, toy_corpus):
 def test_evaluate_model_needs_samples(tiny_model, toy_vocab, template):
     with pytest.raises(DataError):
         evaluate_model(tiny_model, [], toy_vocab, template)
+
+
+def test_evaluate_model_generates_in_batches_of_eval_batch(tiny_model, toy_vocab, template,
+                                                           toy_corpus, monkeypatch):
+    samples = toy_corpus[:7]
+    whole = evaluate_model(tiny_model, samples, toy_vocab, template, max_new=6)
+    sizes = []
+    generate = evalkit.model_mod.generate
+
+    def counting(params, batch, *args, **kwargs):
+        sizes.append(len(batch))
+        return generate(params, batch, *args, **kwargs)
+
+    monkeypatch.setattr(evalkit, "EVAL_BATCH", 3)
+    monkeypatch.setattr(evalkit.model_mod, "generate", counting)
+    chunked = evaluate_model(tiny_model, samples, toy_vocab, template, max_new=6)
+    assert sizes == [3, 3, 1]
+    assert chunked.predictions == whole.predictions
+    assert chunked.routing.counts == whole.routing.counts

@@ -7,7 +7,7 @@ import umfdet.ndtensor as nd
 from umfdet import model as M
 from umfdet.data import Category, ImagePayload, ManipulationAnnotation, NewsSample
 from umfdet.data import CotNote, template_cot
-from umfdet.errors import ConfigError, DataError
+from umfdet.errors import ConfigError, DataError, GraphError
 from umfdet.instruct import (ANSWER_CLOSE, ANSWER_OPEN, BOS, EOS, THINK_CLOSE, THINK_OPEN,
                              render_prompt)
 from umfdet.trainer import FREEZE_VISUAL_PREFIXES
@@ -278,7 +278,7 @@ def test_encode_without_moe_has_no_decisions(tiny_config, toy_vocab, template):
 
 
 def test_generate_budget_and_structure(tiny_model, toy_vocab, template):
-    out = M.generate(tiny_model, _sample(), toy_vocab, template, max_new=5)
+    [out] = M.generate(tiny_model, [_sample()], toy_vocab, template, max_new=5)
     assert len(out.token_ids) <= 5
     assert isinstance(out.text, str)
     assert len(out.decisions) == tiny_model.config.n_moe
@@ -287,14 +287,14 @@ def test_generate_budget_and_structure(tiny_model, toy_vocab, template):
 
 def test_generate_budget_capped_by_max_len(tiny_config, toy_vocab, template):
     params = M.init_model(tiny_config, np.random.default_rng(3))
-    out = M.generate(params, _sample(), toy_vocab, template, max_new=10**6)
+    [out] = M.generate(params, [_sample()], toy_vocab, template, max_new=10**6)
     assert len(out.token_ids) <= tiny_config.max_len - 1
 
 
 def test_generate_rejects_budget_below_one(tiny_model, toy_vocab, template):
     for max_new in (0, -3):
         with pytest.raises(ConfigError, match="max_new"):
-            M.generate(tiny_model, _sample(), toy_vocab, template, max_new=max_new)
+            M.generate(tiny_model, [_sample()], toy_vocab, template, max_new=max_new)
 
 
 def test_cached_decode_rows_equal_full_prefix_rows(tiny_model, toy_vocab, template):
@@ -334,7 +334,7 @@ def test_generate_is_greedy_under_teacher_forcing(tiny_config, toy_vocab, templa
     params = M.init_model(cfg, np.random.default_rng(seed))
     sample = _sample()
     budget = max_new or cfg.gen_max_tokens
-    out = M.generate(params, sample, toy_vocab, template, max_new=max_new)
+    [out] = M.generate(params, [sample], toy_vocab, template, max_new=max_new)
     logits = _assert_greedy(params, sample, toy_vocab, template, out.token_ids, budget)
     # An untrained model never picks EOS, so each run uses its whole budget.
     # Lifting the EOS bias just past its smallest gap to the argmax makes a
@@ -343,11 +343,124 @@ def test_generate_is_greedy_under_teacher_forcing(tiny_config, toy_vocab, templa
     gap = logits.max(axis=1) - logits[:, EOS]
     stop = int(np.argmin(gap[:budget]))
     params.tensors["head.b"].values[EOS] += gap[stop] + 1e-6
-    early = M.generate(params, sample, toy_vocab, template, max_new=max_new)
+    [early] = M.generate(params, [sample], toy_vocab, template, max_new=max_new)
     assert early.token_ids == out.token_ids[:stop]
     _assert_greedy(params, sample, toy_vocab, template, early.token_ids, budget)
 
 
 def test_generate_accumulates_no_grads(tiny_model, toy_vocab, template):
-    M.generate(tiny_model, _sample(), toy_vocab, template, max_new=4)
+    M.generate(tiny_model, [_sample()], toy_vocab, template, max_new=4)
     assert all(not np.any(t.grad) for t in tiny_model.tensors.values())
+
+
+# ---------------------------------------------------------------------------
+# padded batches
+
+
+def _mixed_batch(toy_corpus):
+    """Posts with 3 or 4 visual tokens and prompts of several lengths, so
+    every batch of them is padded."""
+    return toy_corpus[:8] + [_sample()]
+
+
+def _batch_params(tiny_config, seed, moe_enabled):
+    cfg = M.ModelConfig(**{**tiny_config.to_json(), "moe_enabled": moe_enabled,
+                           "n_moe": 2, "gen_max_tokens": 12})
+    return M.init_model(cfg, np.random.default_rng(seed))
+
+
+def _lift_eos(params, samples, vocab, template):
+    """Raise the EOS bias to the median over posts of the smallest gap
+    between EOS and the greedy choice, so that some rows stop early, at
+    different steps, and others run to the budget."""
+    gaps = []
+    for out, s in zip(M.generate(params, samples, vocab, template), samples):
+        with nd.no_grad():
+            memory, _ = M.encode(params, s, vocab, template)
+            logits = M.decode(params, memory, [BOS] + out.token_ids).values
+        gaps.append(float((logits.max(axis=1) - logits[:, EOS]).min()))
+    params.tensors["head.b"].values[EOS] += float(np.median(gaps)) + 1e-9
+
+
+def _routes(out):
+    return [(d.selected, d.sequence_id) for d in out.decisions]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("moe_enabled", [True, False])
+def test_batched_generate_equals_batches_of_one(tiny_config, toy_corpus, toy_vocab, template,
+                                                seed, moe_enabled):
+    samples = _mixed_batch(toy_corpus)
+    params = _batch_params(tiny_config, seed, moe_enabled)
+    for lifted in (False, True):
+        if lifted:
+            _lift_eos(params, samples, toy_vocab, template)
+        batch = M.generate(params, samples, toy_vocab, template)
+        assert len(batch) == len(samples)
+        for s, out in zip(samples, batch):
+            [one] = M.generate(params, [s], toy_vocab, template)
+            assert out.token_ids == one.token_ids and out.text == one.text
+            assert _routes(out) == _routes(one)
+            assert len(out.decisions) == (2 if moe_enabled else 0)
+            assert all(d.sequence_id == s.id for d in out.decisions)
+        n_tokens = {len(out.token_ids) for out in batch}
+        assert (len(n_tokens) > 1) == lifted, n_tokens
+
+
+def test_batched_generate_is_invariant_to_order_and_membership(tiny_config, toy_corpus,
+                                                               toy_vocab, template):
+    samples = _mixed_batch(toy_corpus)
+    params = _batch_params(tiny_config, 0, True)
+    _lift_eos(params, samples, toy_vocab, template)
+    full = M.generate(params, samples, toy_vocab, template)
+    # seed 0 routes these posts to more than one expert in a layer
+    assert len({d.selected for out in full for d in out.decisions[:1]}) > 1
+    reverse = M.generate(params, samples[::-1], toy_vocab, template)[::-1]
+    # The shorter posts only: their blocks shrink, so each carries less padding.
+    subset = [0, 2, 8]
+    with nd.no_grad():
+        n_full = M.encode(params, samples, toy_vocab, template)[0].shape[0] // len(samples)
+        n_part = M.encode(params, [samples[i] for i in subset], toy_vocab,
+                          template)[0].shape[0] // len(subset)
+    assert n_part < n_full
+    part = M.generate(params, [samples[i] for i in subset], toy_vocab, template)
+    for out, other in list(zip(full, reverse)) + [(full[i], o) for i, o in zip(subset, part)]:
+        assert out.token_ids == other.token_ids
+        assert _routes(out) == _routes(other)
+        for d, e in zip(out.decisions, other.decisions):
+            assert np.allclose(d.weights, e.weights, rtol=0.0, atol=1e-12)
+
+
+def test_padded_encode_and_decode_equal_one_sample_rows(tiny_config, toy_corpus, toy_vocab,
+                                                        template):
+    samples = _mixed_batch(toy_corpus)
+    params = _batch_params(tiny_config, 1, True)
+    rng = np.random.default_rng(8)
+    ids = rng.integers(9, len(toy_vocab), (len(samples), 6))
+    ids[:, 0] = BOS
+    with nd.no_grad():
+        memory, lengths, decisions = M.encode(params, samples, toy_vocab, template)
+        logits = M.decode(params, memory, ids, memory_lengths=lengths).values
+        n = memory.shape[0] // len(samples)
+        assert max(lengths) == n and min(lengths) < n
+        for b, s in enumerate(samples):
+            one, one_decisions = M.encode(params, s, toy_vocab, template)
+            assert lengths[b] == one.shape[0]
+            assert np.allclose(memory.values[b * n:b * n + lengths[b]], one.values,
+                               rtol=0.0, atol=1e-12)
+            assert [d.selected for d in decisions[b]] == [d.selected for d in one_decisions]
+            one_logits = M.decode(params, one, ids[b]).values
+            assert np.allclose(logits[b * 6:(b + 1) * 6], one_logits, rtol=0.0, atol=1e-10)
+
+
+def test_decode_cache_needs_no_grad_and_room(tiny_model, toy_vocab, template):
+    memory, _ = M.encode(tiny_model, _sample(), toy_vocab, template)
+    with pytest.raises(GraphError, match="no_grad"):
+        M.decode(tiny_model, memory, [BOS], cache={})
+    with nd.no_grad(), pytest.raises(DataError, match="cache"):
+        M.decode(tiny_model, memory, [BOS, 9, 10], cache={"size": 2})
+
+
+def test_generate_and_encode_reject_an_empty_batch(tiny_model, toy_vocab, template):
+    with pytest.raises(DataError, match="at least one"):
+        M.generate(tiny_model, [], toy_vocab, template)

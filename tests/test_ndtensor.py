@@ -71,9 +71,23 @@ def test_scale_by_grad_both_args():
     check_grads(lambda: wsum(nd.scale_by(a, s), w), [a, s])
 
 
+def test_scale_by_blocks_grad_both_args():
+    rng = np.random.default_rng(22)
+    a = leaf((6, 2), rng)
+    s = leaf((3,), rng)
+    out = nd.scale_by(a, s)
+    assert np.allclose(out.values, a.values * np.repeat(s.values, 2)[:, None],
+                       rtol=0.0, atol=1e-15)
+    w = rng.normal(size=12)
+    check_grads(lambda: wsum(nd.scale_by(a, s), w), [a, s])
+
+
 def test_scale_by_rejects_non_scalar():
+    # a non-scalar s must split a into equal row blocks
     with pytest.raises(ShapeError):
         nd.scale_by(Tensor(np.zeros((2, 2))), Tensor(np.zeros(3)))
+    with pytest.raises(ShapeError):
+        nd.scale_by(Tensor(np.zeros((2, 2))), Tensor(np.zeros(0)))
 
 
 def test_matmul_grad():
@@ -132,6 +146,31 @@ def test_attention_grads_and_per_head_reference(tq, tk, n_heads, mask):
     check_grads(lambda: wsum(nd.attention(q, k, v, n_heads, mask), w), [q, k, v])
 
 
+def _key_padding(lengths, tk):
+    return np.where(np.arange(tk) < np.asarray(lengths)[:, None], 0.0, -1e30)[:, None, :]
+
+
+@pytest.mark.parametrize("tq,tk,n_heads,mask", [
+    (4, 4, 2, _key_padding([4, 2, 3], 4)),   # encoder self-attention over padded rows
+    (3, 3, 2, _causal(3, 3)),                # decoder self-attention, shared causal mask
+    (2, 5, 1, _key_padding([5, 1, 3], 5)),   # cross-attention to padded memory, Tq != Tk
+    (2, 5, 2, _causal(2, 5)[None] + _key_padding([5, 4, 5], 5)),  # both, per sequence
+])
+def test_batched_attention_grads_and_per_sequence_reference(tq, tk, n_heads, mask):
+    rng = np.random.default_rng(20 + tq + tk)
+    b, h = 3, 2 * n_heads
+    q, k, v = leaf((b * tq, h), rng), leaf((b * tk, h), rng), leaf((b * tk, h), rng)
+    out = nd.attention(q, k, v, n_heads, mask, batch=b)
+    full = np.broadcast_to(mask, (b, tq, tk))
+    ref = np.concatenate([
+        _attention_per_head(q.values[i * tq:(i + 1) * tq], k.values[i * tk:(i + 1) * tk],
+                            v.values[i * tk:(i + 1) * tk], n_heads, full[i])
+        for i in range(b)])
+    assert np.allclose(out.values, ref, rtol=0.0, atol=1e-12)
+    w = rng.normal(size=b * tq * h)
+    check_grads(lambda: wsum(nd.attention(q, k, v, n_heads, mask, batch=b), w), [q, k, v])
+
+
 def test_attention_shape_errors():
     x = Tensor(np.zeros((3, 4)))
     with pytest.raises(ShapeError):
@@ -142,6 +181,13 @@ def test_attention_shape_errors():
         nd.attention(x, x, x, 3)
     with pytest.raises(ShapeError):
         nd.attention(x, x, x, 2, np.zeros((3, 2)))
+    y = Tensor(np.zeros((6, 4)))
+    with pytest.raises(ShapeError):
+        nd.attention(x, y, y, 2, batch=2)              # 3 query rows in 2 sequences
+    with pytest.raises(ShapeError):
+        nd.attention(y, y, y, 2, np.zeros((3, 1, 3)), batch=2)  # a mask for 3 sequences
+    with pytest.raises(ShapeError):
+        nd.attention(y, y, y, 2, np.zeros((1, 2, 1, 3)), batch=2)
 
 
 def test_concat_axis0_and_axis1_grads():
@@ -169,11 +215,28 @@ def test_pick_mean_rows_grads():
     check_grads(lambda: nd.pick(a, (2, 4)), [a])
     w2 = rng.normal(size=6)
     check_grads(lambda: wsum(nd.mean_rows(a), w2), [a])
+    rows, cols = np.array([3, 0, 1]), np.array([5, 5, 0])
+    assert np.array_equal(nd.pick(a, (rows, cols)).values, a.values[rows, cols])
+    check_grads(lambda: wsum(nd.pick(a, (rows, cols)), w2[:3]), [a])
+
+
+def test_mean_rows_over_blocks_grads_and_reference():
+    rng = np.random.default_rng(21)
+    a = leaf((3 * 4, 5), rng)
+    lengths = [4, 1, 2]
+    out = nd.mean_rows(a, lengths)
+    ref = [a.values[i * 4:i * 4 + n].mean(axis=0) for i, n in enumerate(lengths)]
+    assert np.allclose(out.values, ref, rtol=0.0, atol=1e-12)
+    w = rng.normal(size=15)
+    check_grads(lambda: wsum(nd.mean_rows(a, lengths), w), [a])
 
 
 def test_mean_rows_rejects_empty():
     with pytest.raises(DataError):
         nd.mean_rows(Tensor(np.zeros((0, 4))))
+    for lengths in ([], [2, 0], [3, 1], [1, 1, 1, 1, 1]):
+        with pytest.raises(DataError, match="lengths"):
+            nd.mean_rows(Tensor(np.zeros((4, 3))), lengths)
 
 
 def test_sigmoid_silu_softmax_grads():
@@ -347,6 +410,24 @@ def test_sigmoid_bounds_and_silu_identity(seed):
     s = nd.sigmoid(Tensor(x)).values
     assert ((s > 0) & (s < 1) | np.isclose(s, 0) | np.isclose(s, 1)).all()
     assert np.allclose(nd.silu(Tensor(x)).values, x * s)
+
+
+def _sigmoid_by_sign(x):
+    """Reference: the stable two-branch sigmoid, one masked pass per sign."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_equals_the_two_branch_reference_bit_for_bit():
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 36.7, -36.7,
+                        700.0, -700.0, 800.0, -800.0, 1e308, -1e308, np.inf, -np.inf])
+    for x in (special, np.random.default_rng(23).normal(0, 30, 10_000)):
+        assert np.array_equal(nd.sigmoid(Tensor(x)).values, _sigmoid_by_sign(x))
+    assert np.isnan(nd.sigmoid(Tensor(np.array([np.nan]))).values).all()
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -225,6 +225,19 @@ def test_train_resume_is_bitwise(tmp_path, splits, toy_vocab, template, tiny_con
     assert wa == wb
 
 
+def test_train_resume_refuses_another_training_set_size(tmp_path, splits, toy_vocab,
+                                                        template, tiny_config):
+    train_s, _, _ = splits
+    tr.train(_fresh(tiny_config), train_s, [], toy_vocab, template, _tcfg(max_steps=2),
+             tmp_path / "run")
+    params, vocab = ckpt.load_model(tmp_path / "run" / "checkpoint")
+    with pytest.raises(ConfigError, match=f"{len(train_s)} samples, not the "
+                                          f"{len(train_s) - 2} given") as info:
+        tr.train(params, train_s[:-2], [], vocab, template, _tcfg(max_steps=4),
+                 tmp_path / "run", resume=True)
+    assert str(tmp_path / "run" / "checkpoint") in str(info.value)
+
+
 def test_train_resume_without_state(tmp_path, splits, toy_vocab, template, tiny_config):
     train_s, _, _ = splits
     with pytest.raises(ConfigError, match="resume"):
