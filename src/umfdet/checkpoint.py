@@ -129,7 +129,7 @@ def load_model(ckpt_dir):
     with open(d / CONFIG_FILE, "r", encoding="utf-8") as fh:
         config = ModelConfig.from_json(json.load(fh))
     vocab = Vocabulary.load(d / VOCAB_FILE)
-    params = init_model(config, np.random.default_rng(0))
+    params = init_model(config, None)
     loaded = read_tensor_file(d / WEIGHTS_FILE)
     missing = sorted(set(params.tensors) - set(loaded))
     extra = sorted(set(loaded) - set(params.tensors))

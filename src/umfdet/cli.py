@@ -28,7 +28,8 @@ from . import data as data_mod
 from . import evalkit
 from . import textforge
 from . import trainer as trainer_mod
-from .errors import ConfigError, DataError, TemplateError, UmfdetError
+from .errors import (ConfigError, DataError, TemplateError, TransportError,
+                     UmfdetError)
 from .instruct import build_vocab, default_template, load_template
 from .model import ModelConfig, init_model
 from .trainer import TrainConfig, config_hash
@@ -227,6 +228,10 @@ def cmd_cot_gen(args):
     client = make_gen_client(args)
     records = cot_mod.generate_corpus_cots(samples, client, k_attempts=args.attempts,
                                            max_workers=args.workers)
+    if records and all(rec.reject_reason == "transport" for rec in records):
+        raise TransportError(f"{args.manifest}: all {len(records)} samples failed in "
+                             f"transport; first, sample {samples[0].id}: "
+                             f"{records[0].error}")
     accepted = 0
     for s, rec in zip(samples, records):
         s.cot = rec.to_note()
@@ -354,9 +359,10 @@ def cmd_route_report(args):
 
     labeled = []
     with nd.no_grad():
-        for s in chosen:
-            _, decisions = model_mod.encode(params, s, vocab, template, training=False)
-            labeled.append((s.label, decisions))
+        for i in range(0, len(chosen), evalkit.EVAL_BATCH):
+            chunk = chosen[i:i + evalkit.EVAL_BATCH]
+            _, _, decisions = model_mod.encode(params, chunk, vocab, template)
+            labeled.extend((s.label, d) for s, d in zip(chunk, decisions))
     report = evalkit.routing_report(labeled)
     print(report.render_text())
     if args.out:

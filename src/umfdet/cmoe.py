@@ -41,10 +41,16 @@ class RoutingDecision:
     row: int = 0           # this sequence's row of logits_t and weights_t
 
 
-def xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
+def normal(rng: np.random.Generator | None, std: float, shape) -> Tensor:
+    """Trainable weight drawn from N(0, std^2), or zeros when rng is None
+    (a skeleton whose values are about to be overwritten)."""
+    values = np.zeros(shape) if rng is None else rng.normal(0.0, std, shape)
+    return Tensor(values, requires_grad=True)
+
+
+def xavier(rng: np.random.Generator | None, fan_in: int, fan_out: int) -> Tensor:
     """Trainable [fan_in, fan_out] weight, Glorot-normal initialised."""
-    std = (2.0 / (fan_in + fan_out)) ** 0.5
-    return Tensor(rng.normal(0.0, std, (fan_in, fan_out)), requires_grad=True)
+    return normal(rng, (2.0 / (fan_in + fan_out)) ** 0.5, (fan_in, fan_out))
 
 
 def zeros(n: int) -> Tensor:
@@ -134,15 +140,19 @@ def cmoe_forward(t: dict, name: str, x: Tensor, training: bool = False,
     return nd.embedding(nd.concat(parts), np.argsort(np.concatenate(order))), decisions
 
 
-def routing_alignment_loss(decision: RoutingDecision, label: Category,
-                           coefficient: float = 0.0) -> Tensor:
-    """Optional cross-entropy pulling the router toward the label's expert.
+def routing_alignment_loss(decisions, labels, coefficient: float = 0.0) -> Tensor:
+    """Optional cross-entropy pulling the router toward each label's expert.
 
+    decisions are one mixture layer's decisions for a batch and labels the
+    matching categories; the loss is the mean over the batch of each
+    sequence's cross entropy, read from the layer's [B, 3] router logits.
     Off by default (coefficient 0 contributes a gradient-free constant 0);
     routing is otherwise left emergent.
     """
     if coefficient == 0.0:
         return Tensor(np.asarray(0.0))
-    targets = np.full(decision.logits_t.shape[0], -100)
-    targets[decision.row] = label.expert_index
-    return nd.scale(nd.cross_entropy_lm(decision.logits_t, targets), coefficient)
+    logits = decisions[0].logits_t
+    targets = np.full(logits.shape[0], -100)
+    for d, label in zip(decisions, labels):
+        targets[d.row] = label.expert_index
+    return nd.scale(nd.cross_entropy_lm(logits, targets), coefficient)

@@ -167,6 +167,7 @@ class CotRecord:
     attempts_used: int = 0
     verdict: str = "rejected"
     reject_reason: str | None = None
+    error: str = ""        # the transport error of a rejected:transport record
 
     @property
     def accepted(self):
@@ -417,8 +418,8 @@ def generate_corpus_cots(samples, client: GenClient, k_attempts: int = DEFAULT_A
     def one(sample):
         try:
             return generate_with_qc(sample, client, k_attempts, gaz, limits)
-        except TransportError:
-            return _rejected("transport")
+        except TransportError as exc:
+            return _rejected("transport", error=str(exc))
 
     if max_workers <= 1:
         return [one(s) for s in samples]

@@ -16,10 +16,10 @@ import numpy as np
 
 from . import ndtensor as nd
 from .cmoe import (cmoe_forward, expert_forward, init_cmoe_layer, init_expert,
-                   xavier, zeros)
+                   normal, xavier, zeros)
 from .data import ImagePayload, NewsSample
 from .errors import ConfigError, DataError, GraphError
-from .instruct import (ANSWER_CLOSE, ANSWER_OPEN, BOS, EOS, THINK_CLOSE,
+from .instruct import (ANSWER_CLOSE, ANSWER_OPEN, BOS, EOS, PAD, THINK_CLOSE,
                        THINK_OPEN, InstructionTemplate, Vocabulary,
                        embed_text, render_prompt)
 from .ndtensor import Tensor
@@ -113,13 +113,14 @@ def _ffn_params(tensors, rng, name, h, ratio):
     tensors[f"{name}.b2"] = zeros(h)
 
 
-def init_model(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
+def init_model(config: ModelConfig, rng: np.random.Generator | None) -> ModelParams:
+    """Every weight the config names, in a stable order, drawn from rng; with
+    rng None every weight is zero and no random number is drawn."""
     h, r = config.h, config.expansion_ratio
     t = {}
-    t["tok_emb"] = Tensor(rng.normal(0.0, 0.02, (config.vocab_size, h)), requires_grad=True)
-    t["pos_emb"] = Tensor(rng.normal(0.0, 0.02, (config.max_len, h)), requires_grad=True)
-    t["vis_pos_emb"] = Tensor(rng.normal(0.0, 0.02, (config.max_vis_tokens, h)),
-                              requires_grad=True)
+    t["tok_emb"] = normal(rng, 0.02, (config.vocab_size, h))
+    t["pos_emb"] = normal(rng, 0.02, (config.max_len, h))
+    t["vis_pos_emb"] = normal(rng, 0.02, (config.max_vis_tokens, h))
     t["vis_proj.W"] = xavier(rng, config.h_v, h)
     t["vis_proj.b"] = zeros(h)
     t["patch_proj.W"] = xavier(rng, config.in_channels * PATCH * PATCH, h)
@@ -384,15 +385,8 @@ def _span_masks(target_ids, sample_id):
     return think_span, answer_span
 
 
-def forward_train(params: ModelParams, sample: NewsSample, vocab: Vocabulary,
-                  template: InstructionTemplate, training: bool = True,
-                  rng: np.random.Generator | None = None,
-                  build_cot_loss: bool = True) -> ForwardResult:
-    """One sample forward pass yielding the two masked losses.
-
-    With build_cot_loss False the reasoning-loss graph is never constructed
-    and a gradient-free zero stands in for it.
-    """
+def _target_ids(sample, vocab):
+    """Decoder target: the rationale (if any) and the answer, then EOS."""
     if sample.cot is None or not sample.cot.answer.strip():
         raise DataError(f"sample {sample.id}: training requires a rationale note "
                         f"with a non-empty answer")
@@ -402,20 +396,55 @@ def forward_train(params: ModelParams, sample: NewsSample, vocab: Vocabulary,
         target_text = f"<think>{think}</think><answer>{answer}</answer>"
     else:
         target_text = f"<answer>{answer}</answer>"
-    target_ids = vocab.encode(target_text) + [EOS]
-    think_span, answer_span = _span_masks(target_ids, sample.id)
-    dec_in = [BOS] + target_ids[:-1]
-    memory, decisions = encode(params, sample, vocab, template, training, rng)
-    logits = decode(params, memory, dec_in, training, rng, sample.id)
-    det_targets = [t if i in answer_span else -100 for i, t in enumerate(target_ids)]
-    loss_det = nd.cross_entropy_lm(logits, det_targets)
-    if build_cot_loss:
-        cot_targets = [t if i in think_span else -100 for i, t in enumerate(target_ids)]
-        loss_cot = nd.cross_entropy_lm(logits, cot_targets)
-    else:
-        loss_cot = Tensor(np.asarray(0.0))
-    return ForwardResult(loss_det=loss_det, loss_cot=loss_cot, decisions=decisions,
-                         n_answer_tokens=len(answer_span), n_think_tokens=len(think_span))
+    return vocab.encode(target_text) + [EOS]
+
+
+def forward_train(params: ModelParams, samples, vocab: Vocabulary,
+                  template: InstructionTemplate, training: bool = True,
+                  rng: np.random.Generator | None = None,
+                  build_cot_loss: bool = True) -> ForwardResult:
+    """Forward pass over a list of B samples packed into one graph, yielding
+    the two masked losses, each the mean over samples of the sample's mean
+    over its span; a sample without a rationale adds 0 to the reasoning loss
+    and still counts in B.
+
+    The samples are encoded as one padded batch and their targets decoded as
+    B rows padded with PAD at the end, which the causal mask hides from every
+    real position. Decisions are one list per mixture layer, one decision
+    per sample; the token counts are totals over the batch. With
+    build_cot_loss False the reasoning-loss graph is never constructed and a
+    gradient-free zero stands in for it.
+    """
+    samples = list(samples)
+    if not samples:
+        raise DataError("forward_train needs at least one sample")
+    targets = [_target_ids(s, vocab) for s in samples]
+    lens = [len(ids) for ids in targets]
+    b, n = len(samples), max(lens)
+    dec_in = np.full((b, n), PAD)
+    padded = np.full((b, n), -100)
+    det_w, cot_w = np.zeros((b, n)), np.zeros((b, n))
+    for i, (s, ids) in enumerate(zip(samples, targets)):
+        think_span, answer_span = _span_masks(ids, s.id)
+        dec_in[i, :lens[i]] = [BOS] + ids[:-1]
+        padded[i, :lens[i]] = ids
+        for span, w in ((answer_span, det_w), (think_span, cot_w)):
+            if span:
+                w[i, sorted(span)] = 1.0 / (b * len(span))
+    memory, lengths, decisions = encode(params, samples, vocab, template, training, rng)
+    logits = decode(params, memory, dec_in, training, rng, samples[int(np.argmax(lens))].id,
+                    memory_lengths=lengths)
+
+    def span_loss(w):  # weighted over the span's rows; the other rows ignored
+        w = w.ravel()
+        return nd.cross_entropy_lm(logits, np.where(w > 0, padded.ravel(), -100), weights=w)
+
+    loss_det = span_loss(det_w)
+    loss_cot = span_loss(cot_w) if build_cot_loss else Tensor(np.asarray(0.0))
+    return ForwardResult(loss_det=loss_det, loss_cot=loss_cot,
+                         decisions=[list(layer) for layer in zip(*decisions)],
+                         n_answer_tokens=int((det_w > 0).sum()),
+                         n_think_tokens=int((cot_w > 0).sum()))
 
 
 @dataclass

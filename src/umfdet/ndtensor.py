@@ -8,7 +8,9 @@ float64 so finite-difference gradient checks are meaningful.
 
 Gradient tracking is implicit: every op result remembers its parents and a
 backward closure, and ``Tensor.backward()`` replays the recorded ops in
-reverse execution order. One graph is meant to live on one thread; there is
+reverse execution order, releasing each op's gradient, closure and parents
+once it has run, so a graph is freed while backward walks it. Leaf tensors
+keep their gradients. One graph is meant to live on one thread; there is
 no internal locking.
 """
 
@@ -87,7 +89,8 @@ class Graph:
     """Ordered record of the ops that produced a root tensor.
 
     ``nodes`` holds every tensor reachable from the root, sorted by creation
-    order; backward visits each recorded op exactly once, newest first.
+    order, oldest first; backward pops and visits each recorded op exactly
+    once, newest first.
     """
 
     def __init__(self, root):
@@ -102,7 +105,7 @@ class Graph:
             seen.add(id(t))
             nodes.append(t)
             stack.extend(t._parents)
-        nodes.sort(key=lambda t: t._seq, reverse=True)
+        nodes.sort(key=lambda t: t._seq)
         self.nodes = nodes
 
     def backward(self):
@@ -113,15 +116,20 @@ class Graph:
             raise GraphError(f"backward root must be scalar, got shape {root.shape}")
         root._backward_done = True
         root._grad = np.ones_like(root.values)
-        for t in self.nodes:
+        nodes = self.nodes
+        while nodes:
+            t = nodes.pop()
             if t._backward is None:
                 continue
             g = t._grad
             # Exact-zero incoming gradient propagates nothing; skipping keeps
             # zero-weighted loss branches bitwise inert.
-            if g is None or not g.any():
-                continue
-            t._backward(g)
+            if g is not None and g.any():
+                t._backward(g)
+            # Every op that feeds t is older, so nothing reads t again: drop
+            # its gradient and closure, and with them the arrays they hold.
+            t._grad = t._backward = None
+            t._parents = ()
 
 
 def _accum(t, g):
@@ -428,8 +436,10 @@ def embedding(table: Tensor, ids) -> Tensor:
     return out
 
 
-def cross_entropy_lm(logits: Tensor, targets, ignore_index: int = -100) -> Tensor:
-    """Mean NLL of targets under row-wise log-softmax of logits [T, V].
+def cross_entropy_lm(logits: Tensor, targets, ignore_index: int = -100,
+                     weights=None) -> Tensor:
+    """Mean NLL of targets under row-wise log-softmax of logits [T, V], or
+    with weights [T] the weighted sum of the per-row NLLs.
 
     Positions whose target equals ignore_index contribute nothing; if every
     position is ignored the loss is the constant 0 (empty-sum convention) and
@@ -441,6 +451,9 @@ def cross_entropy_lm(logits: Tensor, targets, ignore_index: int = -100) -> Tenso
     t, v = logits.shape
     if targets.shape != (t,):
         raise ShapeError(f"cross_entropy_lm: {t} logit rows but targets shape {targets.shape}")
+    if weights is not None and np.shape(weights) != (t,):
+        raise ShapeError(f"cross_entropy_lm: {t} logit rows but weights shape "
+                         f"{np.shape(weights)}")
     bad = np.nonzero((targets != ignore_index) & ((targets < 0) | (targets >= v)))[0]
     if bad.size:
         raise DataError(f"cross_entropy_lm: target {targets[bad[0]]} at position {bad[0]} "
@@ -452,14 +465,15 @@ def cross_entropy_lm(logits: Tensor, targets, ignore_index: int = -100) -> Tenso
     m = rows.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(rows - m).sum(axis=1))
     nll = lse - rows[np.arange(kept.size), targets[kept]]
-    out, track = _result(np.asarray(nll.mean()), (logits,))
+    w = None if weights is None else np.asarray(weights, dtype=np.float64)[kept]
+    out, track = _result(np.asarray(nll.mean() if w is None else nll @ w), (logits,))
     if track:
         def _bw(g):
             p = np.exp(rows - m)
             p /= p.sum(axis=1, keepdims=True)
             p[np.arange(kept.size), targets[kept]] -= 1.0
             buf = np.zeros_like(logits.values)
-            buf[kept] = p * (float(g) / kept.size)
+            buf[kept] = p * (float(g) / kept.size if w is None else float(g) * w[:, None])
             _accum(logits, buf)
         out._backward = _bw
     return out

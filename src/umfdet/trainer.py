@@ -1,6 +1,6 @@
-"""Training loop: Adam with global-norm gradient clipping, per-sample
-forward passes averaged into a batch loss, periodic validation by greedy
-decoding, and bit-reproducible checkpointing.
+"""Training loop: Adam with global-norm gradient clipping, one packed
+forward pass per minibatch, periodic validation by greedy decoding, and
+bit-reproducible checkpointing.
 
 Reproducibility contract: a run is a pure function of (initial weights,
 train config, data order). One generator drives both batch shuffling and
@@ -170,25 +170,19 @@ class _Sampler:
 
 
 def _batch_loss(params, batch, vocab, template, tcfg, rng):
-    """Average per-sample losses; the mixture alignment term joins only when
-    its coefficient is nonzero."""
-    lam = params.config.lambda_cot
-    total = None
-    det_sum = 0.0
-    cot_sum = 0.0
-    for sample in batch:
-        fr = forward_train(params, sample, vocab, template, training=True, rng=rng,
-                           build_cot_loss=tcfg.build_cot_loss)
-        loss = nd.add(fr.loss_det, nd.scale(fr.loss_cot, lam))
-        if tcfg.routing_aux_coeff != 0.0:
-            for decision in fr.decisions:
-                loss = nd.add(loss, routing_alignment_loss(
-                    decision, sample.label, tcfg.routing_aux_coeff))
-        det_sum += float(fr.loss_det.values)
-        cot_sum += float(fr.loss_cot.values)
-        total = loss if total is None else nd.add(total, loss)
-    total = nd.scale(total, 1.0 / len(batch))
-    return total, det_sum / len(batch), cot_sum / len(batch)
+    """Loss of one minibatch packed into one graph: the detection loss plus
+    lambda_cot times the rationale loss, each a mean over the batch's
+    samples; the mixture alignment term joins only when its coefficient is
+    nonzero. Returns (total, detection loss, rationale loss)."""
+    fr = forward_train(params, batch, vocab, template, training=True, rng=rng,
+                       build_cot_loss=tcfg.build_cot_loss)
+    total = nd.add(fr.loss_det, nd.scale(fr.loss_cot, params.config.lambda_cot))
+    if tcfg.routing_aux_coeff != 0.0:
+        labels = [s.label for s in batch]
+        for layer in fr.decisions:
+            total = nd.add(total, routing_alignment_loss(layer, labels,
+                                                         tcfg.routing_aux_coeff))
+    return total, float(fr.loss_det.values), float(fr.loss_cot.values)
 
 
 def train(params: ModelParams, train_samples, val_samples, vocab, template,

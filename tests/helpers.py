@@ -1,4 +1,5 @@
-"""Shared test utilities: the finite-difference gradient oracle."""
+"""Shared test utilities: the finite-difference gradient oracle and a
+backward walk that keeps the graph."""
 
 import numpy as np
 
@@ -51,3 +52,14 @@ def check_grads(build_scalar_tensor, tensors, h=1e-5, tol=1e-4):
     err = max_rel_err(analytic, numeric)
     assert err < tol, f"gradient mismatch: rel err {err:.3e} >= {tol}"
     return err
+
+
+def backward_keeping_graph(root):
+    """Reference backward: every recorded op newest first, as Graph.backward
+    runs them, but with nothing released."""
+    import umfdet.ndtensor as nd
+
+    root._grad = np.ones_like(root.values)
+    for t in reversed(nd.Graph(root).nodes):
+        if t._backward is not None and t._grad is not None and t._grad.any():
+            t._backward(t._grad)

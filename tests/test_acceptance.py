@@ -205,6 +205,12 @@ def _op_roster():
         targets = [2, -100, 0, 5]
         return lambda: nd.cross_entropy_lm(logits, targets), [logits]
 
+    def cross_entropy_weighted(rng):
+        logits = _rand(rng, 5, 6)
+        targets = [2, -100, 0, 5, 1]
+        weights = rng.uniform(0.1, 1.0, size=5)
+        return (lambda: nd.cross_entropy_lm(logits, targets, weights=weights)), [logits]
+
     def expert_path(rng):
         p = {}
         cmoe.init_expert(p, rng, "e", 5)
@@ -242,7 +248,7 @@ def _op_roster():
             attention_offset_causal, attention_batched_padding, attention_batched_causal,
             attention_batched_cross, pick, mean_rows, mean_rows_blocks, sigmoid, silu,
             softmax_last, softmax_rows, dropout, layer_norm, embedding, cross_entropy,
-            expert_path, routed_layer_path, routed_batch_path]
+            cross_entropy_weighted, expert_path, routed_layer_path, routed_batch_path]
 
 
 def _routed(layer, x, lengths=None):
@@ -274,7 +280,7 @@ def test_gradients_match_finite_differences_everywhere(toy_corpus, toy_vocab,
         assert small, "expected some low-dimensional parameters to probe"
 
         def full_loss():
-            fr = model.forward_train(params, sample, toy_vocab, template,
+            fr = model.forward_train(params, [sample], toy_vocab, template,
                                      training=False)
             return nd.add(fr.loss_det, nd.scale(fr.loss_cot,
                                                 params.config.lambda_cot))

@@ -179,6 +179,23 @@ def test_cot_gen_survives_a_transport_failure(tmp_path, corpus, capsys, monkeypa
     assert set(verdicts.values()) == {"accepted"}
 
 
+@pytest.mark.parametrize("workers", ["1", "4"])
+def test_cot_gen_exits_3_when_every_sample_fails_in_transport(tmp_path, corpus, capsys,
+                                                              monkeypatch, workers):
+    class AlwaysFails(cli.cot_mod.GenClient):
+        def generate(self, prompt):
+            raise TransportError("generation endpoint returned 401")
+
+    monkeypatch.setattr(cli, "make_gen_client", lambda args: AlwaysFails())
+    out = tmp_path / "cots.jsonl"
+    assert cli.main(["cot-gen", "--manifest", str(corpus), "--workers", workers,
+                     "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "TransportError" in err and str(corpus) in err
+    assert load_manifest(corpus)[0].id in err and "401" in err
+    assert not out.exists()
+
+
 def test_corrupt_manifest_exits_2(tmp_path, corpus, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(corpus.read_text() + "{broken\n")

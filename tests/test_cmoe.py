@@ -138,8 +138,8 @@ def test_cmoe_forward_gradients_vs_oracle():
 def test_alignment_loss_zero_coefficient_is_inert():
     t = make_layer(seed=24)
     x = Tensor(np.random.default_rng(25).normal(size=(2, 6)))
-    [d] = cmoe.route(t, "m.router", x)
-    loss = cmoe.routing_alignment_loss(d, Category.REAL, coefficient=0.0)
+    decisions = cmoe.route(t, "m.router", x)
+    loss = cmoe.routing_alignment_loss(decisions, [Category.REAL], coefficient=0.0)
     assert float(loss.values) == 0.0
     assert loss._backward is None and not loss._parents
 
@@ -147,9 +147,11 @@ def test_alignment_loss_zero_coefficient_is_inert():
 def test_alignment_loss_matches_nll_oracle_and_reaches_router():
     t = make_layer(seed=26)
     x = Tensor(np.random.default_rng(27).normal(size=(2, 6)))
-    [d] = cmoe.route(t, "m.router", x)
+    decisions = cmoe.route(t, "m.router", x)
+    [d] = decisions
     coeff = 0.5
-    loss = cmoe.routing_alignment_loss(d, Category.AI_SYNTHESIZED, coefficient=coeff)
+    loss = cmoe.routing_alignment_loss(decisions, [Category.AI_SYNTHESIZED],
+                                       coefficient=coeff)
     expected = -np.log(d.weights[Category.AI_SYNTHESIZED.expert_index]) * coeff
     assert abs(float(loss.values) - expected) < 1e-12
     loss.backward()
@@ -203,10 +205,18 @@ def test_batched_cmoe_forward_equals_one_sequence_calls(seed, gate_scaling):
 
 
 def test_alignment_loss_reads_its_own_row_of_a_batch():
+    """One cross entropy over a batch's router logits is the mean of each
+    row's term, and each row's term is its sequence's batch-of-one loss."""
     t = make_layer(seed=29)
-    x = Tensor(np.random.default_rng(30).normal(size=(6, 6)))
-    decisions = cmoe.route(t, "m.router", x, lengths=[3, 2])
-    for d in decisions:
-        loss = cmoe.routing_alignment_loss(d, Category.HUMAN_CRAFTED, coefficient=2.0)
-        expected = -np.log(d.weights[Category.HUMAN_CRAFTED.expert_index]) * 2.0
-        assert abs(float(loss.values) - expected) < 1e-12
+    lengths = [3, 2, 1]
+    x = Tensor(np.random.default_rng(30).normal(size=(9, 6)))
+    decisions = cmoe.route(t, "m.router", x, lengths=lengths)
+    labels = [Category.HUMAN_CRAFTED, Category.REAL, Category.HUMAN_CRAFTED]
+    loss = cmoe.routing_alignment_loss(decisions, labels, coefficient=2.0)
+    terms = []
+    for b, (d, label) in enumerate(zip(decisions, labels)):
+        one = cmoe.route(t, "m.router", Tensor(x.values[3 * b:3 * b + lengths[b]]))
+        alone = float(cmoe.routing_alignment_loss(one, [label], coefficient=2.0).values)
+        assert abs(alone + 2.0 * np.log(d.weights[label.expert_index])) < 1e-12
+        terms.append(alone)
+    assert abs(float(loss.values) - sum(terms) / 3) < 1e-12

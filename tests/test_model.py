@@ -12,6 +12,8 @@ from umfdet.instruct import (ANSWER_CLOSE, ANSWER_OPEN, BOS, EOS, THINK_CLOSE, T
                              render_prompt)
 from umfdet.trainer import FREEZE_VISUAL_PREFIXES
 
+from helpers import backward_keeping_graph
+
 
 def _sample(feat_width=64, title="Merkel visits the bright harbor in Oslo on Friday",
             label=Category.REAL, think=None) -> NewsSample:
@@ -80,6 +82,18 @@ def test_init_model_solo_names_without_moe(tiny_config):
     assert "cmoe.0.solo.W_a" in params.tensors
     assert "cmoe.0.solo.b_out" in params.tensors
     assert not any(".router." in n or ".reality." in n for n in params.tensors)
+
+
+@pytest.mark.parametrize("moe_enabled", [True, False])
+def test_init_model_without_rng_is_a_zero_skeleton(tiny_config, moe_enabled):
+    cfg = M.ModelConfig(**{**tiny_config.to_json(), "moe_enabled": moe_enabled})
+    drawn = M.init_model(cfg, np.random.default_rng(0)).tensors
+    skeleton = M.init_model(cfg, None).tensors
+    assert list(skeleton) == list(drawn)
+    for name, t in skeleton.items():
+        assert t.shape == drawn[name].shape and t.requires_grad, name
+        # drawn weights are zero; ones and zeros stay as they are
+        assert not t.values.any() or np.array_equal(t.values, drawn[name].values), name
 
 
 def test_trainable_freeze_prefixes(tiny_config):
@@ -178,14 +192,19 @@ def test_forward_train_requires_rationale(tiny_model, toy_vocab, template):
     sample = _sample()
     sample.cot = None
     with pytest.raises(DataError, match="rationale"):
-        M.forward_train(tiny_model, sample, toy_vocab, template, training=False)
+        M.forward_train(tiny_model, [sample], toy_vocab, template, training=False)
     sample.cot = CotNote(think="x", answer="  ", verdict="accepted")
     with pytest.raises(DataError):
-        M.forward_train(tiny_model, sample, toy_vocab, template, training=False)
+        M.forward_train(tiny_model, [sample], toy_vocab, template, training=False)
+
+
+def test_forward_train_needs_a_sample(tiny_model, toy_vocab, template):
+    with pytest.raises(DataError, match="at least one sample"):
+        M.forward_train(tiny_model, [], toy_vocab, template, training=False)
 
 
 def test_forward_train_losses_and_counts(tiny_model, toy_vocab, template):
-    res = M.forward_train(tiny_model, _sample(), toy_vocab, template, training=False)
+    res = M.forward_train(tiny_model, [_sample()], toy_vocab, template, training=False)
     assert res.loss_det.values.shape == ()
     assert float(res.loss_det.values) > 0.0
     assert float(res.loss_cot.values) > 0.0
@@ -195,7 +214,7 @@ def test_forward_train_losses_and_counts(tiny_model, toy_vocab, template):
 
 
 def test_forward_train_no_think_gives_inert_zero(tiny_model, toy_vocab, template):
-    res = M.forward_train(tiny_model, _sample(think=""), toy_vocab, template,
+    res = M.forward_train(tiny_model, [_sample(think="")], toy_vocab, template,
                           training=False)
     assert float(res.loss_cot.values) == 0.0
     assert not res.loss_cot.requires_grad
@@ -204,7 +223,7 @@ def test_forward_train_no_think_gives_inert_zero(tiny_model, toy_vocab, template
 
 
 def test_forward_train_skip_cot_branch(tiny_model, toy_vocab, template):
-    res = M.forward_train(tiny_model, _sample(), toy_vocab, template, training=False,
+    res = M.forward_train(tiny_model, [_sample()], toy_vocab, template, training=False,
                           build_cot_loss=False)
     assert float(res.loss_cot.values) == 0.0
     assert not res.loss_cot.requires_grad
@@ -215,9 +234,9 @@ def _fresh(tiny_config):
 
 
 def test_forward_train_deterministic_without_dropout(tiny_config, toy_vocab, template):
-    a = M.forward_train(_fresh(tiny_config), _sample(), toy_vocab, template,
+    a = M.forward_train(_fresh(tiny_config), [_sample()], toy_vocab, template,
                         training=False)
-    b = M.forward_train(_fresh(tiny_config), _sample(), toy_vocab, template,
+    b = M.forward_train(_fresh(tiny_config), [_sample()], toy_vocab, template,
                         training=False)
     assert float(a.loss_det.values) == float(b.loss_det.values)
     assert float(a.loss_cot.values) == float(b.loss_cot.values)
@@ -230,13 +249,13 @@ def test_zero_weight_rationale_loss_matches_detection_only(tiny_config, toy_voca
     sample = _sample()
 
     pa = _fresh(tiny_config)
-    ra = M.forward_train(pa, sample, toy_vocab, template, training=False)
+    ra = M.forward_train(pa, [sample], toy_vocab, template, training=False)
     total = nd.add(ra.loss_det, nd.scale(ra.loss_cot, 0.0))
     assert float(total.values) == float(ra.loss_det.values)  # x + 0.0 is bitwise x
     nd.Graph(total).backward()
 
     pb = _fresh(tiny_config)
-    rb = M.forward_train(pb, sample, toy_vocab, template, training=False,
+    rb = M.forward_train(pb, [sample], toy_vocab, template, training=False,
                          build_cot_loss=False)
     nd.Graph(rb.loss_det).backward()
 
@@ -248,11 +267,26 @@ def test_zero_weight_rationale_loss_matches_detection_only(tiny_config, toy_voca
         assert np.array_equal(ga, gb), name
 
 
+def test_backward_release_keeps_model_grads_bitwise(tiny_config, toy_vocab, template):
+    grads = []
+    for release in (False, True):
+        params = _fresh(tiny_config)
+        res = M.forward_train(params, [_sample(), _sample(think="")], toy_vocab, template,
+                              training=True, rng=np.random.default_rng(3))
+        total = nd.add(res.loss_det, res.loss_cot)
+        if release:
+            total.backward()
+        else:
+            backward_keeping_graph(total)
+        grads.append([t.grad.tobytes() for t in params.tensors.values()])
+    assert grads[0] == grads[1]
+
+
 def test_forward_train_dropout_depends_on_rng(tiny_config, toy_vocab, template):
     sample = _sample()
-    a = M.forward_train(_fresh(tiny_config), sample, toy_vocab, template,
+    a = M.forward_train(_fresh(tiny_config), [sample], toy_vocab, template,
                         training=True, rng=np.random.default_rng(1))
-    b = M.forward_train(_fresh(tiny_config), sample, toy_vocab, template,
+    b = M.forward_train(_fresh(tiny_config), [sample], toy_vocab, template,
                         training=True, rng=np.random.default_rng(2))
     assert float(a.loss_det.values) != float(b.loss_det.values)
 

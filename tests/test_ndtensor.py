@@ -10,7 +10,7 @@ import umfdet.ndtensor as nd
 from umfdet.errors import ConfigError, DataError, GraphError, ShapeError
 from umfdet.ndtensor import Tensor
 
-from helpers import check_grads
+from helpers import backward_keeping_graph, check_grads
 
 RNG = np.random.default_rng(12345)
 
@@ -330,6 +330,21 @@ def test_cross_entropy_matches_manual_and_grad():
     check_grads(lambda: nd.cross_entropy_lm(logits, targets), [logits])
 
 
+def test_weighted_cross_entropy_matches_manual_and_grad():
+    rng = np.random.default_rng(17)
+    logits = leaf((6, 5), rng, scale=2.0)
+    targets = [0, 3, -100, 2, 4, -100]
+    weights = np.array([0.5, 0.25, 9.0, 0.125, 1.0, 9.0])
+    loss = nd.cross_entropy_lm(logits, targets, weights=weights)
+    kept = [0, 1, 3, 4]
+    rows = logits.values[kept]
+    nll = np.log(np.exp(rows).sum(axis=1)) - rows[np.arange(4), [0, 3, 2, 4]]
+    assert abs(float(loss.values) - float(nll @ weights[kept])) < 1e-12
+    check_grads(lambda: nd.cross_entropy_lm(logits, targets, weights=weights), [logits])
+    with pytest.raises(ShapeError, match="weights"):
+        nd.cross_entropy_lm(logits, targets, weights=weights[:5])
+
+
 def test_cross_entropy_all_ignored_is_inert_zero():
     logits = Tensor(np.random.default_rng(16).normal(size=(3, 4)), requires_grad=True)
     loss = nd.cross_entropy_lm(logits, [-100, -100, -100])
@@ -355,6 +370,35 @@ def test_backward_twice_raises():
     a = Tensor(np.asarray(2.0), requires_grad=True)
     out = nd.scale(a, 3.0)
     out.backward()
+    with pytest.raises(GraphError):
+        out.backward()
+
+
+def test_backward_releases_the_graph_and_keeps_leaf_grads():
+    rng = np.random.default_rng(18)
+    a, w = leaf((4, 6), rng), leaf((6, 3), rng)
+    b = leaf((3,), rng)
+
+    def build():
+        h = nd.silu(nd.add(nd.matmul(a, w), b))
+        return wsum(nd.layer_norm(nd.mul(h, h), Tensor(np.ones(3)), b), rng.normal(size=12))
+
+    rng = np.random.default_rng(19)
+    backward_keeping_graph(build())
+    before = [t.grad.copy() for t in (a, w, b)]
+    for t in (a, w, b):
+        t.zero_grad()
+    rng = np.random.default_rng(19)
+    out = build()
+    graph = nd.Graph(out)
+    interior = [t for t in graph.nodes if t._backward is not None]
+    assert len(interior) > 5
+    graph.backward()
+    assert graph.nodes == []
+    for t in interior:
+        assert t._grad is None and t._backward is None and t._parents == ()
+    for t, g in zip((a, w, b), before):
+        assert t.grad.tobytes() == g.tobytes()
     with pytest.raises(GraphError):
         out.backward()
 

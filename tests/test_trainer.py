@@ -1,5 +1,6 @@
 """Optimizer arithmetic, batch loop reproducibility, resume, ablation grid."""
 
+import copy
 import csv
 import json
 
@@ -10,7 +11,11 @@ from umfdet import checkpoint as ckpt
 from umfdet import data as data_mod
 from umfdet import trainer as tr
 from umfdet.errors import ConfigError, NumericsError
-from umfdet.model import ModelConfig, init_model
+from umfdet import ndtensor as nd
+from umfdet.cmoe import routing_alignment_loss
+from umfdet.data import CotNote
+from umfdet.instruct import render_prompt
+from umfdet.model import ModelConfig, _target_ids, forward_train, init_model
 from umfdet.ndtensor import Tensor
 
 
@@ -194,6 +199,51 @@ def test_batch_loss_decomposes(splits, toy_vocab, template, tiny_config):
                                              template, _tcfg(), rng)
     lam = params.config.lambda_cot
     assert abs(float(total.values) - (det_avg + lam * cot_avg)) < 1e-12
+
+
+def _per_sample_loss(params, batch, vocab, template, tcfg):
+    """The minibatch loss as one graph per sample, summed and averaged."""
+    lam = params.config.lambda_cot
+    total = None
+    for sample in batch:
+        fr = forward_train(params, [sample], vocab, template, training=True,
+                           rng=np.random.default_rng(0), build_cot_loss=tcfg.build_cot_loss)
+        loss = nd.add(fr.loss_det, nd.scale(fr.loss_cot, lam))
+        for layer in fr.decisions:
+            loss = nd.add(loss, routing_alignment_loss(layer, [sample.label],
+                                                       tcfg.routing_aux_coeff))
+        total = loss if total is None else nd.add(total, loss)
+    return nd.scale(total, 1.0 / len(batch))
+
+
+@pytest.mark.parametrize("moe_enabled", [True, False])
+@pytest.mark.parametrize("aux", [0.0, 0.5])
+def test_packed_batch_loss_equals_per_sample_sum(toy_corpus, toy_vocab, template,
+                                                 tiny_config, moe_enabled, aux):
+    cfg = ModelConfig.from_json({**tiny_config.to_json(), "dropout_rate": 0.0,
+                                 "n_moe": 2, "moe_enabled": moe_enabled})
+    batch = [copy.deepcopy(s) for s in toy_corpus[:5]]
+    batch[2].cot = CotNote(think="", answer=batch[2].cot.answer, verdict="accepted")
+    prompts = {len(toy_vocab.encode(render_prompt(template, s.title))) for s in batch}
+    targets = {len(_target_ids(s, toy_vocab)) for s in batch}
+    assert len(prompts) > 1 and len(targets) > 1, "lengths must be uneven"
+    tcfg = _tcfg(routing_aux_coeff=aux)
+    grads, losses = [], []
+    for build in ("packed", "per_sample"):
+        params = _fresh(cfg)
+        if build == "packed":
+            loss = tr._batch_loss(params, batch, toy_vocab, template, tcfg,
+                                  np.random.default_rng(0))[0]
+        else:
+            loss = _per_sample_loss(params, batch, toy_vocab, template, tcfg)
+        loss.backward()
+        losses.append(float(loss.values))
+        grads.append({name: t.grad.copy() for name, t in params.tensors.items()})
+    assert abs(losses[0] - losses[1]) < 1e-12
+    for name, g in grads[1].items():
+        assert np.allclose(grads[0][name], g, rtol=0.0, atol=1e-12), name
+    routed = [name for name, g in grads[1].items() if "router" in name and g.any()]
+    assert bool(routed) == moe_enabled
 
 
 def test_train_same_seed_bitwise_identical(tmp_path, splits, toy_vocab, template,
