@@ -54,10 +54,18 @@ def blob_hash(path) -> str:
     return hashlib.sha1(b"blob %d\0" % len(content) + content).hexdigest()
 
 
+def write_json(path, obj) -> None:
+    """Write obj as indented JSON with sorted keys and a trailing newline,
+    creating the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_run_record(out_dir, command, args_ns, effective, inputs, started):
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    record = {
+    write_json(Path(out_dir) / "run.json", {
         "command": command,
         "argv": sys.argv[1:],
         "seed": effective.get("seed"),
@@ -66,10 +74,7 @@ def write_run_record(out_dir, command, args_ns, effective, inputs, started):
         "inputs": {str(p): blob_hash(p) for p in inputs if p and Path(p).exists()},
         "started_unix": round(started, 3),
         "duration_s": round(time.time() - started, 3),
-    }
-    with open(out / "run.json", "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +82,8 @@ def write_run_record(out_dir, command, args_ns, effective, inputs, started):
 
 
 def parse_config_file(path) -> dict:
-    """Flat key=value lines; blank lines and # comments are skipped."""
+    """Flat key=value lines as key -> (line number, value); blank lines and
+    # comments are skipped."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -90,7 +96,7 @@ def parse_config_file(path) -> dict:
             key = key.strip()
             if key in out:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            out[key] = value.strip()
+            out[key] = (lineno, value.strip())
     return out
 
 
@@ -101,7 +107,7 @@ def _coerce(raw: str, target_type):
             return True
         if low in ("0", "false", "no", "off"):
             return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
+        raise ValueError(f"not a boolean: {raw!r}")
     if target_type is int:
         return int(raw)
     if target_type is float:
@@ -118,18 +124,21 @@ def resolve_configs(config_path, flag_model: dict, flag_train: dict, flag_extra:
     """defaults < config file < explicit flags; unknown keys are rejected."""
     model_kv, train_kv, extra_kv = {}, {}, {}
     if config_path:
-        for key, raw in parse_config_file(config_path).items():
+        for key, (lineno, raw) in parse_config_file(config_path).items():
             if key in _TRAIN_FIELDS:
                 base = _TRAIN_FIELDS[key].default
-                target = type(base) if base is not None else float
-                train_kv[key] = _coerce(raw, target)
+                dest, target = train_kv, type(base) if base is not None else float
             elif key in _MODEL_FIELDS:
-                target = type(_MODEL_FIELDS[key].default)
-                model_kv[key] = _coerce(raw, target)
+                dest, target = model_kv, type(_MODEL_FIELDS[key].default)
             elif key in _EXTRA_KEYS:
-                extra_kv[key] = _coerce(raw, _EXTRA_KEYS[key])
+                dest, target = extra_kv, _EXTRA_KEYS[key]
             else:
                 raise ConfigError(f"unknown config key {key!r} in {config_path}")
+            try:
+                dest[key] = _coerce(raw, target)
+            except ValueError:
+                raise ConfigError(f"{config_path}:{lineno}: {key}: not a valid "
+                                  f"{target.__name__}: {raw!r}") from None
     model_kv.update({k: v for k, v in flag_model.items() if v is not None})
     train_kv.update({k: v for k, v in flag_train.items() if v is not None})
     extra_kv.update({k: v for k, v in flag_extra.items() if v is not None})
@@ -267,10 +276,7 @@ def cmd_cot_validate(args):
             reasons[rec.reject_reason] = reasons.get(rec.reject_reason, 0) + 1
     report = {"n_samples": len(samples), **counts, "rejected_by_reason": reasons}
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.out, report)
     print(f"validated {len(samples)} rationales: {counts['accepted']} accepted, "
           f"{sum(reasons.values())} rejected, {counts['missing']} missing")
     return 0
@@ -330,15 +336,10 @@ def cmd_eval(args):
     print(result.metrics.render_text())
     if args.out:
         out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"metrics": result.metrics.to_json(),
-                   "routing": result.routing.to_json() if result.routing else None,
-                   "predictions": [
-                       {"id": i, "true": t, "pred": p, "text": x}
-                       for i, t, p, x in result.predictions]}
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(out, {"metrics": result.metrics.to_json(),
+                         "routing": result.routing.to_json() if result.routing else None,
+                         "predictions": [{"id": i, "true": t, "pred": p, "text": x}
+                                         for i, t, p, x in result.predictions]})
         write_run_record(out.parent, "eval", args,
                          {"split": args.split, "split_seed": args.split_seed,
                           "checkpoint": str(args.checkpoint),
@@ -367,10 +368,7 @@ def cmd_route_report(args):
     print(report.render_text())
     if args.out:
         out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(out, report.to_json())
         write_run_record(out.parent, "route-report", args,
                          {"split": args.split, "split_seed": args.split_seed,
                           "checkpoint": str(args.checkpoint),

@@ -84,10 +84,10 @@ def expert_forward(t: dict, name: str, x: Tensor, training: bool = False,
                    rng: np.random.Generator | None = None,
                    dropout_rate: float = 0.0) -> Tensor:
     """Dropout(SiLU(xW_a + b_a) * sigmoid(xW_b + b_b)) W_out + b_out."""
-    u = nd.silu(nd.add(nd.matmul(x, t[f"{name}.W_a"]), t[f"{name}.b_a"]))
-    v = nd.sigmoid(nd.add(nd.matmul(x, t[f"{name}.W_b"]), t[f"{name}.b_b"]))
+    u = nd.silu(nd.linear(x, t[f"{name}.W_a"], t[f"{name}.b_a"]))
+    v = nd.sigmoid(nd.linear(x, t[f"{name}.W_b"], t[f"{name}.b_b"]))
     y = nd.dropout(nd.mul(u, v), dropout_rate, training, rng)
-    return nd.add(nd.matmul(y, t[f"{name}.W_out"]), t[f"{name}.b_out"])
+    return nd.linear(y, t[f"{name}.W_out"], t[f"{name}.b_out"])
 
 
 def route(t: dict, name: str, x: Tensor, sequence_ids=None,
@@ -99,8 +99,8 @@ def route(t: dict, name: str, x: Tensor, sequence_ids=None,
     if x.shape[0] == 0:
         raise DataError("route: empty sequence")
     pooled = nd.mean_rows(x, lengths)
-    logits = nd.add(nd.matmul(pooled, t[f"{name}.W"]), t[f"{name}.b"])
-    weights = nd.softmax(logits, axis=-1)
+    logits = nd.linear(pooled, t[f"{name}.W"], t[f"{name}.b"])
+    weights = nd.softmax(logits)
     ids = sequence_ids or [None] * len(weights.values)
     return [RoutingDecision(weights=[float(w) for w in row],
                             selected=int(np.argmax(row)), sequence_id=sid,
@@ -152,7 +152,7 @@ def routing_alignment_loss(decisions, labels, coefficient: float = 0.0) -> Tenso
     if coefficient == 0.0:
         return Tensor(np.asarray(0.0))
     logits = decisions[0].logits_t
-    targets = np.full(logits.shape[0], -100)
+    targets = np.full(logits.shape[0], nd.IGNORE)
     for d, label in zip(decisions, labels):
         targets[d.row] = label.expert_index
     return nd.scale(nd.cross_entropy_lm(logits, targets), coefficient)

@@ -142,17 +142,13 @@ class Vocabulary:
         room = max_size - len(RESERVED_TOKENS)
         return cls(list(RESERVED_TOKENS) + kept[:room])
 
-    def encode(self, text: str, add_bos: bool = False, add_eos: bool = False) -> list:
-        ids = [self.token_to_id.get(t, UNK) for t in split_tokens(text)]
-        if add_bos:
-            ids.insert(0, BOS)
-        if add_eos:
-            ids.append(EOS)
-        return ids
+    def encode(self, text: str) -> list:
+        return [self.token_to_id.get(t, UNK) for t in split_tokens(text)]
 
-    def decode(self, ids, skip_special: bool = True) -> str:
-        """Inverse of encode up to casing and spacing; markers join tightly so
-        the result stays parseable by the answer/rationale extractors."""
+    def decode(self, ids) -> str:
+        """Inverse of encode up to casing and spacing, with pad, begin and end
+        tokens dropped; markers join tightly so the result stays parseable by
+        the answer/rationale extractors."""
         out = []
         glue_next = False
         prev = None
@@ -161,7 +157,7 @@ class Vocabulary:
             if not 0 <= i < len(self.id_to_token):
                 raise DataError(f"token id {i} outside vocabulary of size {len(self)}")
             tok = self.id_to_token[i]
-            if skip_special and i in (PAD, BOS, EOS):
+            if i in (PAD, BOS, EOS):
                 continue
             tight = (tok in _CLOSING_MARKERS
                      or (tok in _OPENING_MARKERS and prev in _CLOSING_MARKERS)

@@ -158,28 +158,25 @@ def _ln(t, name, x):
     return nd.layer_norm(x, t[f"{name}.gamma"], t[f"{name}.beta"])
 
 
-def _proj(t, name, suffix_w, suffix_b, x):
-    return nd.add(nd.matmul(x, t[f"{name}.{suffix_w}"]), t[f"{name}.{suffix_b}"])
-
-
 def _attention(t, name, x_q, x_kv, n_heads, mask, batch=1, cache=None):
     """Multi-head attention over batch sequences stacked as row blocks;
     x_kv None means self-attention. A cache dict keeps keys and values across
     decoder calls: cross-attention projects the memory once, and
     self-attention writes the new rows of each sequence after its first
     cache["len"] rows, in buffers of cache["size"] rows per sequence."""
-    q = _proj(t, name, "Wq", "bq", x_q)
+    q = nd.linear(x_q, t[f"{name}.Wq"], t[f"{name}.bq"])
     if cache is not None and x_kv is not None and name in cache:
         k, v = cache[name]
     else:
         src = x_q if x_kv is None else x_kv
-        k = _proj(t, name, "Wk", "bk", src)
-        v = _proj(t, name, "Wv", "bv", src)
+        k = nd.linear(src, t[f"{name}.Wk"], t[f"{name}.bk"])
+        v = nd.linear(src, t[f"{name}.Wv"], t[f"{name}.bv"])
         if cache is not None and x_kv is None:
             k, v = _write_kv(cache, name, k, v, batch)
         elif cache is not None:
             cache[name] = (k, v)
-    return _proj(t, name, "Wo", "bo", nd.attention(q, k, v, n_heads, mask, batch))
+    return nd.linear(nd.attention(q, k, v, n_heads, mask, batch), t[f"{name}.Wo"],
+                     t[f"{name}.bo"])
 
 
 def _write_kv(cache, name, k, v, batch):
@@ -206,9 +203,8 @@ def _key_padding(lengths, n):
 
 
 def _ffn(t, name, x, training, rng, rate):
-    u = nd.silu(nd.add(nd.matmul(x, t[f"{name}.W1"]), t[f"{name}.b1"]))
-    u = nd.dropout(u, rate, training, rng)
-    return nd.add(nd.matmul(u, t[f"{name}.W2"]), t[f"{name}.b2"])
+    u = nd.dropout(nd.silu(nd.linear(x, t[f"{name}.W1"], t[f"{name}.b1"])), rate, training, rng)
+    return nd.linear(u, t[f"{name}.W2"], t[f"{name}.b2"])
 
 
 def embed_image(params: ModelParams, payload: ImagePayload, sample_id: str = "?"):
@@ -222,7 +218,7 @@ def embed_image(params: ModelParams, payload: ImagePayload, sample_id: str = "?"
         feat = np.asarray(payload.feat, dtype=np.float64)
         if feat.shape[1] != cfg.h_v:
             raise DataError(f"sample {sample_id}: feature width {feat.shape[1]} != h_v {cfg.h_v}")
-        tokens = nd.add(nd.matmul(Tensor(feat), t["vis_proj.W"]), t["vis_proj.b"])
+        tokens = nd.linear(Tensor(feat), t["vis_proj.W"], t["vis_proj.b"])
     else:
         raw = np.asarray(payload.raw, dtype=np.float64)
         c, s = raw.shape[0], raw.shape[1]
@@ -235,7 +231,7 @@ def embed_image(params: ModelParams, payload: ImagePayload, sample_id: str = "?"
         patches = (raw.reshape(c, g, PATCH, g, PATCH)
                       .transpose(1, 3, 0, 2, 4)
                       .reshape(g * g, c * PATCH * PATCH))
-        tokens = nd.add(nd.matmul(Tensor(patches), t["patch_proj.W"]), t["patch_proj.b"])
+        tokens = nd.linear(Tensor(patches), t["patch_proj.W"], t["patch_proj.b"])
     n = tokens.shape[0]
     if n > cfg.max_vis_tokens:
         raise DataError(f"sample {sample_id}: {n} visual tokens exceed "
@@ -274,7 +270,7 @@ def encode(params: ModelParams, samples, vocab: Vocabulary,
     lengths = [e_v.shape[0] + e_t.shape[0] for e_v, e_t in seqs]
     n = max(lengths)
     x = nd.concat([part for (e_v, e_t), m in zip(seqs, lengths)
-                   for part in (e_v, e_t, Tensor(np.zeros((n - m, cfg.h))))], axis=0)
+                   for part in (e_v, e_t, Tensor(np.zeros((n - m, cfg.h))))])
     b = len(batch)
     mask = _key_padding(lengths, n)
     for i in range(cfg.n_enc):
@@ -344,7 +340,7 @@ def decode(params: ModelParams, memory, ids, training: bool = False,
     if cache is not None:
         cache["len"] = start + n
     y = _ln(t, "final_ln", y)
-    return _proj(t, "head", "W", "b", y)
+    return nd.linear(y, t["head.W"], t["head.b"])
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +418,7 @@ def forward_train(params: ModelParams, samples, vocab: Vocabulary,
     lens = [len(ids) for ids in targets]
     b, n = len(samples), max(lens)
     dec_in = np.full((b, n), PAD)
-    padded = np.full((b, n), -100)
+    padded = np.full((b, n), nd.IGNORE)
     det_w, cot_w = np.zeros((b, n)), np.zeros((b, n))
     for i, (s, ids) in enumerate(zip(samples, targets)):
         think_span, answer_span = _span_masks(ids, s.id)
@@ -437,7 +433,8 @@ def forward_train(params: ModelParams, samples, vocab: Vocabulary,
 
     def span_loss(w):  # weighted over the span's rows; the other rows ignored
         w = w.ravel()
-        return nd.cross_entropy_lm(logits, np.where(w > 0, padded.ravel(), -100), weights=w)
+        return nd.cross_entropy_lm(logits, np.where(w > 0, padded.ravel(), nd.IGNORE),
+                                   weights=w)
 
     loss_det = span_loss(det_w)
     loss_cot = span_loss(cot_w) if build_cot_loss else Tensor(np.asarray(0.0))

@@ -1,10 +1,12 @@
 """Minimal dense-tensor library with reverse-mode autodiff.
 
-Covers exactly the operations the detector needs: 2-D matmul and friends,
-SiLU/sigmoid/softmax, fused multi-head attention over a batch of sequences
-stacked as row blocks, inverted dropout, layer norm, embedding lookup and a
-fused label-masked language-modeling cross entropy. Everything runs in
-float64 so finite-difference gradient checks are meaningful.
+Covers exactly the operations the detector needs: one affine map
+(``linear``, x @ W + b) for every projection, same-shape elementwise
+arithmetic, row concatenation, SiLU/sigmoid/last-axis softmax, fused
+multi-head attention over a batch of sequences stacked as row blocks,
+inverted dropout, layer norm, embedding lookup and a fused label-masked
+language-modeling cross entropy. Everything runs in float64 so
+finite-difference gradient checks are meaningful.
 
 Gradient tracking is implicit: every op result remembers its parents and a
 backward closure, and ``Tensor.backward()`` replays the recorded ops in
@@ -25,6 +27,8 @@ from .errors import ConfigError, DataError, GraphError, ShapeError
 
 _seq_counter = itertools.count()
 _grad_enabled = True
+
+IGNORE = -100  # the cross_entropy_lm target of a row that contributes nothing
 
 
 def is_grad_enabled() -> bool:
@@ -136,8 +140,9 @@ def _accum(t, g):
     if not t._tracked:
         return
     if t._grad is None:
-        t._grad = np.zeros_like(t.values)
-    t._grad += g
+        t._grad = g.copy()
+    else:
+        t._grad += g
 
 
 def _result(values, parents):
@@ -153,15 +158,14 @@ def _result(values, parents):
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a 1-D bias broadcast over the rows of a 2-D a."""
-    bias = a.values.ndim == 2 and b.values.ndim == 1 and b.shape[0] == a.shape[1]
-    if not bias and a.shape != b.shape:
+    """Elementwise sum of same-shape tensors."""
+    if a.shape != b.shape:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not match")
     out, track = _result(a.values + b.values, (a, b))
     if track:
         def _bw(g):
             _accum(a, g)
-            _accum(b, g.sum(axis=0) if bias else g)
+            _accum(b, g)
         out._backward = _bw
     return out
 
@@ -207,41 +211,38 @@ def scale_by(a: Tensor, s: Tensor) -> Tensor:
     return out
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.ndim != 2 or b.values.ndim != 2:
-        raise ShapeError(f"matmul: needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims disagree, {a.shape} x {b.shape}")
-    out, track = _result(a.values @ b.values, (a, b))
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map x @ w + b of x [N, I] by w [I, O] and a bias b [O] added to
+    every row."""
+    if x.values.ndim != 2 or w.values.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear: cannot multiply {x.shape} by {w.shape}")
+    if b.shape != (w.shape[1],):
+        raise ShapeError(f"linear: bias must be [{w.shape[1]}], got {b.shape}")
+    y = x.values @ w.values
+    y += b.values
+    out, track = _result(y, (x, w, b))
     if track:
         def _bw(g):
-            _accum(a, g @ b.values.T)
-            _accum(b, a.values.T @ g)
+            _accum(b, g.sum(axis=0))
+            if x._tracked:
+                _accum(x, g @ w.values.T)
+            _accum(w, x.values.T @ g)
         out._backward = _bw
     return out
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    out, track = _result(a.values.reshape(shape), (a,))
-    if track:
-        out._backward = lambda g: _accum(a, g.reshape(a.shape))
-    return out
-
-
-def concat(tensors, axis=0) -> Tensor:
-    """Concatenate along a sequence axis (0) or feature axis (1)."""
+def concat(tensors) -> Tensor:
+    """Stack the rows of the non-empty tensors, in order."""
     tensors = [t for t in tensors if t.values.size > 0]
     if not tensors:
         raise ShapeError("concat: nothing to concatenate")
-    out, track = _result(np.concatenate([t.values for t in tensors], axis=axis), tensors)
+    out, track = _result(np.concatenate([t.values for t in tensors]), tensors)
     if track:
-        sizes = [t.shape[axis] for t in tensors]
         def _bw(g):
             offset = 0
-            for t, n in zip(tensors, sizes):
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(offset, offset + n)
-                _accum(t, g[tuple(idx)])
+            for t in tensors:
+                n = t.shape[0]
+                _accum(t, g[offset:offset + n])
                 offset += n
         out._backward = _bw
     return out
@@ -306,14 +307,15 @@ def silu(a: Tensor) -> Tensor:
     return out
 
 
-def softmax(a: Tensor, axis=-1) -> Tensor:
-    shifted = a.values - a.values.max(axis=axis, keepdims=True)
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    shifted = a.values - a.values.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = e / e.sum(axis=-1, keepdims=True)
     out, track = _result(s, (a,))
     if track:
         def _bw(g):
-            dot = (g * s).sum(axis=axis, keepdims=True)
+            dot = (g * s).sum(axis=-1, keepdims=True)
             _accum(a, s * (g - dot))
         out._backward = _bw
     return out
@@ -436,12 +438,11 @@ def embedding(table: Tensor, ids) -> Tensor:
     return out
 
 
-def cross_entropy_lm(logits: Tensor, targets, ignore_index: int = -100,
-                     weights=None) -> Tensor:
+def cross_entropy_lm(logits: Tensor, targets, weights=None) -> Tensor:
     """Mean NLL of targets under row-wise log-softmax of logits [T, V], or
     with weights [T] the weighted sum of the per-row NLLs.
 
-    Positions whose target equals ignore_index contribute nothing; if every
+    Positions whose target is IGNORE contribute nothing; if every
     position is ignored the loss is the constant 0 (empty-sum convention) and
     carries no gradient.
     """
@@ -454,11 +455,11 @@ def cross_entropy_lm(logits: Tensor, targets, ignore_index: int = -100,
     if weights is not None and np.shape(weights) != (t,):
         raise ShapeError(f"cross_entropy_lm: {t} logit rows but weights shape "
                          f"{np.shape(weights)}")
-    bad = np.nonzero((targets != ignore_index) & ((targets < 0) | (targets >= v)))[0]
+    bad = np.nonzero((targets != IGNORE) & ((targets < 0) | (targets >= v)))[0]
     if bad.size:
         raise DataError(f"cross_entropy_lm: target {targets[bad[0]]} at position {bad[0]} "
                         f"outside vocabulary of {v}")
-    kept = np.nonzero(targets != ignore_index)[0]
+    kept = np.nonzero(targets != IGNORE)[0]
     if kept.size == 0:
         return Tensor(np.asarray(0.0))
     rows = logits.values[kept]

@@ -1,7 +1,22 @@
-"""Shared test utilities: the finite-difference gradient oracle and a
-backward walk that keeps the graph."""
+"""Shared test utilities: the finite-difference gradient oracle, a weighted
+sum that reduces any op output to a scalar, and a backward walk that keeps
+the graph."""
 
 import numpy as np
+
+import umfdet.ndtensor as nd
+from umfdet.ndtensor import Tensor
+
+
+def wsum(t, w):
+    """Sum of t's entries weighted by the constants w (as many as t has),
+    as a 0-d tensor, for 1-D or 2-D t; keeps gradients of order one."""
+    w = np.asarray(w, dtype=float).reshape(t.shape)
+    # A 1-D t scales the rows of the column w; a 2-D t multiplies w.
+    rows = nd.scale_by(Tensor(w[:, None]), t) if t.values.ndim == 1 else nd.mul(t, Tensor(w))
+    n, h = rows.shape
+    total = nd.linear(nd.mean_rows(rows), Tensor(np.full((h, 1), float(n))), Tensor(np.zeros(1)))
+    return nd.pick(total, (0, 0))
 
 
 def finite_difference(build_scalar, tensors, h=1e-5):
@@ -57,8 +72,6 @@ def check_grads(build_scalar_tensor, tensors, h=1e-5, tol=1e-4):
 def backward_keeping_graph(root):
     """Reference backward: every recorded op newest first, as Graph.backward
     runs them, but with nothing released."""
-    import umfdet.ndtensor as nd
-
     root._grad = np.ones_like(root.values)
     for t in reversed(nd.Graph(root).nodes):
         if t._backward is not None and t._grad is not None and t._grad.any():

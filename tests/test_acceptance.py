@@ -10,6 +10,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import copy
+import inspect
 import json
 import re
 import time
@@ -24,7 +25,7 @@ from umfdet import ndtensor as nd
 from umfdet.data import Category
 from umfdet.ndtensor import Tensor
 
-from helpers import check_grads
+from helpers import check_grads, wsum
 
 
 def _ok(msg: str) -> None:
@@ -77,19 +78,21 @@ def _rand(rng, *shape):
     return Tensor(rng.normal(size=shape), requires_grad=True)
 
 
-def _scalar(y):
-    """Collapse any [N, H] tensor to a 0-d tensor through constant weights."""
-    left = Tensor(np.ones((1, y.shape[0])))
-    right = Tensor(np.ones((y.shape[1], 1)))
-    return nd.pick(nd.matmul(nd.matmul(left, y), right), (0, 0))
+def _scalar(y, w=None):
+    """Collapse any [N, H] tensor to a 0-d tensor: the sum of its entries, or
+    with w [H, 1] the sum of y @ w."""
+    if w is not None:
+        y = nd.linear(y, w, Tensor(np.zeros(1)))
+    return wsum(y, np.ones(y.values.size))
 
 
 def _op_roster():
-    """(name, builder) pairs; builder(rng) -> (scalar closure, tensors)."""
+    """Builders named after the ndtensor op they cover (op or op_<variant>);
+    builder(rng) -> (scalar closure, tensors)."""
 
-    def add_broadcast(rng):
-        a, b = _rand(rng, 3, 4), _rand(rng, 4)
-        return lambda: _scalar(nd.add(a, b)), [a, b]
+    def add(rng):
+        a, b, m = _rand(rng, 3, 4), _rand(rng, 3, 4), _rand(rng, 3, 4)
+        return lambda: _scalar(nd.mul(nd.add(a, b), m)), [a, b, m]
 
     def mul(rng):
         a, b = _rand(rng, 3, 4), _rand(rng, 3, 4)
@@ -104,25 +107,22 @@ def _op_roster():
         s = Tensor(np.asarray(rng.normal()), requires_grad=True)
         return lambda: _scalar(nd.scale_by(a, s)), [a, s]
 
-    def matmul(rng):
-        a, b = _rand(rng, 3, 4), _rand(rng, 4, 2)
-        return lambda: _scalar(nd.matmul(a, b)), [a, b]
+    def linear(rng):
+        x, w, b = _rand(rng, 3, 4), _rand(rng, 4, 2), _rand(rng, 2)
+        return lambda: _scalar(nd.linear(x, w, b)), [x, w, b]
 
-    def reshape(rng):
-        a, w = _rand(rng, 2, 6), _rand(rng, 4, 1)
-        return lambda: _scalar(nd.matmul(nd.reshape(a, (3, 4)), w)), [a, w]
+    def linear_untracked_input(rng):
+        x = Tensor(rng.normal(size=(3, 4)))
+        w, b, m = _rand(rng, 4, 2), _rand(rng, 2), _rand(rng, 3, 2)
+        return lambda: _scalar(nd.mul(nd.linear(x, w, b), m)), [w, b, m]
 
     def concat_rows(rng):
         a, b, w = _rand(rng, 2, 4), _rand(rng, 3, 4), _rand(rng, 4, 1)
-        return lambda: _scalar(nd.matmul(nd.concat([a, b], axis=0), w)), [a, b, w]
-
-    def concat_cols(rng):
-        a, b, w = _rand(rng, 3, 2), _rand(rng, 3, 3), _rand(rng, 5, 1)
-        return lambda: _scalar(nd.matmul(nd.concat([a, b], axis=1), w)), [a, b, w]
+        return lambda: _scalar(nd.concat([a, b]), w), [a, b, w]
 
     def _attention(rng, tq, tk, mask):
         q, k, v, w = _rand(rng, tq, 4), _rand(rng, tk, 4), _rand(rng, tk, 4), _rand(rng, 4, 1)
-        return lambda: _scalar(nd.matmul(nd.attention(q, k, v, 2, mask), w)), [q, k, v, w]
+        return lambda: _scalar(nd.attention(q, k, v, 2, mask), w), [q, k, v, w]
 
     def attention_causal(rng):
         return _attention(rng, 4, 4, np.triu(np.full((4, 4), -1e30), k=1))
@@ -136,8 +136,7 @@ def _op_roster():
     def _batched_attention(rng, tq, tk, mask):
         q, k, v = _rand(rng, 3 * tq, 4), _rand(rng, 3 * tk, 4), _rand(rng, 3 * tk, 4)
         w = _rand(rng, 4, 1)
-        return (lambda: _scalar(nd.matmul(nd.attention(q, k, v, 2, mask, batch=3), w)),
-                [q, k, v, w])
+        return lambda: _scalar(nd.attention(q, k, v, 2, mask, batch=3), w), [q, k, v, w]
 
     def _key_padding(lengths, tk):
         return np.where(np.arange(tk) < np.array(lengths)[:, None], 0.0, -1e30)[:, None]
@@ -157,11 +156,11 @@ def _op_roster():
 
     def mean_rows(rng):
         a, w = _rand(rng, 4, 5), _rand(rng, 5, 1)
-        return lambda: _scalar(nd.matmul(nd.mean_rows(a), w)), [a, w]
+        return lambda: _scalar(nd.mean_rows(a), w), [a, w]
 
     def mean_rows_blocks(rng):
         a, w = _rand(rng, 6, 5), _rand(rng, 5, 1)
-        return lambda: _scalar(nd.matmul(nd.mean_rows(a, [3, 1]), w)), [a, w]
+        return lambda: _scalar(nd.mean_rows(a, [3, 1]), w), [a, w]
 
     def scale_by_blocks(rng):
         a, s = _rand(rng, 6, 4), _rand(rng, 3)
@@ -175,13 +174,9 @@ def _op_roster():
         a, m = _rand(rng, 3, 4), _rand(rng, 3, 4)
         return lambda: _scalar(nd.mul(nd.silu(a), m)), [a, m]
 
-    def softmax_last(rng):
+    def softmax(rng):
         a, m = _rand(rng, 3, 5), _rand(rng, 3, 5)
-        return lambda: _scalar(nd.mul(nd.softmax(a, axis=-1), m)), [a, m]
-
-    def softmax_rows(rng):
-        a, m = _rand(rng, 4, 3), _rand(rng, 4, 3)
-        return lambda: _scalar(nd.mul(nd.softmax(a, axis=0), m)), [a, m]
+        return lambda: _scalar(nd.mul(nd.softmax(a), m)), [a, m]
 
     def dropout(rng):
         a, m = _rand(rng, 4, 5), _rand(rng, 4, 5)
@@ -198,16 +193,16 @@ def _op_roster():
     def embedding(rng):
         table, w = _rand(rng, 7, 4), _rand(rng, 4, 1)
         ids = [1, 0, 3, 3, 6]  # duplicate row: gradients must accumulate
-        return lambda: _scalar(nd.matmul(nd.embedding(table, ids), w)), [table, w]
+        return lambda: _scalar(nd.embedding(table, ids), w), [table, w]
 
-    def cross_entropy(rng):
+    def cross_entropy_lm(rng):
         logits = _rand(rng, 4, 6)
-        targets = [2, -100, 0, 5]
+        targets = [2, nd.IGNORE, 0, 5]
         return lambda: nd.cross_entropy_lm(logits, targets), [logits]
 
-    def cross_entropy_weighted(rng):
+    def cross_entropy_lm_weighted(rng):
         logits = _rand(rng, 5, 6)
-        targets = [2, -100, 0, 5, 1]
+        targets = [2, nd.IGNORE, 0, 5, 1]
         weights = rng.uniform(0.1, 1.0, size=5)
         return (lambda: nd.cross_entropy_lm(logits, targets, weights=weights)), [logits]
 
@@ -243,12 +238,12 @@ def _op_roster():
         return (lambda: _scalar(cmoe.cmoe_forward(layer, "m", x, lengths=lengths)[0]),
                 tensors)
 
-    return [add_broadcast, mul, scale, scale_by, scale_by_blocks, matmul, reshape,
-            concat_rows, concat_cols, attention_causal, attention_cross,
+    return [add, mul, scale, scale_by, scale_by_blocks, linear, linear_untracked_input,
+            concat_rows, attention_causal, attention_cross,
             attention_offset_causal, attention_batched_padding, attention_batched_causal,
             attention_batched_cross, pick, mean_rows, mean_rows_blocks, sigmoid, silu,
-            softmax_last, softmax_rows, dropout, layer_norm, embedding, cross_entropy,
-            cross_entropy_weighted, expert_path, routed_layer_path, routed_batch_path]
+            softmax, dropout, layer_norm, embedding, cross_entropy_lm,
+            cross_entropy_lm_weighted, expert_path, routed_layer_path, routed_batch_path]
 
 
 def _routed(layer, x, lengths=None):
@@ -290,6 +285,26 @@ def test_gradients_match_finite_differences_everywhere(toy_corpus, toy_vocab,
     assert elapsed < 60.0, f"gradient suite took {elapsed:.1f}s (budget 60s)"
     _ok(f"gradient checks, 100 seeded op/expert cases + 3 full-model cases, "
         f"worst rel err {worst:.2e} < 1e-4, {elapsed:.1f}s < 60s")
+
+
+def test_op_roster_covers_every_ndtensor_op():
+    """Finite differences stay the oracle for every op: each public ndtensor
+    function that returns a Tensor owns a roster case, the case named after
+    the longest op name that is the case's name or a prefix of it plus "_"."""
+    public = {name: fn for name, fn in vars(nd).items()
+              if inspect.isfunction(fn) and fn.__module__ == nd.__name__
+              and not name.startswith("_")}
+    ops = {name for name, fn in public.items()
+           if inspect.signature(fn).return_annotation == "Tensor"}
+    assert set(public) - ops == {"is_grad_enabled", "no_grad"}, \
+        "annotate every new ndtensor op with -> Tensor"
+    covered = set()
+    for case in _op_roster():
+        owners = [op for op in ops if case.__name__ == op or case.__name__.startswith(op + "_")]
+        covered.add(max(owners, key=len, default=None))
+    missing = sorted(ops - covered)
+    assert not missing, f"ndtensor ops without a finite-difference case: {missing}"
+    _ok(f"all {len(ops)} public ndtensor ops have a finite-difference roster case")
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,22 @@ def test_config_file_duplicate_key_exits_1(tmp_path, corpus, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,kind", [("batch_size=abc", "int"),
+                                       ("target_val_acc=x", "float"),
+                                       ("moe_enabled=maybe", "bool")])
+def test_config_file_bad_value_exits_1_naming_file_line_and_key(tmp_path, corpus, capsys,
+                                                                 line, kind):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"# comment\nlr=0.1\n{line}\n")
+    rc = cli.main(["train", "--manifest", str(corpus),
+                   "--out", str(tmp_path / "run"), "--config", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    key, raw = line.split("=")
+    assert f"ConfigError: {cfg}:3: {key}: not a valid {kind}: {raw!r}" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_eval_writes_metrics(tmp_path, corpus, trained, capsys):
     out = tmp_path / "eval.json"
     rc = cli.main(["eval", "--manifest", str(corpus),

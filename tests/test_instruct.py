@@ -112,9 +112,10 @@ def test_encode_decode_round_trip_with_markers():
     text = "<think>scene looks clean [image]. wording is calm [text].</think>" \
            "<answer>real</answer>"
     v = Vocabulary.build([text], min_count=1)
-    ids = v.encode(text, add_bos=True, add_eos=True)
-    assert ids[0] == BOS and ids[-1] == EOS
+    ids = v.encode(text)
+    assert BOS not in ids and EOS not in ids
     assert v.decode(ids) == text
+    assert v.decode([BOS] + ids + [EOS, PAD]) == text  # pad, begin and end are dropped
 
 
 def test_encode_unknown_maps_to_unk():
