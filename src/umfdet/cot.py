@@ -13,6 +13,7 @@ sentence markers, which the prompt requests from the generator.
 
 from __future__ import annotations
 
+import functools
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -62,7 +63,8 @@ class EntitySet:
 
 class Gazetteer:
     """Case-insensitive surface -> (kind, description) lookup; keys may be
-    multi-word phrases."""
+    multi-word phrases. ``first_words`` holds each key's lowercase first
+    word, so a lookup can skip tokens that start no key."""
 
     def __init__(self, entries, descriptions=None):
         self._entries = {}
@@ -74,6 +76,7 @@ class Gazetteer:
         for surface, desc in (descriptions or {}).items():
             self._descriptions[surface.lower()] = desc
         self.max_words = max((len(k.split()) for k in self._entries), default=1)
+        self.first_words = {k.split(" ", 1)[0] for k in self._entries}
 
     def __contains__(self, surface):
         return surface.lower() in self._entries
@@ -106,7 +109,9 @@ class Gazetteer:
         return cls(entries, descriptions)
 
 
+@functools.cache
 def default_gazetteer() -> Gazetteer:
+    """The packaged gazetteer, read once per process; callers only read it."""
     ref = resources.files("umfdet").joinpath("gazetteers/default.tsv")
     with ref.open("r", encoding="utf-8") as fh:
         return Gazetteer.from_tsv(fh)
@@ -121,7 +126,12 @@ def _sentence_initial_offsets(text):
 
 def extract_entities(title: str, gazetteer: Gazetteer) -> EntitySet:
     """Gazetteer lookup (longest phrase first) plus a capitalized-token
-    heuristic for unknown mid-sentence names; deterministic, set semantics."""
+    heuristic for unknown mid-sentence names; deterministic, set semantics.
+
+    A phrase can match only when it is its tokens joined by single spaces,
+    so its lowercase first word is its first token lowercased: tokens that
+    start no gazetteer key skip the width walk.
+    """
     tokens = [(m.group(0), m.start()) for m in _WORD.finditer(title)]
     initial = _sentence_initial_offsets(title)
     found = []
@@ -130,18 +140,19 @@ def extract_entities(title: str, gazetteer: Gazetteer) -> EntitySet:
     while i < len(tokens):
         entity = None
         step = 1
-        for width in range(min(gazetteer.max_words, len(tokens) - i), 0, -1):
-            first, last = tokens[i], tokens[i + width - 1]
-            phrase = title[first[1]:last[1] + len(last[0])]
-            if " ".join(t[0] for t in tokens[i:i + width]) == phrase and phrase in gazetteer:
-                entity = Entity(phrase, gazetteer.kind_of(phrase))
-                step = width
-                break
-        if entity is None:
-            word, off = tokens[i]
-            if (word[0].isupper() and off not in initial
-                    and word.lower() not in _CAP_STOPWORDS):
-                entity = Entity(word, "person")
+        word, off = tokens[i]
+        lower = word.lower()
+        if lower in gazetteer.first_words:
+            for width in range(min(gazetteer.max_words, len(tokens) - i), 0, -1):
+                last = tokens[i + width - 1]
+                phrase = title[off:last[1] + len(last[0])]
+                if " ".join(t[0] for t in tokens[i:i + width]) == phrase and phrase in gazetteer:
+                    entity = Entity(phrase, gazetteer.kind_of(phrase))
+                    step = width
+                    break
+        if (entity is None and word[0].isupper() and off not in initial
+                and lower not in _CAP_STOPWORDS):
+            entity = Entity(word, "person")
         if entity is not None and entity.surface.lower() not in seen:
             seen.add(entity.surface.lower())
             found.append(entity)

@@ -51,7 +51,7 @@ TEXT_KINDS = ("pure_fake_text", "keyword_distortion")
 
 @dataclass
 class ImagePayload:
-    """Either a raw array [C, S, S] (S <= 64), a feature matrix [N_v, H_v],
+    """Either a raw array [C, S, S] (1 <= S <= 64), a feature matrix [N_v, H_v],
     or an unresolved relative file reference; exactly one is set."""
     raw: np.ndarray | None = None
     feat: np.ndarray | None = None
@@ -65,14 +65,15 @@ class ImagePayload:
             self.raw = np.asarray(self.raw, dtype=np.float64)
             if self.raw.ndim != 3 or self.raw.shape[0] not in (1, 3):
                 raise DataError(f"raw image must be [C, S, S] with C in (1, 3), got {self.raw.shape}")
-            if self.raw.shape[1] != self.raw.shape[2] or self.raw.shape[1] > 64:
-                raise DataError(f"raw image must be square with side <= 64, got {self.raw.shape}")
+            if self.raw.shape[1] != self.raw.shape[2] or not 0 < self.raw.shape[1] <= 64:
+                raise DataError(f"raw image must be square with side 1-64, got {self.raw.shape}")
             if not np.isfinite(self.raw).all():
                 raise DataError("raw image contains non-finite values")
         if self.feat is not None:
             self.feat = np.asarray(self.feat, dtype=np.float64)
-            if self.feat.ndim != 2:
-                raise DataError(f"feature payload must be [N_v, H_v], got {self.feat.shape}")
+            if self.feat.ndim != 2 or 0 in self.feat.shape:
+                raise DataError(f"feature payload must be a non-empty [N_v, H_v], "
+                                f"got {self.feat.shape}")
             if not np.isfinite(self.feat).all():
                 raise DataError("feature payload contains non-finite values")
 
@@ -80,26 +81,58 @@ class ImagePayload:
         if self.path is not None:
             return {"path": self.path}
         if self.feat is not None:
-            return {"feat": [[float(x) for x in row] for row in self.feat]}
-        return {"raw_b64": base64.b64encode(self.raw.astype("<f8").tobytes()).decode("ascii"),
-                "shape": list(self.raw.shape)}
+            return _encode_array("feat_b64", self.feat)
+        return _encode_array("raw_b64", self.raw)
 
     @classmethod
     def from_json(cls, obj):
+        """Read any variant; ``feat`` may also be decimal JSON rows, the
+        encoding manifests were written in before ``feat_b64``."""
         if not isinstance(obj, dict):
             raise DataError("image field must be an object")
         keys = set(obj)
         if keys == {"path"}:
+            if not isinstance(obj["path"], str):
+                raise DataError("image path must be a string")
             return cls(path=obj["path"])
-        try:
-            if keys == {"feat"}:
+        if keys == {"feat_b64", "shape"}:
+            return cls(feat=_decode_array(obj["feat_b64"], obj["shape"]))
+        if keys == {"raw_b64", "shape"}:
+            return cls(raw=_decode_array(obj["raw_b64"], obj["shape"]))
+        if keys == {"feat"}:
+            try:
                 return cls(feat=np.asarray(obj["feat"], dtype=np.float64))
-            if keys == {"raw_b64", "shape"}:
-                buf = np.frombuffer(base64.b64decode(obj["raw_b64"]), dtype="<f8")
-                return cls(raw=buf.reshape(obj["shape"]).copy())
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"image payload is not a numeric array: {exc}") from None
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise DataError(f"image payload is not a numeric array: {exc}") from None
         raise DataError(f"unrecognized image payload keys {sorted(keys)}")
+
+
+def _encode_array(key, values):
+    """{key: base64 of the little-endian float64 bytes, "shape": sizes}."""
+    return {key: base64.b64encode(values.astype("<f8").tobytes()).decode("ascii"),
+            "shape": list(values.shape)}
+
+
+def _decode_array(b64, shape):
+    """Inverse of _encode_array; a payload that is not exactly that is a DataError."""
+    if not isinstance(b64, str):
+        raise DataError("image payload bytes must be a base64 string")
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise DataError(f"image payload shape must be a list of sizes, got {shape!r}")
+    try:
+        buf = base64.b64decode(b64, validate=True)
+    except ValueError as exc:
+        raise DataError(f"image payload is not base64: {exc}") from None
+    if len(buf) != 8 * math.prod(shape):
+        raise DataError(f"image payload has {len(buf)} bytes; shape {shape} "
+                        f"needs {8 * math.prod(shape)}")
+    return np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+
+
+# Types of the manipulation fields when not null; a bool is never a number here.
+_MANIPULATION_TYPES = {"kind": str, "mask_ref": str, "p_src": str, "p_mod": str,
+                       "rewrite_log": dict, "edit_strength": (int, float),
+                       "similarity": (int, float)}
 
 
 @dataclass
@@ -144,6 +177,11 @@ class ManipulationAnnotation:
         extra = set(obj) - allowed
         if extra:
             raise DataError(f"unknown manipulation keys {sorted(extra)}")
+        for key, kind in _MANIPULATION_TYPES.items():
+            value = obj.get(key)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise DataError(f"manipulation {key} has the wrong type "
+                                f"({type(value).__name__})")
         pair = None
         if obj.get("p_src") is not None or obj.get("p_mod") is not None:
             pair = (obj.get("p_src"), obj.get("p_mod"))
@@ -169,6 +207,9 @@ class CotNote:
         keys = {"think", "answer", "verdict"}
         if set(obj) != keys:
             raise DataError(f"cot keys must be {sorted(keys)}, got {sorted(obj)}")
+        for key in sorted(keys):
+            if not isinstance(obj[key], str):
+                raise DataError(f"cot {key} must be a string, got {type(obj[key]).__name__}")
         return cls(think=obj["think"], answer=obj["answer"], verdict=obj["verdict"])
 
 
@@ -208,7 +249,8 @@ class NewsSample:
             raise DataError(f"missing sample keys {missing}")
         if not isinstance(obj["id"], str) or not isinstance(obj["title"], str):
             raise DataError("sample id and title must be strings")
-        label = Category.parse(obj.get("label", ""))
+        label = obj.get("label", "")
+        label = Category.parse(label) if isinstance(label, str) else None
         if label is None:
             raise DataError(f"unknown label {obj.get('label')!r}")
         sample = cls(
@@ -216,8 +258,9 @@ class NewsSample:
             title=obj["title"],
             image=ImagePayload.from_json(obj["image"]),
             label=label,
-            annotation=ManipulationAnnotation.from_json(obj.get("manipulation") or {}),
-            cot=CotNote.from_json(obj["cot"]) if obj.get("cot") else None,
+            annotation=ManipulationAnnotation.from_json(
+                {} if obj.get("manipulation") is None else obj["manipulation"]),
+            cot=None if obj.get("cot") is None else CotNote.from_json(obj["cot"]),
         )
         sample.validate()
         return sample
@@ -238,15 +281,18 @@ def load_manifest(path):
     """Parse a JSONL manifest; failures cite the 1-based line number."""
     samples = []
     seen_ids = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ManifestError(f"malformed JSON ({exc.msg})", line=lineno) from exc
+                obj = json.loads(line.decode("utf-8"))
+            # Besides JSONDecodeError: bytes that are not UTF-8, an integer
+            # past the interpreter's digit limit, nesting past the recursion limit.
+            except (ValueError, RecursionError) as exc:
+                reason = getattr(exc, "msg", None) or str(exc)
+                raise ManifestError(f"malformed JSON ({reason})", line=lineno) from exc
             try:
                 sample = NewsSample.from_json(obj)
             except DataError as exc:
@@ -380,7 +426,7 @@ def synth_toy_corpus(n: int, cue_strength: float, seed: int):
     if not 0.0 <= cue_strength <= 1.0:
         raise ConfigError(f"cue_strength must be in [0, 1], got {cue_strength}")
     rng = np.random.default_rng(seed)
-    lexicon, gazetteer = _toy_tables()
+    lexicon, gazetteer = textforge.default_lexicon(), _toy_gazetteer()
     labels = [list(Category)[i % 3] for i in range(n)]
     samples = []
     for i, label in enumerate(labels):
@@ -429,16 +475,15 @@ def synth_toy_corpus(n: int, cue_strength: float, seed: int):
 
 
 @functools.cache
-def _toy_tables():
-    """The antonym lexicon and the toy gazetteer, built once per process and
-    shared: keyword_distortion and extract_entities only read them."""
-    from . import textforge
-    from .cot import Gazetteer  # late imports: both modules depend on this one
+def _toy_gazetteer():
+    """The toy gazetteer, built once per process and shared: extract_entities
+    only reads it."""
+    from .cot import Gazetteer  # late import: cot depends on this module
     entries = {}
     entries.update({p: "person" for p in _PERSONS})
     entries.update({loc: "location" for loc in _LOCATIONS})
     entries.update({d: "event_time" for d in _DAYS})
-    return textforge.default_lexicon(), Gazetteer(entries)
+    return Gazetteer(entries)
 
 
 def _entities_for(title, gazetteer):

@@ -11,6 +11,7 @@ edit is auditable and replayable.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -122,7 +123,9 @@ class AntonymLexicon:
         return cls(pairs)
 
 
+@functools.cache
 def default_lexicon() -> AntonymLexicon:
+    """The packaged lexicon, read once per process; callers only read it."""
     ref = resources.files("umfdet").joinpath("lexicons/antonyms.tsv")
     with ref.open("r", encoding="utf-8") as fh:
         return AntonymLexicon.from_tsv(fh)

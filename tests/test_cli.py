@@ -215,6 +215,19 @@ def test_ragged_feature_manifest_exits_2(tmp_path, corpus, capsys):
     assert "line 61" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields", [
+    {"label": 7},
+    {"label": "human_crafted", "manipulation": {"kind": "face_swap", "similarity": "x"}},
+], ids=["numeric_label", "string_similarity"])
+def test_mistyped_manifest_field_exits_2_naming_the_line(tmp_path, corpus, capsys, fields):
+    bad = tmp_path / "bad.jsonl"
+    line = {"id": "r", "title": "t", "image": {"path": "p.png"}, "label": "real", **fields}
+    bad.write_text(corpus.read_text() + json.dumps(line) + "\n")
+    rc = cli.main(["cot-validate", "--manifest", str(bad)])
+    assert rc == 2
+    assert "line 61" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # train / eval / route-report
 

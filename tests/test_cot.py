@@ -7,6 +7,7 @@ import pytest
 import requests
 from hypothesis import given, strategies as st
 
+from umfdet import cot
 from umfdet.cot import (
     CotRecord,
     Entity,
@@ -108,6 +109,72 @@ def test_extract_entities_descriptions():
     m = extract_entities("word Obama met aides on Monday", g)
     assert m.descriptions["Obama"] == "Obama is a former head of state"
     assert m.descriptions["Monday"] == "Monday is a known event or time"
+
+
+def _reference_extract_entities(title, gazetteer):
+    """extract_entities before the first-word index: every phrase width is
+    tried at every token. Kept as the reference the indexed lookup must match."""
+    tokens = [(m.group(0), m.start()) for m in cot._WORD.finditer(title)]
+    initial = cot._sentence_initial_offsets(title)
+    found, seen = [], set()
+    i = 0
+    while i < len(tokens):
+        entity = None
+        step = 1
+        for width in range(min(gazetteer.max_words, len(tokens) - i), 0, -1):
+            first, last = tokens[i], tokens[i + width - 1]
+            phrase = title[first[1]:last[1] + len(last[0])]
+            if " ".join(t[0] for t in tokens[i:i + width]) == phrase and phrase in gazetteer:
+                entity = Entity(phrase, gazetteer.kind_of(phrase))
+                step = width
+                break
+        if entity is None:
+            word, off = tokens[i]
+            if (word[0].isupper() and off not in initial
+                    and word.lower() not in cot._CAP_STOPWORDS):
+                entity = Entity(word, "person")
+        if entity is not None and entity.surface.lower() not in seen:
+            seen.add(entity.surface.lower())
+            found.append(entity)
+        i += step
+    descriptions = {}
+    for e in found:
+        desc = gazetteer.description_of(e.surface)
+        descriptions[e.surface] = desc or f"{e.surface} is a known {e.kind.replace('_', ' or ')}"
+    return EntitySet(entities=found, descriptions=descriptions)
+
+
+_CUSTOM_GAZETTEER = Gazetteer(
+    {"New York": "location", "York": "location", "New York City Hall": "location",
+     "O'Neill": "person", "Saint-Denis": "location", "the Hague": "location",
+     "United Nations General Assembly": "organization", "Monday": "event_time"},
+    {"New York": "largest city in the United States"})
+# Every key, each of its leading word runs, and each of its words on its own.
+_GAZETTEER_WORDS = sorted({piece for g in (default_gazetteer(), _CUSTOM_GAZETTEER)
+                           for key in g._entries
+                           for piece in [" ".join(key.split(" ")[:n])
+                                         for n in range(1, len(key.split(" ")) + 1)]
+                           + key.split(" ")})
+_OTHER_WORDS = ["the", "said", "visits", "Breaking", "Yesterday", "Snorkelwhistle",
+                "don't", "well-known", "it's", "UN", "new", "hall"]
+_CASES = [str, str.lower, str.upper, str.title, str.swapcase]
+_SEPARATORS = [" ", " ", " ", "  ", ", ", ". ", "! ", "? ", ": ", "-", "'", " - "]
+
+
+@given(parts=st.lists(st.tuples(st.sampled_from(_GAZETTEER_WORDS + _OTHER_WORDS),
+                                st.sampled_from(_CASES), st.sampled_from(_SEPARATORS)),
+                      max_size=14),
+       gazetteer=st.sampled_from([default_gazetteer(), _CUSTOM_GAZETTEER]))
+def test_extract_entities_matches_the_unindexed_width_walk(parts, gazetteer):
+    title = "".join(case(word) + sep for word, case, sep in parts).strip()
+    got, want = extract_entities(title, gazetteer), _reference_extract_entities(title, gazetteer)
+    assert got.entities == want.entities
+    assert got.descriptions == want.descriptions
+
+
+def test_gazetteer_first_words_index_the_lowercase_first_word_of_each_key():
+    assert _CUSTOM_GAZETTEER.first_words == {
+        "new", "york", "o'neill", "saint-denis", "the", "united", "monday"}
 
 
 def test_entity_set_basics():

@@ -1,5 +1,6 @@
 """Corpus records, manifest io, gating, splitting, and toy synthesis."""
 
+import base64
 import json
 
 import numpy as np
@@ -237,9 +238,39 @@ _GOOD = {"id": "x", "title": "t", "image": {"feat": [[0.0, 1.0], [2.0, 3.0]]},
          "label": "real"}
 
 
+def _b64(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+_HUMAN = {**_GOOD, "label": "human_crafted"}
+
+
 @pytest.mark.parametrize("line", [
     {**_GOOD, "image": {"feat": [[0.0, 1.0], [2.0]]}},
     {**_GOOD, "image": {"feat": [["a", "b"]]}},
+    {**_GOOD, "image": {"feat": [[1e400, 0.0]]}},
+    {**_GOOD, "image": {"feat": [[10 ** 400, 0.0]]}},
+    {**_GOOD, "image": {"feat_b64": _b64([0.0, 1.0, 2.0]), "shape": [2, 2]}},
+    {**_GOOD, "image": {"feat_b64": _b64([0.0, 1.0, 2.0, 3.0]), "shape": [1, 2, 2]}},
+    {**_GOOD, "image": {"feat_b64": _b64([0.0, 1.0, 2.0, 3.0]), "shape": [2, "2"]}},
+    {**_GOOD, "image": {"feat_b64": 7, "shape": [2, 2]}},
+    {**_GOOD, "image": {"feat_b64": _b64([0.0, np.nan, 2.0, 3.0]), "shape": [2, 2]}},
+    {**_GOOD, "image": {"feat_b64": "!!!!", "shape": [1, 0]}},
+    {**_GOOD, "image": {"feat_b64": "", "shape": [0, 64]}},
+    {**_GOOD, "image": {"feat": [[]]}},
+    {**_GOOD, "image": {"raw_b64": "", "shape": [1, 0, 0]}},
+    {**_GOOD, "image": {"path": 7}},
+    {**_GOOD, "label": 7},
+    {**_HUMAN, "manipulation": {"kind": "face_swap", "similarity": "x"}},
+    {**_HUMAN, "manipulation": {"kind": "face_swap", "similarity": True}},
+    {**_HUMAN, "manipulation": {"kind": "face_swap", "mask_ref": 3}},
+    {**_HUMAN, "manipulation": {"kind": "pure_fake_text", "rewrite_log": "log"}},
+    {**_GOOD, "cot": {"think": 1, "answer": "real", "verdict": "accepted"}},
+    {**_GOOD, "cot": {"think": "t", "answer": 2, "verdict": "accepted"}},
+    {**_GOOD, "cot": {"think": "t", "answer": "real", "verdict": None}},
+    {**_GOOD, "cot": {}},
+    {**_GOOD, "cot": 0},
+    {**_GOOD, "manipulation": False},
     {k: v for k, v in _GOOD.items() if k != "id"},
     {k: v for k, v in _GOOD.items() if k != "title"},
     {k: v for k, v in _GOOD.items() if k != "image"},
@@ -249,7 +280,14 @@ _GOOD = {"id": "x", "title": "t", "image": {"feat": [[0.0, 1.0], [2.0, 3.0]]},
     {**_GOOD, "cot": ["think", "answer", "verdict"]},
     {**_GOOD, "manipulation": ["kind"]},
     ["id", "title", "image"],
-], ids=["ragged_feat", "non_numeric_feat", "no_id", "no_title", "no_image",
+], ids=["ragged_feat", "non_numeric_feat", "infinite_feat", "huge_int_feat", "feat_b64_byte_count",
+        "feat_b64_not_2d", "feat_b64_shape_not_ints", "feat_b64_not_string",
+        "feat_b64_non_finite", "feat_b64_not_base64", "feat_b64_no_rows", "feat_no_columns",
+        "raw_b64_side_0", "numeric_path", "numeric_label",
+        "string_similarity", "bool_similarity", "numeric_mask_ref", "string_rewrite_log",
+        "numeric_think", "numeric_answer", "null_verdict", "empty_cot", "zero_cot",
+        "false_manipulation",
+        "no_id", "no_title", "no_image",
         "short_raw", "non_string_title", "partial_cot", "list_cot",
         "list_manipulation", "list_line"])
 def test_manifest_malformed_line_is_manifest_error(tmp_path, line):
@@ -258,6 +296,69 @@ def test_manifest_malformed_line_is_manifest_error(tmp_path, line):
     with pytest.raises(ManifestError) as exc:
         load_manifest(path)
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("line", [
+    b'{"id": "\xff"}',
+    b'{"id": ' + b"9" * 5000 + b"}",
+    b"[" * 100_000 + b"]" * 100_000,
+], ids=["not_utf8", "integer_past_digit_limit", "nesting_past_recursion_limit"])
+def test_manifest_undecodable_line_is_manifest_error(tmp_path, line):
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(json.dumps({**_GOOD, "id": "first"}).encode() + b"\n" + line + b"\n")
+    with pytest.raises(ManifestError) as exc:
+        load_manifest(path)
+    assert exc.value.line == 2
+
+
+def test_save_manifest_writes_feat_b64_and_decimal_feat_still_loads_bit_exact(tmp_path):
+    feat = np.random.default_rng(5).normal(size=(TOY_FEAT_TOKENS, TOY_FEAT_WIDTH))
+    sample = NewsSample(id="s", title="Modi tours the quiet stadium", image=ImagePayload(feat=feat),
+                        label=Category.REAL)
+    path = tmp_path / "m.jsonl"
+    save_manifest([sample], path)
+    obj = json.loads(path.read_text())
+    assert obj["image"] == {"feat_b64": _b64(feat), "shape": [TOY_FEAT_TOKENS, TOY_FEAT_WIDTH]}
+    # the decimal encoding manifests were written in before feat_b64
+    obj["image"] = {"feat": [[float(x) for x in row] for row in feat]}
+    old = tmp_path / "old.jsonl"
+    old.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    new_feat, old_feat = load_manifest(path)[0].image.feat, load_manifest(old)[0].image.feat
+    assert new_feat.dtype == old_feat.dtype == np.float64
+    assert new_feat.tobytes() == old_feat.tobytes() == feat.tobytes()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=True) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8)
+
+_FUZZ_BASE = {
+    "id": "s", "title": "Obama opens the calm museum in Cairo",
+    "image": {"feat_b64": _b64(np.eye(2)), "shape": [2, 2]},
+    "label": "ai_synthesized",
+    "manipulation": {"kind": "inpaint_replace", "mask_ref": "m.png", "p_src": "museum",
+                     "p_mod": "painted museum", "rewrite_log": None, "edit_strength": 0.5,
+                     "similarity": 0.9},
+    "cot": {"think": "t", "answer": "ai_synthesized", "verdict": "accepted"},
+}
+_FUZZ_FIELDS = [(k,) for k in _FUZZ_BASE] + [
+    (k, sub) for k in ("image", "manipulation", "cot") for sub in _FUZZ_BASE[k]]
+
+
+@given(field=st.sampled_from(_FUZZ_FIELDS), value=_JSON)
+def test_manifest_fuzzed_field_loads_or_is_manifest_error(tmp_path_factory, field, value):
+    obj = json.loads(json.dumps(_FUZZ_BASE))
+    parent = obj
+    for key in field[:-1]:
+        parent = parent[key]
+    parent[field[-1]] = value
+    path = tmp_path_factory.mktemp("fuzz") / "m.jsonl"
+    path.write_text(json.dumps(obj) + "\n")
+    try:
+        load_manifest(path)
+    except ManifestError as exc:
+        assert exc.line == 1
 
 
 def test_manifest_duplicate_ids_rejected(tmp_path):
