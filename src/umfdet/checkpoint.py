@@ -11,12 +11,13 @@ the model config, and optionally the optimizer state for resuming.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .instruct import Vocabulary
 from .model import ModelConfig, ModelParams, init_model
 
@@ -90,7 +91,7 @@ def read_tensor_file(path) -> dict:
         if name in names:
             raise DataError(f"{path}: tensor {name} is listed twice in the manifest")
         names.add(name)
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        n = math.prod(shape)
         if offset + 8 * n > len(payload):
             raise DataError(f"{path}: tensor {name} overruns payload")
         spans.append((offset, offset + 8 * n, name, shape))
@@ -104,9 +105,12 @@ def read_tensor_file(path) -> dict:
     expected = max((end for _, end, _, _ in spans), default=0)
     if expected != len(payload):
         raise DataError(f"{path}: payload has {len(payload) - expected} trailing bytes")
-    return {name: np.frombuffer(payload, dtype="<f8", count=(end - offset) // 8,
-                                offset=offset).reshape(shape).astype(np.float64)
-            for offset, end, name, shape in spans}
+    try:  # an empty tensor may still name more or larger dimensions than numpy allows
+        return {name: np.frombuffer(payload, dtype="<f8", count=(end - offset) // 8,
+                                    offset=offset).reshape(shape).astype(np.float64)
+                for offset, end, name, shape in spans}
+    except ValueError as exc:
+        raise DataError(f"{path}: a tensor shape is beyond numpy: {exc}") from None
 
 
 def save_model(ckpt_dir, params: ModelParams, vocab: Vocabulary) -> None:
@@ -126,8 +130,10 @@ def load_model(ckpt_dir):
     for required in (WEIGHTS_FILE, CONFIG_FILE, VOCAB_FILE):
         if not (d / required).exists():
             raise DataError(f"checkpoint {d} is missing {required}")
-    with open(d / CONFIG_FILE, "r", encoding="utf-8") as fh:
-        config = ModelConfig.from_json(json.load(fh))
+    try:
+        config = ModelConfig.from_json(_read_json_object(d / CONFIG_FILE))
+    except ConfigError as exc:
+        raise DataError(f"{d / CONFIG_FILE}: {exc}") from None
     vocab = Vocabulary.load(d / VOCAB_FILE)
     params = init_model(config, None)
     loaded = read_tensor_file(d / WEIGHTS_FILE)
@@ -165,6 +171,25 @@ def load_train_state(ckpt_dir):
     if not (d / TRAIN_STATE_FILE).exists():
         raise DataError(f"checkpoint {d} has optimizer moments but no {TRAIN_STATE_FILE}")
     arrays = read_tensor_file(d / OPTIMIZER_FILE)
-    with open(d / TRAIN_STATE_FILE, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = _read_json_object(d / TRAIN_STATE_FILE)
+    sampler = meta.get("sampler") if isinstance(meta.get("sampler"), dict) else {}
+    perm = sampler.get("perm")
+    for key, ok in (("step", _is_count(meta.get("step"))),
+                    ("rng_state", isinstance(meta.get("rng_state"), dict)),
+                    ("sampler.perm", isinstance(perm, list) and all(map(_is_count, perm))
+                     and sorted(perm) == list(range(len(perm)))),
+                    ("sampler.cursor", _is_count(sampler.get("cursor")))):
+        if not ok:
+            raise DataError(f"{d / TRAIN_STATE_FILE}: missing or invalid {key}")
     return arrays, meta
+
+
+def _read_json_object(path) -> dict:
+    """A JSON object from a checkpoint file; anything else is a DataError."""
+    try:
+        obj = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise DataError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj

@@ -29,7 +29,7 @@ from . import evalkit
 from . import textforge
 from . import trainer as trainer_mod
 from .errors import (ConfigError, DataError, TemplateError, TransportError,
-                     UmfdetError)
+                     UmfdetError, read_utf8)
 from .instruct import build_vocab, default_template, load_template
 from .model import ModelConfig, init_model
 from .trainer import TrainConfig, config_hash
@@ -85,18 +85,17 @@ def parse_config_file(path) -> dict:
     """Flat key=value lines as key -> (line number, value); blank lines and
     # comments are skipped."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if key in out:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            out[key] = (lineno, value.strip())
+    for lineno, raw in enumerate(read_utf8(path, ConfigError).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        out[key] = (lineno, value.strip())
     return out
 
 
@@ -358,13 +357,13 @@ def cmd_route_report(args):
     from . import model as model_mod
     from . import ndtensor as nd
 
-    labeled = []
+    experts = []
     with nd.no_grad():
         for i in range(0, len(chosen), evalkit.EVAL_BATCH):
             chunk = chosen[i:i + evalkit.EVAL_BATCH]
-            _, _, decisions = model_mod.encode(params, chunk, vocab, template)
-            labeled.extend((s.label, d) for s, d in zip(chunk, decisions))
-    report = evalkit.routing_report(labeled)
+            _, _, routings = model_mod.encode(params, chunk, vocab, template)
+            experts.extend(np.stack([r.selected for r in routings], axis=1))
+    report = evalkit.routing_report([s.label for s in chosen], experts)
     print(report.render_text())
     if args.out:
         out = Path(args.out)

@@ -18,12 +18,11 @@ takes that dict and the name of the module it reads or writes, such as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ndtensor as nd
-from .data import Category
 from .errors import DataError
 from .ndtensor import Tensor
 
@@ -32,13 +31,11 @@ N_EXPERTS = 3
 
 
 @dataclass
-class RoutingDecision:
-    weights: list          # 3 softmax probabilities
-    selected: int          # argmax index, lowest index wins ties
-    sequence_id: str | None = None
-    logits_t: Tensor | None = field(default=None, repr=False)   # [B, 3] for the batch
-    weights_t: Tensor | None = field(default=None, repr=False)  # [B, 3] for the batch
-    row: int = 0           # this sequence's row of logits_t and weights_t
+class Routing:
+    """One mixture layer's routing of a batch of B sequences."""
+    logits: Tensor       # [B, 3] router logits
+    weights: Tensor      # [B, 3] softmax probabilities
+    selected: np.ndarray  # [B] argmax expert per sequence, lowest index on ties
 
 
 def normal(rng: np.random.Generator | None, std: float, shape) -> Tensor:
@@ -90,69 +87,57 @@ def expert_forward(t: dict, name: str, x: Tensor, training: bool = False,
     return nd.linear(y, t[f"{name}.W_out"], t[f"{name}.b_out"])
 
 
-def route(t: dict, name: str, x: Tensor, sequence_ids=None,
-          lengths=None) -> list:
+def route(t: dict, name: str, x: Tensor, lengths=None) -> Routing:
     """Mean-pool each sequence over its valid rows, softmax the router
     logits, hard-select one expert per sequence. x is one sequence, or with
-    lengths a batch of len(lengths) row blocks. Returns one decision per
-    sequence."""
+    lengths a batch of len(lengths) row blocks."""
     if x.shape[0] == 0:
         raise DataError("route: empty sequence")
-    pooled = nd.mean_rows(x, lengths)
-    logits = nd.linear(pooled, t[f"{name}.W"], t[f"{name}.b"])
+    logits = nd.linear(nd.mean_rows(x, lengths), t[f"{name}.W"], t[f"{name}.b"])
     weights = nd.softmax(logits)
-    ids = sequence_ids or [None] * len(weights.values)
-    return [RoutingDecision(weights=[float(w) for w in row],
-                            selected=int(np.argmax(row)), sequence_id=sid,
-                            logits_t=logits, weights_t=weights, row=b)
-            for b, (row, sid) in enumerate(zip(weights.values, ids))]
+    return Routing(logits, weights, np.argmax(weights.values, axis=1))
 
 
 def cmoe_forward(t: dict, name: str, x: Tensor, training: bool = False,
                  rng: np.random.Generator | None = None, dropout_rate: float = 0.0,
-                 gate_scaling: bool = True, sequence_ids=None, lengths=None):
+                 gate_scaling: bool = True, lengths=None):
     """Route each sequence, then run each selected expert once, on the row
     blocks of the sequences that chose it.
 
-    Returns (output, decisions), one decision per sequence. With gate
-    scaling each block of the output is the expert output times its
-    sequence's routing probability; without it, the literal expert output
-    (the router then gets exactly zero gradient).
+    Returns (output, routing). With gate scaling each block of the output is
+    the expert output times its sequence's routing probability; without it,
+    the literal expert output (the router then gets exactly zero gradient).
     """
-    decisions = route(t, f"{name}.router", x, sequence_ids, lengths)
-    n = x.shape[0] // len(decisions)
+    routing = route(t, f"{name}.router", x, lengths)
+    b = len(routing.selected)
+    n = x.shape[0] // b
     parts, order = [], []
     for e, expert in enumerate(EXPERT_NAMES):
-        seqs = [d.row for d in decisions if d.selected == e]
-        if not seqs:
+        seqs = np.flatnonzero(routing.selected == e)
+        if not seqs.size:
             continue
-        rows = (np.asarray(seqs)[:, None] * n + np.arange(n)).ravel()
-        xe = x if len(seqs) == len(decisions) else nd.embedding(x, rows)
+        rows = (seqs[:, None] * n + np.arange(n)).ravel()
+        xe = x if len(seqs) == b else nd.embedding(x, rows)
         out = expert_forward(t, f"{name}.{expert}", xe, training, rng, dropout_rate)
         if gate_scaling:
-            gate = nd.pick(decisions[0].weights_t, (np.asarray(seqs), np.full(len(seqs), e)))
-            out = nd.scale_by(out, gate)
+            out = nd.scale_by(out, nd.pick(routing.weights, (seqs, np.full(len(seqs), e))))
         parts.append(out)
         order.append(rows)
     if len(parts) == 1:
-        return parts[0], decisions
+        return parts[0], routing
     # Put the expert outputs' rows back into the input's row order.
-    return nd.embedding(nd.concat(parts), np.argsort(np.concatenate(order))), decisions
+    return nd.embedding(nd.concat(parts), np.argsort(np.concatenate(order))), routing
 
 
-def routing_alignment_loss(decisions, labels, coefficient: float = 0.0) -> Tensor:
+def routing_alignment_loss(routing: Routing, labels, coefficient: float = 0.0) -> Tensor:
     """Optional cross-entropy pulling the router toward each label's expert.
 
-    decisions are one mixture layer's decisions for a batch and labels the
-    matching categories; the loss is the mean over the batch of each
-    sequence's cross entropy, read from the layer's [B, 3] router logits.
-    Off by default (coefficient 0 contributes a gradient-free constant 0);
-    routing is otherwise left emergent.
+    labels are the categories of the routed batch, in order; the loss is the
+    mean over the batch of each sequence's cross entropy on its router
+    logits. Off by default (coefficient 0 contributes a gradient-free
+    constant 0); routing is otherwise left emergent.
     """
     if coefficient == 0.0:
         return Tensor(np.asarray(0.0))
-    logits = decisions[0].logits_t
-    targets = np.full(logits.shape[0], nd.IGNORE)
-    for d, label in zip(decisions, labels):
-        targets[d.row] = label.expert_index
-    return nd.scale(nd.cross_entropy_lm(logits, targets), coefficient)
+    targets = np.array([label.expert_index for label in labels])
+    return nd.scale(nd.cross_entropy_lm(routing.logits, targets), coefficient)

@@ -352,10 +352,10 @@ class HttpGenClient(GenClient):
                 raise TransportError(f"generation endpoint returned {resp.status_code}")
             try:
                 body = resp.json()
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise TransportError(f"generation response is not JSON: {exc}") from None
-            if not isinstance(body, dict) or "text" not in body:
-                raise TransportError("generation response missing 'text' field")
+            if not isinstance(body, dict) or not isinstance(body.get("text"), str):
+                raise TransportError("generation response has no string 'text' field")
             return body["text"]
         raise TransportError(f"generation failed after {self.retries + 1} attempts: {last}")
 

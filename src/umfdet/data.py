@@ -156,6 +156,8 @@ class ManipulationAnnotation:
             raise DataError(f"text manipulation {self.kind!r} requires rewrite_log")
         if self.similarity is not None and not 0.0 <= self.similarity <= 1.0:
             raise DataError(f"similarity {self.similarity} outside [0, 1]")
+        if self.edit_strength is not None and not math.isfinite(self.edit_strength):
+            raise DataError(f"edit_strength {self.edit_strength} is not finite")
 
     def to_json(self):
         return {
@@ -335,6 +337,8 @@ def split(samples, spec: SplitSpec):
     """Stratified, seeded 8:1:1 partition; returns (train, val, test)."""
     if len(spec.ratios) != 3 or any(r <= 0 for r in spec.ratios):
         raise ConfigError(f"ratios must be three positive numbers, got {spec.ratios}")
+    if spec.seed < 0:
+        raise ConfigError(f"split seed must be >= 0, got {spec.seed}")
     by_label = {c: [] for c in Category}
     for sample in samples:
         by_label[sample.label].append(sample)

@@ -1,8 +1,10 @@
-"""Shared exception types.
+"""Shared exception types, and the text-file reader that raises them.
 
 The CLI maps these onto exit codes: usage problems exit 1, data problems
 exit 2, anything else exits 3.
 """
+
+from pathlib import Path
 
 
 class UmfdetError(Exception):
@@ -49,3 +51,12 @@ class FabricationError(UmfdetError):
 
 class NumericsError(UmfdetError):
     """Training hit a non-finite loss or gradient."""
+
+
+def read_utf8(path, error: type) -> str:
+    """The text of a UTF-8 file with universal newlines; bytes that do not
+    decode raise error naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8: {exc}") from None

@@ -157,33 +157,26 @@ class RoutingReport:
         return "\n".join(lines)
 
 
-def routing_report(labeled_decisions) -> RoutingReport:
-    """Build the report from (label, decisions-per-layer) pairs; every sample
-    must carry the same number of layer decisions."""
-    pairs = list(labeled_decisions)
-    if not pairs:
+def routing_report(labels, experts) -> RoutingReport:
+    """Build the report from N labels and the [N, n_layers] expert index each
+    mixture layer selected for each sample."""
+    experts = np.asarray(experts, dtype=np.int64)
+    if not len(labels):
         raise DataError("routing report needs at least one routed sample")
-    n_layers = len(pairs[0][1])
-    counts = np.zeros((n_layers, len(CATEGORY_NAMES), N_EXPERTS), dtype=np.int64)
-    index = {c: i for i, c in enumerate(Category)}
-    for label, decisions in pairs:
-        if len(decisions) != n_layers:
-            raise DataError(f"inconsistent decision depth: {len(decisions)} vs {n_layers}")
-        for li, d in enumerate(decisions):
-            counts[li][index[label]][d.selected] += 1
-    percent = np.zeros_like(counts, dtype=np.float64)
-    for li in range(n_layers):
-        for ci in range(len(CATEGORY_NAMES)):
-            row = counts[li][ci].sum()
-            if row:
-                percent[li][ci] = counts[li][ci] * 100.0 / row
-    specialization = {}
-    for cat in Category:
-        ci = index[cat]
-        row = counts[-1][ci].sum()
-        specialization[cat.value] = (counts[-1][ci][cat.expert_index] / row) if row else 0.0
+    if experts.ndim != 2 or experts.shape[0] != len(labels) or not experts.size:
+        raise DataError(f"routing report needs experts of shape [{len(labels)}, n_layers >= 1], "
+                        f"got {list(experts.shape)}")
+    order = list(Category)
+    cats = np.array([order.index(label) for label in labels])
+    counts = np.zeros((experts.shape[1], len(order), N_EXPERTS), dtype=np.int64)
+    np.add.at(counts, (np.arange(experts.shape[1]), cats[:, None], experts), 1)
+    rows = counts.sum(axis=2, keepdims=True)
+    percent = np.divide(counts * 100.0, rows, out=np.zeros(counts.shape), where=rows > 0)
+    own = counts[-1, np.arange(len(order)), [c.expert_index for c in order]]
+    shares = own / np.maximum(rows[-1, :, 0], 1)
+    specialization = {c.value: float(share) for c, share in zip(order, shares)}
     return RoutingReport(counts=counts.tolist(), percent=percent.tolist(),
-                         n_samples=len(pairs), specialization=specialization)
+                         n_samples=len(labels), specialization=specialization)
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +191,13 @@ class EvalResult:
 
 
 def evaluate_model(params, samples, vocab, template, max_new=None) -> EvalResult:
-    """Greedy-generate for every sample, score the parsed answers and collect
-    routing decisions along the way. Posts are generated in batches of up to
-    EVAL_BATCH, each in one lockstep model.generate call."""
+    """Greedy-generate for every sample, score the parsed answers and report
+    the experts each mixture layer selected. Posts are generated in batches
+    of up to EVAL_BATCH, each in one lockstep model.generate call."""
     samples = list(samples)
     if not samples:
         raise DataError("evaluation needs at least one sample")
-    y_true, y_pred, rows, routed = [], [], [], []
+    y_true, y_pred, rows, experts = [], [], [], []
     for i in range(0, len(samples), EVAL_BATCH):
         chunk = samples[i:i + EVAL_BATCH]
         for s, gen in zip(chunk, model_mod.generate(params, chunk, vocab, template,
@@ -213,8 +206,7 @@ def evaluate_model(params, samples, vocab, template, max_new=None) -> EvalResult
             y_true.append(s.label)
             y_pred.append(pred)
             rows.append((s.id, s.label.value, pred.value if pred else None, gen.text))
-            if gen.decisions:
-                routed.append((s.label, gen.decisions))
-    routing = routing_report(routed) if routed else None
+            experts.append(gen.experts)
+    routing = routing_report(y_true, experts) if experts[0] else None
     return EvalResult(metrics=compute_metrics(y_true, y_pred), routing=routing,
                       predictions=rows)

@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigError, DataError, TemplateError
+from .errors import ConfigError, DataError, TemplateError, read_utf8
 
 TITLE_PLACEHOLDER = "{TITLE}"
 
@@ -73,8 +73,7 @@ def parse_template(text: str) -> InstructionTemplate:
 
 
 def load_template(path) -> InstructionTemplate:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_template(fh.read())
+    return parse_template(read_utf8(path, TemplateError))
 
 
 def default_template() -> InstructionTemplate:
@@ -108,14 +107,9 @@ class Vocabulary:
     """Frozen token<->id maps with fixed reserved ids 0-7."""
 
     def __init__(self, tokens):
-        if tuple(tokens[:len(RESERVED_TOKENS)]) != RESERVED_TOKENS:
-            raise ConfigError(f"vocabulary must start with the reserved tokens {RESERVED_TOKENS}")
+        """tokens[i] is the token of id i, the reserved tokens first."""
         self.id_to_token = list(tokens)
-        self.token_to_id = {}
-        for i, tok in enumerate(self.id_to_token):
-            if tok in self.token_to_id:
-                raise ConfigError(f"duplicate vocabulary token {tok!r}")
-            self.token_to_id[tok] = i
+        self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
 
     def __len__(self):
         return len(self.id_to_token)
@@ -177,25 +171,31 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
+        """Read a token<TAB>id file; any fault in it is a DataError naming it."""
         tokens = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise DataError(f"vocab line {lineno} is not token<TAB>id: {line!r}")
-                try:
-                    idx = int(parts[1])
-                except ValueError:
-                    raise DataError(f"vocab line {lineno} has non-integer id: {line!r}")
-                if idx in tokens:
-                    raise DataError(f"vocab line {lineno} repeats id {idx}")
-                tokens[idx] = parts[0]
+        for lineno, line in enumerate(read_utf8(path, DataError).split("\n"), start=1):
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise DataError(f"{path}: vocab line {lineno} is not token<TAB>id: {line!r}")
+            try:
+                idx = int(parts[1])
+            except ValueError:
+                raise DataError(f"{path}: vocab line {lineno} has non-integer id: "
+                                f"{line!r}") from None
+            if idx in tokens:
+                raise DataError(f"{path}: vocab line {lineno} repeats id {idx}")
+            tokens[idx] = parts[0]
         if sorted(tokens) != list(range(len(tokens))):
-            raise DataError("vocab ids must be contiguous from 0")
-        return cls([tokens[i] for i in range(len(tokens))])
+            raise DataError(f"{path}: vocab ids must be contiguous from 0")
+        vocab = cls([tokens[i] for i in range(len(tokens))])
+        if tuple(vocab.id_to_token[:len(RESERVED_TOKENS)]) != RESERVED_TOKENS:
+            raise DataError(f"{path}: vocabulary must start with the reserved tokens "
+                            f"{RESERVED_TOKENS}")
+        if len(vocab.token_to_id) != len(vocab):
+            raise DataError(f"{path}: vocabulary repeats a token")
+        return vocab
 
 
 def build_vocab(samples, template: InstructionTemplate, min_count: int = 2,

@@ -48,7 +48,7 @@ class ModelConfig:
     gen_max_tokens: int = 64
 
     def __post_init__(self):
-        if self.h <= 0 or self.h % self.n_heads != 0:
+        if self.h <= 0 or self.n_heads <= 0 or self.h % self.n_heads != 0:
             raise ConfigError(f"h={self.h} must be positive and divisible by n_heads={self.n_heads}")
         if not 1 <= self.n_moe <= 4:
             raise ConfigError(f"n_moe must lie in [1, 4], got {self.n_moe}")
@@ -76,6 +76,12 @@ class ModelConfig:
         unknown = sorted(set(d) - known)
         if unknown:
             raise ConfigError(f"unknown model config keys: {unknown}")
+        for f in fields(cls):  # a bool is never a number; an int may stand for a float
+            value, want = d.get(f.name, f.default), type(f.default)
+            if (isinstance(value, bool) != (want is bool)
+                    or not isinstance(value, (int, float) if want is float else want)):
+                raise ConfigError(f"model config {f.name} must be of type {want.__name__}, "
+                                  f"got {value!r}")
         return cls(**d)
 
 
@@ -246,11 +252,12 @@ def encode(params: ModelParams, samples, vocab: Vocabulary,
     """Fused memory over [visual tokens; prompt tokens] after the encoder
     stack, the mixture stage and the output norm.
 
-    One NewsSample gives (memory [T, H], decisions per mixture layer). A list
-    of B samples is encoded as one padded batch: sample b fills the first
-    lengths[b] of the T = max(lengths) rows of block b, no row attends to
-    padding or to another sample, and the result is
-    (memory [B*T, H], lengths, decisions per sample per mixture layer).
+    One NewsSample gives (memory [T, H], routings). A list of B samples is
+    encoded as one padded batch: sample b fills the first lengths[b] of the
+    T = max(lengths) rows of block b, no row attends to padding or to another
+    sample, and the result is (memory [B*T, H], lengths, routings). routings
+    holds one cmoe.Routing per mixture layer, and is empty without the
+    mixture.
     """
     single = isinstance(samples, NewsSample)
     batch = [samples] if single else list(samples)
@@ -279,19 +286,18 @@ def encode(params: ModelParams, samples, vocab: Vocabulary,
         x = nd.add(x, nd.dropout(a, rate, training, rng))
         f = _ffn(t, f"enc.{i}.ffn", _ln(t, f"enc.{i}.ln2", x), training, rng, rate)
         x = nd.add(x, nd.dropout(f, rate, training, rng))
-    decisions = [[] for _ in batch]
+    routings = []
     for i in range(cfg.n_moe):
         normed = _ln(t, f"cmoe.{i}.ln", x)
         if cfg.moe_enabled:
-            out, layer = cmoe_forward(t, f"cmoe.{i}", normed, training, rng, rate,
-                                      cfg.gate_scaling, [s.id for s in batch], lengths)
-            for per_sample, decision in zip(decisions, layer):
-                per_sample.append(decision)
+            out, routing = cmoe_forward(t, f"cmoe.{i}", normed, training, rng, rate,
+                                        cfg.gate_scaling, lengths)
+            routings.append(routing)
         else:
             out = expert_forward(t, f"cmoe.{i}.solo", normed, training, rng, rate)
         x = nd.add(x, out)
     x = _ln(t, "moe_out_ln", x)
-    return (x, decisions[0]) if single else (x, lengths, decisions)
+    return (x, routings) if single else (x, lengths, routings)
 
 
 def decode(params: ModelParams, memory, ids, training: bool = False,
@@ -351,7 +357,7 @@ def decode(params: ModelParams, memory, ids, training: bool = False,
 class ForwardResult:
     loss_det: Tensor
     loss_cot: Tensor
-    decisions: list
+    routings: list
     n_answer_tokens: int
     n_think_tokens: int
 
@@ -406,8 +412,8 @@ def forward_train(params: ModelParams, samples, vocab: Vocabulary,
 
     The samples are encoded as one padded batch and their targets decoded as
     B rows padded with PAD at the end, which the causal mask hides from every
-    real position. Decisions are one list per mixture layer, one decision
-    per sample; the token counts are totals over the batch. With
+    real position. routings holds one cmoe.Routing per mixture layer; the
+    token counts are totals over the batch. With
     build_cot_loss False the reasoning-loss graph is never constructed and a
     gradient-free zero stands in for it.
     """
@@ -427,7 +433,7 @@ def forward_train(params: ModelParams, samples, vocab: Vocabulary,
         for span, w in ((answer_span, det_w), (think_span, cot_w)):
             if span:
                 w[i, sorted(span)] = 1.0 / (b * len(span))
-    memory, lengths, decisions = encode(params, samples, vocab, template, training, rng)
+    memory, lengths, routings = encode(params, samples, vocab, template, training, rng)
     logits = decode(params, memory, dec_in, training, rng, samples[int(np.argmax(lens))].id,
                     memory_lengths=lengths)
 
@@ -438,8 +444,7 @@ def forward_train(params: ModelParams, samples, vocab: Vocabulary,
 
     loss_det = span_loss(det_w)
     loss_cot = span_loss(cot_w) if build_cot_loss else Tensor(np.asarray(0.0))
-    return ForwardResult(loss_det=loss_det, loss_cot=loss_cot,
-                         decisions=[list(layer) for layer in zip(*decisions)],
+    return ForwardResult(loss_det=loss_det, loss_cot=loss_cot, routings=routings,
                          n_answer_tokens=int((det_w > 0).sum()),
                          n_think_tokens=int((cot_w > 0).sum()))
 
@@ -448,7 +453,7 @@ def forward_train(params: ModelParams, samples, vocab: Vocabulary,
 class GenerationResult:
     text: str
     token_ids: list
-    decisions: list
+    experts: list  # the expert index each mixture layer picked for this post
 
 
 def generate(params: ModelParams, samples, vocab: Vocabulary,
@@ -466,7 +471,7 @@ def generate(params: ModelParams, samples, vocab: Vocabulary,
     budget = min(cfg.gen_max_tokens if max_new is None else max_new, cfg.max_len - 1)
     samples = list(samples)
     with nd.no_grad():
-        memory, lengths, decisions = encode(params, samples, vocab, template, training=False)
+        memory, lengths, routings = encode(params, samples, vocab, template, training=False)
         cache = {"size": budget}
         nxt = np.full((len(samples), 1), BOS)
         done = np.zeros(len(samples), dtype=bool)
@@ -479,5 +484,6 @@ def generate(params: ModelParams, samples, vocab: Vocabulary,
                 break
             for i in np.flatnonzero(~done):
                 out[i].append(int(nxt[i, 0]))
-    return [GenerationResult(text=vocab.decode(ids), token_ids=ids, decisions=d)
-            for ids, d in zip(out, decisions)]
+    return [GenerationResult(text=vocab.decode(ids), token_ids=ids,
+                             experts=[int(r.selected[i]) for r in routings])
+            for i, ids in enumerate(out)]

@@ -24,7 +24,7 @@ from . import checkpoint as ckpt
 from . import evalkit
 from . import ndtensor as nd
 from .cmoe import routing_alignment_loss
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, DataError, NumericsError
 from .model import ModelConfig, ModelParams, forward_train, init_model
 
 FREEZE_VISUAL_PREFIXES = ("patch_proj", "vis_proj", "vis_pos_emb")
@@ -53,8 +53,8 @@ class TrainConfig:
             raise ConfigError("lr must be positive and betas inside [0, 1)")
         if self.eps <= 0 or self.clip_norm < 0:
             raise ConfigError("eps must be positive and clip_norm >= 0")
-        if self.batch_size < 1 or self.max_steps < 1:
-            raise ConfigError("batch_size and max_steps must be >= 1")
+        if self.batch_size < 1 or self.max_steps < 1 or self.seed < 0:
+            raise ConfigError("batch_size and max_steps must be >= 1 and seed >= 0")
         if self.eval_every < 1 or self.log_every < 1:
             raise ConfigError("eval_every and log_every must be >= 1")
         if self.routing_aux_coeff < 0:
@@ -179,8 +179,8 @@ def _batch_loss(params, batch, vocab, template, tcfg, rng):
     total = nd.add(fr.loss_det, nd.scale(fr.loss_cot, params.config.lambda_cot))
     if tcfg.routing_aux_coeff != 0.0:
         labels = [s.label for s in batch]
-        for layer in fr.decisions:
-            total = nd.add(total, routing_alignment_loss(layer, labels,
+        for routing in fr.routings:
+            total = nd.add(total, routing_alignment_loss(routing, labels,
                                                          tcfg.routing_aux_coeff))
     return total, float(fr.loss_det.values), float(fr.loss_cot.values)
 
@@ -210,13 +210,22 @@ def train(params: ModelParams, train_samples, val_samples, vocab, template,
         if state is None:
             raise ConfigError(f"--resume given but {ckpt_dir} holds no trainer state")
         arrays, meta = state
+        bad = [k for k, v in optim.moment_arrays().items()
+               if k not in arrays or arrays[k].shape != v.shape]
+        if bad:
+            raise DataError(f"{ckpt_dir / ckpt.OPTIMIZER_FILE}: {bad[0]} is missing or "
+                            f"has the wrong shape")
         saved_n = len(meta["sampler"]["perm"])
         if saved_n != len(train_samples):
             raise ConfigError(f"checkpoint {ckpt_dir} was trained on {saved_n} samples, "
                               f"not the {len(train_samples)} given; resume needs the "
                               f"same training set")
         optim.load_moments(arrays, meta["step"])
-        rng.bit_generator.state = meta["rng_state"]
+        try:
+            rng.bit_generator.state = meta["rng_state"]
+        except (TypeError, ValueError, KeyError) as exc:
+            raise DataError(f"{ckpt_dir / ckpt.TRAIN_STATE_FILE}: invalid rng_state "
+                            f"({exc})") from None
         sampler.load(meta["sampler"])
         start_step = meta["step"]
 

@@ -1,8 +1,9 @@
 """Shared test utilities: the finite-difference gradient oracle, a weighted
-sum that reduces any op output to a scalar, and a backward walk that keeps
-the graph."""
+sum that reduces any op output to a scalar, a backward walk that keeps the
+graph, and a hypothesis strategy for arbitrary JSON values."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 import umfdet.ndtensor as nd
 from umfdet.ndtensor import Tensor
@@ -76,3 +77,10 @@ def backward_keeping_graph(root):
     for t in reversed(nd.Graph(root).nodes):
         if t._backward is not None and t._grad is not None and t._grad.any():
             t._backward(t._grad)
+
+
+# Any JSON value, NaN and the infinities included, nested a few levels deep.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=True) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8)

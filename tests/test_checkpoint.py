@@ -5,12 +5,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from umfdet import checkpoint as ck
 from umfdet.errors import DataError
 from umfdet.instruct import Vocabulary
 from umfdet.model import ModelConfig, init_model
 from umfdet.ndtensor import Tensor
+
+from helpers import JSON_VALUES
 
 
 def _arrays():
@@ -116,13 +119,58 @@ def _with_manifest(path, manifest, payload=b"\x00" * 16):
     ({"dtype": "<f8", "tensors": [{"name": "x", "shape": [2], "offset": 0},
                                   {"name": "x", "shape": [2], "offset": 16}]},
      "tensor x is listed twice"),
+    ({"dtype": "<f8", "tensors": [{"name": "x", "shape": [2], "offset": 0},
+                                  {"name": "y", "shape": [2 ** 62, 4], "offset": 16}]},
+     "tensor y overruns"),
+    ({"dtype": "<f8", "tensors": [{"name": "x", "shape": [2 ** 63], "offset": 0}]},
+     "tensor x overruns"),
 ], ids=["no_tensors_key", "list_manifest", "negative_offset", "missing_entry_key",
-        "non_list_shape", "foreign_dtype", "overlapping_offsets", "duplicate_name"])
+        "non_list_shape", "foreign_dtype", "overlapping_offsets", "duplicate_name",
+        "shape_product_past_int64", "shape_product_at_int64_sign_bit"])
 def test_tensor_file_malformed_manifest_is_data_error(tmp_path, manifest, match):
     path = _with_manifest(tmp_path / "t.umfd", manifest)
     with pytest.raises(DataError, match=match) as info:
         ck.read_tensor_file(path)
     assert str(path) in str(info.value)
+
+
+_TENSOR_BASE = {"dtype": "<f8", "tensors": [{"name": "x", "shape": [2], "offset": 0},
+                                            {"name": "y", "shape": [0, 3], "offset": 16}]}
+_TENSOR_FIELDS = [("dtype",), ("tensors",)] + [
+    ("tensors", i, *key) for i in (0, 1) for key in ((), ("name",), ("shape",), ("shape", 0),
+                                                     ("offset",))]
+_SIZES = st.sampled_from([0, 1, 2, 3, 4, 16, 2 ** 62, 2 ** 63, 2 ** 64, -1])
+# A field and its new value: sizes for the size fields, or any JSON value.
+_TENSOR_EDITS = st.sampled_from(_TENSOR_FIELDS).flatmap(lambda field: st.tuples(
+    st.just(field),
+    {"shape": st.lists(_SIZES, max_size=4), 0: _SIZES, "offset": _SIZES}.get(
+        field[-1], JSON_VALUES) | JSON_VALUES))
+
+
+@given(edit=_TENSOR_EDITS, payload=st.just(bytes(16)) | st.binary(max_size=40),
+       raw=st.none() | st.binary(max_size=64))
+def test_tensor_file_fuzzed_bytes_load_or_are_data_error(tmp_path_factory, edit, payload,
+                                                         raw):
+    """A file of arbitrary bytes after the magic (raw), or a valid file with
+    one manifest field replaced by an arbitrary value over an arbitrary
+    payload, loads or is a DataError naming the file."""
+    path = tmp_path_factory.mktemp("fuzz") / "t.umfd"
+    if raw is None:
+        field, value = edit
+        manifest = json.loads(json.dumps(_TENSOR_BASE))
+        parent = manifest
+        for key in field[:-1]:
+            parent = parent[key]
+        parent[field[-1]] = value
+        _with_manifest(path, manifest, payload)
+    else:
+        path.write_bytes(b"UMFD1" + raw)
+    try:
+        arrays = ck.read_tensor_file(path)
+    except DataError as exc:
+        assert str(path) in str(exc)
+    else:
+        assert all(a.dtype == np.float64 for a in arrays.values())
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,19 @@
 
 import hashlib
 import json
+import shutil
 
 import pytest
 
+from hypothesis import given, strategies as st
+
+from umfdet import checkpoint as ckpt
 from umfdet import cli
-from umfdet.data import load_manifest
+from umfdet.data import SplitSpec, load_manifest, split
 from umfdet.errors import ConfigError, TransportError
+from umfdet.instruct import Vocabulary
+from umfdet.model import ModelConfig
+from umfdet.trainer import TrainConfig
 
 SMALL_MODEL = """\
 h=16
@@ -303,6 +310,41 @@ def test_config_file_bad_value_exits_1_naming_file_line_and_key(tmp_path, corpus
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("line", ["n_heads=0", "seed=-1", "split_seed=-1"])
+def test_config_file_value_out_of_range_exits_1(tmp_path, corpus, capsys, line):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{line}\n")
+    rc = cli.main(["train", "--manifest", str(corpus),
+                   "--out", str(tmp_path / "run"), "--config", str(cfg), "--steps", "1"])
+    assert rc == 1
+    assert "ConfigError" in capsys.readouterr().err
+
+
+_CONFIG_LINES = st.lists(
+    st.tuples(st.sampled_from(sorted({**cli._MODEL_FIELDS, **cli._TRAIN_FIELDS,
+                                      **cli._EXTRA_KEYS})) | st.text(max_size=6),
+              st.sampled_from(["0", "1", "-1", "3", "0.5", "1e999", "nan", "off", ""])
+              | st.text(max_size=6))
+    .map(lambda kv: "=".join(kv)) | st.text(max_size=10), max_size=8)
+
+
+@given(lines=_CONFIG_LINES, raw=st.none() | st.binary(max_size=40))
+def test_config_file_fuzzed_loads_or_is_config_error(tmp_path_factory, lines, raw):
+    """Arbitrary bytes (raw), or fuzzed key=value lines, either resolve into
+    configs, a split seed and vocabulary bounds that train accepts, or are a
+    ConfigError."""
+    path = tmp_path_factory.mktemp("fuzz") / "c.cfg"
+    path.write_bytes(raw if raw is not None else "\n".join(lines).encode("utf-8"))
+    try:
+        model_kv, train_kv, extra = cli.resolve_configs(path, {}, {}, {})
+        ModelConfig.from_json({**ModelConfig().to_json(), **model_kv})
+        TrainConfig.from_json({**TrainConfig().to_json(), **train_kv})
+        split([], SplitSpec(seed=extra["split_seed"]))
+        Vocabulary.build([], extra["min_count"], extra["max_vocab"])
+    except ConfigError:
+        pass
+
+
 def test_eval_writes_metrics(tmp_path, corpus, trained, capsys):
     out = tmp_path / "eval.json"
     rc = cli.main(["eval", "--manifest", str(corpus),
@@ -359,6 +401,91 @@ def test_train_resume_continues(tmp_path, corpus):
     assert cli.main(base + ["--steps", "4", "--resume"]) == 0
     state = json.loads((out / "checkpoint" / "train_state.json").read_text())
     assert state["step"] == 4
+
+
+@pytest.mark.parametrize("flag, error", [("--config", "ConfigError"),
+                                         ("--template", "TemplateError")])
+def test_non_utf8_config_or_template_exits_1_naming_it(tmp_path, corpus, capsys, flag, error):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"lr=0.1\n\xff\xfe\n")
+    rc = cli.main(["train", "--manifest", str(corpus), "--out", str(tmp_path / "run"),
+                   flag, str(bad), "--steps", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{error}: {bad}: " in err and "not UTF-8" in err
+
+
+def _json_edit(edit):
+    """A file edit that loads JSON, applies edit to it and writes it back."""
+    def apply(blob):
+        obj = json.loads(blob)
+        edit(obj)
+        return json.dumps(obj).encode("utf-8")
+    return apply
+
+
+@pytest.mark.parametrize("name, edit, match", [
+    ("vocab.tsv", lambda blob: b"\xff" + blob, "not UTF-8"),
+    ("vocab.tsv", lambda blob: blob.replace(b"<pad>\t", b"pad\t", 1), "reserved tokens"),
+    ("config.json", lambda blob: blob[:-3], "not JSON"),
+    ("config.json", _json_edit(lambda c: c.update(h="x")), "h must be of type int"),
+    ("config.json", _json_edit(lambda c: c.update(moe_enabled=1)), "moe_enabled"),
+], ids=["vocab_not_utf8", "vocab_without_reserved_tokens", "config_not_json",
+        "config_string_h", "config_int_flag"])
+def test_malformed_checkpoint_file_exits_2_naming_it(tmp_path, corpus, trained, capsys,
+                                                     name, edit, match):
+    ckpt_dir = tmp_path / "checkpoint"
+    shutil.copytree(trained / "checkpoint", ckpt_dir)
+    path = ckpt_dir / name
+    path.write_bytes(edit(path.read_bytes()))
+    rc = cli.main(["eval", "--manifest", str(corpus), "--checkpoint", str(ckpt_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"DataError: {path}: " in err and match in err
+
+
+def _drop_moment(ckpt_dir):
+    arrays = ckpt.read_tensor_file(ckpt_dir / ckpt.OPTIMIZER_FILE)
+    del arrays["adam.v.head.b"]
+    ckpt.write_tensor_file(ckpt_dir / ckpt.OPTIMIZER_FILE, arrays)
+
+
+def _edit_state(edit):
+    def apply(ckpt_dir):
+        path = ckpt_dir / ckpt.TRAIN_STATE_FILE
+        path.write_bytes(edit(path.read_bytes()))
+    return apply
+
+
+@pytest.mark.parametrize("damage, file, match", [
+    (_edit_state(lambda blob: blob[:10]), ckpt.TRAIN_STATE_FILE, "not JSON"),
+    (_edit_state(lambda blob: b"[]"), ckpt.TRAIN_STATE_FILE, "JSON object"),
+    (_edit_state(_json_edit(lambda m: m.pop("step"))), ckpt.TRAIN_STATE_FILE, "invalid step"),
+    (_edit_state(_json_edit(lambda m: m.pop("rng_state"))), ckpt.TRAIN_STATE_FILE,
+     "invalid rng_state"),
+    (_edit_state(_json_edit(lambda m: m["rng_state"].pop("state"))), ckpt.TRAIN_STATE_FILE,
+     "invalid rng_state"),
+    (_edit_state(_json_edit(lambda m: m["sampler"].pop("perm"))), ckpt.TRAIN_STATE_FILE,
+     "invalid sampler.perm"),
+    (_edit_state(_json_edit(lambda m: m["sampler"].pop("cursor"))), ckpt.TRAIN_STATE_FILE,
+     "invalid sampler.cursor"),
+    (_edit_state(_json_edit(lambda m: m["sampler"]["perm"].append(10 ** 6))),
+     ckpt.TRAIN_STATE_FILE, "invalid sampler.perm"),
+    (_drop_moment, ckpt.OPTIMIZER_FILE, "adam.v.head.b"),
+], ids=["state_not_json", "state_list", "no_step", "no_rng_state", "rng_state_no_state",
+        "no_perm", "no_cursor", "perm_not_a_permutation", "no_adam_moment"])
+def test_resume_from_malformed_trainer_state_exits_2_naming_file_and_key(
+        tmp_path, corpus, trained, capsys, damage, file, match):
+    out = tmp_path / "run"
+    shutil.copytree(trained, out)
+    damage(out / "checkpoint")
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(SMALL_MODEL)
+    rc = cli.main(["train", "--manifest", str(corpus), "--out", str(out), "--config", str(cfg),
+                   "--steps", "3", "--batch-size", "2", "--resume"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"DataError: {out / 'checkpoint' / file}: " in err and match in err
 
 
 # ---------------------------------------------------------------------------

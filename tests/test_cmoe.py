@@ -50,17 +50,18 @@ def test_expert_hidden_width_is_double_by_default():
 def test_route_weights_and_selection():
     t = make_layer(seed=2)
     x = Tensor(np.random.default_rng(3).normal(size=(7, 6)))
-    [d] = cmoe.route(t, "m.router", x, sequence_ids=["s1"])
-    assert abs(sum(d.weights) - 1.0) < 1e-12
-    assert d.selected == int(np.argmax(d.weights))
-    assert d.sequence_id == "s1"
+    r = cmoe.route(t, "m.router", x)
+    assert r.logits.shape == r.weights.shape == (1, 3)
+    assert abs(r.weights.values.sum() - 1.0) < 1e-12
+    assert r.selected.tolist() == [int(np.argmax(r.weights.values))]
+    assert np.allclose(r.weights.values, np.exp(r.logits.values) / np.exp(r.logits.values).sum())
 
 
 def test_route_tie_breaks_to_lowest_index():
     r = {"r.W": Tensor(np.zeros((4, 3))), "r.b": Tensor(np.zeros(3))}
-    [d] = cmoe.route(r, "r", Tensor(np.ones((2, 4))))
-    assert d.selected == 0
-    assert np.allclose(d.weights, 1.0 / 3.0)
+    routing = cmoe.route(r, "r", Tensor(np.ones((2, 4))))
+    assert routing.selected.tolist() == [0]
+    assert np.allclose(routing.weights.values, 1.0 / 3.0)
 
 
 def test_route_shift_invariance_sample():
@@ -70,8 +71,8 @@ def test_route_shift_invariance_sample():
         b = rng.normal(size=3)
         c = rng.uniform(-20, 20)
         x = Tensor(rng.normal(size=(3, 5)))
-        [base] = cmoe.route({"r.W": Tensor(w), "r.b": Tensor(b)}, "r", x)
-        [shifted] = cmoe.route({"r.W": Tensor(w), "r.b": Tensor(b + c)}, "r", x)
+        base = cmoe.route({"r.W": Tensor(w), "r.b": Tensor(b)}, "r", x)
+        shifted = cmoe.route({"r.W": Tensor(w), "r.b": Tensor(b + c)}, "r", x)
         assert base.selected == shifted.selected
 
 
@@ -84,12 +85,12 @@ def test_route_rejects_empty_sequence():
 def test_only_selected_expert_receives_gradient():
     t = make_layer(seed=5)
     x = Tensor(np.random.default_rng(6).normal(size=(4, 6)), requires_grad=True)
-    out, [decision] = cmoe.cmoe_forward(t, "m", x)
+    out, routing = cmoe.cmoe_forward(t, "m", x)
     loss = nd.pick(nd.mean_rows(out), (0, 0))
     loss.backward()
     for i, expert in enumerate(cmoe.EXPERT_NAMES):
         touched = any(p._grad is not None and p.grad.any() for p in under(t, f"m.{expert}"))
-        assert touched == (i == decision.selected)
+        assert touched == (i == routing.selected[0])
 
 
 def test_gate_off_router_gradient_exactly_zero():
@@ -112,10 +113,10 @@ def test_gate_on_router_gradient_nonzero():
 def test_gate_scaling_multiplies_by_selected_probability():
     x_vals = np.random.default_rng(11).normal(size=(3, 6))
     t = make_layer(seed=12)
-    out_on, [d_on] = cmoe.cmoe_forward(t, "m", Tensor(x_vals), gate_scaling=True)
-    out_off, [d_off] = cmoe.cmoe_forward(t, "m", Tensor(x_vals), gate_scaling=False)
-    assert d_on.selected == d_off.selected
-    p = d_on.weights[d_on.selected]
+    out_on, r_on = cmoe.cmoe_forward(t, "m", Tensor(x_vals), gate_scaling=True)
+    out_off, r_off = cmoe.cmoe_forward(t, "m", Tensor(x_vals), gate_scaling=False)
+    assert r_on.selected == r_off.selected
+    p = r_on.weights.values[0, r_on.selected[0]]
     assert np.allclose(out_on.values, out_off.values * p, atol=1e-12)
 
 
@@ -123,7 +124,7 @@ def test_cmoe_forward_gradients_vs_oracle():
     t = make_layer(h=4, seed=13)
     x = Tensor(np.random.default_rng(14).normal(size=(3, 4)), requires_grad=True)
     params = [x, t["m.router.W"], t["m.router.b"]]
-    sel = cmoe.route(t, "m.router", x)[0].selected
+    sel = cmoe.route(t, "m.router", x).selected[0]
     params += under(t, f"m.{cmoe.EXPERT_NAMES[sel]}")
     w = np.random.default_rng(15).normal(size=12)
 
@@ -136,8 +137,8 @@ def test_cmoe_forward_gradients_vs_oracle():
 def test_alignment_loss_zero_coefficient_is_inert():
     t = make_layer(seed=24)
     x = Tensor(np.random.default_rng(25).normal(size=(2, 6)))
-    decisions = cmoe.route(t, "m.router", x)
-    loss = cmoe.routing_alignment_loss(decisions, [Category.REAL], coefficient=0.0)
+    routing = cmoe.route(t, "m.router", x)
+    loss = cmoe.routing_alignment_loss(routing, [Category.REAL], coefficient=0.0)
     assert float(loss.values) == 0.0
     assert loss._backward is None and not loss._parents
 
@@ -145,12 +146,11 @@ def test_alignment_loss_zero_coefficient_is_inert():
 def test_alignment_loss_matches_nll_oracle_and_reaches_router():
     t = make_layer(seed=26)
     x = Tensor(np.random.default_rng(27).normal(size=(2, 6)))
-    decisions = cmoe.route(t, "m.router", x)
-    [d] = decisions
+    routing = cmoe.route(t, "m.router", x)
     coeff = 0.5
-    loss = cmoe.routing_alignment_loss(decisions, [Category.AI_SYNTHESIZED],
+    loss = cmoe.routing_alignment_loss(routing, [Category.AI_SYNTHESIZED],
                                        coefficient=coeff)
-    expected = -np.log(d.weights[Category.AI_SYNTHESIZED.expert_index]) * coeff
+    expected = -np.log(routing.weights.values[0, Category.AI_SYNTHESIZED.expert_index]) * coeff
     assert abs(float(loss.values) - expected) < 1e-12
     loss.backward()
     assert t["m.router.W"].grad.any()
@@ -180,19 +180,21 @@ def test_batched_cmoe_forward_equals_one_sequence_calls(seed, gate_scaling):
     lengths = [4, 2, 3]
     x = Tensor(np.random.default_rng(100 + seed).normal(0, 3, size=(12, 6)),
                requires_grad=True)
-    out, decisions = cmoe.cmoe_forward(t, "m", x, gate_scaling=gate_scaling,
-                                       sequence_ids=["a", "b", "c"], lengths=lengths)
-    assert len({d.selected for d in decisions}) > 1
-    for b, (d, n) in enumerate(zip(decisions, lengths)):
+    out, routing = cmoe.cmoe_forward(t, "m", x, gate_scaling=gate_scaling, lengths=lengths)
+    assert len(set(routing.selected.tolist())) > 1
+    for b, n in enumerate(lengths):
         rows = slice(4 * b, 4 * b + n)
-        one, [d_one] = cmoe.cmoe_forward(t, "m", Tensor(x.values[rows]),
-                                         gate_scaling=gate_scaling)
-        assert d.selected == d_one.selected and d.sequence_id == "abc"[b] and d.row == b
-        assert np.allclose(d.weights, d_one.weights, rtol=0.0, atol=1e-12)
+        one, r_one = cmoe.cmoe_forward(t, "m", Tensor(x.values[rows]),
+                                       gate_scaling=gate_scaling)
+        assert routing.selected[b] == r_one.selected[0]
+        assert np.allclose(routing.weights.values[b], r_one.weights.values[0], rtol=0.0,
+                           atol=1e-12)
+        assert np.allclose(routing.logits.values[b], r_one.logits.values[0], rtol=0.0,
+                           atol=1e-12)
         assert np.allclose(out.values[rows], one.values, rtol=0.0, atol=1e-12)
     w = np.random.default_rng(200 + seed).normal(size=72)
-    params = [x] + under(t, "m.router") + [p for d in decisions
-                                          for p in under(t, f"m.{cmoe.EXPERT_NAMES[d.selected]}")]
+    params = [x] + under(t, "m.router") + [p for e in routing.selected
+                                          for p in under(t, f"m.{cmoe.EXPERT_NAMES[e]}")]
 
     def build():
         out, _ = cmoe.cmoe_forward(t, "m", x, gate_scaling=gate_scaling, lengths=lengths)
@@ -207,13 +209,13 @@ def test_alignment_loss_reads_its_own_row_of_a_batch():
     t = make_layer(seed=29)
     lengths = [3, 2, 1]
     x = Tensor(np.random.default_rng(30).normal(size=(9, 6)))
-    decisions = cmoe.route(t, "m.router", x, lengths=lengths)
+    routing = cmoe.route(t, "m.router", x, lengths=lengths)
     labels = [Category.HUMAN_CRAFTED, Category.REAL, Category.HUMAN_CRAFTED]
-    loss = cmoe.routing_alignment_loss(decisions, labels, coefficient=2.0)
+    loss = cmoe.routing_alignment_loss(routing, labels, coefficient=2.0)
     terms = []
-    for b, (d, label) in enumerate(zip(decisions, labels)):
+    for b, label in enumerate(labels):
         one = cmoe.route(t, "m.router", Tensor(x.values[3 * b:3 * b + lengths[b]]))
         alone = float(cmoe.routing_alignment_loss(one, [label], coefficient=2.0).values)
-        assert abs(alone + 2.0 * np.log(d.weights[label.expert_index])) < 1e-12
+        assert abs(alone + 2.0 * np.log(routing.weights.values[b, label.expert_index])) < 1e-12
         terms.append(alone)
     assert abs(float(loss.values) - sum(terms) / 3) < 1e-12

@@ -1,6 +1,7 @@
 """Entity extraction, rationale schema parsing, quality gate, gen clients."""
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from umfdet.cot import (
 )
 from umfdet.data import Category, ImagePayload, ManipulationAnnotation, NewsSample
 from umfdet.errors import ConfigError, TransportError
+
+from helpers import JSON_VALUES
 
 
 def _sample(title="Merkel visits the bright harbor in Oslo on Friday",
@@ -522,7 +525,8 @@ def test_http_client_4xx_fails_without_retry():
 
 
 @pytest.mark.parametrize("body, match", [("<html>gateway</html>", "not JSON"),
-                                         (["text"], "text")])
+                                         (["text"], "text"), ({"text": 5}, "string 'text'"),
+                                         ({"text": None}, "string 'text'")])
 def test_http_client_non_object_body_is_transport_error(body, match):
     session = _StubSession([_StubResponse(200, body)])
     client = HttpGenClient("http://gen.local", retries=2, backoff=0.0, session=session)
@@ -536,3 +540,38 @@ def test_http_client_missing_text_field():
     client = HttpGenClient("http://gen.local", session=session)
     with pytest.raises(TransportError, match="text"):
         client.generate("p")
+
+
+def test_non_string_http_text_rejects_only_its_sample():
+    samples = [_sample(title=f"word Merkel opens the harbor in Oslo run {i}")
+               for i in range(4)]
+
+    class Session:
+        def post(self, url, json=None, headers=None, timeout=None):
+            if samples[2].title in json["prompt"]:
+                return _StubResponse(200, {"text": 5})
+            return _StubResponse(200, {"text": MockGenClient().generate(json["prompt"])})
+
+    client = HttpGenClient("http://gen.local", retries=0, session=Session())
+    records = generate_corpus_cots(samples, client, gazetteer=_gaz())
+    assert [r.to_note().verdict for r in records] == ["accepted", "accepted",
+                                                      "rejected:transport", "accepted"]
+
+
+_HTTP_REPLY = st.tuples(
+    st.sampled_from([200, 404, 503]) | st.integers(100, 599),
+    JSON_VALUES.map(json.dumps) | st.fixed_dictionaries({"text": JSON_VALUES}).map(json.dumps)
+    | st.text(max_size=20))
+
+
+@given(replies=st.lists(_HTTP_REPLY, min_size=3, max_size=3))
+def test_http_client_fuzzed_replies_give_text_or_transport_error(replies):
+    """Any status with any JSON (or non-JSON) body either yields a string or
+    is a TransportError, after at most the configured attempts."""
+    session = _StubSession([_StubResponse(status, body) for status, body in replies])
+    client = HttpGenClient("http://gen.local", retries=2, backoff=0.0, session=session)
+    try:
+        assert isinstance(client.generate("p"), str)
+    except TransportError:
+        pass
+    assert 1 <= len(session.requests) <= 3

@@ -30,6 +30,7 @@ from umfdet.data import (
 )
 from umfdet.errors import ConfigError, DataError, ManifestError
 
+from helpers import JSON_VALUES
 
 # ---------------------------------------------------------------------------
 # categories
@@ -263,6 +264,8 @@ _HUMAN = {**_GOOD, "label": "human_crafted"}
     {**_GOOD, "label": 7},
     {**_HUMAN, "manipulation": {"kind": "face_swap", "similarity": "x"}},
     {**_HUMAN, "manipulation": {"kind": "face_swap", "similarity": True}},
+    {**_HUMAN, "manipulation": {"kind": "face_swap", "edit_strength": float("nan")}},
+    {**_HUMAN, "manipulation": {"kind": "face_swap", "edit_strength": float("inf")}},
     {**_HUMAN, "manipulation": {"kind": "face_swap", "mask_ref": 3}},
     {**_HUMAN, "manipulation": {"kind": "pure_fake_text", "rewrite_log": "log"}},
     {**_GOOD, "cot": {"think": 1, "answer": "real", "verdict": "accepted"}},
@@ -284,7 +287,8 @@ _HUMAN = {**_GOOD, "label": "human_crafted"}
         "feat_b64_not_2d", "feat_b64_shape_not_ints", "feat_b64_not_string",
         "feat_b64_non_finite", "feat_b64_not_base64", "feat_b64_no_rows", "feat_no_columns",
         "raw_b64_side_0", "numeric_path", "numeric_label",
-        "string_similarity", "bool_similarity", "numeric_mask_ref", "string_rewrite_log",
+        "string_similarity", "bool_similarity", "nan_edit_strength", "inf_edit_strength",
+        "numeric_mask_ref", "string_rewrite_log",
         "numeric_think", "numeric_answer", "null_verdict", "empty_cot", "zero_cot",
         "false_manipulation",
         "no_id", "no_title", "no_image",
@@ -328,11 +332,6 @@ def test_save_manifest_writes_feat_b64_and_decimal_feat_still_loads_bit_exact(tm
     assert new_feat.tobytes() == old_feat.tobytes() == feat.tobytes()
 
 
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=True) | st.text(),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
-    max_leaves=8)
-
 _FUZZ_BASE = {
     "id": "s", "title": "Obama opens the calm museum in Cairo",
     "image": {"feat_b64": _b64(np.eye(2)), "shape": [2, 2]},
@@ -346,7 +345,7 @@ _FUZZ_FIELDS = [(k,) for k in _FUZZ_BASE] + [
     (k, sub) for k in ("image", "manipulation", "cot") for sub in _FUZZ_BASE[k]]
 
 
-@given(field=st.sampled_from(_FUZZ_FIELDS), value=_JSON)
+@given(field=st.sampled_from(_FUZZ_FIELDS), value=JSON_VALUES)
 def test_manifest_fuzzed_field_loads_or_is_manifest_error(tmp_path_factory, field, value):
     obj = json.loads(json.dumps(_FUZZ_BASE))
     parent = obj

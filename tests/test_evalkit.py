@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from umfdet import evalkit
-from umfdet.cmoe import RoutingDecision
 from umfdet.data import Category
 from umfdet.errors import DataError
 from umfdet.evalkit import (
@@ -152,21 +151,11 @@ def test_metrics_bounds_property(pairs):
 # routing report
 
 
-def _dec(selected):
-    w = [0.1, 0.1, 0.1]
-    w[selected] = 0.8
-    return RoutingDecision(weights=w, selected=selected)
-
-
 def test_routing_report_counts_and_specialization():
-    pairs = [
-        (Category.REAL, [_dec(0), _dec(0)]),
-        (Category.REAL, [_dec(1), _dec(0)]),
-        (Category.HUMAN_CRAFTED, [_dec(1), _dec(1)]),
-        (Category.AI_SYNTHESIZED, [_dec(2), _dec(2)]),
-        (Category.AI_SYNTHESIZED, [_dec(2), _dec(1)]),
-    ]
-    rep = routing_report(pairs)
+    labels = [Category.REAL, Category.REAL, Category.HUMAN_CRAFTED,
+              Category.AI_SYNTHESIZED, Category.AI_SYNTHESIZED]
+    experts = [[0, 0], [1, 0], [1, 1], [2, 2], [2, 1]]
+    rep = routing_report(labels, experts)
     assert rep.n_samples == 5
     assert rep.counts[0][0] == [1, 1, 0]       # layer 0, real row
     assert rep.counts[1][2] == [0, 1, 1]       # layer 1, ai row
@@ -177,22 +166,55 @@ def test_routing_report_counts_and_specialization():
 
 
 def test_routing_report_zero_rows_stay_zero():
-    rep = routing_report([(Category.REAL, [_dec(0)])])
+    rep = routing_report([Category.REAL], [[0]])
     assert rep.percent[0][1] == [0.0, 0.0, 0.0]
     assert rep.specialization["human_crafted"] == 0.0
 
 
 def test_routing_report_validation():
     with pytest.raises(DataError):
-        routing_report([])
-    with pytest.raises(DataError, match="depth"):
-        routing_report([(Category.REAL, [_dec(0), _dec(1)]),
-                        (Category.REAL, [_dec(0)])])
+        routing_report([], np.zeros((0, 2)))
+    with pytest.raises(DataError, match="shape"):
+        routing_report([Category.REAL, Category.REAL], [[0, 1]])
+    with pytest.raises(DataError, match="shape"):
+        routing_report([Category.REAL], [0])
+    with pytest.raises(DataError, match="shape"):
+        routing_report([Category.REAL], [[]])
+
+
+def _brute_force_routing(labels, experts):
+    """Nested-loop counts, row percentages and last-layer own-expert shares."""
+    n_layers = len(experts[0])
+    counts = [[[0] * 3 for _ in CATS] for _ in range(n_layers)]
+    for label, row in zip(labels, experts):
+        for li, e in enumerate(row):
+            counts[li][CATS.index(label)][e] += 1
+    percent = [[[c * 100.0 / sum(r) if sum(r) else 0.0 for c in r] for r in layer]
+               for layer in counts]
+    special = {}
+    for ci, cat in enumerate(CATS):
+        total = sum(counts[-1][ci])
+        special[cat.value] = counts[-1][ci][cat.expert_index] / total if total else 0.0
+    return counts, percent, special
+
+
+@given(st.integers(1, 4).flatmap(lambda n_layers: st.lists(
+    st.tuples(st.sampled_from(CATS), st.lists(st.integers(0, 2), min_size=n_layers,
+                                              max_size=n_layers)),
+    min_size=1, max_size=40)))
+def test_routing_report_matches_brute_force_count(rows):
+    labels = [label for label, _ in rows]
+    experts = [e for _, e in rows]
+    rep = routing_report(labels, np.array(experts))
+    counts, percent, special = _brute_force_routing(labels, experts)
+    assert rep.n_samples == len(rows)
+    assert rep.counts == counts
+    assert rep.percent == percent
+    assert rep.specialization == special
 
 
 def test_routing_report_render_and_json():
-    rep = routing_report([(Category.REAL, [_dec(0)]),
-                          (Category.AI_SYNTHESIZED, [_dec(2)])])
+    rep = routing_report([Category.REAL, Category.AI_SYNTHESIZED], [[0], [2]])
     text = rep.render_text()
     assert "layer 0" in text and "own expert share" in text
     obj = rep.to_json()

@@ -150,6 +150,72 @@ def test_vocab_load_rejects_corruption(tmp_path):
         Vocabulary.load(p)
 
 
+@pytest.mark.parametrize("blob, match", [
+    (b"<pad>\t0\n\xff\t1\n", "not UTF-8"),
+    (b"pad\t0\n", "reserved tokens"),
+    ("".join(f"{t}\t{i}\n" for i, t in enumerate(RESERVED_TOKENS + ("a", "a"))).encode(),
+     "repeats a token"),
+    (b"<pad>\t" + b"9" * 5000 + b"\n", "non-integer id"),
+], ids=["not_utf8", "no_reserved_tokens", "duplicate_token", "huge_id"])
+def test_vocab_load_fault_is_data_error_naming_the_file(tmp_path, blob, match):
+    p = tmp_path / "vocab.tsv"
+    p.write_bytes(blob)
+    with pytest.raises(DataError, match=match) as exc:
+        Vocabulary.load(p)
+    assert str(p) in str(exc.value)
+
+
+_VOCAB_LINES = st.lists(
+    st.tuples(st.sampled_from(RESERVED_TOKENS + ("a", "b")) | st.text(max_size=4),
+              st.integers(-1, 11).map(str) | st.text(max_size=4))
+    .map(lambda pair: "\t".join(pair)) | st.text(max_size=6), max_size=12)
+
+
+@given(lines=_VOCAB_LINES, reserved=st.booleans(), raw=st.none() | st.binary(max_size=40))
+def test_vocab_load_fuzzed_file_loads_or_is_data_error(tmp_path_factory, lines, reserved,
+                                                        raw):
+    """Arbitrary bytes (raw), or fuzzed token<TAB>id lines after the reserved
+    ones, load or are a DataError."""
+    head = [f"{t}\t{i}" for i, t in enumerate(RESERVED_TOKENS)] if reserved else []
+    p = tmp_path_factory.mktemp("fuzz") / "vocab.tsv"
+    p.write_bytes(raw if raw is not None else "\n".join(head + lines).encode("utf-8"))
+    try:
+        v = Vocabulary.load(p)
+    except DataError as exc:
+        assert str(p) in str(exc)
+    else:
+        assert tuple(v.id_to_token[:len(RESERVED_TOKENS)]) == RESERVED_TOKENS
+
+
+def test_load_template_non_utf8_is_template_error_naming_the_file(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_bytes(GOOD_TEMPLATE.encode("utf-8") + b"\xff\n")
+    with pytest.raises(TemplateError, match="not UTF-8") as exc:
+        instruct.load_template(p)
+    assert str(p) in str(exc.value)
+
+
+_TEMPLATE_LINES = st.lists(
+    st.sampled_from(["[TASK]", "[OPT]", "[QUE]", "[RESP]", " [QUE] ", "Title: {TITLE}", ""])
+    | st.text(max_size=12), max_size=10)
+
+
+@given(lines=_TEMPLATE_LINES, raw=st.none() | st.binary(max_size=40))
+def test_load_template_fuzzed_file_loads_or_is_template_error(tmp_path_factory, lines, raw):
+    """Arbitrary bytes (raw), or lines mixing section headers and text, load
+    or are a TemplateError."""
+    p = tmp_path_factory.mktemp("fuzz") / "t.txt"
+    p.write_bytes(raw if raw is not None else "\n".join(lines).encode("utf-8"))
+    try:
+        template = instruct.load_template(p)
+    except TemplateError:
+        return
+    try:
+        render_prompt(template, "Merkel visits Oslo")
+    except TemplateError:
+        pass
+
+
 @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=80))
 def test_decode_of_encode_is_stable(text):
     v = Vocabulary.build([text.lower()], min_count=1)

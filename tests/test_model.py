@@ -210,7 +210,9 @@ def test_forward_train_losses_and_counts(tiny_model, toy_vocab, template):
     assert float(res.loss_cot.values) > 0.0
     assert res.n_answer_tokens == 4  # <answer> real </answer> EOS
     assert res.n_think_tokens > 10
-    assert len(res.decisions) == tiny_model.config.n_moe
+    assert len(res.routings) == tiny_model.config.n_moe
+    for r in res.routings:
+        assert r.logits.shape == r.weights.shape == (1, 3) and r.selected.shape == (1,)
 
 
 def test_forward_train_no_think_gives_inert_zero(tiny_model, toy_vocab, template):
@@ -295,19 +297,19 @@ def test_forward_train_dropout_depends_on_rng(tiny_config, toy_vocab, template):
 # encode / generate
 
 
-def test_encode_shapes_and_decisions(tiny_model, toy_vocab, template):
-    memory, decisions = M.encode(tiny_model, _sample(), toy_vocab, template)
+def test_encode_shapes_and_routings(tiny_model, toy_vocab, template):
+    memory, routings = M.encode(tiny_model, _sample(), toy_vocab, template)
     n_prompt = len(toy_vocab.encode(render_prompt(template, _sample().title)))
     assert memory.shape == (3 + n_prompt, tiny_model.config.h)
-    assert len(decisions) == tiny_model.config.n_moe
-    assert all(d.selected in (0, 1, 2) for d in decisions)
+    assert len(routings) == tiny_model.config.n_moe
+    assert all(r.selected.tolist() in ([0], [1], [2]) for r in routings)
 
 
-def test_encode_without_moe_has_no_decisions(tiny_config, toy_vocab, template):
+def test_encode_without_moe_has_no_routings(tiny_config, toy_vocab, template):
     cfg = M.ModelConfig(**{**tiny_config.to_json(), "moe_enabled": False})
     params = M.init_model(cfg, np.random.default_rng(0))
-    memory, decisions = M.encode(params, _sample(), toy_vocab, template)
-    assert decisions == []
+    memory, routings = M.encode(params, _sample(), toy_vocab, template)
+    assert routings == []
     assert memory.shape[1] == cfg.h
 
 
@@ -315,7 +317,8 @@ def test_generate_budget_and_structure(tiny_model, toy_vocab, template):
     [out] = M.generate(tiny_model, [_sample()], toy_vocab, template, max_new=5)
     assert len(out.token_ids) <= 5
     assert isinstance(out.text, str)
-    assert len(out.decisions) == tiny_model.config.n_moe
+    assert len(out.experts) == tiny_model.config.n_moe
+    assert all(e in (0, 1, 2) for e in out.experts)
     assert EOS not in out.token_ids
 
 
@@ -416,10 +419,6 @@ def _lift_eos(params, samples, vocab, template):
     params.tensors["head.b"].values[EOS] += float(np.median(gaps)) + 1e-9
 
 
-def _routes(out):
-    return [(d.selected, d.sequence_id) for d in out.decisions]
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("moe_enabled", [True, False])
 def test_batched_generate_equals_batches_of_one(tiny_config, toy_corpus, toy_vocab, template,
@@ -434,9 +433,8 @@ def test_batched_generate_equals_batches_of_one(tiny_config, toy_corpus, toy_voc
         for s, out in zip(samples, batch):
             [one] = M.generate(params, [s], toy_vocab, template)
             assert out.token_ids == one.token_ids and out.text == one.text
-            assert _routes(out) == _routes(one)
-            assert len(out.decisions) == (2 if moe_enabled else 0)
-            assert all(d.sequence_id == s.id for d in out.decisions)
+            assert out.experts == one.experts
+            assert len(out.experts) == (2 if moe_enabled else 0)
         n_tokens = {len(out.token_ids) for out in batch}
         assert (len(n_tokens) > 1) == lifted, n_tokens
 
@@ -448,21 +446,24 @@ def test_batched_generate_is_invariant_to_order_and_membership(tiny_config, toy_
     _lift_eos(params, samples, toy_vocab, template)
     full = M.generate(params, samples, toy_vocab, template)
     # seed 0 routes these posts to more than one expert in a layer
-    assert len({d.selected for out in full for d in out.decisions[:1]}) > 1
+    assert len({out.experts[0] for out in full}) > 1
     reverse = M.generate(params, samples[::-1], toy_vocab, template)[::-1]
     # The shorter posts only: their blocks shrink, so each carries less padding.
     subset = [0, 2, 8]
     with nd.no_grad():
-        n_full = M.encode(params, samples, toy_vocab, template)[0].shape[0] // len(samples)
-        n_part = M.encode(params, [samples[i] for i in subset], toy_vocab,
-                          template)[0].shape[0] // len(subset)
-    assert n_part < n_full
+        m_full, _, r_full = M.encode(params, samples, toy_vocab, template)
+        _, _, r_rev = M.encode(params, samples[::-1], toy_vocab, template)
+        m_part, _, r_part = M.encode(params, [samples[i] for i in subset], toy_vocab,
+                                     template)
+    assert m_part.shape[0] // len(subset) < m_full.shape[0] // len(samples)
+    for full_r, rev_r, part_r in zip(r_full, r_rev, r_part):
+        for other, rows in ((rev_r.weights.values[::-1], slice(None)),
+                            (part_r.weights.values, subset)):
+            assert np.allclose(full_r.weights.values[rows], other, rtol=0.0, atol=1e-12)
     part = M.generate(params, [samples[i] for i in subset], toy_vocab, template)
     for out, other in list(zip(full, reverse)) + [(full[i], o) for i, o in zip(subset, part)]:
         assert out.token_ids == other.token_ids
-        assert _routes(out) == _routes(other)
-        for d, e in zip(out.decisions, other.decisions):
-            assert np.allclose(d.weights, e.weights, rtol=0.0, atol=1e-12)
+        assert out.experts == other.experts
 
 
 def test_padded_encode_and_decode_equal_one_sample_rows(tiny_config, toy_corpus, toy_vocab,
@@ -473,16 +474,16 @@ def test_padded_encode_and_decode_equal_one_sample_rows(tiny_config, toy_corpus,
     ids = rng.integers(9, len(toy_vocab), (len(samples), 6))
     ids[:, 0] = BOS
     with nd.no_grad():
-        memory, lengths, decisions = M.encode(params, samples, toy_vocab, template)
+        memory, lengths, routings = M.encode(params, samples, toy_vocab, template)
         logits = M.decode(params, memory, ids, memory_lengths=lengths).values
         n = memory.shape[0] // len(samples)
         assert max(lengths) == n and min(lengths) < n
         for b, s in enumerate(samples):
-            one, one_decisions = M.encode(params, s, toy_vocab, template)
+            one, one_routings = M.encode(params, s, toy_vocab, template)
             assert lengths[b] == one.shape[0]
             assert np.allclose(memory.values[b * n:b * n + lengths[b]], one.values,
                                rtol=0.0, atol=1e-12)
-            assert [d.selected for d in decisions[b]] == [d.selected for d in one_decisions]
+            assert [r.selected[b] for r in routings] == [r.selected[0] for r in one_routings]
             one_logits = M.decode(params, one, ids[b]).values
             assert np.allclose(logits[b * 6:(b + 1) * 6], one_logits, rtol=0.0, atol=1e-10)
 

@@ -209,8 +209,8 @@ def _per_sample_loss(params, batch, vocab, template, tcfg):
         fr = forward_train(params, [sample], vocab, template, training=True,
                            rng=np.random.default_rng(0), build_cot_loss=tcfg.build_cot_loss)
         loss = nd.add(fr.loss_det, nd.scale(fr.loss_cot, lam))
-        for layer in fr.decisions:
-            loss = nd.add(loss, routing_alignment_loss(layer, [sample.label],
+        for routing in fr.routings:
+            loss = nd.add(loss, routing_alignment_loss(routing, [sample.label],
                                                        tcfg.routing_aux_coeff))
         total = loss if total is None else nd.add(total, loss)
     return nd.scale(total, 1.0 / len(batch))
