@@ -163,6 +163,13 @@ def _split_corpus(samples, split_seed):
     return data_mod.split(samples, data_mod.SplitSpec(seed=split_seed))
 
 
+def _seed_flag(args):
+    """--seed, which numpy's generator needs non-negative."""
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    return args.seed
+
+
 def _template(args):
     if getattr(args, "template", None):
         return load_template(args.template)
@@ -175,7 +182,7 @@ def _template(args):
 
 def cmd_synth_toy(args):
     started = time.time()
-    samples = data_mod.synth_toy_corpus(args.n, args.cue_strength, args.seed)
+    samples = data_mod.synth_toy_corpus(args.n, args.cue_strength, _seed_flag(args))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     data_mod.save_manifest(samples, out)
@@ -193,8 +200,8 @@ def cmd_synth_toy(args):
 
 def cmd_fabricate_text(args):
     started = time.time()
+    rng = np.random.default_rng(_seed_flag(args))
     samples = data_mod.load_manifest(args.manifest)
-    rng = np.random.default_rng(args.seed)
     client = make_gen_client(args)
     lexicon = textforge.default_lexicon()
     gaz = cot_mod.default_gazetteer()

@@ -99,8 +99,14 @@ def render_prompt(template: InstructionTemplate, title: str) -> str:
 
 def split_tokens(text: str) -> list:
     """Lowercase word-level split; structural markers and grounding tags stay
-    atomic, punctuation becomes single-character tokens."""
-    return [t.lower() for t in _TOKEN_RE.findall(text)]
+    atomic, punctuation becomes single-character tokens.
+
+    The markers match case-sensitively (<THINK> is three tokens), so the
+    tokens are found first and lowercased after, in one call over them joined
+    by spaces: no token holds a space, and a space ends the context str.lower
+    reads for a final sigma, so each token lowers as it would alone."""
+    tokens = _TOKEN_RE.findall(text)
+    return " ".join(tokens).lower().split(" ") if tokens else []
 
 
 class Vocabulary:

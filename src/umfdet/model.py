@@ -10,6 +10,7 @@ to the reasoning span (markers inclusive). Generation is greedy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -48,6 +49,9 @@ class ModelConfig:
     gen_max_tokens: int = 64
 
     def __post_init__(self):
+        for key in ("lambda_cot", "dropout_rate"):
+            if not math.isfinite(getattr(self, key)):  # NaN fails no comparison below
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         if self.h <= 0 or self.n_heads <= 0 or self.h % self.n_heads != 0:
             raise ConfigError(f"h={self.h} must be positive and divisible by n_heads={self.n_heads}")
         if not 1 <= self.n_moe <= 4:
@@ -167,9 +171,9 @@ def _ln(t, name, x):
 def _attention(t, name, x_q, x_kv, n_heads, mask, batch=1, cache=None):
     """Multi-head attention over batch sequences stacked as row blocks;
     x_kv None means self-attention. A cache dict keeps keys and values across
-    decoder calls: cross-attention projects the memory once, and
-    self-attention writes the new rows of each sequence after its first
-    cache["len"] rows, in buffers of cache["size"] rows per sequence."""
+    decoder calls, split into heads: cross-attention projects the memory
+    once, and self-attention writes the new rows of each sequence after its
+    first cache["len"] rows, in buffers of cache["size"] rows per sequence."""
     q = nd.linear(x_q, t[f"{name}.Wq"], t[f"{name}.bq"])
     if cache is not None and x_kv is not None and name in cache:
         k, v = cache[name]
@@ -177,26 +181,30 @@ def _attention(t, name, x_q, x_kv, n_heads, mask, batch=1, cache=None):
         src = x_q if x_kv is None else x_kv
         k = nd.linear(src, t[f"{name}.Wk"], t[f"{name}.bk"])
         v = nd.linear(src, t[f"{name}.Wv"], t[f"{name}.bv"])
-        if cache is not None and x_kv is None:
-            k, v = _write_kv(cache, name, k, v, batch)
-        elif cache is not None:
-            cache[name] = (k, v)
+        if cache is not None:
+            k, v = _cache_kv(cache, name, k, v, batch, n_heads, grow=x_kv is None)
     return nd.linear(nd.attention(q, k, v, n_heads, mask, batch), t[f"{name}.Wo"],
                      t[f"{name}.bo"])
 
 
-def _write_kv(cache, name, k, v, batch):
-    """Copy the new key/value rows into the layer's preallocated buffers and
-    return the whole buffers as [batch * size, H] tensors."""
-    size, start = cache["size"], cache["len"]
-    if name not in cache:
-        cache[name] = tuple(np.zeros((batch, size, k.shape[1])) for _ in range(2))
+def _cache_kv(cache, name, k, v, batch, n_heads, grow):
+    """Split [batch * n, H] keys and values into heads, [batch, heads, n, dh],
+    and keep them in the cache under name: whole without grow (the memory of
+    cross-attention); with grow (self-attention), the n new rows of each
+    sequence go after its first cache["len"] rows in [batch, heads, size, dh]
+    buffers, and the filled rows are returned."""
     n = k.shape[0] // batch
-    out = []
-    for buf, new in zip(cache[name], (k, v)):
-        buf[:, start:start + n] = new.values.reshape(batch, n, -1)
-        out.append(Tensor(buf.reshape(batch * size, -1)))
-    return out
+    kh, vh = (x.values.reshape(batch, n, n_heads, -1).transpose(0, 2, 1, 3) for x in (k, v))
+    if not grow:  # copied contiguous once, since every later step reads them whole
+        cache[name] = Tensor(np.ascontiguousarray(kh)), Tensor(np.ascontiguousarray(vh))
+        return cache[name]
+    start = cache["len"]
+    if name not in cache:
+        cache[name] = tuple(np.zeros(kh.shape[:2] + (cache["size"], kh.shape[3]))
+                            for _ in range(2))
+    for buf, new in zip(cache[name], (kh, vh)):
+        buf[:, :, start:start + n] = new
+    return [Tensor(buf[:, :, :start + n]) for buf in cache[name]]
 
 
 def _key_padding(lengths, n):
@@ -309,31 +317,37 @@ def decode(params: ModelParams, memory, ids, training: bool = False,
     [B*T, H] whose first memory_lengths[b] rows are valid (None: all rows).
     Without a cache, ids are the whole target prefixes. With a cache dict
     (under no_grad), ids continue the tokens already decoded through it, at
-    the positions after them; the self-attention keys and values go into
-    buffers of cache["size"] rows per target (default max_len), set at the
-    first call.
+    the positions after them: the self-attention keys and values go into
+    head-major buffers of cache["size"] rows per target (default max_len),
+    and attention reads only their filled rows. The first call also keeps the
+    memory's keys, values and padding mask in the cache for the calls after.
     """
     cfg = params.config
     t = params.tensors
     rate = cfg.dropout_rate
     ids = np.asarray(ids, dtype=np.int64)
     b, n = (1, ids.size) if ids.ndim == 1 else ids.shape
-    start, m = 0, n
+    start = 0
     if cache is not None:
         if nd.is_grad_enabled():
             raise GraphError("a decode cache holds no gradients; decode under no_grad")
-        start, m = cache.setdefault("len", 0), cache.setdefault("size", cfg.max_len)
-        if start + n > m:
+        start, size = cache.setdefault("len", 0), cache.setdefault("size", cfg.max_len)
+        if start + n > size:
             raise DataError(f"sample {sample_id}: {start + n} tokens exceed the decode "
-                            f"cache of {m}")
+                            f"cache of {size}")
     try:
         y = embed_text(t["tok_emb"], t["pos_emb"], ids, start)
     except DataError as exc:
         raise DataError(f"sample {sample_id}: {exc}") from None
-    # Query i of the n newest sees key positions up to start + i.
-    self_mask = np.triu(np.full((n, m), _NEG), k=start + 1)
-    memory_mask = (None if memory_lengths is None
-                   else _key_padding(memory_lengths, memory.shape[0] // b))
+    # Query i of the n newest sees the first start + i + 1 keys; one query sees all.
+    self_mask = np.triu(np.full((n, start + n), _NEG), k=start + 1) if n > 1 else None
+    if cache is not None and "memory_mask" in cache:
+        memory_mask = cache["memory_mask"]
+    else:
+        memory_mask = (None if memory_lengths is None
+                       else _key_padding(memory_lengths, memory.shape[0] // b))
+        if cache is not None:
+            cache["memory_mask"] = memory_mask
     for i in range(cfg.n_dec):
         a = _attention(t, f"dec.{i}.self_attn", _ln(t, f"dec.{i}.ln1", y), None,
                        cfg.n_heads, self_mask, b, cache)

@@ -3,7 +3,8 @@
 Covers exactly the operations the detector needs: one affine map
 (``linear``, x @ W + b) for every projection, same-shape elementwise
 arithmetic, row concatenation, SiLU/sigmoid/last-axis softmax, fused
-multi-head attention over a batch of sequences stacked as row blocks,
+multi-head attention over a batch of sequences stacked as row blocks (keys
+and values may come split into heads, as a decode cache keeps them),
 inverted dropout, layer norm, embedding lookup and a fused label-masked
 language-modeling cross entropy. Everything runs in float64 so
 finite-difference gradient checks are meaningful.
@@ -325,20 +326,25 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None,
               batch: int = 1) -> Tensor:
     """Multi-head softmax(q k^T / sqrt(dh) + mask) v over a batch of sequences.
 
-    q is [B*Tq, H] and k, v are [B*Tk, H] for B = batch: sequence b owns rows
-    b*Tq:(b+1)*Tq of q and b*Tk:(b+1)*Tk of k and v, and no row attends
-    outside its own sequence. Head i owns columns i*dh:(i+1)*dh with
-    dh = H / n_heads. mask is an additive array that broadcasts to
+    q is [B*Tq, H] for B = batch: sequence b owns rows b*Tq:(b+1)*Tq, and
+    head i owns columns i*dh:(i+1)*dh with dh = H / n_heads. k and v are
+    [B*Tk, H] row blocks laid out the same way, or already split into heads
+    as [B, heads, Tk, dh], as a decode cache keeps them. No row attends
+    outside its own sequence. mask is an additive array that broadcasts to
     [B, Tq, Tk] and is shared by all heads, such as a causal [Tq, Tk] or a
     key-padding [B, 1, Tk], or None. Scores are [B, heads, Tq, Tk]. Returns
     the head outputs side by side, [B*Tq, H].
     """
-    if (q.values.ndim != 2 or k.values.ndim != 2 or k.shape != v.shape
-            or k.shape[1] != q.shape[1] or q.shape[1] % n_heads != 0
-            or batch < 1 or q.shape[0] % batch or k.shape[0] % batch):
+    h = q.shape[1] if q.values.ndim == 2 else 0
+    dh = h // n_heads if n_heads > 0 and h % n_heads == 0 else 0
+    rows = k.values.ndim == 2  # else split into heads
+    if (not dh or batch < 1 or q.shape[0] % batch or k.shape != v.shape
+            or ((k.shape[0] % batch or k.shape[1] != h) if rows
+                else k.shape[:2] + k.shape[3:] != (batch, n_heads, dh))):
         raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} do not "
                          f"split into {batch} sequences and {n_heads} heads of one width")
-    tq, tk, h = q.shape[0] // batch, k.shape[0] // batch, q.shape[1]
+    tq = q.shape[0] // batch
+    tk = k.shape[0] // batch if rows else k.shape[2]
     if mask is not None:
         shape = (1,) * (3 - mask.ndim) + mask.shape
         if mask.ndim > 3 or any(m not in (1, n) for m, n in zip(shape, (batch, tq, tk))):
@@ -346,7 +352,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None,
                              f"to {(batch, tq, tk)}")
         if mask.ndim == 3:
             mask = mask[:, None]
-    dh = h // n_heads
     c = 1.0 / np.sqrt(dh)
 
     def split(x, n):  # [B*n, H] -> [B, heads, n, dh]
@@ -355,7 +360,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None,
     def merge(x, n):  # [B, heads, n, dh] -> [B*n, H]
         return x.transpose(0, 2, 1, 3).reshape(batch * n, h)
 
-    qh, kh, vh = split(q.values, tq), split(k.values, tk), split(v.values, tk)
+    qh = split(q.values, tq)
+    kh, vh = (split(k.values, tk), split(v.values, tk)) if rows else (k.values, v.values)
     # The softmax runs in place, so a batch holds one [B, heads, Tq, Tk] array.
     p = qh @ kh.swapaxes(-1, -2)
     p *= c
@@ -371,8 +377,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None,
             dp = gh @ vh.swapaxes(-1, -2)
             ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
             _accum(q, merge(ds @ kh, tq))
-            _accum(k, merge(ds.swapaxes(-1, -2) @ qh, tk))
-            _accum(v, merge(p.swapaxes(-1, -2) @ gh, tk))
+            dk, dv = ds.swapaxes(-1, -2) @ qh, p.swapaxes(-1, -2) @ gh
+            _accum(k, merge(dk, tk) if rows else dk)
+            _accum(v, merge(dv, tk) if rows else dv)
         out._backward = _bw
     return out
 
@@ -401,11 +408,15 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     h = a.shape[1]
     if gamma.shape != (h,) or beta.shape != (h,):
         raise ShapeError(f"layer_norm: gamma/beta must be [{h}], got {gamma.shape}/{beta.shape}")
-    mu = a.values.mean(axis=1, keepdims=True)
-    var = a.values.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (a.values - mu) * inv
-    out, track = _result(xhat * gamma.values + beta.values, (a, gamma, beta))
+    # The arithmetic of a.mean(1) and a.var(1), with the centred rows reused
+    # as xhat and the squared deviations as the output buffer.
+    xhat = a.values - np.add.reduce(a.values, axis=1, keepdims=True) / h
+    y = xhat * xhat
+    inv = 1.0 / np.sqrt(np.add.reduce(y, axis=1, keepdims=True) / h + eps)
+    xhat *= inv
+    np.multiply(xhat, gamma.values, out=y)
+    y += beta.values
+    out, track = _result(y, (a, gamma, beta))
     if track:
         def _bw(g):
             _accum(gamma, (g * xhat).sum(axis=0))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -49,6 +50,9 @@ class TrainConfig:
     checkpoint_every: int = 0            # 0: only at the end
 
     def __post_init__(self):
+        for key in ("lr", "beta1", "beta2", "eps", "clip_norm", "routing_aux_coeff"):
+            if not math.isfinite(getattr(self, key)):  # NaN fails no comparison below
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         if self.lr <= 0 or not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
             raise ConfigError("lr must be positive and betas inside [0, 1)")
         if self.eps <= 0 or self.clip_norm < 0:

@@ -150,6 +150,14 @@ def _op_roster():
     def attention_batched_cross(rng):
         return _batched_attention(rng, 2, 5, _key_padding([5, 2, 4], 5))
 
+    def attention_head_major_kv(rng):
+        # keys and values already split into heads, [B, heads, Tk, dh], as a
+        # decode cache keeps them
+        q, k, v = _rand(rng, 3 * 2, 4), _rand(rng, 3, 2, 5, 2), _rand(rng, 3, 2, 5, 2)
+        w = _rand(rng, 4, 1)
+        return (lambda: _scalar(nd.attention(q, k, v, 2, _key_padding([5, 2, 4], 5), batch=3),
+                                w), [q, k, v, w])
+
     def pick(rng):
         a = _rand(rng, 3, 4)
         return lambda: nd.scale(nd.pick(a, (1, 2)), 2.5), [a]
@@ -241,9 +249,10 @@ def _op_roster():
     return [add, mul, scale, scale_by, scale_by_blocks, linear, linear_untracked_input,
             concat_rows, attention_causal, attention_cross,
             attention_offset_causal, attention_batched_padding, attention_batched_causal,
-            attention_batched_cross, pick, mean_rows, mean_rows_blocks, sigmoid, silu,
-            softmax, dropout, layer_norm, embedding, cross_entropy_lm,
-            cross_entropy_lm_weighted, expert_path, routed_layer_path, routed_batch_path]
+            attention_batched_cross, attention_head_major_kv, pick, mean_rows,
+            mean_rows_blocks, sigmoid, silu, softmax, dropout, layer_norm, embedding,
+            cross_entropy_lm, cross_entropy_lm_weighted, expert_path, routed_layer_path,
+            routed_batch_path]
 
 
 def _routed(layer, x, lengths=None):

@@ -78,6 +78,17 @@ def test_synth_toy_bad_n_exits_1(tmp_path, capsys):
     assert "umfdet: error: ConfigError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["synth-toy", "--n", "30"],
+    ["fabricate-text", "--manifest", "m.jsonl"],
+])
+def test_negative_seed_flag_exits_1_naming_it(tmp_path, capsys, command):
+    rc = cli.main(command + ["--seed", "-1", "--out", str(tmp_path / "x.jsonl")])
+    assert rc == 1
+    assert "ConfigError: --seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "x.jsonl").exists()
+
+
 def test_missing_required_flag_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["synth-toy", "--n", "30"])
@@ -318,6 +329,17 @@ def test_config_file_value_out_of_range_exits_1(tmp_path, corpus, capsys, line):
                    "--out", str(tmp_path / "run"), "--config", str(cfg), "--steps", "1"])
     assert rc == 1
     assert "ConfigError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["lr=nan", "eps=inf", "lambda_cot=nan"])
+def test_config_file_non_finite_value_exits_1_naming_the_key(tmp_path, corpus, capsys, line):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{line}\n")
+    rc = cli.main(["train", "--manifest", str(corpus),
+                   "--out", str(tmp_path / "run"), "--config", str(cfg), "--steps", "1"])
+    assert rc == 1
+    assert f"ConfigError: {line.split('=')[0]} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 _CONFIG_LINES = st.lists(

@@ -82,6 +82,29 @@ def test_split_tokens_punctuation_and_underscores():
     assert split_tokens("ai_synthesized, right?") == ["ai_synthesized", ",", "right", "?"]
 
 
+def _reference_split_tokens(text):
+    """The per-token form split_tokens had before it lowercased its tokens
+    in one call."""
+    return [t.lower() for t in instruct._TOKEN_RE.findall(text)]
+
+
+# Markers and tags in several casings, letters whose lowercase depends on
+# context (final sigma) or has another length (dotted capital I), marks and
+# punctuation that str.lower skips over, and whitespace of several kinds.
+_TOKEN_TEXT = st.lists(
+    st.sampled_from(["<think>", "</think>", "<answer>", "</answer>", "<THINK>",
+                     "</Answer>", "[image]", "[text]", "[IMAGE]", "[Text]", "<", ">", "/",
+                     "[", "]", "ΑΣ", "Σ", "σς", "ΟΔΟΣ'", "İstanbul", "ǅ", "ß", "ẞ", "Ⅻ",
+                     "ⓐ", "'", ".", ":", "\u0301", "\u00ad", "_", " ", "\n", "\t", "\u3000",
+                     "Obama", "REAL", "x1", "42"])
+    | st.text(max_size=4), max_size=12).map("".join)
+
+
+@given(_TOKEN_TEXT | st.text())
+def test_split_tokens_matches_the_per_token_lowercase(text):
+    assert split_tokens(text) == _reference_split_tokens(text)
+
+
 def test_vocab_reserved_ids():
     v = Vocabulary.build(["alpha alpha beta beta"])
     for i, tok in enumerate(RESERVED_TOKENS):

@@ -51,6 +51,13 @@ def test_config_validation():
         M.ModelConfig(max_len=8)
 
 
+@pytest.mark.parametrize("key", ["lambda_cot", "dropout_rate"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_values_naming_the_key(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+        M.ModelConfig(**{key: value})
+
+
 def test_config_json_round_trip():
     cfg = M.ModelConfig(h=32, n_heads=2, lambda_cot=0.5, moe_enabled=False)
     assert M.ModelConfig.from_json(cfg.to_json()) == cfg
@@ -344,6 +351,26 @@ def test_cached_decode_rows_equal_full_prefix_rows(tiny_model, toy_vocab, templa
         rows = [M.decode(tiny_model, memory, [i], cache=cache).values for i in ids]
     assert cache["len"] == len(ids)
     assert np.allclose(np.concatenate(rows), full, rtol=0.0, atol=1e-10)
+
+
+def test_cached_decode_is_independent_of_the_cache_size(tiny_config, toy_corpus, toy_vocab,
+                                                      template):
+    """Attention reads only the filled rows of the cache, so its unfilled
+    rows change no bit of the logits."""
+    samples = _mixed_batch(toy_corpus)
+    params = _batch_params(tiny_config, 2, True)
+    rng = np.random.default_rng(9)
+    ids = rng.integers(9, len(toy_vocab), (len(samples), 7))
+    ids[:, 0] = BOS
+    with nd.no_grad():
+        memory, lengths, _ = M.encode(params, samples, toy_vocab, template)
+        runs = []
+        for size in (ids.shape[1], params.config.max_len):
+            cache = {"size": size}
+            runs.append(np.concatenate([
+                M.decode(params, memory, ids[:, i:j], cache=cache, memory_lengths=lengths)
+                .values for i, j in ((0, 1), (1, 4), (4, 5), (5, 7))]))
+    assert np.array_equal(runs[0], runs[1])
 
 
 def _assert_greedy(params, sample, vocab, template, tokens, budget):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import umfdet.ndtensor as nd
 from umfdet.errors import ConfigError, DataError, GraphError, ShapeError
@@ -167,6 +168,29 @@ def test_batched_attention_grads_and_per_sequence_reference(tq, tk, n_heads, mas
     check_grads(lambda: wsum(nd.attention(q, k, v, n_heads, mask, batch=b), w), [q, k, v])
 
 
+def _heads(x, b, n_heads):
+    """[b*T, H] rows -> [b, heads, T, dh], as a decode cache keeps keys."""
+    return Tensor(x.values.reshape(b, -1, n_heads, x.shape[1] // n_heads)
+                  .transpose(0, 2, 1, 3).copy(), requires_grad=True)
+
+
+@pytest.mark.parametrize("tq,tk,mask", [
+    (1, 5, _key_padding([5, 2, 4], 5)),   # one cached query over padded memory
+    (2, 5, _causal(2, 5)),                # two new queries over five cached keys
+])
+def test_attention_head_major_keys_equal_row_blocks(tq, tk, mask):
+    rng = np.random.default_rng(40 + tq)
+    b, n_heads = 3, 2
+    q, k, v = leaf((b * tq, 4), rng), leaf((b * tk, 4), rng), leaf((b * tk, 4), rng)
+    kh, vh = _heads(k, b, n_heads), _heads(v, b, n_heads)
+    out = nd.attention(q, kh, vh, n_heads, mask, batch=b)
+    assert np.allclose(out.values, nd.attention(q, k, v, n_heads, mask, batch=b).values,
+                       rtol=0.0, atol=1e-12)
+    w = rng.normal(size=b * tq * 4)
+    check_grads(lambda: wsum(nd.attention(q, kh, vh, n_heads, mask, batch=b), w),
+                [q, kh, vh])
+
+
 def test_attention_shape_errors():
     x = Tensor(np.zeros((3, 4)))
     with pytest.raises(ShapeError):
@@ -184,6 +208,16 @@ def test_attention_shape_errors():
         nd.attention(y, y, y, 2, np.zeros((3, 1, 3)), batch=2)  # a mask for 3 sequences
     with pytest.raises(ShapeError):
         nd.attention(y, y, y, 2, np.zeros((1, 2, 1, 3)), batch=2)
+    heads = Tensor(np.zeros((2, 2, 3, 2)))
+    nd.attention(y, heads, heads, 2, batch=2)
+    with pytest.raises(ShapeError):
+        nd.attention(y, heads, heads, 2, batch=3)              # 2 key sequences, not 3
+    with pytest.raises(ShapeError):
+        nd.attention(y, heads, heads, 1, batch=2)              # 2 key heads, not 1
+    with pytest.raises(ShapeError):
+        nd.attention(y, heads, Tensor(np.zeros((2, 2, 4, 2))), 2, batch=2)
+    with pytest.raises(ShapeError):
+        nd.attention(y, Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 2, 3))), 2, batch=2)
 
 
 def test_concat_rows_grads():
@@ -255,6 +289,36 @@ def test_layer_norm_grad():
     beta = Tensor(rng.normal(0.0, 0.2, 6), requires_grad=True)
     w = rng.normal(size=24)
     check_grads(lambda: wsum(nd.layer_norm(a, gamma, beta), w), [a, gamma, beta])
+
+
+def _reference_layer_norm(a, gamma, beta, g, eps=1e-5):
+    """layer_norm in the mean/var form it had before it reused its
+    temporaries: the output, then the gradients of a, gamma and beta for
+    the output gradient g."""
+    h = a.shape[1]
+    inv = 1.0 / np.sqrt(a.var(axis=1, keepdims=True) + eps)
+    xhat = (a - a.mean(axis=1, keepdims=True)) * inv
+    gx = g * gamma
+    da = inv / h * (h * gx - gx.sum(axis=1, keepdims=True)
+                    - xhat * (gx * xhat).sum(axis=1, keepdims=True))
+    return xhat * gamma + beta, da, (g * xhat).sum(axis=0), g.sum(axis=0)
+
+
+_FLOATS = st.floats(-1e6, 1e6)
+
+
+@given(data=st.data(), shape=st.tuples(st.integers(1, 40), st.integers(1, 80)))
+def test_layer_norm_is_bitwise_the_mean_var_form(data, shape):
+    a = Tensor(data.draw(hnp.arrays(np.float64, shape, elements=_FLOATS)),
+               requires_grad=True)
+    gamma, beta = (Tensor(data.draw(hnp.arrays(np.float64, shape[1], elements=_FLOATS)),
+                          requires_grad=True) for _ in range(2))
+    g = data.draw(hnp.arrays(np.float64, shape, elements=_FLOATS))
+    out = nd.layer_norm(a, gamma, beta)
+    out._backward(g)
+    ref = _reference_layer_norm(a.values, gamma.values, beta.values, g)
+    for got, want in zip((out.values, a.grad, gamma.grad, beta.grad), ref):
+        assert np.array_equal(got, want)
 
 
 def test_layer_norm_shape_errors():

@@ -47,6 +47,14 @@ def test_train_config_validation():
             tr.TrainConfig(**bad)
 
 
+@pytest.mark.parametrize("key", ["lr", "beta1", "beta2", "eps", "clip_norm",
+                                 "routing_aux_coeff"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_train_config_rejects_non_finite_values_naming_the_key(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+        tr.TrainConfig(**{key: value})
+
+
 def test_train_config_json_round_trip():
     cfg = _tcfg(routing_aux_coeff=0.5, target_val_acc=0.9)
     assert tr.TrainConfig.from_json(cfg.to_json()) == cfg
