@@ -269,11 +269,10 @@ def cmd_cot_validate(args):
     counts = {"accepted": 0, "missing": 0}
     reasons = {}
     for s in samples:
-        if s.cot is None or not s.cot.think:
+        if s.cot is None or not s.cot.think.strip():
             counts["missing"] += 1
             continue
-        raw = f"<think>{s.cot.think}</think><answer>{s.cot.answer}</answer>"
-        rec = cot_mod.parse_cot(raw)
+        rec = cot_mod.parse_cot(s.cot.target_text())
         rec = cot_mod.validate_cot(rec, s, cot_mod.extract_entities(s.title, gaz),
                                    gazetteer=gaz)
         if rec.accepted:
@@ -288,38 +287,51 @@ def cmd_cot_validate(args):
     return 0
 
 
+def _training_inputs(args, flag_model: dict, flag_train: dict):
+    """What train and ablate share: defaults < --config < flags, the
+    template, the gated corpus's split, and the vocabulary and model, fresh
+    (vocabulary from the train split, weights from the train seed) or, with
+    --resume, the checkpoint's, which every resolved model key must match.
+    Returns (train config, template, splits, vocab, params, the run record's
+    effective config)."""
+    flag_train.update({"max_steps": args.steps, "batch_size": args.batch_size,
+                       "seed": args.seed, "eval_every": args.eval_every,
+                       "target_val_acc": args.target_val_acc})
+    model_kv, train_kv, extra = resolve_configs(args.config, flag_model, flag_train, {})
+    tcfg = TrainConfig.from_json({**TrainConfig().to_json(), **train_kv})
+    template = _template(args)
+    splits = _split_corpus(_load_corpus(args.manifest), extra["split_seed"])
+    if getattr(args, "resume", False):
+        params, vocab = ckpt.load_model(Path(args.out) / "checkpoint")
+        changed = [f"{k}={v!r} (checkpoint: {getattr(params.config, k)!r})"
+                   for k, v in model_kv.items() if v != getattr(params.config, k)]
+        if changed:
+            raise ConfigError(f"--resume keeps the checkpoint's model config; "
+                              f"given {', '.join(changed)}")
+    else:
+        vocab = build_vocab(splits[0], template, extra["min_count"], extra["max_vocab"])
+        mcfg = ModelConfig.from_json({**ModelConfig().to_json(), **model_kv,
+                                      "vocab_size": len(vocab)})
+        params = init_model(mcfg, np.random.default_rng(tcfg.seed))
+    effective = {"model": params.config.to_json(), "train": tcfg.to_json(),
+                 "split_seed": extra["split_seed"], "seed": tcfg.seed,
+                 "manifest": str(args.manifest)}
+    return tcfg, template, splits, vocab, params, effective
+
+
 def cmd_train(args):
     started = time.time()
     flag_model = {"lambda_cot": args.lambda_cot, "dropout_rate": args.dropout,
                   "moe_enabled": False if args.no_moe else None,
                   "gate_scaling": False if args.no_gate_scaling else None}
-    flag_train = {"lr": args.lr, "max_steps": args.steps, "batch_size": args.batch_size,
-                  "seed": args.seed, "eval_every": args.eval_every,
-                  "routing_aux_coeff": args.routing_aux,
-                  "target_val_acc": args.target_val_acc,
+    flag_train = {"lr": args.lr, "routing_aux_coeff": args.routing_aux,
                   "freeze_patch_embedder": True if args.freeze_patch_embedder else None}
-    model_kv, train_kv, extra = resolve_configs(args.config, flag_model, flag_train, {})
-    tcfg = TrainConfig.from_json({**TrainConfig().to_json(), **train_kv})
-    template = _template(args)
-    samples = _load_corpus(args.manifest)
-    train_s, val_s, _ = _split_corpus(samples, extra["split_seed"])
-
-    if args.resume:
-        params, vocab = ckpt.load_model(Path(args.out) / "checkpoint")
-        mcfg = params.config
-    else:
-        vocab = build_vocab(train_s, template, extra["min_count"], extra["max_vocab"])
-        model_kv["vocab_size"] = len(vocab)
-        mcfg = ModelConfig.from_json({**ModelConfig().to_json(), **model_kv})
-        params = init_model(mcfg, np.random.default_rng(tcfg.seed))
-
+    tcfg, template, (train_s, val_s, _), vocab, params, effective = _training_inputs(
+        args, flag_model, flag_train)
     result = trainer_mod.train(params, train_s, val_s, vocab, template, tcfg,
                                args.out, resume=args.resume)
-    write_run_record(args.out, "train", args,
-                     {"model": mcfg.to_json(), "train": tcfg.to_json(),
-                      "split_seed": extra["split_seed"], "seed": tcfg.seed,
-                      "manifest": str(args.manifest)},
-                     [args.manifest, args.config], started)
+    write_run_record(args.out, "train", args, effective, [args.manifest, args.config],
+                     started)
     acc = "n/a" if result.final_val_accuracy is None else f"{result.final_val_accuracy:.4f}"
     print(f"trained steps={result.steps_run} val_acc={acc} "
           f"checkpoint={result.checkpoint_dir}")
@@ -385,23 +397,10 @@ def cmd_route_report(args):
 
 def cmd_ablate(args):
     started = time.time()
-    flag_train = {"max_steps": args.steps, "seed": args.seed,
-                  "batch_size": args.batch_size, "eval_every": args.eval_every,
-                  "target_val_acc": args.target_val_acc}
-    model_kv, train_kv, extra = resolve_configs(args.config, {}, flag_train, {})
-    tcfg = TrainConfig.from_json({**TrainConfig().to_json(), **train_kv})
-    template = _template(args)
-    samples = _load_corpus(args.manifest)
-    splits = _split_corpus(samples, extra["split_seed"])
-    vocab = build_vocab(splits[0], template, extra["min_count"], extra["max_vocab"])
-    model_kv["vocab_size"] = len(vocab)
-    mcfg = ModelConfig.from_json({**ModelConfig().to_json(), **model_kv})
-    rows = trainer_mod.ablate(splits, vocab, template, mcfg, tcfg, args.out)
-    write_run_record(args.out, "ablate", args,
-                     {"model": mcfg.to_json(), "train": tcfg.to_json(),
-                      "split_seed": extra["split_seed"], "seed": tcfg.seed,
-                      "manifest": str(args.manifest)},
-                     [args.manifest, args.config], started)
+    tcfg, template, splits, vocab, params, effective = _training_inputs(args, {}, {})
+    rows = trainer_mod.ablate(splits, vocab, template, params.config, tcfg, args.out)
+    write_run_record(args.out, "ablate", args, effective, [args.manifest, args.config],
+                     started)
     width = max(len(r["name"]) for r in rows)
     for r in rows:
         print(f"{r['name']:<{width}}  acc {r['test_accuracy']:.4f}  "
@@ -449,25 +448,23 @@ def build_parser() -> _Parser:
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_cot_validate)
 
-    sp = sub.add_parser("train", help="train a detector on a manifest")
-    sp.add_argument("--manifest", required=True)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--config", help="flat key=value config file")
-    sp.add_argument("--template")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--batch-size", type=int)
-    sp.add_argument("--lr", type=float)
-    sp.add_argument("--eval-every", type=int)
-    sp.add_argument("--lambda-cot", type=float)
-    sp.add_argument("--dropout", type=float)
-    sp.add_argument("--routing-aux", type=float)
-    sp.add_argument("--target-val-acc", type=float)
-    sp.add_argument("--no-moe", action="store_true")
-    sp.add_argument("--no-gate-scaling", action="store_true")
-    sp.add_argument("--freeze-patch-embedder", action="store_true")
-    sp.add_argument("--resume", action="store_true")
-    sp.set_defaults(func=cmd_train)
+    for name, fn, text in (("train", cmd_train, "train a detector on a manifest"),
+                           ("ablate", cmd_ablate, "run the six-variant ablation grid")):
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("--manifest", required=True)
+        sp.add_argument("--out", required=True)
+        sp.add_argument("--config", help="flat key=value config file")
+        sp.add_argument("--template")
+        for flag, kind in (("--seed", int), ("--steps", int), ("--batch-size", int),
+                           ("--eval-every", int), ("--target-val-acc", float)):
+            sp.add_argument(flag, type=kind)
+        sp.set_defaults(func=fn)
+        if name == "train":
+            for flag in ("--lr", "--lambda-cot", "--dropout", "--routing-aux"):
+                sp.add_argument(flag, type=float)
+            for flag in ("--no-moe", "--no-gate-scaling", "--freeze-patch-embedder",
+                         "--resume"):
+                sp.add_argument(flag, action="store_true")
 
     for name, fn in (("eval", cmd_eval), ("route-report", cmd_route_report)):
         sp = sub.add_parser(name)
@@ -478,18 +475,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--template")
         sp.add_argument("--out")
         sp.set_defaults(func=fn)
-
-    sp = sub.add_parser("ablate", help="run the six-variant ablation grid")
-    sp.add_argument("--manifest", required=True)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--config")
-    sp.add_argument("--template")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--batch-size", type=int)
-    sp.add_argument("--eval-every", type=int)
-    sp.add_argument("--target-val-acc", type=float)
-    sp.set_defaults(func=cmd_ablate)
     return p
 
 

@@ -87,10 +87,10 @@ def expert_forward(t: dict, name: str, x: Tensor, training: bool = False,
     return nd.linear(y, t[f"{name}.W_out"], t[f"{name}.b_out"])
 
 
-def route(t: dict, name: str, x: Tensor, lengths=None) -> Routing:
+def route(t: dict, name: str, x: Tensor, lengths) -> Routing:
     """Mean-pool each sequence over its valid rows, softmax the router
-    logits, hard-select one expert per sequence. x is one sequence, or with
-    lengths a batch of len(lengths) row blocks."""
+    logits, hard-select one expert per sequence. x holds len(lengths) row
+    blocks, one per sequence."""
     if x.shape[0] == 0:
         raise DataError("route: empty sequence")
     logits = nd.linear(nd.mean_rows(x, lengths), t[f"{name}.W"], t[f"{name}.b"])
@@ -98,9 +98,9 @@ def route(t: dict, name: str, x: Tensor, lengths=None) -> Routing:
     return Routing(logits, weights, np.argmax(weights.values, axis=1))
 
 
-def cmoe_forward(t: dict, name: str, x: Tensor, training: bool = False,
+def cmoe_forward(t: dict, name: str, x: Tensor, lengths, training: bool = False,
                  rng: np.random.Generator | None = None, dropout_rate: float = 0.0,
-                 gate_scaling: bool = True, lengths=None):
+                 gate_scaling: bool = True):
     """Route each sequence, then run each selected expert once, on the row
     blocks of the sequences that chose it.
 

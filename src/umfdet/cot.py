@@ -380,8 +380,7 @@ class MockGenClient(GenClient):
             label = "real"
         entities = _ENTITY_LINE.findall(prompt)
         ent = entities[0][0] if entities else "the subject"
-        think = template_cot(Category(label), ent).think
-        return f"<think>{think}</think><answer>{label}</answer>"
+        return template_cot(Category(label), ent).target_text()
 
     def _rewrite(self, prompt: str) -> str:
         keep_m = _KEEP_LINE.search(prompt)

@@ -202,6 +202,13 @@ class CotNote:
     def to_json(self):
         return {"think": self.think, "answer": self.answer, "verdict": self.verdict}
 
+    def target_text(self) -> str:
+        """The rationale as the model's target, <think>...</think><answer>...</answer>,
+        with both parts stripped and the think block dropped when empty."""
+        think, answer = self.think.strip(), self.answer.strip()
+        block = f"<think>{think}</think>" if think else ""
+        return f"{block}<answer>{answer}</answer>"
+
     @classmethod
     def from_json(cls, obj):
         if not isinstance(obj, dict):

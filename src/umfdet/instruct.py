@@ -207,12 +207,12 @@ class Vocabulary:
 def build_vocab(samples, template: InstructionTemplate, min_count: int = 2,
                 max_size: int = 8192) -> Vocabulary:
     """Vocabulary over each sample's rendered prompt and, when it has a
-    rationale, its <think>...</think><answer>...</answer> target."""
+    rationale, its target text."""
     texts = []
     for s in samples:
         texts.append(render_prompt(template, s.title))
         if s.cot is not None:
-            texts.append(f"<think>{s.cot.think}</think><answer>{s.cot.answer}</answer>")
+            texts.append(s.cot.target_text())
     return Vocabulary.build(texts, min_count=min_count, max_size=max_size)
 
 

@@ -298,8 +298,8 @@ def encode(params: ModelParams, samples, vocab: Vocabulary,
     for i in range(cfg.n_moe):
         normed = _ln(t, f"cmoe.{i}.ln", x)
         if cfg.moe_enabled:
-            out, routing = cmoe_forward(t, f"cmoe.{i}", normed, training, rng, rate,
-                                        cfg.gate_scaling, lengths)
+            out, routing = cmoe_forward(t, f"cmoe.{i}", normed, lengths, training, rng,
+                                        rate, cfg.gate_scaling)
             routings.append(routing)
         else:
             out = expert_forward(t, f"cmoe.{i}.solo", normed, training, rng, rate)
@@ -406,19 +406,12 @@ def _target_ids(sample, vocab):
     if sample.cot is None or not sample.cot.answer.strip():
         raise DataError(f"sample {sample.id}: training requires a rationale note "
                         f"with a non-empty answer")
-    think = sample.cot.think.strip()
-    answer = sample.cot.answer.strip()
-    if think:
-        target_text = f"<think>{think}</think><answer>{answer}</answer>"
-    else:
-        target_text = f"<answer>{answer}</answer>"
-    return vocab.encode(target_text) + [EOS]
+    return vocab.encode(sample.cot.target_text()) + [EOS]
 
 
 def forward_train(params: ModelParams, samples, vocab: Vocabulary,
                   template: InstructionTemplate, training: bool = True,
-                  rng: np.random.Generator | None = None,
-                  build_cot_loss: bool = True) -> ForwardResult:
+                  rng: np.random.Generator | None = None) -> ForwardResult:
     """Forward pass over a list of B samples packed into one graph, yielding
     the two masked losses, each the mean over samples of the sample's mean
     over its span; a sample without a rationale adds 0 to the reasoning loss
@@ -427,9 +420,7 @@ def forward_train(params: ModelParams, samples, vocab: Vocabulary,
     The samples are encoded as one padded batch and their targets decoded as
     B rows padded with PAD at the end, which the causal mask hides from every
     real position. routings holds one cmoe.Routing per mixture layer; the
-    token counts are totals over the batch. With
-    build_cot_loss False the reasoning-loss graph is never constructed and a
-    gradient-free zero stands in for it.
+    token counts are totals over the batch.
     """
     samples = list(samples)
     if not samples:
@@ -456,10 +447,8 @@ def forward_train(params: ModelParams, samples, vocab: Vocabulary,
         return nd.cross_entropy_lm(logits, np.where(w > 0, padded.ravel(), nd.IGNORE),
                                    weights=w)
 
-    loss_det = span_loss(det_w)
-    loss_cot = span_loss(cot_w) if build_cot_loss else Tensor(np.asarray(0.0))
-    return ForwardResult(loss_det=loss_det, loss_cot=loss_cot, routings=routings,
-                         n_answer_tokens=int((det_w > 0).sum()),
+    return ForwardResult(loss_det=span_loss(det_w), loss_cot=span_loss(cot_w),
+                         routings=routings, n_answer_tokens=int((det_w > 0).sum()),
                          n_think_tokens=int((cot_w > 0).sum()))
 
 

@@ -262,13 +262,13 @@ def pick(a: Tensor, index) -> Tensor:
     return out
 
 
-def mean_rows(a: Tensor, lengths=None) -> Tensor:
-    """Mean over the rows of an [N, H] tensor, kept as [1, H]. With lengths,
-    a holds B = len(lengths) blocks of N / B rows, and row b of the [B, H]
-    result averages the first lengths[b] rows of block b."""
+def mean_rows(a: Tensor, lengths) -> Tensor:
+    """Block means of an [N, H] tensor: a holds B = len(lengths) blocks of
+    N / B rows, and row b of the [B, H] result averages the first lengths[b]
+    rows of block b."""
     if a.values.ndim != 2 or a.shape[0] == 0:
         raise DataError(f"mean_rows: needs a non-empty 2-D operand, got {a.shape}")
-    lens = np.asarray([a.shape[0]] if lengths is None else lengths, dtype=np.int64)
+    lens = np.asarray(lengths, dtype=np.int64)
     rows = a.shape[0] // max(lens.size, 1)
     if lens.size == 0 or a.shape[0] % lens.size or lens.min() < 1 or lens.max() > rows:
         raise DataError(f"mean_rows: lengths {lens.tolist()} do not fit {a.shape[0]} rows")

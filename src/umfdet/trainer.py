@@ -44,7 +44,6 @@ class TrainConfig:
     log_every: int = 50
     seed: int = 0
     routing_aux_coeff: float = 0.0
-    build_cot_loss: bool = True
     freeze_patch_embedder: bool = False
     target_val_acc: float | None = None  # stop early once validation reaches it
     checkpoint_every: int = 0            # 0: only at the end
@@ -178,8 +177,7 @@ def _batch_loss(params, batch, vocab, template, tcfg, rng):
     lambda_cot times the rationale loss, each a mean over the batch's
     samples; the mixture alignment term joins only when its coefficient is
     nonzero. Returns (total, detection loss, rationale loss)."""
-    fr = forward_train(params, batch, vocab, template, training=True, rng=rng,
-                       build_cot_loss=tcfg.build_cot_loss)
+    fr = forward_train(params, batch, vocab, template, training=True, rng=rng)
     total = nd.add(fr.loss_det, nd.scale(fr.loss_cot, params.config.lambda_cot))
     if tcfg.routing_aux_coeff != 0.0:
         labels = [s.label for s in batch]
@@ -299,13 +297,14 @@ def _save_all(ckpt_dir, params, vocab, optim, rng, sampler, step):
 # ablation grid
 
 
+# (name, model config overrides, train config overrides)
 ABLATION_GRID = (
-    ("base", {}),
-    ("no_moe", {"moe_enabled": False}),
-    ("no_gate_scaling", {"gate_scaling": False}),
-    ("no_cot_loss", {"lambda_cot": 0.0}),
-    ("routing_aux", {"__train__": {"routing_aux_coeff": 0.5}}),
-    ("no_dropout", {"dropout_rate": 0.0}),
+    ("base", {}, {}),
+    ("no_moe", {"moe_enabled": False}, {}),
+    ("no_gate_scaling", {"gate_scaling": False}, {}),
+    ("no_cot_loss", {"lambda_cot": 0.0}, {}),
+    ("routing_aux", {}, {"routing_aux_coeff": 0.5}),
+    ("no_dropout", {"dropout_rate": 0.0}, {}),
 )
 
 
@@ -320,9 +319,7 @@ def ablate(splits, vocab, template, model_cfg: ModelConfig, tcfg: TrainConfig,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for name, overrides in ABLATION_GRID:
-        model_over = {k: v for k, v in overrides.items() if k != "__train__"}
-        train_over = overrides.get("__train__", {})
+    for name, model_over, train_over in ABLATION_GRID:
         mcfg = ModelConfig.from_json({**model_cfg.to_json(), **model_over})
         cfg = TrainConfig.from_json({**tcfg.to_json(), **train_over})
         started = time.time()

@@ -16,7 +16,7 @@ def wsum(t, w):
     # A 1-D t scales the rows of the column w; a 2-D t multiplies w.
     rows = nd.scale_by(Tensor(w[:, None]), t) if t.values.ndim == 1 else nd.mul(t, Tensor(w))
     n, h = rows.shape
-    total = nd.linear(nd.mean_rows(rows), Tensor(np.full((h, 1), float(n))), Tensor(np.zeros(1)))
+    total = nd.linear(nd.mean_rows(rows, [n]), Tensor(np.full((h, 1), float(n))), Tensor(np.zeros(1)))
     return nd.pick(total, (0, 0))
 
 

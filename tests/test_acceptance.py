@@ -164,7 +164,7 @@ def _op_roster():
 
     def mean_rows(rng):
         a, w = _rand(rng, 4, 5), _rand(rng, 5, 1)
-        return lambda: _scalar(nd.mean_rows(a), w), [a, w]
+        return lambda: _scalar(nd.mean_rows(a, [4]), w), [a, w]
 
     def mean_rows_blocks(rng):
         a, w = _rand(rng, 6, 5), _rand(rng, 5, 1)
@@ -228,10 +228,10 @@ def _op_roster():
         cmoe.init_cmoe_layer(layer, rng, "m", 6)
         x = _rand(rng, 4, 6)
         tensors = [x] + _under(layer, "m.router")
-        tensors += _under(layer, f"m.{cmoe.EXPERT_NAMES[_routed(layer, x)[0]]}")
+        tensors += _under(layer, f"m.{cmoe.EXPERT_NAMES[_routed(layer, x, [4])[0]]}")
         for t in tensors:
             t.requires_grad = True
-        return lambda: _scalar(cmoe.cmoe_forward(layer, "m", x)[0]), tensors
+        return lambda: _scalar(cmoe.cmoe_forward(layer, "m", x, [4])[0]), tensors
 
     def routed_batch_path(rng):
         layer = {}
@@ -255,10 +255,10 @@ def _op_roster():
             routed_batch_path]
 
 
-def _routed(layer, x, lengths=None):
+def _routed(layer, x, lengths):
     """The expert each sequence of x is routed to."""
     with nd.no_grad():
-        return cmoe.route(layer, "m.router", x, lengths=lengths).selected.tolist()
+        return cmoe.route(layer, "m.router", x, lengths).selected.tolist()
 
 
 def _under(named, prefix):
@@ -326,9 +326,9 @@ def test_routing_shift_invariance_and_gradient_isolation():
         h = int(rng.integers(4, 12))
         r = {"r.W": cmoe.xavier(rng, h, cmoe.N_EXPERTS), "r.b": cmoe.zeros(cmoe.N_EXPERTS)}
         x = Tensor(rng.normal(size=(int(rng.integers(1, 6)), h)))
-        base = cmoe.route(r, "r", x).selected
+        base = cmoe.route(r, "r", x, [x.shape[0]]).selected
         r["r.b"].values += rng.uniform(-50.0, 50.0)
-        assert cmoe.route(r, "r", x).selected == base
+        assert cmoe.route(r, "r", x, [x.shape[0]]).selected == base
 
     checked = 0
     for seed in range(60):
@@ -340,7 +340,7 @@ def test_routing_shift_invariance_and_gradient_isolation():
         for t in layer.values():
             t.requires_grad = True
             t.zero_grad()
-        out, routing = cmoe.cmoe_forward(layer, "m", x, dropout_rate=0.0,
+        out, routing = cmoe.cmoe_forward(layer, "m", x, [5], dropout_rate=0.0,
                                          gate_scaling=gate_scaling)
         _scalar(out).backward()
         for idx, expert in enumerate(cmoe.EXPERT_NAMES):
@@ -393,20 +393,27 @@ def test_loss_decomposition_holds_at_every_logged_step(toy_corpus, toy_vocab,
 
 
 def test_zero_weight_rationale_loss_is_bitwise_inert(toy_corpus, toy_vocab,
-                                                     template, work):
+                                                     template, work, monkeypatch):
     cfg = model.ModelConfig.from_json({**_tiny_cfg_json(toy_vocab), "lambda_cot": 0.0})
+
+    def detection_only(params, batch, vocab, template, tcfg, rng):
+        fr = trainer.forward_train(params, batch, vocab, template, training=True, rng=rng)
+        return fr.loss_det, float(fr.loss_det.values), float(fr.loss_cot.values)
+
     blobs = []
-    for tag, build_cot in (("built", True), ("skipped", False)):
+    for tag in ("lambda0", "detection_only"):
+        if tag == "detection_only":
+            monkeypatch.setattr(trainer, "_batch_loss", detection_only)
         params = model.init_model(cfg, np.random.default_rng(5))
         tcfg = trainer.TrainConfig(max_steps=6, batch_size=4, eval_every=100,
-                                   log_every=3, seed=9, build_cot_loss=build_cot)
-        out = work / f"lambda0_{tag}"
+                                   log_every=3, seed=9)
+        out = work / f"zero_weight_{tag}"
         trainer.train(params, toy_corpus[:24], toy_corpus[24:30], toy_vocab,
                       template, tcfg, out)
         blobs.append((out / "checkpoint" / ckpt.WEIGHTS_FILE).read_bytes())
     assert blobs[0] == blobs[1], "zero-weight rationale loss altered training"
-    _ok("zero-weight rationale loss: 6 training steps with the rationale "
-        "graph built vs never constructed produce byte-identical weights")
+    _ok("zero-weight rationale loss: 6 training steps with lambda_cot = 0 and "
+        "6 backed by the detection loss alone produce byte-identical weights")
 
 
 def _tiny_cfg_json(vocab):
@@ -798,7 +805,7 @@ def test_ablation_grid_completes_and_mixture_does_not_hurt(template, work):
     rows = trainer.ablate(splits, vocab, template, mcfg, tcfg, work / "ablate")
     elapsed = time.time() - started
     assert elapsed < 3600.0, f"ablation took {elapsed:.0f}s (budget 3600s)"
-    assert [r["name"] for r in rows] == [n for n, _ in trainer.ABLATION_GRID]
+    assert [r["name"] for r in rows] == [n for n, _, _ in trainer.ABLATION_GRID]
     for row in rows:
         assert set(row) == {"name", "config_hash", "test_accuracy", "macro_f1",
                             "steps", "duration_s"}

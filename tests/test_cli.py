@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from umfdet import checkpoint as ckpt
 from umfdet import cli
-from umfdet.data import SplitSpec, load_manifest, split
+from umfdet.data import SplitSpec, load_manifest, save_manifest, split
 from umfdet.errors import ConfigError, TransportError
 from umfdet.instruct import Vocabulary
 from umfdet.model import ModelConfig
@@ -175,6 +175,15 @@ def test_cot_gen_and_validate(tmp_path, corpus, capsys):
     assert body["accepted"] == 60
     assert body["rejected_by_reason"] == {}
 
+    # A whitespace-only rationale is missing; padding around one changes nothing.
+    samples = load_manifest(out)
+    samples[0].cot.think = " \n\t "
+    samples[1].cot.think = f"  {samples[1].cot.think}\n"
+    save_manifest(samples, out)
+    assert cli.main(["cot-validate", "--manifest", str(out), "--out", str(report)]) == 0
+    body = json.loads(report.read_text())
+    assert (body["accepted"], body["missing"], body["rejected_by_reason"]) == (59, 1, {})
+
 
 @pytest.mark.parametrize("workers", ["1", "4"])
 def test_cot_gen_survives_a_transport_failure(tmp_path, corpus, capsys, monkeypatch,
@@ -288,12 +297,13 @@ def test_config_precedence_flags_over_file_over_defaults(tmp_path, corpus):
 
 def test_config_file_unknown_key_exits_1(tmp_path, corpus, capsys):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("learning_rate=0.1\n")
-    rc = cli.main(["train", "--manifest", str(corpus),
-                   "--out", str(tmp_path / "run"), "--config", str(cfg),
-                   "--steps", "1"])
-    assert rc == 1
-    assert "learning_rate" in capsys.readouterr().err
+    for line in ("learning_rate=0.1", "build_cot_loss=false"):  # the latter a removed knob
+        cfg.write_text(line + "\n")
+        rc = cli.main(["train", "--manifest", str(corpus),
+                       "--out", str(tmp_path / "run"), "--config", str(cfg),
+                       "--steps", "1"])
+        assert rc == 1
+        assert f"unknown config key {line.split('=')[0]!r}" in capsys.readouterr().err
 
 
 def test_config_file_duplicate_key_exits_1(tmp_path, corpus, capsys):
@@ -423,6 +433,26 @@ def test_train_resume_continues(tmp_path, corpus):
     assert cli.main(base + ["--steps", "4", "--resume"]) == 0
     state = json.loads((out / "checkpoint" / "train_state.json").read_text())
     assert state["step"] == 4
+
+
+@pytest.mark.parametrize("model_cfg, flags, keys", [
+    (SMALL_MODEL, ["--lambda-cot", "0.3", "--dropout", "0.0", "--no-moe"],
+     ["lambda_cot=0.3", "dropout_rate=0.0", "moe_enabled=False"]),
+    (SMALL_MODEL.replace("gen_max_tokens=8", "gen_max_tokens=9"), [], ["gen_max_tokens=9"]),
+], ids=["flags", "config_file"])
+def test_train_resume_refuses_changed_model_settings_naming_them(
+        tmp_path, corpus, trained, capsys, model_cfg, flags, keys):
+    out = tmp_path / "run"
+    shutil.copytree(trained, out)
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(model_cfg)
+    rc = cli.main(["train", "--manifest", str(corpus), "--out", str(out), "--config", str(cfg),
+                   "--steps", "4", "--batch-size", "2", "--resume"] + flags)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "ConfigError: --resume" in err and all(key in err for key in keys)
+    state = json.loads((out / "checkpoint" / ckpt.TRAIN_STATE_FILE).read_text())
+    assert state["step"] == 2
 
 
 @pytest.mark.parametrize("flag, error", [("--config", "ConfigError"),

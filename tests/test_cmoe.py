@@ -50,7 +50,7 @@ def test_expert_hidden_width_is_double_by_default():
 def test_route_weights_and_selection():
     t = make_layer(seed=2)
     x = Tensor(np.random.default_rng(3).normal(size=(7, 6)))
-    r = cmoe.route(t, "m.router", x)
+    r = cmoe.route(t, "m.router", x, [7])
     assert r.logits.shape == r.weights.shape == (1, 3)
     assert abs(r.weights.values.sum() - 1.0) < 1e-12
     assert r.selected.tolist() == [int(np.argmax(r.weights.values))]
@@ -59,7 +59,7 @@ def test_route_weights_and_selection():
 
 def test_route_tie_breaks_to_lowest_index():
     r = {"r.W": Tensor(np.zeros((4, 3))), "r.b": Tensor(np.zeros(3))}
-    routing = cmoe.route(r, "r", Tensor(np.ones((2, 4))))
+    routing = cmoe.route(r, "r", Tensor(np.ones((2, 4))), [2])
     assert routing.selected.tolist() == [0]
     assert np.allclose(routing.weights.values, 1.0 / 3.0)
 
@@ -71,22 +71,22 @@ def test_route_shift_invariance_sample():
         b = rng.normal(size=3)
         c = rng.uniform(-20, 20)
         x = Tensor(rng.normal(size=(3, 5)))
-        base = cmoe.route({"r.W": Tensor(w), "r.b": Tensor(b)}, "r", x)
-        shifted = cmoe.route({"r.W": Tensor(w), "r.b": Tensor(b + c)}, "r", x)
+        base = cmoe.route({"r.W": Tensor(w), "r.b": Tensor(b)}, "r", x, [3])
+        shifted = cmoe.route({"r.W": Tensor(w), "r.b": Tensor(b + c)}, "r", x, [3])
         assert base.selected == shifted.selected
 
 
 def test_route_rejects_empty_sequence():
     t = make_layer()
     with pytest.raises(DataError):
-        cmoe.route(t, "m.router", Tensor(np.zeros((0, 6))))
+        cmoe.route(t, "m.router", Tensor(np.zeros((0, 6))), [0])
 
 
 def test_only_selected_expert_receives_gradient():
     t = make_layer(seed=5)
     x = Tensor(np.random.default_rng(6).normal(size=(4, 6)), requires_grad=True)
-    out, routing = cmoe.cmoe_forward(t, "m", x)
-    loss = nd.pick(nd.mean_rows(out), (0, 0))
+    out, routing = cmoe.cmoe_forward(t, "m", x, [4])
+    loss = nd.pick(nd.mean_rows(out, [4]), (0, 0))
     loss.backward()
     for i, expert in enumerate(cmoe.EXPERT_NAMES):
         touched = any(p._grad is not None and p.grad.any() for p in under(t, f"m.{expert}"))
@@ -96,8 +96,8 @@ def test_only_selected_expert_receives_gradient():
 def test_gate_off_router_gradient_exactly_zero():
     t = make_layer(seed=7)
     x = Tensor(np.random.default_rng(8).normal(size=(4, 6)), requires_grad=True)
-    out, _ = cmoe.cmoe_forward(t, "m", x, gate_scaling=False)
-    nd.pick(nd.mean_rows(out), (0, 0)).backward()
+    out, _ = cmoe.cmoe_forward(t, "m", x, [4], gate_scaling=False)
+    nd.pick(nd.mean_rows(out, [4]), (0, 0)).backward()
     assert t["m.router.W"]._grad is None or not t["m.router.W"].grad.any()
     assert t["m.router.b"]._grad is None or not t["m.router.b"].grad.any()
 
@@ -105,16 +105,16 @@ def test_gate_off_router_gradient_exactly_zero():
 def test_gate_on_router_gradient_nonzero():
     t = make_layer(seed=9)
     x = Tensor(np.random.default_rng(10).normal(size=(4, 6)), requires_grad=True)
-    out, _ = cmoe.cmoe_forward(t, "m", x, gate_scaling=True)
-    nd.pick(nd.mean_rows(out), (0, 0)).backward()
+    out, _ = cmoe.cmoe_forward(t, "m", x, [4], gate_scaling=True)
+    nd.pick(nd.mean_rows(out, [4]), (0, 0)).backward()
     assert t["m.router.W"].grad.any()
 
 
 def test_gate_scaling_multiplies_by_selected_probability():
     x_vals = np.random.default_rng(11).normal(size=(3, 6))
     t = make_layer(seed=12)
-    out_on, r_on = cmoe.cmoe_forward(t, "m", Tensor(x_vals), gate_scaling=True)
-    out_off, r_off = cmoe.cmoe_forward(t, "m", Tensor(x_vals), gate_scaling=False)
+    out_on, r_on = cmoe.cmoe_forward(t, "m", Tensor(x_vals), [3], gate_scaling=True)
+    out_off, r_off = cmoe.cmoe_forward(t, "m", Tensor(x_vals), [3], gate_scaling=False)
     assert r_on.selected == r_off.selected
     p = r_on.weights.values[0, r_on.selected[0]]
     assert np.allclose(out_on.values, out_off.values * p, atol=1e-12)
@@ -124,12 +124,12 @@ def test_cmoe_forward_gradients_vs_oracle():
     t = make_layer(h=4, seed=13)
     x = Tensor(np.random.default_rng(14).normal(size=(3, 4)), requires_grad=True)
     params = [x, t["m.router.W"], t["m.router.b"]]
-    sel = cmoe.route(t, "m.router", x).selected[0]
+    sel = cmoe.route(t, "m.router", x, [3]).selected[0]
     params += under(t, f"m.{cmoe.EXPERT_NAMES[sel]}")
     w = np.random.default_rng(15).normal(size=12)
 
     def build():
-        return wsum(cmoe.cmoe_forward(t, "m", x)[0], w)
+        return wsum(cmoe.cmoe_forward(t, "m", x, [3])[0], w)
 
     check_grads(build, params)
 
@@ -137,7 +137,7 @@ def test_cmoe_forward_gradients_vs_oracle():
 def test_alignment_loss_zero_coefficient_is_inert():
     t = make_layer(seed=24)
     x = Tensor(np.random.default_rng(25).normal(size=(2, 6)))
-    routing = cmoe.route(t, "m.router", x)
+    routing = cmoe.route(t, "m.router", x, [2])
     loss = cmoe.routing_alignment_loss(routing, [Category.REAL], coefficient=0.0)
     assert float(loss.values) == 0.0
     assert loss._backward is None and not loss._parents
@@ -146,7 +146,7 @@ def test_alignment_loss_zero_coefficient_is_inert():
 def test_alignment_loss_matches_nll_oracle_and_reaches_router():
     t = make_layer(seed=26)
     x = Tensor(np.random.default_rng(27).normal(size=(2, 6)))
-    routing = cmoe.route(t, "m.router", x)
+    routing = cmoe.route(t, "m.router", x, [2])
     coeff = 0.5
     loss = cmoe.routing_alignment_loss(routing, [Category.AI_SYNTHESIZED],
                                        coefficient=coeff)
@@ -184,7 +184,7 @@ def test_batched_cmoe_forward_equals_one_sequence_calls(seed, gate_scaling):
     assert len(set(routing.selected.tolist())) > 1
     for b, n in enumerate(lengths):
         rows = slice(4 * b, 4 * b + n)
-        one, r_one = cmoe.cmoe_forward(t, "m", Tensor(x.values[rows]),
+        one, r_one = cmoe.cmoe_forward(t, "m", Tensor(x.values[rows]), [n],
                                        gate_scaling=gate_scaling)
         assert routing.selected[b] == r_one.selected[0]
         assert np.allclose(routing.weights.values[b], r_one.weights.values[0], rtol=0.0,
@@ -214,7 +214,7 @@ def test_alignment_loss_reads_its_own_row_of_a_batch():
     loss = cmoe.routing_alignment_loss(routing, labels, coefficient=2.0)
     terms = []
     for b, label in enumerate(labels):
-        one = cmoe.route(t, "m.router", Tensor(x.values[3 * b:3 * b + lengths[b]]))
+        one = cmoe.route(t, "m.router", Tensor(x.values[3 * b:3 * b + lengths[b]]), [lengths[b]])
         alone = float(cmoe.routing_alignment_loss(one, [label], coefficient=2.0).values)
         assert abs(alone + 2.0 * np.log(routing.weights.values[b, label.expert_index])) < 1e-12
         terms.append(alone)

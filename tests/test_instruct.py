@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from umfdet import instruct
+from umfdet.data import CotNote
 from umfdet.errors import ConfigError, DataError, TemplateError
 from umfdet.instruct import (BOS, EOS, PAD, RESERVED_TOKENS, UNK,
                              InstructionTemplate, Vocabulary, parse_template,
@@ -283,6 +284,33 @@ def test_build_vocab_covers_prompts_and_rationales(toy_corpus, template):
     assert "[image]" in v and "human_crafted" in v
     capped = instruct.build_vocab(samples, template, min_count=1, max_size=20)
     assert len(capped) == 20
+
+
+def _reference_build_vocab(samples, template, min_count=2, max_size=8192):
+    """build_vocab as it was before CotNote.target_text: think and answer
+    joined as stored, unstripped, and an empty think block kept."""
+    texts = []
+    for s in samples:
+        texts.append(render_prompt(template, s.title))
+        if s.cot is not None:
+            texts.append(f"<think>{s.cot.think}</think><answer>{s.cot.answer}</answer>")
+    return Vocabulary.build(texts, min_count=min_count, max_size=max_size)
+
+
+_PADDING = st.sampled_from(["", " ", "  ", "\n", "\t ", "\u3000", "\x1c"])
+# Empty, whitespace-only, and marker-rich text with whitespace around it.
+_RATIONALE_PART = _PADDING | st.tuples(_PADDING, _TOKEN_TEXT, _PADDING).map("".join)
+
+
+@given(parts=st.lists(st.tuples(_RATIONALE_PART, _RATIONALE_PART), min_size=1, max_size=6),
+       min_count=st.integers(1, 2))
+def test_build_vocab_matches_the_unstripped_reference(toy_corpus, template, parts,
+                                                      min_count):
+    samples = [dataclasses.replace(s, cot=CotNote(think, answer, "accepted"))
+               for s, (think, answer) in zip(toy_corpus, parts)]
+    got = instruct.build_vocab(samples, template, min_count=min_count)
+    want = _reference_build_vocab(samples, template, min_count=min_count)
+    assert got.id_to_token == want.id_to_token
 
 
 def test_build_vocab_skips_missing_rationale(toy_corpus, template):

@@ -231,13 +231,6 @@ def test_forward_train_no_think_gives_inert_zero(tiny_model, toy_vocab, template
     assert float(res.loss_det.values) > 0.0
 
 
-def test_forward_train_skip_cot_branch(tiny_model, toy_vocab, template):
-    res = M.forward_train(tiny_model, [_sample()], toy_vocab, template, training=False,
-                          build_cot_loss=False)
-    assert float(res.loss_cot.values) == 0.0
-    assert not res.loss_cot.requires_grad
-
-
 def _fresh(tiny_config):
     return M.init_model(tiny_config, np.random.default_rng(7))
 
@@ -254,7 +247,7 @@ def test_forward_train_deterministic_without_dropout(tiny_config, toy_vocab, tem
 def test_zero_weight_rationale_loss_matches_detection_only(tiny_config, toy_vocab,
                                                            template):
     """Total with a zero-weighted rationale term backs the same gradients,
-    bitwise, as the detection loss alone."""
+    bitwise, as a backward from the detection loss alone."""
     sample = _sample()
 
     pa = _fresh(tiny_config)
@@ -264,8 +257,7 @@ def test_zero_weight_rationale_loss_matches_detection_only(tiny_config, toy_voca
     nd.Graph(total).backward()
 
     pb = _fresh(tiny_config)
-    rb = M.forward_train(pb, [sample], toy_vocab, template, training=False,
-                         build_cot_loss=False)
+    rb = M.forward_train(pb, [sample], toy_vocab, template, training=False)
     nd.Graph(rb.loss_det).backward()
 
     for name in pa.tensors:

@@ -241,7 +241,7 @@ def test_pick_mean_rows_grads():
     a = leaf((4, 6), rng)
     check_grads(lambda: nd.pick(a, (2, 4)), [a])
     w2 = rng.normal(size=6)
-    check_grads(lambda: wsum(nd.mean_rows(a), w2), [a])
+    check_grads(lambda: wsum(nd.mean_rows(a, [4]), w2), [a])
     rows, cols = np.array([3, 0, 1]), np.array([5, 5, 0])
     assert np.array_equal(nd.pick(a, (rows, cols)).values, a.values[rows, cols])
     check_grads(lambda: wsum(nd.pick(a, (rows, cols)), w2[:3]), [a])
@@ -260,7 +260,7 @@ def test_mean_rows_over_blocks_grads_and_reference():
 
 def test_mean_rows_rejects_empty():
     with pytest.raises(DataError):
-        nd.mean_rows(Tensor(np.zeros((0, 4))))
+        nd.mean_rows(Tensor(np.zeros((0, 4))), [0])
     for lengths in ([], [2, 0], [3, 1], [1, 1, 1, 1, 1]):
         with pytest.raises(DataError, match="lengths"):
             nd.mean_rows(Tensor(np.zeros((4, 3))), lengths)

@@ -215,7 +215,7 @@ def _per_sample_loss(params, batch, vocab, template, tcfg):
     total = None
     for sample in batch:
         fr = forward_train(params, [sample], vocab, template, training=True,
-                           rng=np.random.default_rng(0), build_cot_loss=tcfg.build_cot_loss)
+                           rng=np.random.default_rng(0))
         loss = nd.add(fr.loss_det, nd.scale(fr.loss_cot, lam))
         for routing in fr.routings:
             loss = nd.add(loss, routing_alignment_loss(routing, [sample.label],
@@ -372,12 +372,44 @@ def test_train_periodic_checkpointing(tmp_path, splits, toy_vocab, template,
     assert seen == [2, 4, 5]
 
 
+def test_train_resumes_from_a_periodic_checkpoint_after_a_crash(
+        tmp_path, splits, toy_vocab, template, tiny_config, monkeypatch):
+    """A run killed while writing its step-4 checkpoint resumes from the
+    step-2 one to the straight run's weights, byte for byte."""
+    train_s, val_s, _ = splits
+    tcfg = _tcfg(max_steps=4, checkpoint_every=2)
+    tr.train(_fresh(tiny_config), train_s, val_s[:2], toy_vocab, template, tcfg,
+             tmp_path / "straight")
+
+    real, saved_steps = tr._save_all, []
+
+    def crash_on_second_save(*args):
+        saved_steps.append(args[-1])
+        if len(saved_steps) == 2:
+            raise RuntimeError("killed while checkpointing")
+        real(*args)
+
+    monkeypatch.setattr(tr, "_save_all", crash_on_second_save)
+    run = tmp_path / "crashed"
+    with pytest.raises(RuntimeError, match="killed"):
+        tr.train(_fresh(tiny_config), train_s, val_s[:2], toy_vocab, template, tcfg, run)
+    monkeypatch.undo()
+    assert saved_steps == [2, 4]
+    assert json.loads((run / "checkpoint" / ckpt.TRAIN_STATE_FILE).read_text())["step"] == 2
+
+    params, vocab = ckpt.load_model(run / "checkpoint")
+    assert tr.train(params, train_s, val_s[:2], vocab, template, tcfg, run,
+                    resume=True).steps_run == 4
+    wa = (tmp_path / "straight" / "checkpoint" / ckpt.WEIGHTS_FILE).read_bytes()
+    assert (run / "checkpoint" / ckpt.WEIGHTS_FILE).read_bytes() == wa
+
+
 # ---------------------------------------------------------------------------
 # ablation grid
 
 
 def test_ablation_grid_shape():
-    names = [name for name, _ in tr.ABLATION_GRID]
+    names = [name for name, _, _ in tr.ABLATION_GRID]
     assert names == ["base", "no_moe", "no_gate_scaling", "no_cot_loss",
                      "routing_aux", "no_dropout"]
 
@@ -385,7 +417,7 @@ def test_ablation_grid_shape():
 def test_ablate_runs_all_variants(tmp_path, splits, toy_vocab, template, tiny_config):
     rows = tr.ablate(splits, toy_vocab, template, tiny_config,
                      _tcfg(max_steps=2), tmp_path / "ablate")
-    assert [r["name"] for r in rows] == [name for name, _ in tr.ABLATION_GRID]
+    assert [r["name"] for r in rows] == [name for name, _, _ in tr.ABLATION_GRID]
     hashes = [r["config_hash"] for r in rows]
     assert len(set(hashes)) == len(hashes)
     for r in rows:
@@ -395,5 +427,5 @@ def test_ablate_runs_all_variants(tmp_path, splits, toy_vocab, template, tiny_co
     with open(tmp_path / "ablate" / "ablation.json") as fh:
         assert json.load(fh) == rows
     # each variant leaves its own checkpoint behind
-    for name, _ in tr.ABLATION_GRID:
+    for name, _, _ in tr.ABLATION_GRID:
         assert (tmp_path / "ablate" / name / "checkpoint" / ckpt.WEIGHTS_FILE).exists()
