@@ -26,6 +26,8 @@ from . import checkpoint as ckpt
 from . import cot as cot_mod
 from . import data as data_mod
 from . import evalkit
+from . import model as model_mod
+from . import ndtensor as nd
 from . import textforge
 from . import trainer as trainer_mod
 from .errors import (ConfigError, DataError, TemplateError, TransportError,
@@ -119,8 +121,9 @@ _TRAIN_FIELDS = {f.name: f for f in fields(TrainConfig)}
 _EXTRA_KEYS = {"split_seed": int, "min_count": int, "max_vocab": int}
 
 
-def resolve_configs(config_path, flag_model: dict, flag_train: dict, flag_extra: dict):
-    """defaults < config file < explicit flags; unknown keys are rejected."""
+def resolve_configs(config_path, flag_model: dict, flag_train: dict):
+    """defaults < config file < explicit flags; unknown keys are rejected.
+    The extra keys (split seed, vocabulary bounds) come from the file alone."""
     model_kv, train_kv, extra_kv = {}, {}, {}
     if config_path:
         for key, (lineno, raw) in parse_config_file(config_path).items():
@@ -140,7 +143,6 @@ def resolve_configs(config_path, flag_model: dict, flag_train: dict, flag_extra:
                                   f"{target.__name__}: {raw!r}") from None
     model_kv.update({k: v for k, v in flag_model.items() if v is not None})
     train_kv.update({k: v for k, v in flag_train.items() if v is not None})
-    extra_kv.update({k: v for k, v in flag_extra.items() if v is not None})
     extra = {"split_seed": 0, "min_count": 2, "max_vocab": 8192}
     extra.update(extra_kv)
     return model_kv, train_kv, extra
@@ -297,7 +299,7 @@ def _training_inputs(args, flag_model: dict, flag_train: dict):
     flag_train.update({"max_steps": args.steps, "batch_size": args.batch_size,
                        "seed": args.seed, "eval_every": args.eval_every,
                        "target_val_acc": args.target_val_acc})
-    model_kv, train_kv, extra = resolve_configs(args.config, flag_model, flag_train, {})
+    model_kv, train_kv, extra = resolve_configs(args.config, flag_model, flag_train)
     tcfg = TrainConfig.from_json({**TrainConfig().to_json(), **train_kv})
     template = _template(args)
     splits = _split_corpus(_load_corpus(args.manifest), extra["split_seed"])
@@ -373,9 +375,6 @@ def cmd_route_report(args):
     if not params.config.moe_enabled:
         raise ConfigError("route-report needs a mixture-enabled checkpoint")
     template = _template(args)
-    from . import model as model_mod
-    from . import ndtensor as nd
-
     experts = []
     with nd.no_grad():
         for i in range(0, len(chosen), evalkit.EVAL_BATCH):

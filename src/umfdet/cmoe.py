@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ndtensor as nd
-from .errors import DataError
 from .ndtensor import Tensor
 
 EXPERT_NAMES = ("reality", "deception", "synthesis")
@@ -91,8 +90,6 @@ def route(t: dict, name: str, x: Tensor, lengths) -> Routing:
     """Mean-pool each sequence over its valid rows, softmax the router
     logits, hard-select one expert per sequence. x holds len(lengths) row
     blocks, one per sequence."""
-    if x.shape[0] == 0:
-        raise DataError("route: empty sequence")
     logits = nd.linear(nd.mean_rows(x, lengths), t[f"{name}.W"], t[f"{name}.b"])
     weights = nd.softmax(logits)
     return Routing(logits, weights, np.argmax(weights.values, axis=1))
@@ -129,15 +126,14 @@ def cmoe_forward(t: dict, name: str, x: Tensor, lengths, training: bool = False,
     return nd.embedding(nd.concat(parts), np.argsort(np.concatenate(order))), routing
 
 
-def routing_alignment_loss(routing: Routing, labels, coefficient: float = 0.0) -> Tensor:
-    """Optional cross-entropy pulling the router toward each label's expert.
+def routing_alignment_loss(routing: Routing, labels, coefficient: float) -> Tensor:
+    """Cross-entropy pulling the router toward each label's expert, times
+    coefficient.
 
     labels are the categories of the routed batch, in order; the loss is the
     mean over the batch of each sequence's cross entropy on its router
-    logits. Off by default (coefficient 0 contributes a gradient-free
-    constant 0); routing is otherwise left emergent.
+    logits. Training adds it only for a nonzero coefficient; routing is
+    otherwise left emergent.
     """
-    if coefficient == 0.0:
-        return Tensor(np.asarray(0.0))
     targets = np.array([label.expert_index for label in labels])
     return nd.scale(nd.cross_entropy_lm(routing.logits, targets), coefficient)

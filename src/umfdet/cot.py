@@ -26,8 +26,10 @@ from .data import CATEGORY_NAMES, Category, CotNote, NewsSample, template_cot
 from .errors import ConfigError, TransportError
 
 ENTITY_KINDS = ("person", "location", "organization", "event_time")
-DEFAULT_THINK_RANGE = (12, 160)
+DEFAULT_THINK_RANGE = (12, 160)  # accepted rationale length in tokens, inclusive
 DEFAULT_ATTEMPTS = 3
+HTTP_MAX_TOKENS = 512
+HTTP_TIMEOUT_S = 30.0
 
 _WORD = re.compile(r"[A-Za-z][A-Za-z'\-]*")
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
@@ -88,15 +90,11 @@ class Gazetteer:
         return self._descriptions.get(surface.lower())
 
     @classmethod
-    def from_tsv(cls, path_or_file):
-        """Load ``surface<TAB>kind[<TAB>description]`` lines."""
+    def from_tsv(cls, fh):
+        """Load ``surface<TAB>kind[<TAB>description]`` lines from an open
+        text file."""
         entries, descriptions = {}, {}
-        if hasattr(path_or_file, "read"):
-            lines = path_or_file.read().splitlines()
-        else:
-            with open(path_or_file, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        for line in lines:
+        for line in fh.read().splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -219,13 +217,13 @@ def _think_tokens(text):
 
 
 def validate_cot(rec: CotRecord, sample: NewsSample, m: EntitySet,
-                 limits=DEFAULT_THINK_RANGE, gazetteer: Gazetteer | None = None) -> CotRecord:
+                 gazetteer: Gazetteer | None = None) -> CotRecord:
     """Quality gate over a parsed record; the verdict captures any failure.
 
     Accepts only when both grounded spans exist, the answer is a valid
     category equal to the sample label, the rationale length is inside
-    limits and every entity the rationale mentions links back to the meta
-    set or the title.
+    DEFAULT_THINK_RANGE and every entity the rationale mentions links back
+    to the meta set or the title.
     """
     if rec.verdict == "rejected":
         return rec
@@ -239,7 +237,7 @@ def validate_cot(rec: CotRecord, sample: NewsSample, m: EntitySet,
     if answer != sample.label.value:
         rec.verdict, rec.reject_reason = "rejected", "answer_label_mismatch"
         return rec
-    lo, hi = limits
+    lo, hi = DEFAULT_THINK_RANGE
     n_tokens = len(_think_tokens(rec.think))
     if n_tokens < lo:
         rec.verdict, rec.reject_reason = "rejected", "think_too_short"
@@ -268,10 +266,10 @@ def validate_cot(rec: CotRecord, sample: NewsSample, m: EntitySet,
 # prompting
 
 
-def build_cot_prompt(sample: NewsSample, m: EntitySet, k: dict | None = None) -> str:
+def build_cot_prompt(sample: NewsSample, m: EntitySet) -> str:
     """Render the rationale-generation prompt; the annotated label is spelled
-    out so the generated reasoning stays consistent with it."""
-    k = m.descriptions if k is None else k
+    out so the generated reasoning stays consistent with it, and each entity
+    carries its description from m."""
     lines = [
         "[TASK]",
         "Given the news image and title, explain step by step why this news belongs "
@@ -281,8 +279,8 @@ def build_cot_prompt(sample: NewsSample, m: EntitySet, k: dict | None = None) ->
     ]
     if m:
         lines.append("Entities:")
-        for entity in m.entities:
-            lines.append(f"- {entity.surface} ({entity.kind}): {k.get(entity.surface, '')}")
+        for e in m.entities:
+            lines.append(f"- {e.surface} ({e.kind}): {m.descriptions.get(e.surface, '')}")
     lines += [
         "[DEFINE]",
         "Decision criteria: real news keeps image-text consistency; human_crafted "
@@ -313,25 +311,19 @@ class GenClient:
 
 
 class HttpGenClient(GenClient):
-    """JSON-over-HTTP client: POST {"prompt", "max_tokens"} -> {"text"}."""
+    """JSON-over-HTTP client: POST {"prompt", "max_tokens": HTTP_MAX_TOKENS}
+    -> {"text"}, each request bounded by HTTP_TIMEOUT_S."""
 
     def __init__(self, endpoint: str, auth_token: str | None = None,
-                 model: str | None = None, max_tokens: int = 512,
-                 timeout: float = 30.0, retries: int = 2, backoff: float = 0.5,
-                 session=None):
+                 retries: int = 2, backoff: float = 0.5, session=None):
         self.endpoint = endpoint
         self.auth_token = auth_token
-        self.model = model
-        self.max_tokens = max_tokens
-        self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
         self.session = session or requests.Session()
 
     def generate(self, prompt: str) -> str:
-        payload = {"prompt": prompt, "max_tokens": self.max_tokens}
-        if self.model:
-            payload["model"] = self.model
+        payload = {"prompt": prompt, "max_tokens": HTTP_MAX_TOKENS}
         headers = {}
         if self.auth_token:
             headers["Authorization"] = f"Bearer {self.auth_token}"
@@ -341,7 +333,7 @@ class HttpGenClient(GenClient):
                 time.sleep(self.backoff * 2 ** (attempt - 1))
             try:
                 resp = self.session.post(self.endpoint, json=payload,
-                                         headers=headers, timeout=self.timeout)
+                                         headers=headers, timeout=HTTP_TIMEOUT_S)
             except requests.RequestException as exc:
                 last = exc
                 continue
@@ -393,8 +385,7 @@ class MockGenClient(GenClient):
 
 def generate_with_qc(sample: NewsSample, client: GenClient,
                      k_attempts: int = DEFAULT_ATTEMPTS,
-                     gazetteer: Gazetteer | None = None,
-                     limits=DEFAULT_THINK_RANGE) -> CotRecord:
+                     gazetteer: Gazetteer | None = None) -> CotRecord:
     """generate -> parse -> validate loop, bounded by k_attempts.
 
     Returns the first accepted record, or the last rejected one with
@@ -410,7 +401,7 @@ def generate_with_qc(sample: NewsSample, client: GenClient,
     rec = CotRecord()
     for attempt in range(1, k_attempts + 1):
         rec = parse_cot(client.generate(prompt))
-        rec = validate_cot(rec, sample, m, limits=limits, gazetteer=gaz)
+        rec = validate_cot(rec, sample, m, gazetteer=gaz)
         rec.attempts_used = attempt
         if rec.accepted:
             return rec
@@ -418,8 +409,7 @@ def generate_with_qc(sample: NewsSample, client: GenClient,
 
 
 def generate_corpus_cots(samples, client: GenClient, k_attempts: int = DEFAULT_ATTEMPTS,
-                         gazetteer: Gazetteer | None = None,
-                         limits=DEFAULT_THINK_RANGE, max_workers: int = 1):
+                         gazetteer: Gazetteer | None = None, max_workers: int = 1):
     """Per-sample QC generation over a corpus; output order follows input order.
     A sample whose generation fails in transport gets a record rejected for
     reason "transport", and the other samples go on."""
@@ -427,7 +417,7 @@ def generate_corpus_cots(samples, client: GenClient, k_attempts: int = DEFAULT_A
 
     def one(sample):
         try:
-            return generate_with_qc(sample, client, k_attempts, gaz, limits)
+            return generate_with_qc(sample, client, k_attempts, gaz)
         except TransportError as exc:
             return _rejected("transport", error=str(exc))
 

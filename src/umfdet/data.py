@@ -47,6 +47,7 @@ MANIPULATION_KINDS = ("none", "face_swap", "face_attribute", "full_generation",
                       "inpaint_replace", "style_transfer", "pure_fake_text",
                       "keyword_distortion")
 TEXT_KINDS = ("pure_fake_text", "keyword_distortion")
+SIMILARITY_THRESHOLD = 0.7  # similarity_gate keeps a scored sample at or above it
 
 
 @dataclass
@@ -315,15 +316,16 @@ def load_manifest(path):
     return samples
 
 
-def similarity_gate(samples, threshold: float = 0.7):
-    """Keep samples whose similarity score is >= threshold (inclusive).
+def similarity_gate(samples):
+    """Keep samples whose similarity score is >= SIMILARITY_THRESHOLD
+    (inclusive).
 
     Samples without a score are not subject to the gate and pass through.
     """
     kept, dropped = [], []
     for sample in samples:
         sim = sample.annotation.similarity
-        if sim is None or sim >= threshold:
+        if sim is None or sim >= SIMILARITY_THRESHOLD:
             kept.append(sample)
         else:
             dropped.append(sample)
@@ -336,14 +338,11 @@ def similarity_gate(samples, threshold: float = 0.7):
 
 @dataclass
 class SplitSpec:
-    ratios: tuple = (8, 1, 1)
     seed: int = 0
 
 
 def split(samples, spec: SplitSpec):
     """Stratified, seeded 8:1:1 partition; returns (train, val, test)."""
-    if len(spec.ratios) != 3 or any(r <= 0 for r in spec.ratios):
-        raise ConfigError(f"ratios must be three positive numbers, got {spec.ratios}")
     if spec.seed < 0:
         raise ConfigError(f"split seed must be >= 0, got {spec.seed}")
     by_label = {c: [] for c in Category}
@@ -354,7 +353,6 @@ def split(samples, spec: SplitSpec):
             raise ConfigError(f"class {c.value} has only {len(group)} samples; "
                               "need >= 10 to stratify")
     rng = np.random.default_rng(spec.seed)
-    total = sum(spec.ratios)
     train, val, test = [], [], []
     for c in Category:
         group = by_label[c]
@@ -362,8 +360,8 @@ def split(samples, spec: SplitSpec):
             continue
         order = rng.permutation(len(group))
         n = len(group)
-        n_train = math.floor(n * spec.ratios[0] / total)
-        n_val = math.floor(n * spec.ratios[1] / total)
+        n_train = math.floor(n * 8 / 10)
+        n_val = math.floor(n * 1 / 10)
         shuffled = [group[i] for i in order]
         train.extend(shuffled[:n_train])
         val.extend(shuffled[n_train:n_train + n_val])
@@ -430,7 +428,8 @@ def synth_toy_corpus(n: int, cue_strength: float, seed: int):
     rewriting, so they carry a pure_fake_text annotation with the insertion
     logged (the manifest invariant ties kind "none" to real samples only).
     """
-    from . import textforge  # late import: textforge depends on this module
+    from . import textforge  # late imports: textforge and cot depend on this module
+    from .cot import extract_entities
 
     if n < 30:
         raise ConfigError(f"toy corpus needs n >= 30, got {n}")
@@ -457,7 +456,7 @@ def synth_toy_corpus(n: int, cue_strength: float, seed: int):
         elif label is Category.AI_SYNTHESIZED:
             feat = feat + cue_strength * _AI_PATTERN
             if rng.random() < cue_strength:
-                entities = _entities_for(title, gazetteer)
+                entities = extract_entities(title, gazetteer)
                 child = np.random.default_rng(rng.integers(2**32))
                 title, log = textforge.keyword_distortion(title, entities, lexicon, child)
                 annotation = ManipulationAnnotation(kind="keyword_distortion",
@@ -495,11 +494,6 @@ def _toy_gazetteer():
     entries.update({loc: "location" for loc in _LOCATIONS})
     entries.update({d: "event_time" for d in _DAYS})
     return Gazetteer(entries)
-
-
-def _entities_for(title, gazetteer):
-    from .cot import extract_entities
-    return extract_entities(title, gazetteer)
 
 
 # ---------------------------------------------------------------------------

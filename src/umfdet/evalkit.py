@@ -190,7 +190,7 @@ class EvalResult:
     predictions: list  # (sample_id, true_name, pred_name_or_None, raw_text)
 
 
-def evaluate_model(params, samples, vocab, template, max_new=None) -> EvalResult:
+def evaluate_model(params, samples, vocab, template) -> EvalResult:
     """Greedy-generate for every sample, score the parsed answers and report
     the experts each mixture layer selected. Posts are generated in batches
     of up to EVAL_BATCH, each in one lockstep model.generate call."""
@@ -200,8 +200,7 @@ def evaluate_model(params, samples, vocab, template, max_new=None) -> EvalResult
     y_true, y_pred, rows, experts = [], [], [], []
     for i in range(0, len(samples), EVAL_BATCH):
         chunk = samples[i:i + EVAL_BATCH]
-        for s, gen in zip(chunk, model_mod.generate(params, chunk, vocab, template,
-                                                    max_new=max_new)):
+        for s, gen in zip(chunk, model_mod.generate(params, chunk, vocab, template)):
             pred = parse_answer(gen.text)
             y_true.append(s.label)
             y_pred.append(pred)

@@ -21,8 +21,7 @@ from .cmoe import (cmoe_forward, expert_forward, init_cmoe_layer, init_expert,
 from .data import ImagePayload, NewsSample
 from .errors import ConfigError, DataError, GraphError
 from .instruct import (ANSWER_CLOSE, ANSWER_OPEN, BOS, EOS, PAD, THINK_CLOSE,
-                       THINK_OPEN, InstructionTemplate, Vocabulary,
-                       embed_text, render_prompt)
+                       THINK_OPEN, InstructionTemplate, Vocabulary, render_prompt)
 from .ndtensor import Tensor
 
 PATCH = 8
@@ -219,6 +218,22 @@ def _key_padding(lengths, n):
 def _ffn(t, name, x, training, rng, rate):
     u = nd.dropout(nd.silu(nd.linear(x, t[f"{name}.W1"], t[f"{name}.b1"])), rate, training, rng)
     return nd.linear(u, t[f"{name}.W2"], t[f"{name}.b2"])
+
+
+def embed_text(table, pos_table, ids, start=0):
+    """Token embedding plus learned positional rows: [T] -> [T, H], or
+    [B, T] -> [B*T, H] for B rows of tokens. Each row's tokens sit at
+    positions start, start + 1, ..."""
+    ids = np.asarray(ids, dtype=np.int64)
+    n = ids.shape[-1]
+    if n == 0:
+        raise DataError("cannot embed an empty token sequence")
+    if start + n > pos_table.values.shape[0]:
+        raise DataError(f"sequence length {start + n} exceeds positional table "
+                        f"of {pos_table.values.shape[0]} rows")
+    tok = nd.embedding(table, ids.ravel())
+    pos = nd.embedding(pos_table, np.tile(np.arange(start, start + n), ids.size // n))
+    return nd.add(tok, pos)
 
 
 def embed_image(params: ModelParams, payload: ImagePayload, sample_id: str = "?"):
@@ -460,18 +475,16 @@ class GenerationResult:
 
 
 def generate(params: ModelParams, samples, vocab: Vocabulary,
-             template: InstructionTemplate, max_new: int | None = None) -> list:
+             template: InstructionTemplate) -> list:
     """Greedy decode of every sample from one padded batch encode, all rows in
     lockstep with one decoder call per token step through a key/value cache.
 
     A row stops at its end token; decoding stops when every row has stopped
-    or the budget (max_new, default gen_max_tokens) is spent. Returns one
-    GenerationResult per sample, in order.
+    or the budget, gen_max_tokens capped at max_len - 1, is spent. Returns
+    one GenerationResult per sample, in order.
     """
     cfg = params.config
-    if max_new is not None and max_new < 1:
-        raise ConfigError(f"max_new must be >= 1, got {max_new}")
-    budget = min(cfg.gen_max_tokens if max_new is None else max_new, cfg.max_len - 1)
+    budget = min(cfg.gen_max_tokens, cfg.max_len - 1)
     samples = list(samples)
     with nd.no_grad():
         memory, lengths, routings = encode(params, samples, vocab, template, training=False)

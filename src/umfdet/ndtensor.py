@@ -30,6 +30,7 @@ _seq_counter = itertools.count()
 _grad_enabled = True
 
 IGNORE = -100  # the cross_entropy_lm target of a row that contributes nothing
+LAYER_NORM_EPS = 1e-5
 
 
 def is_grad_enabled() -> bool:
@@ -401,7 +402,7 @@ def dropout(a: Tensor, rate: float, training: bool, rng: np.random.Generator) ->
     return out
 
 
-def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis of [N, H], then scale/shift by gamma/beta [H]."""
     if a.values.ndim != 2:
         raise ShapeError(f"layer_norm: needs a 2-D operand, got {a.shape}")
@@ -412,7 +413,7 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     # as xhat and the squared deviations as the output buffer.
     xhat = a.values - np.add.reduce(a.values, axis=1, keepdims=True) / h
     y = xhat * xhat
-    inv = 1.0 / np.sqrt(np.add.reduce(y, axis=1, keepdims=True) / h + eps)
+    inv = 1.0 / np.sqrt(np.add.reduce(y, axis=1, keepdims=True) / h + LAYER_NORM_EPS)
     xhat *= inv
     np.multiply(xhat, gamma.values, out=y)
     y += beta.values

@@ -21,6 +21,7 @@ from .errors import ConfigError, FabricationError
 
 _WORD = re.compile(r"[A-Za-z][A-Za-z'\-]*")
 _POS_RANK = {"adj": 0, "verb": 1, "noun": 2}
+REWRITE_ATTEMPTS = 3
 
 
 @dataclass(frozen=True)
@@ -104,15 +105,11 @@ class AntonymLexicon:
         return self._pos[word.lower()]
 
     @classmethod
-    def from_tsv(cls, path_or_file) -> "AntonymLexicon":
-        """Load ``word<TAB>antonym[<TAB>pos]`` lines; pos defaults to adj."""
-        if hasattr(path_or_file, "read"):
-            lines = path_or_file.read().splitlines()
-        else:
-            with open(path_or_file, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
+    def from_tsv(cls, fh) -> "AntonymLexicon":
+        """Load ``word<TAB>antonym[<TAB>pos]`` lines from an open text file;
+        pos defaults to adj."""
         pairs = []
-        for line in lines:
+        for line in fh.read().splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -151,16 +148,14 @@ def _inside(offset, end, spans):
     return any(offset < s_end and end > s_start for s_start, s_end in spans)
 
 
-def pure_fake_rewrite(title: str, m: EntitySet, gen: GenClient,
-                      k_attempts: int = 3) -> tuple[str, RewriteLog]:
+def pure_fake_rewrite(title: str, m: EntitySet, gen: GenClient) -> tuple[str, RewriteLog]:
     """Wholesale misleading rewrite with verbatim entity preservation.
 
     The generator output is checked, not trusted: every entity surface must
     appear verbatim and the text must actually change. Violations consume
-    the regeneration budget; exhaustion raises FabricationError.
+    the regeneration budget of REWRITE_ATTEMPTS; exhaustion raises
+    FabricationError.
     """
-    if k_attempts < 1:
-        raise ConfigError(f"k_attempts must be >= 1, got {k_attempts}")
     surfaces = m.surfaces()
     prompt_lines = ["Rewrite this news headline into a misleading fake version."]
     if surfaces:
@@ -168,7 +163,7 @@ def pure_fake_rewrite(title: str, m: EntitySet, gen: GenClient,
     prompt_lines.append(f"Headline: {title}")
     prompt = "\n".join(prompt_lines)
     problem = "no output"
-    for _ in range(k_attempts):
+    for _ in range(REWRITE_ATTEMPTS):
         out = gen.generate(prompt).strip()
         missing = [s for s in surfaces
                    if not re.search(rf"(?<!\w){re.escape(s)}(?!\w)", out)]
@@ -182,7 +177,7 @@ def pure_fake_rewrite(title: str, m: EntitySet, gen: GenClient,
                          replacements=[], output_title=out)
         return out, log
     raise FabricationError(
-        f"pure_fake rewrite failed after {k_attempts} attempts: {problem}")
+        f"pure_fake rewrite failed after {REWRITE_ATTEMPTS} attempts: {problem}")
 
 
 def keyword_distortion(title: str, m: EntitySet, lexicon: AntonymLexicon,

@@ -29,6 +29,7 @@ from .errors import ConfigError, DataError, NumericsError
 from .model import ModelConfig, ModelParams, forward_train, init_model
 
 FREEZE_VISUAL_PREFIXES = ("patch_proj", "vis_proj", "vis_pos_emb")
+HISTORY_HEADER = ["step", "loss_det", "loss_cot", "loss_total", "grad_norm", "val_acc"]
 
 
 @dataclass
@@ -231,15 +232,14 @@ def train(params: ModelParams, train_samples, val_samples, vocab, template,
         sampler.load(meta["sampler"])
         start_step = meta["step"]
 
-    mode = "a" if resume and history_path.exists() else "w"
+    kept = _logged_rows(history_path, start_step) if resume else []
     history_rows = []
     stopped_early = False
     val_acc = None
-    with open(history_path, mode, newline="", encoding="utf-8") as hist_fh:
+    with open(history_path, "w", newline="", encoding="utf-8") as hist_fh:
         writer = csv.writer(hist_fh)
-        if mode == "w":
-            writer.writerow(["step", "loss_det", "loss_cot", "loss_total",
-                             "grad_norm", "val_acc"])
+        writer.writerows([HISTORY_HEADER] + kept)
+        hist_fh.flush()  # the resumed-from rows reach disk before any new step runs
         step = start_step
         while step < tcfg.max_steps:
             step += 1
@@ -274,6 +274,7 @@ def train(params: ModelParams, train_samples, val_samples, vocab, template,
                 history_rows.append(row)
             if (tcfg.checkpoint_every and step % tcfg.checkpoint_every == 0
                     and step < tcfg.max_steps):
+                hist_fh.flush()  # the log on disk covers every step the checkpoint holds
                 _save_all(ckpt_dir, params, vocab, optim, rng, sampler, step)
             if (ran_eval and tcfg.target_val_acc is not None
                     and val_acc >= tcfg.target_val_acc):
@@ -284,6 +285,30 @@ def train(params: ModelParams, train_samples, val_samples, vocab, template,
     return TrainResult(steps_run=step, final_val_accuracy=val_acc,
                        history_path=str(history_path), checkpoint_dir=str(ckpt_dir),
                        stopped_early=stopped_early, history=history_rows)
+
+
+def _logged_rows(history_path, last_step):
+    """The rows of an earlier run's history.csv that a resume from last_step
+    keeps: the leading rows whose step increases and is at most last_step,
+    up to the first row that does not parse. The rows a crashed run logged
+    after its checkpoint are dropped, since the resumed run logs them again."""
+    kept, prev = [], 0
+    try:
+        with open(history_path, newline="", encoding="utf-8", errors="replace") as fh:
+            for row in csv.reader(fh):
+                if not kept and row == HISTORY_HEADER:
+                    continue
+                try:
+                    step = int(row[0])
+                except (IndexError, ValueError):
+                    break
+                if not prev < step <= last_step:
+                    break
+                kept.append(row)
+                prev = step
+    except (FileNotFoundError, csv.Error):  # no log yet, or a row csv cannot read
+        pass
+    return kept
 
 
 def _save_all(ckpt_dir, params, vocab, optim, rng, sampler, step):

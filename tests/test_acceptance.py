@@ -759,7 +759,7 @@ def test_similarity_gate_split_and_manifest_guarantees(corpus900, splits900,
     at.annotation.similarity = 0.70
     below.annotation.similarity = 0.699
     unscored.annotation.similarity = None
-    kept, dropped = data.similarity_gate([at, below, unscored], 0.7)
+    kept, dropped = data.similarity_gate([at, below, unscored])
     assert kept == [at, unscored] and dropped == [below]
 
     train_s, val_s, test_s = splits900

@@ -134,15 +134,6 @@ def test_cmoe_forward_gradients_vs_oracle():
     check_grads(build, params)
 
 
-def test_alignment_loss_zero_coefficient_is_inert():
-    t = make_layer(seed=24)
-    x = Tensor(np.random.default_rng(25).normal(size=(2, 6)))
-    routing = cmoe.route(t, "m.router", x, [2])
-    loss = cmoe.routing_alignment_loss(routing, [Category.REAL], coefficient=0.0)
-    assert float(loss.values) == 0.0
-    assert loss._backward is None and not loss._parents
-
-
 def test_alignment_loss_matches_nll_oracle_and_reaches_router():
     t = make_layer(seed=26)
     x = Tensor(np.random.default_rng(27).normal(size=(2, 6)))

@@ -302,11 +302,14 @@ def test_validate_cot_links_title_only_entities():
     assert rec.cited_entities == ["Novakovic"]
 
 
-def test_validate_cot_custom_limits():
+def test_validate_cot_custom_limits(monkeypatch):
+    """The gate reads its bounds from DEFAULT_THINK_RANGE, the name the
+    acceptance gate test builds its cases from."""
     raw = f"<think>{_think(30)}</think><answer>real</answer>"
     sample = _sample()
     m = extract_entities(sample.title, _gaz())
-    rec = validate_cot(parse_cot(raw), sample, m, limits=(40, 60), gazetteer=_gaz())
+    monkeypatch.setattr(cot, "DEFAULT_THINK_RANGE", (40, 60))
+    rec = validate_cot(parse_cot(raw), sample, m, gazetteer=_gaz())
     assert rec.reject_reason == "think_too_short"
 
 
@@ -328,7 +331,8 @@ def test_build_cot_prompt_sections_and_entities():
 def test_build_cot_prompt_custom_knowledge():
     sample = _sample()
     m = extract_entities(sample.title, _gaz())
-    prompt = build_cot_prompt(sample, m, k={"Merkel": "chancellor for 16 years"})
+    m.descriptions["Merkel"] = "chancellor for 16 years"
+    prompt = build_cot_prompt(sample, m)
     assert "- Merkel (person): chancellor for 16 years" in prompt
 
 
@@ -477,12 +481,12 @@ class _StubSession:
 
 def test_http_client_success_payload_and_auth():
     session = _StubSession([_StubResponse(200, {"text": "ok"})])
-    client = HttpGenClient("http://gen.local/v1", auth_token="tok", model="m1",
-                           max_tokens=64, session=session)
+    client = HttpGenClient("http://gen.local/v1", auth_token="tok", session=session)
     assert client.generate("hello") == "ok"
     req = session.requests[0]
     assert req["url"] == "http://gen.local/v1"
-    assert req["json"] == {"prompt": "hello", "max_tokens": 64, "model": "m1"}
+    assert req["json"] == {"prompt": "hello", "max_tokens": 512}
+    assert req["timeout"] == 30.0
     assert req["headers"]["Authorization"] == "Bearer tok"
 
 

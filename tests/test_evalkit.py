@@ -1,10 +1,12 @@
 """Answer extraction, metric arithmetic against brute force, routing tables."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from umfdet import evalkit
+from umfdet import evalkit, model
 from umfdet.data import Category
 from umfdet.errors import DataError
 from umfdet.evalkit import (
@@ -226,8 +228,14 @@ def test_routing_report_render_and_json():
 # end-to-end evaluation loop
 
 
-def test_evaluate_model_smoke(tiny_model, toy_vocab, template, toy_corpus):
-    result = evaluate_model(tiny_model, toy_corpus[:6], toy_vocab, template, max_new=8)
+def _budget_model(tiny_config, budget):
+    return model.init_model(replace(tiny_config, gen_max_tokens=budget),
+                            np.random.default_rng(7))
+
+
+def test_evaluate_model_smoke(tiny_config, toy_vocab, template, toy_corpus):
+    result = evaluate_model(_budget_model(tiny_config, 8), toy_corpus[:6], toy_vocab,
+                            template)
     assert result.metrics.n_samples == 6
     assert len(result.predictions) == 6
     for sid, true_name, pred_name, text in result.predictions:
@@ -243,10 +251,11 @@ def test_evaluate_model_needs_samples(tiny_model, toy_vocab, template):
         evaluate_model(tiny_model, [], toy_vocab, template)
 
 
-def test_evaluate_model_generates_in_batches_of_eval_batch(tiny_model, toy_vocab, template,
+def test_evaluate_model_generates_in_batches_of_eval_batch(tiny_config, toy_vocab, template,
                                                            toy_corpus, monkeypatch):
     samples = toy_corpus[:7]
-    whole = evaluate_model(tiny_model, samples, toy_vocab, template, max_new=6)
+    params = _budget_model(tiny_config, 6)
+    whole = evaluate_model(params, samples, toy_vocab, template)
     sizes = []
     generate = evalkit.model_mod.generate
 
@@ -256,7 +265,7 @@ def test_evaluate_model_generates_in_batches_of_eval_batch(tiny_model, toy_vocab
 
     monkeypatch.setattr(evalkit, "EVAL_BATCH", 3)
     monkeypatch.setattr(evalkit.model_mod, "generate", counting)
-    chunked = evaluate_model(tiny_model, samples, toy_vocab, template, max_new=6)
+    chunked = evaluate_model(params, samples, toy_vocab, template)
     assert sizes == [3, 3, 1]
     assert chunked.predictions == whole.predictions
     assert chunked.routing.counts == whole.routing.counts

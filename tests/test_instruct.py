@@ -2,7 +2,6 @@
 
 import dataclasses
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +12,6 @@ from umfdet.errors import ConfigError, DataError, TemplateError
 from umfdet.instruct import (BOS, EOS, PAD, RESERVED_TOKENS, UNK,
                              InstructionTemplate, Vocabulary, parse_template,
                              render_prompt, split_tokens)
-from umfdet.ndtensor import Tensor
 
 GOOD_TEMPLATE = """[TASK]
 Judge the news item.
@@ -246,32 +244,6 @@ def test_decode_of_encode_is_stable(text):
     once = v.decode(v.encode(text))
     twice = v.decode(v.encode(once))
     assert once == twice
-
-
-# ---------------------------------------------------------------------------
-# text embedding
-
-
-def test_embed_text_adds_positions():
-    table = Tensor(np.arange(12, dtype=float).reshape(6, 2))
-    pos = Tensor(np.full((4, 2), 0.5))
-    out = instruct.embed_text(table, pos, [2, 0, 5])
-    assert out.shape == (3, 2)
-    assert np.allclose(out.values[0], table.values[2] + 0.5)
-    pos = Tensor(np.arange(8, dtype=float).reshape(4, 2))
-    out = instruct.embed_text(table, pos, [2, 0], start=2)
-    assert np.array_equal(out.values, table.values[[2, 0]] + pos.values[2:4])
-
-
-def test_embed_text_rejects_empty_and_overflow():
-    table = Tensor(np.zeros((6, 2)))
-    pos = Tensor(np.zeros((2, 2)))
-    with pytest.raises(DataError):
-        instruct.embed_text(table, pos, [])
-    with pytest.raises(DataError, match="exceeds"):
-        instruct.embed_text(table, pos, [0, 1, 2])
-    with pytest.raises(DataError, match="exceeds"):
-        instruct.embed_text(table, pos, [0], start=2)
 
 
 def test_build_vocab_covers_prompts_and_rationales(toy_corpus, template):

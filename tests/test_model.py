@@ -1,5 +1,7 @@
 """Model assembly: config, weights naming, fused encoding, masked losses."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from umfdet.data import CotNote, template_cot
 from umfdet.errors import ConfigError, DataError, GraphError
 from umfdet.instruct import (ANSWER_CLOSE, ANSWER_OPEN, BOS, EOS, THINK_CLOSE, THINK_OPEN,
                              render_prompt)
+from umfdet.ndtensor import Tensor
 from umfdet.trainer import FREEZE_VISUAL_PREFIXES
 
 from helpers import backward_keeping_graph
@@ -296,6 +299,28 @@ def test_forward_train_dropout_depends_on_rng(tiny_config, toy_vocab, template):
 # encode / generate
 
 
+def test_embed_text_adds_positions():
+    table = Tensor(np.arange(12, dtype=float).reshape(6, 2))
+    pos = Tensor(np.full((4, 2), 0.5))
+    out = M.embed_text(table, pos, [2, 0, 5])
+    assert out.shape == (3, 2)
+    assert np.allclose(out.values[0], table.values[2] + 0.5)
+    pos = Tensor(np.arange(8, dtype=float).reshape(4, 2))
+    out = M.embed_text(table, pos, [2, 0], start=2)
+    assert np.array_equal(out.values, table.values[[2, 0]] + pos.values[2:4])
+
+
+def test_embed_text_rejects_empty_and_overflow():
+    table = Tensor(np.zeros((6, 2)))
+    pos = Tensor(np.zeros((2, 2)))
+    with pytest.raises(DataError):
+        M.embed_text(table, pos, [])
+    with pytest.raises(DataError, match="exceeds"):
+        M.embed_text(table, pos, [0, 1, 2])
+    with pytest.raises(DataError, match="exceeds"):
+        M.embed_text(table, pos, [0], start=2)
+
+
 def test_encode_shapes_and_routings(tiny_model, toy_vocab, template):
     memory, routings = M.encode(tiny_model, _sample(), toy_vocab, template)
     n_prompt = len(toy_vocab.encode(render_prompt(template, _sample().title)))
@@ -312,25 +337,28 @@ def test_encode_without_moe_has_no_routings(tiny_config, toy_vocab, template):
     assert memory.shape[1] == cfg.h
 
 
-def test_generate_budget_and_structure(tiny_model, toy_vocab, template):
-    [out] = M.generate(tiny_model, [_sample()], toy_vocab, template, max_new=5)
+def test_generate_budget_and_structure(tiny_config, toy_vocab, template):
+    params = M.init_model(replace(tiny_config, gen_max_tokens=5), np.random.default_rng(7))
+    [out] = M.generate(params, [_sample()], toy_vocab, template)
     assert len(out.token_ids) <= 5
     assert isinstance(out.text, str)
-    assert len(out.experts) == tiny_model.config.n_moe
+    assert len(out.experts) == params.config.n_moe
     assert all(e in (0, 1, 2) for e in out.experts)
     assert EOS not in out.token_ids
 
 
 def test_generate_budget_capped_by_max_len(tiny_config, toy_vocab, template):
-    params = M.init_model(tiny_config, np.random.default_rng(3))
-    [out] = M.generate(params, [_sample()], toy_vocab, template, max_new=10**6)
-    assert len(out.token_ids) <= tiny_config.max_len - 1
+    params = M.init_model(replace(tiny_config, gen_max_tokens=10**6),
+                          np.random.default_rng(3))
+    [out] = M.generate(params, [_sample()], toy_vocab, template)
+    assert len(out.token_ids) == tiny_config.max_len - 1  # untrained: never EOS
 
 
-def test_generate_rejects_budget_below_one(tiny_model, toy_vocab, template):
-    for max_new in (0, -3):
-        with pytest.raises(ConfigError, match="max_new"):
-            M.generate(tiny_model, [_sample()], toy_vocab, template, max_new=max_new)
+def test_generate_rejects_budget_below_one(tiny_config):
+    """gen_max_tokens is the one generation budget, and it is at least 4."""
+    for budget in (3, 0, -3):
+        with pytest.raises(ConfigError, match="gen_max_tokens"):
+            replace(tiny_config, gen_max_tokens=budget)
 
 
 def test_cached_decode_rows_equal_full_prefix_rows(tiny_model, toy_vocab, template):
@@ -379,18 +407,18 @@ def _assert_greedy(params, sample, vocab, template, tokens, budget):
     return logits
 
 
-@pytest.mark.parametrize("seed,moe_enabled,max_new", [
+@pytest.mark.parametrize("seed,moe_enabled,budget", [
     (0, True, None), (1, True, None), (2, True, None),
     (0, False, None), (1, False, None), (2, False, None),
-    (3, True, 3),
+    (3, True, 4),
 ])
 def test_generate_is_greedy_under_teacher_forcing(tiny_config, toy_vocab, template,
-                                                  seed, moe_enabled, max_new):
-    cfg = M.ModelConfig(**{**tiny_config.to_json(), "moe_enabled": moe_enabled})
+                                                  seed, moe_enabled, budget):
+    budget = budget or tiny_config.gen_max_tokens
+    cfg = replace(tiny_config, moe_enabled=moe_enabled, gen_max_tokens=budget)
     params = M.init_model(cfg, np.random.default_rng(seed))
     sample = _sample()
-    budget = max_new or cfg.gen_max_tokens
-    [out] = M.generate(params, [sample], toy_vocab, template, max_new=max_new)
+    [out] = M.generate(params, [sample], toy_vocab, template)
     logits = _assert_greedy(params, sample, toy_vocab, template, out.token_ids, budget)
     # An untrained model never picks EOS, so each run uses its whole budget.
     # Lifting the EOS bias just past its smallest gap to the argmax makes a
@@ -399,13 +427,13 @@ def test_generate_is_greedy_under_teacher_forcing(tiny_config, toy_vocab, templa
     gap = logits.max(axis=1) - logits[:, EOS]
     stop = int(np.argmin(gap[:budget]))
     params.tensors["head.b"].values[EOS] += gap[stop] + 1e-6
-    [early] = M.generate(params, [sample], toy_vocab, template, max_new=max_new)
+    [early] = M.generate(params, [sample], toy_vocab, template)
     assert early.token_ids == out.token_ids[:stop]
     _assert_greedy(params, sample, toy_vocab, template, early.token_ids, budget)
 
 
 def test_generate_accumulates_no_grads(tiny_model, toy_vocab, template):
-    M.generate(tiny_model, [_sample()], toy_vocab, template, max_new=4)
+    M.generate(tiny_model, [_sample()], toy_vocab, template)
     assert all(not np.any(t.grad) for t in tiny_model.tensors.values())
 
 
@@ -505,6 +533,34 @@ def test_padded_encode_and_decode_equal_one_sample_rows(tiny_config, toy_corpus,
             assert [r.selected[b] for r in routings] == [r.selected[0] for r in one_routings]
             one_logits = M.decode(params, one, ids[b]).values
             assert np.allclose(logits[b * 6:(b + 1) * 6], one_logits, rtol=0.0, atol=1e-10)
+
+
+def _raw_post():
+    """A post whose [1, 16, 16] raw image goes through patch_proj, where the
+    feature posts of _mixed_batch go through vis_proj."""
+    return NewsSample(id="s-raw", title="Macron opens the quiet museum in Paris on Monday",
+                      image=ImagePayload(raw=np.random.default_rng(4).normal(size=(1, 16, 16))),
+                      label=Category.AI_SYNTHESIZED, annotation=ManipulationAnnotation(),
+                      cot=template_cot(Category.AI_SYNTHESIZED, "Macron"))
+
+
+@pytest.mark.parametrize("moe_enabled", [True, False])
+def test_padded_batch_of_raw_and_feature_posts_equals_batches_of_one(
+        tiny_config, toy_corpus, toy_vocab, template, moe_enabled):
+    samples = _mixed_batch(toy_corpus) + [_raw_post()]
+    params = _batch_params(tiny_config, 1, moe_enabled)
+    with nd.no_grad():
+        memory, lengths, _ = M.encode(params, samples, toy_vocab, template)
+        n = memory.shape[0] // len(samples)
+        for b, s in enumerate(samples):
+            one, [length], _ = M.encode(params, [s], toy_vocab, template)
+            assert lengths[b] == length
+            assert np.allclose(memory.values[b * n:b * n + length], one.values,
+                               rtol=0.0, atol=1e-12)
+    batch = M.generate(params, samples, toy_vocab, template)
+    for s, out in zip(samples, batch):
+        [one] = M.generate(params, [s], toy_vocab, template)
+        assert out.token_ids == one.token_ids and out.experts == one.experts
 
 
 def test_decode_cache_needs_no_grad_and_room(tiny_model, toy_vocab, template):

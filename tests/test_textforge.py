@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from umfdet.cot import Entity, EntitySet
 from umfdet.errors import ConfigError, FabricationError
 from umfdet.textforge import (
+    REWRITE_ATTEMPTS,
     AntonymLexicon,
     Replacement,
     RewriteLog,
@@ -241,8 +242,13 @@ def test_pure_fake_rewrite_entity_must_match_word_boundary():
 
 
 def test_pure_fake_rewrite_budget_validation():
-    with pytest.raises(ConfigError):
-        pure_fake_rewrite("t", _meta(), _Scripted(["x"]), k_attempts=0)
+    """The budget is REWRITE_ATTEMPTS generations, each checked."""
+    m = _meta(("Merkel", "person"))
+    gen = _Scripted(["Oslo account changes"] * (REWRITE_ATTEMPTS + 1))
+    with pytest.raises(FabricationError,
+                       match=f"after {REWRITE_ATTEMPTS} attempts: dropped entities"):
+        pure_fake_rewrite("Merkel speaks", m, gen)
+    assert gen.calls == REWRITE_ATTEMPTS
 
 
 # ---------------------------------------------------------------------------

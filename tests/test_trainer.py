@@ -209,6 +209,23 @@ def test_batch_loss_decomposes(splits, toy_vocab, template, tiny_config):
     assert abs(float(total.values) - (det_avg + lam * cot_avg)) < 1e-12
 
 
+def test_alignment_loss_zero_coefficient_is_inert(splits, toy_vocab, template, tiny_config,
+                                                  monkeypatch):
+    """routing_aux_coeff 0 puts no alignment term in the batch loss's graph."""
+    train_s, _, _ = splits
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return routing_alignment_loss(*args)
+
+    monkeypatch.setattr(tr, "routing_alignment_loss", spy)
+    for coeff in (0.0, 0.5):
+        tr._batch_loss(_fresh(tiny_config), train_s[:3], toy_vocab, template,
+                       _tcfg(routing_aux_coeff=coeff), np.random.default_rng(0))
+    assert [args[2] for args in built] == [0.5] * tiny_config.n_moe
+
+
 def _per_sample_loss(params, batch, vocab, template, tcfg):
     """The minibatch loss as one graph per sample, summed and averaged."""
     lam = params.config.lambda_cot
@@ -217,7 +234,7 @@ def _per_sample_loss(params, batch, vocab, template, tcfg):
         fr = forward_train(params, [sample], vocab, template, training=True,
                            rng=np.random.default_rng(0))
         loss = nd.add(fr.loss_det, nd.scale(fr.loss_cot, lam))
-        for routing in fr.routings:
+        for routing in fr.routings if tcfg.routing_aux_coeff else ():
             loss = nd.add(loss, routing_alignment_loss(routing, [sample.label],
                                                        tcfg.routing_aux_coeff))
         total = loss if total is None else nd.add(total, loss)
@@ -375,26 +392,30 @@ def test_train_periodic_checkpointing(tmp_path, splits, toy_vocab, template,
 def test_train_resumes_from_a_periodic_checkpoint_after_a_crash(
         tmp_path, splits, toy_vocab, template, tiny_config, monkeypatch):
     """A run killed while writing its step-4 checkpoint resumes from the
-    step-2 one to the straight run's weights, byte for byte."""
+    step-2 one to the straight run's weights and history.csv, byte for byte;
+    the log on disk already holds every step a checkpoint holds."""
     train_s, val_s, _ = splits
     tcfg = _tcfg(max_steps=4, checkpoint_every=2)
     tr.train(_fresh(tiny_config), train_s, val_s[:2], toy_vocab, template, tcfg,
              tmp_path / "straight")
 
-    real, saved_steps = tr._save_all, []
+    real, saved_steps, logged_steps = tr._save_all, [], []
+    run = tmp_path / "crashed"
 
     def crash_on_second_save(*args):
         saved_steps.append(args[-1])
+        with open(run / "history.csv", newline="", encoding="utf-8") as fh:
+            logged_steps.append([row[0] for row in csv.reader(fh)][1:])
         if len(saved_steps) == 2:
             raise RuntimeError("killed while checkpointing")
         real(*args)
 
     monkeypatch.setattr(tr, "_save_all", crash_on_second_save)
-    run = tmp_path / "crashed"
     with pytest.raises(RuntimeError, match="killed"):
         tr.train(_fresh(tiny_config), train_s, val_s[:2], toy_vocab, template, tcfg, run)
     monkeypatch.undo()
     assert saved_steps == [2, 4]
+    assert logged_steps[0] == ["1", "2"]
     assert json.loads((run / "checkpoint" / ckpt.TRAIN_STATE_FILE).read_text())["step"] == 2
 
     params, vocab = ckpt.load_model(run / "checkpoint")
@@ -402,6 +423,26 @@ def test_train_resumes_from_a_periodic_checkpoint_after_a_crash(
                     resume=True).steps_run == 4
     wa = (tmp_path / "straight" / "checkpoint" / ckpt.WEIGHTS_FILE).read_bytes()
     assert (run / "checkpoint" / ckpt.WEIGHTS_FILE).read_bytes() == wa
+    straight_log = (tmp_path / "straight" / "history.csv").read_bytes()
+    assert (run / "history.csv").read_bytes() == straight_log
+
+
+_HEADER = ",".join(tr.HISTORY_HEADER)
+
+
+@pytest.mark.parametrize("lines,kept", [
+    (None, []),                                        # no log yet
+    ([_HEADER, "1,a", "2,b", "3,c"], ["1", "2"]),      # rows past the checkpoint go
+    (["1,a", "2,b"], ["1", "2"]),                      # a log that lost its header
+    ([_HEADER, "1,a", "x,b", "2,c"], ["1"]),           # a row that does not parse ends it
+    ([_HEADER, "1,a", "1,b", "2,c"], ["1"]),           # so does a step that does not increase
+    ([_HEADER, "", "1,a"], []),
+])
+def test_resume_keeps_the_logged_rows_up_to_the_checkpoint(tmp_path, lines, kept):
+    path = tmp_path / "history.csv"
+    if lines is not None:
+        path.write_text("".join(f"{line}\r\n" for line in lines), encoding="utf-8")
+    assert [row[0] for row in tr._logged_rows(path, 2)] == kept
 
 
 # ---------------------------------------------------------------------------
