@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, write_json
 from .instruct import Vocabulary
 from .model import ModelConfig, ModelParams, init_model
 
@@ -118,9 +118,7 @@ def save_model(ckpt_dir, params: ModelParams, vocab: Vocabulary) -> None:
     d.mkdir(parents=True, exist_ok=True)
     write_tensor_file(d / WEIGHTS_FILE, params.tensors)
     vocab.save(d / VOCAB_FILE)
-    with open(d / CONFIG_FILE, "w", encoding="utf-8") as fh:
-        json.dump(params.config.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(d / CONFIG_FILE, params.config.to_json())
 
 
 def load_model(ckpt_dir):
@@ -157,9 +155,7 @@ def save_train_state(ckpt_dir, moment_arrays: dict, meta: dict) -> None:
     d = Path(ckpt_dir)
     d.mkdir(parents=True, exist_ok=True)
     write_tensor_file(d / OPTIMIZER_FILE, moment_arrays)
-    with open(d / TRAIN_STATE_FILE, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(d / TRAIN_STATE_FILE, meta)
 
 
 def load_train_state(ckpt_dir):

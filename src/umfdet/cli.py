@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 import time
@@ -31,7 +30,7 @@ from . import ndtensor as nd
 from . import textforge
 from . import trainer as trainer_mod
 from .errors import (ConfigError, DataError, TemplateError, TransportError,
-                     UmfdetError, read_utf8)
+                     UmfdetError, read_utf8, write_json)
 from .instruct import build_vocab, default_template, load_template
 from .model import ModelConfig, init_model
 from .trainer import TrainConfig, config_hash
@@ -56,26 +55,17 @@ def blob_hash(path) -> str:
     return hashlib.sha1(b"blob %d\0" % len(content) + content).hexdigest()
 
 
-def write_json(path, obj) -> None:
-    """Write obj as indented JSON with sorted keys and a trailing newline,
-    creating the parent directory."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_run_record(out_dir, command, args_ns, effective, inputs, started):
+def write_run_record(out_dir, args, effective, inputs):
+    """run.json for the subcommand args ran, timed from the start main stamped."""
     write_json(Path(out_dir) / "run.json", {
-        "command": command,
+        "command": args.command,
         "argv": sys.argv[1:],
         "seed": effective.get("seed"),
         "effective_config": effective,
         "config_hash": config_hash(effective),
         "inputs": {str(p): blob_hash(p) for p in inputs if p and Path(p).exists()},
-        "started_unix": round(started, 3),
-        "duration_s": round(time.time() - started, 3),
+        "started_unix": round(args.started, 3),
+        "duration_s": round(time.time() - args.started, 3),
     })
 
 
@@ -183,16 +173,12 @@ def _template(args):
 
 
 def cmd_synth_toy(args):
-    started = time.time()
     samples = data_mod.synth_toy_corpus(args.n, args.cue_strength, _seed_flag(args))
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     data_mod.save_manifest(samples, out)
     stats = data_mod.corpus_stats(samples)
-    write_run_record(out.parent, "synth-toy", args,
-                     {"n": args.n, "cue_strength": args.cue_strength, "seed": args.seed,
-                      "out": str(out)},
-                     [], started)
+    write_run_record(out.parent, args, {"n": args.n, "cue_strength": args.cue_strength,
+                                        "seed": args.seed, "out": str(out)}, [])
     by = stats["by_label"]
     print(f"wrote {stats['total']} samples to {out} "
           f"(real={by['real']}, human_crafted={by['human_crafted']}, "
@@ -201,16 +187,15 @@ def cmd_synth_toy(args):
 
 
 def cmd_fabricate_text(args):
-    started = time.time()
     rng = np.random.default_rng(_seed_flag(args))
-    samples = data_mod.load_manifest(args.manifest)
-    client = make_gen_client(args)
-    lexicon = textforge.default_lexicon()
-    gaz = cot_mod.default_gazetteer()
     label = data_mod.Category.parse(args.label)
     if label is None:
         raise ConfigError(f"--label must be one of {data_mod.CATEGORY_NAMES}, "
                           f"got {args.label!r}")
+    samples = data_mod.load_manifest(args.manifest)
+    client = make_gen_client(args)
+    lexicon = textforge.default_lexicon()
+    gaz = cot_mod.default_gazetteer()
     fabricated = []
     for s in samples:
         entities = cot_mod.extract_entities(s.title, gaz)
@@ -227,12 +212,10 @@ def cmd_fabricate_text(args):
             id=f"{s.id}-fab", title=title, image=s.image, label=label,
             annotation=annotation, cot=None))
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     data_mod.save_manifest(fabricated, out)
-    write_run_record(out.parent, "fabricate-text", args,
+    write_run_record(out.parent, args,
                      {"strategy": args.strategy, "label": args.label, "seed": args.seed,
-                      "manifest": str(args.manifest), "out": str(out)},
-                     [args.manifest], started)
+                      "manifest": str(args.manifest), "out": str(out)}, [args.manifest])
     print(f"fabricated {len(fabricated)} titles ({args.strategy}) -> {out}")
     return 0
 
@@ -240,7 +223,8 @@ def cmd_fabricate_text(args):
 def cmd_cot_gen(args):
     if not 1 <= args.workers <= MAX_WORKERS:
         raise ConfigError(f"--workers must lie in 1..{MAX_WORKERS}, got {args.workers}")
-    started = time.time()
+    if args.attempts < 1:
+        raise ConfigError(f"--attempts must be >= 1, got {args.attempts}")
     samples = data_mod.load_manifest(args.manifest)
     client = make_gen_client(args)
     records = cot_mod.generate_corpus_cots(samples, client, k_attempts=args.attempts,
@@ -254,12 +238,11 @@ def cmd_cot_gen(args):
         s.cot = rec.to_note()
         accepted += int(rec.accepted)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     data_mod.save_manifest(samples, out)
-    write_run_record(out.parent, "cot-gen", args,
+    write_run_record(out.parent, args,
                      {"attempts": args.attempts, "workers": args.workers,
                       "manifest": str(args.manifest), "out": str(out), "seed": None},
-                     [args.manifest], started)
+                     [args.manifest])
     print(f"rationales: {accepted}/{len(samples)} accepted "
           f"({len(samples) - accepted} rejected) -> {out}")
     return 0
@@ -322,7 +305,6 @@ def _training_inputs(args, flag_model: dict, flag_train: dict):
 
 
 def cmd_train(args):
-    started = time.time()
     flag_model = {"lambda_cot": args.lambda_cot, "dropout_rate": args.dropout,
                   "moe_enabled": False if args.no_moe else None,
                   "gate_scaling": False if args.no_gate_scaling else None}
@@ -332,8 +314,7 @@ def cmd_train(args):
         args, flag_model, flag_train)
     result = trainer_mod.train(params, train_s, val_s, vocab, template, tcfg,
                                args.out, resume=args.resume)
-    write_run_record(args.out, "train", args, effective, [args.manifest, args.config],
-                     started)
+    write_run_record(args.out, args, effective, [args.manifest, args.config])
     acc = "n/a" if result.final_val_accuracy is None else f"{result.final_val_accuracy:.4f}"
     print(f"trained steps={result.steps_run} val_acc={acc} "
           f"checkpoint={result.checkpoint_dir}")
@@ -341,16 +322,20 @@ def cmd_train(args):
 
 
 def _load_eval_inputs(args):
+    """What eval and route-report share: the chosen split of the gated corpus,
+    the checkpoint's (params, vocab) and the run record's effective config."""
     samples = _load_corpus(args.manifest)
     splits = _split_corpus(samples, args.split_seed)
     chosen = {"train": splits[0], "val": splits[1], "test": splits[2]}[args.split]
     params, vocab = ckpt.load_model(args.checkpoint)
-    return chosen, params, vocab
+    effective = {"split": args.split, "split_seed": args.split_seed,
+                 "checkpoint": str(args.checkpoint), "manifest": str(args.manifest),
+                 "seed": None}
+    return chosen, params, vocab, effective
 
 
 def cmd_eval(args):
-    started = time.time()
-    chosen, params, vocab = _load_eval_inputs(args)
+    chosen, params, vocab, effective = _load_eval_inputs(args)
     template = _template(args)
     result = evalkit.evaluate_model(params, chosen, vocab, template)
     print(result.metrics.render_text())
@@ -360,18 +345,13 @@ def cmd_eval(args):
                          "routing": result.routing.to_json() if result.routing else None,
                          "predictions": [{"id": i, "true": t, "pred": p, "text": x}
                                          for i, t, p, x in result.predictions]})
-        write_run_record(out.parent, "eval", args,
-                         {"split": args.split, "split_seed": args.split_seed,
-                          "checkpoint": str(args.checkpoint),
-                          "manifest": str(args.manifest), "seed": None},
-                         [args.manifest], started)
+        write_run_record(out.parent, args, effective, [args.manifest])
     print(f"accuracy={result.metrics.accuracy:.4f}")
     return 0
 
 
 def cmd_route_report(args):
-    started = time.time()
-    chosen, params, vocab = _load_eval_inputs(args)
+    chosen, params, vocab, effective = _load_eval_inputs(args)
     if not params.config.moe_enabled:
         raise ConfigError("route-report needs a mixture-enabled checkpoint")
     template = _template(args)
@@ -384,22 +364,15 @@ def cmd_route_report(args):
     report = evalkit.routing_report([s.label for s in chosen], experts)
     print(report.render_text())
     if args.out:
-        out = Path(args.out)
-        write_json(out, report.to_json())
-        write_run_record(out.parent, "route-report", args,
-                         {"split": args.split, "split_seed": args.split_seed,
-                          "checkpoint": str(args.checkpoint),
-                          "manifest": str(args.manifest), "seed": None},
-                         [args.manifest], started)
+        write_json(args.out, report.to_json())
+        write_run_record(Path(args.out).parent, args, effective, [args.manifest])
     return 0
 
 
 def cmd_ablate(args):
-    started = time.time()
     tcfg, template, splits, vocab, params, effective = _training_inputs(args, {}, {})
     rows = trainer_mod.ablate(splits, vocab, template, params.config, tcfg, args.out)
-    write_run_record(args.out, "ablate", args, effective, [args.manifest, args.config],
-                     started)
+    write_run_record(args.out, args, effective, [args.manifest, args.config])
     width = max(len(r["name"]) for r in rows)
     for r in rows:
         print(f"{r['name']:<{width}}  acc {r['test_accuracy']:.4f}  "
@@ -485,6 +458,7 @@ def _fail(code: int, exc: BaseException) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.started = time.time()  # run.json times the run from here
     try:
         return args.func(args)
     except (ConfigError, TemplateError) as exc:

@@ -63,6 +63,22 @@ class EntitySet:
         return bool(self.entities)
 
 
+def tsv_rows(fh, table: str, layout: str) -> list:
+    """The tab-separated fields of each row of an open text file, skipping
+    blank and ``#`` lines; a row with fewer than two fields is a ConfigError
+    naming the table and the layout it needs."""
+    rows = []
+    for line in fh.read().splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) < 2:
+            raise ConfigError(f"{table} line needs {layout}: {line!r}")
+        rows.append(parts)
+    return rows
+
+
 class Gazetteer:
     """Case-insensitive surface -> (kind, description) lookup; keys may be
     multi-word phrases. ``first_words`` holds each key's lowercase first
@@ -94,13 +110,7 @@ class Gazetteer:
         """Load ``surface<TAB>kind[<TAB>description]`` lines from an open
         text file."""
         entries, descriptions = {}, {}
-        for line in fh.read().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise ConfigError(f"gazetteer line needs surface<TAB>kind: {line!r}")
+        for parts in tsv_rows(fh, "gazetteer", "surface<TAB>kind"):
             entries[parts[0]] = parts[1]
             if len(parts) > 2 and parts[2]:
                 descriptions[parts[0]] = parts[2]

@@ -16,6 +16,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -281,6 +282,8 @@ class NewsSample:
 
 
 def save_manifest(samples, path):
+    """Write one JSON line per sample, creating the parent directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for sample in samples:
             fh.write(json.dumps(sample.to_json(), sort_keys=True, separators=(",", ":")))
@@ -444,15 +447,14 @@ def synth_toy_corpus(n: int, cue_strength: float, seed: int):
         feat = rng.normal(0.0, 1.0, (TOY_FEAT_TOKENS, TOY_FEAT_WIDTH))
         annotation = ManipulationAnnotation()
         if label is Category.HUMAN_CRAFTED:
-            preserved = [person, location]
-            replacements = []
+            log = textforge.RewriteLog("pure_fake", preserved_entities=[person, location])
             if rng.random() < cue_strength:
                 prefix = _SENSATIONAL[rng.integers(len(_SENSATIONAL))]
                 title = f"{prefix} {title}"
-                replacements.append({"original": "", "replacement": prefix, "position": 0})
-            log = {"strategy": "pure_fake", "preserved_entities": preserved,
-                   "replacements": replacements, "output_title": title}
-            annotation = ManipulationAnnotation(kind="pure_fake_text", rewrite_log=log)
+                log.replacements.append(textforge.Replacement("", prefix, 0))
+            log.output_title = title
+            annotation = ManipulationAnnotation(kind="pure_fake_text",
+                                                rewrite_log=log.to_manifest())
         elif label is Category.AI_SYNTHESIZED:
             feat = feat + cue_strength * _AI_PATTERN
             if rng.random() < cue_strength:

@@ -1,9 +1,11 @@
-"""Shared exception types, and the text-file reader that raises them.
+"""Shared exception types, the text-file reader that raises them, and the
+one JSON-artifact writer.
 
 The CLI maps these onto exit codes: usage problems exit 1, data problems
 exit 2, anything else exits 3.
 """
 
+import json
 from pathlib import Path
 
 
@@ -60,3 +62,13 @@ def read_utf8(path, error: type) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8: {exc}") from None
+
+
+def write_json(path, obj) -> None:
+    """Write obj as indented JSON with sorted keys and a trailing newline,
+    creating the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -16,10 +16,9 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .cot import EntitySet, GenClient
+from .cot import _WORD, EntitySet, GenClient, tsv_rows
 from .errors import ConfigError, FabricationError
 
-_WORD = re.compile(r"[A-Za-z][A-Za-z'\-]*")
 _POS_RANK = {"adj": 0, "verb": 1, "noun": 2}
 REWRITE_ATTEMPTS = 3
 
@@ -108,16 +107,7 @@ class AntonymLexicon:
     def from_tsv(cls, fh) -> "AntonymLexicon":
         """Load ``word<TAB>antonym[<TAB>pos]`` lines from an open text file;
         pos defaults to adj."""
-        pairs = []
-        for line in fh.read().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise ConfigError(f"lexicon line needs word<TAB>antonym: {line!r}")
-            pairs.append(tuple(parts[:3]))
-        return cls(pairs)
+        return cls([parts[:3] for parts in tsv_rows(fh, "lexicon", "word<TAB>antonym")])
 
 
 @functools.cache

@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from . import checkpoint as ckpt
 from . import evalkit
 from . import ndtensor as nd
 from .cmoe import routing_alignment_loss
-from .errors import ConfigError, DataError, NumericsError
+from .errors import ConfigError, DataError, NumericsError, write_json
 from .model import ModelConfig, ModelParams, forward_train, init_model
 
 FREEZE_VISUAL_PREFIXES = ("patch_proj", "vis_proj", "vis_pos_emb")
@@ -50,9 +50,11 @@ class TrainConfig:
     checkpoint_every: int = 0            # 0: only at the end
 
     def __post_init__(self):
-        for key in ("lr", "beta1", "beta2", "eps", "clip_norm", "routing_aux_coeff"):
-            if not math.isfinite(getattr(self, key)):  # NaN fails no comparison below
-                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
+        for key in ("lr", "beta1", "beta2", "eps", "clip_norm", "routing_aux_coeff",
+                    "target_val_acc"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):  # NaN fails no comparison below
+                raise ConfigError(f"{key} must be finite, got {value}")
         if self.lr <= 0 or not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
             raise ConfigError("lr must be positive and betas inside [0, 1)")
         if self.eps <= 0 or self.clip_norm < 0:
@@ -143,7 +145,6 @@ class TrainResult:
     history_path: str
     checkpoint_dir: str
     stopped_early: bool = False
-    history: list = field(default_factory=list)
 
 
 class _Sampler:
@@ -233,7 +234,6 @@ def train(params: ModelParams, train_samples, val_samples, vocab, template,
         start_step = meta["step"]
 
     kept = _logged_rows(history_path, start_step) if resume else []
-    history_rows = []
     stopped_early = False
     val_acc = None
     with open(history_path, "w", newline="", encoding="utf-8") as hist_fh:
@@ -268,10 +268,8 @@ def train(params: ModelParams, train_samples, val_samples, vocab, template,
                 val_acc = res.metrics.accuracy
                 ran_eval = True
             if step % tcfg.log_every == 0 or ran_eval or step == tcfg.max_steps:
-                row = [step, f"{det_avg:.6f}", f"{cot_avg:.6f}", f"{loss_val:.6f}",
-                       f"{norm:.6f}", f"{val_acc:.4f}" if ran_eval else ""]
-                writer.writerow(row)
-                history_rows.append(row)
+                writer.writerow([step, f"{det_avg:.6f}", f"{cot_avg:.6f}", f"{loss_val:.6f}",
+                                 f"{norm:.6f}", f"{val_acc:.4f}" if ran_eval else ""])
             if (tcfg.checkpoint_every and step % tcfg.checkpoint_every == 0
                     and step < tcfg.max_steps):
                 hist_fh.flush()  # the log on disk covers every step the checkpoint holds
@@ -284,7 +282,7 @@ def train(params: ModelParams, train_samples, val_samples, vocab, template,
     _save_all(ckpt_dir, params, vocab, optim, rng, sampler, step)
     return TrainResult(steps_run=step, final_val_accuracy=val_acc,
                        history_path=str(history_path), checkpoint_dir=str(ckpt_dir),
-                       stopped_early=stopped_early, history=history_rows)
+                       stopped_early=stopped_early)
 
 
 def _logged_rows(history_path, last_step):
@@ -360,7 +358,5 @@ def ablate(splits, vocab, template, model_cfg: ModelConfig, tcfg: TrainConfig,
             "steps": result.steps_run,
             "duration_s": round(time.time() - started, 2),
         })
-        with open(out / "ablation.json", "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
+        write_json(out / "ablation.json", rows)
     return rows

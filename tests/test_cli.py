@@ -47,6 +47,12 @@ def _git_blob_hash(path):
     return hashlib.sha1(b"blob %d\0" % len(content) + content).hexdigest()
 
 
+def _assert_json_layout(path):
+    """Every JSON artifact is indented by 2 with sorted keys and ends in a newline."""
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path
+
+
 # ---------------------------------------------------------------------------
 # synth-toy
 
@@ -128,6 +134,12 @@ def test_fabricate_text_bad_label_exits_1(tmp_path, corpus, capsys):
                    "--mock", "--out", str(tmp_path / "f.jsonl")])
     assert rc == 1
     assert "--label" in capsys.readouterr().err
+    malformed = tmp_path / "bad.jsonl"
+    malformed.write_text("{not json\n")
+    rc = cli.main(["fabricate-text", "--manifest", str(malformed), "--label", "nonsense",
+                   "--mock", "--out", str(tmp_path / "g.jsonl")])
+    assert rc == 1  # the flag is checked before the manifest is read
+    assert "--label" in capsys.readouterr().err
 
 
 def test_fabricate_text_missing_manifest_exits_2(tmp_path, capsys):
@@ -157,6 +169,26 @@ def test_cot_gen_workers_out_of_range_exits_1(tmp_path, corpus, capsys, monkeypa
                                           "--workers", workers, "--out", str(out)])
     with pytest.raises(ConfigError, match="--workers"):
         cli.cmd_cot_gen(args)
+
+
+@pytest.mark.parametrize("attempts", ["0", "-1"])
+@pytest.mark.parametrize("empty", [True, False])
+def test_cot_gen_attempts_below_1_exits_1_naming_it(tmp_path, corpus, capsys, monkeypatch,
+                                                    attempts, empty):
+    def no_run(*args, **kwargs):
+        raise AssertionError("rationale generation started")
+
+    monkeypatch.setattr(cli.cot_mod, "generate_corpus_cots", no_run)
+    manifest = tmp_path / "empty.jsonl" if empty else corpus
+    if empty:
+        manifest.write_text("")
+    out = tmp_path / "out" / "cots.jsonl"
+    rc = cli.main(["cot-gen", "--manifest", str(manifest), "--mock",
+                   "--attempts", attempts, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "--attempts" in err
+    assert not out.parent.exists()
 
 
 def test_cot_gen_and_validate(tmp_path, corpus, capsys):
@@ -388,6 +420,9 @@ def test_eval_writes_metrics(tmp_path, corpus, trained, capsys):
     assert body["metrics"]["n_samples"] == 6
     assert len(body["predictions"]) == 6
     assert body["routing"] is not None
+    for path in (out, tmp_path / "run.json"):
+        _assert_json_layout(path)
+    assert json.loads((tmp_path / "run.json").read_text())["command"] == "eval"
 
 
 def test_route_report_renders_matrices(tmp_path, corpus, trained, capsys):
@@ -433,6 +468,9 @@ def test_train_resume_continues(tmp_path, corpus):
     assert cli.main(base + ["--steps", "4", "--resume"]) == 0
     state = json.loads((out / "checkpoint" / "train_state.json").read_text())
     assert state["step"] == 4
+    for path in (out / "run.json", out / "checkpoint" / "config.json",
+                 out / "checkpoint" / "train_state.json"):
+        _assert_json_layout(path)
 
 
 @pytest.mark.parametrize("model_cfg, flags, keys", [
@@ -571,6 +609,8 @@ def test_ablate_cli_end_to_end(tmp_path, corpus, capsys):
     assert [r["name"] for r in rows] == ["base", "no_moe", "no_gate_scaling",
                                          "no_cot_loss", "routing_aux", "no_dropout"]
     assert len({r["config_hash"] for r in rows}) == 6
+    for path in (out / "ablation.json", out / "run.json"):
+        _assert_json_layout(path)
     printed = capsys.readouterr().out
     for name in ("base", "no_moe", "no_dropout"):
         assert name in printed

@@ -48,7 +48,7 @@ def test_train_config_validation():
 
 
 @pytest.mark.parametrize("key", ["lr", "beta1", "beta2", "eps", "clip_norm",
-                                 "routing_aux_coeff"])
+                                 "routing_aux_coeff", "target_val_acc"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_train_config_rejects_non_finite_values_naming_the_key(key, value):
     with pytest.raises(ConfigError, match=f"^{key} must be finite"):
