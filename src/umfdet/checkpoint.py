@@ -133,6 +133,9 @@ def load_model(ckpt_dir):
     except ConfigError as exc:
         raise DataError(f"{d / CONFIG_FILE}: {exc}") from None
     vocab = Vocabulary.load(d / VOCAB_FILE)
+    if len(vocab) != config.vocab_size:
+        raise DataError(f"{d / VOCAB_FILE}: {len(vocab)} tokens, but {CONFIG_FILE} "
+                        f"gives vocab_size {config.vocab_size}")
     params = init_model(config, None)
     loaded = read_tensor_file(d / WEIGHTS_FILE)
     missing = sorted(set(params.tensors) - set(loaded))

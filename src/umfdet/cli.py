@@ -59,7 +59,7 @@ def write_run_record(out_dir, args, effective, inputs):
     """run.json for the subcommand args ran, timed from the start main stamped."""
     write_json(Path(out_dir) / "run.json", {
         "command": args.command,
-        "argv": sys.argv[1:],
+        "argv": args.argv,
         "seed": effective.get("seed"),
         "effective_config": effective,
         "config_hash": config_hash(effective),
@@ -323,7 +323,7 @@ def cmd_train(args):
 
 def _load_eval_inputs(args):
     """What eval and route-report share: the chosen split of the gated corpus,
-    the checkpoint's (params, vocab) and the run record's effective config."""
+    the checkpoint's (params, vocab) and run.json's effective config and inputs."""
     samples = _load_corpus(args.manifest)
     splits = _split_corpus(samples, args.split_seed)
     chosen = {"train": splits[0], "val": splits[1], "test": splits[2]}[args.split]
@@ -331,11 +331,13 @@ def _load_eval_inputs(args):
     effective = {"split": args.split, "split_seed": args.split_seed,
                  "checkpoint": str(args.checkpoint), "manifest": str(args.manifest),
                  "seed": None}
-    return chosen, params, vocab, effective
+    inputs = [args.manifest] + [Path(args.checkpoint) / name for name in
+                                (ckpt.CONFIG_FILE, ckpt.VOCAB_FILE, ckpt.WEIGHTS_FILE)]
+    return chosen, params, vocab, effective, inputs
 
 
 def cmd_eval(args):
-    chosen, params, vocab, effective = _load_eval_inputs(args)
+    chosen, params, vocab, effective, inputs = _load_eval_inputs(args)
     template = _template(args)
     result = evalkit.evaluate_model(params, chosen, vocab, template)
     print(result.metrics.render_text())
@@ -345,13 +347,13 @@ def cmd_eval(args):
                          "routing": result.routing.to_json() if result.routing else None,
                          "predictions": [{"id": i, "true": t, "pred": p, "text": x}
                                          for i, t, p, x in result.predictions]})
-        write_run_record(out.parent, args, effective, [args.manifest])
+        write_run_record(out.parent, args, effective, inputs)
     print(f"accuracy={result.metrics.accuracy:.4f}")
     return 0
 
 
 def cmd_route_report(args):
-    chosen, params, vocab, effective = _load_eval_inputs(args)
+    chosen, params, vocab, effective, inputs = _load_eval_inputs(args)
     if not params.config.moe_enabled:
         raise ConfigError("route-report needs a mixture-enabled checkpoint")
     template = _template(args)
@@ -365,7 +367,7 @@ def cmd_route_report(args):
     print(report.render_text())
     if args.out:
         write_json(args.out, report.to_json())
-        write_run_record(Path(args.out).parent, args, effective, [args.manifest])
+        write_run_record(Path(args.out).parent, args, effective, inputs)
     return 0
 
 
@@ -457,8 +459,9 @@ def _fail(code: int, exc: BaseException) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
-    args.started = time.time()  # run.json times the run from here
+    args.argv, args.started = argv, time.time()  # run.json records both
     try:
         return args.func(args)
     except (ConfigError, TemplateError) as exc:

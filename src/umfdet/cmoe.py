@@ -80,9 +80,9 @@ def expert_forward(t: dict, name: str, x: Tensor, training: bool = False,
                    rng: np.random.Generator | None = None,
                    dropout_rate: float = 0.0) -> Tensor:
     """Dropout(SiLU(xW_a + b_a) * sigmoid(xW_b + b_b)) W_out + b_out."""
-    u = nd.silu(nd.linear(x, t[f"{name}.W_a"], t[f"{name}.b_a"]))
-    v = nd.sigmoid(nd.linear(x, t[f"{name}.W_b"], t[f"{name}.b_b"]))
-    y = nd.dropout(nd.mul(u, v), dropout_rate, training, rng)
+    y = nd.gated_silu(nd.linear(x, t[f"{name}.W_a"], t[f"{name}.b_a"]),
+                      nd.linear(x, t[f"{name}.W_b"], t[f"{name}.b_b"]))
+    y = nd.dropout(y, dropout_rate, training, rng)
     return nd.linear(y, t[f"{name}.W_out"], t[f"{name}.b_out"])
 
 
@@ -107,23 +107,19 @@ def cmoe_forward(t: dict, name: str, x: Tensor, lengths, training: bool = False,
     """
     routing = route(t, f"{name}.router", x, lengths)
     b = len(routing.selected)
-    n = x.shape[0] // b
-    parts, order = [], []
+    expert_of_row = np.repeat(routing.selected, x.shape[0] // b)
+    parts = []
     for e, expert in enumerate(EXPERT_NAMES):
-        seqs = np.flatnonzero(routing.selected == e)
-        if not seqs.size:
-            continue
-        rows = (seqs[:, None] * n + np.arange(n)).ravel()
-        xe = x if len(seqs) == b else nd.embedding(x, rows)
-        out = expert_forward(t, f"{name}.{expert}", xe, training, rng, dropout_rate)
-        if gate_scaling:
-            out = nd.scale_by(out, nd.pick(routing.weights, (seqs, np.full(len(seqs), e))))
-        parts.append(out)
-        order.append(rows)
-    if len(parts) == 1:
-        return parts[0], routing
-    # Put the expert outputs' rows back into the input's row order.
-    return nd.embedding(nd.concat(parts), np.argsort(np.concatenate(order))), routing
+        rows = np.flatnonzero(expert_of_row == e)
+        if rows.size:
+            xe = x if rows.size == x.shape[0] else nd.pick(x, rows)
+            parts.append(expert_forward(t, f"{name}.{expert}", xe, training, rng, dropout_rate))
+    # concat holds the rows stably sorted by expert; the inverse sort restores their order.
+    out = parts[0] if len(parts) == 1 else nd.pick(
+        nd.concat(parts), np.argsort(np.argsort(expert_of_row, kind="stable")))
+    if gate_scaling:
+        out = nd.scale_by(out, nd.pick(routing.weights, (np.arange(b), routing.selected)))
+    return out, routing
 
 
 def routing_alignment_loss(routing: Routing, labels, coefficient: float) -> Tensor:

@@ -364,7 +364,6 @@ class HttpGenClient(GenClient):
 
 _LABEL_LINE = re.compile(r"^Label:\s*(\S+)", re.MULTILINE)
 _ENTITY_LINE = re.compile(r"^- (.+?) \((\w+)\):", re.MULTILINE)
-_TITLE_LINE = re.compile(r"^(?:Title|Headline):\s*(.+)$", re.MULTILINE)
 _KEEP_LINE = re.compile(r"^Keep these entity tokens verbatim:\s*(.+)$", re.MULTILINE)
 
 

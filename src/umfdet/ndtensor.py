@@ -1,12 +1,13 @@
 """Minimal dense-tensor library with reverse-mode autodiff.
 
 Covers exactly the operations the detector needs: one affine map
-(``linear``, x @ W + b) for every projection, same-shape elementwise
-arithmetic, row concatenation, SiLU/sigmoid/last-axis softmax, fused
-multi-head attention over a batch of sequences stacked as row blocks (keys
-and values may come split into heads, as a decode cache keeps them),
-inverted dropout, layer norm, embedding lookup and a fused label-masked
-language-modeling cross entropy. Everything runs in float64 so
+(``linear``, x @ W + b) for every projection, addition, scaling, row
+concatenation, gathers of distinct elements or rows, SiLU and the gated unit
+silu(a) * sigmoid(b), last-axis softmax, fused multi-head attention over a
+batch of sequences stacked as row blocks (keys and values may come split
+into heads, as a decode cache keeps them), inverted dropout, layer norm,
+token table lookup and a fused label-masked language-modeling cross
+entropy. Everything runs in float64 so
 finite-difference gradient checks are meaningful.
 
 Gradient tracking is implicit: every op result remembers its parents and a
@@ -172,19 +173,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Hadamard product of same-shape tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not match")
-    out, track = _result(a.values * b.values, (a, b))
-    if track:
-        def _bw(g):
-            _accum(a, g * b.values)
-            _accum(b, g * a.values)
-        out._backward = _bw
-    return out
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a python constant."""
     c = float(c)
@@ -251,8 +239,9 @@ def concat(tensors) -> Tensor:
 
 
 def pick(a: Tensor, index) -> Tensor:
-    """Extract one element as a 0-d tensor (a tuple of ints), or n distinct
-    elements as an [n] tensor (a tuple of equal-length index arrays)."""
+    """Gather what index names, each element at most once (the backward
+    assigns): a tuple of ints gives a 0-d tensor, a tuple of equal-length
+    index arrays an [n] tensor, an array of distinct row numbers [n, ...]."""
     out, track = _result(np.asarray(a.values[index]), (a,))
     if track:
         def _bw(g):
@@ -292,20 +281,27 @@ def _sigmoid_vals(x):
     return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    s = _sigmoid_vals(a.values)
-    out, track = _result(s, (a,))
-    if track:
-        out._backward = lambda g: _accum(a, g * s * (1.0 - s))
-    return out
-
-
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x)."""
     s = _sigmoid_vals(a.values)
     out, track = _result(a.values * s, (a,))
     if track:
         out._backward = lambda g: _accum(a, g * s * (1.0 + a.values * (1.0 - s)))
+    return out
+
+
+def gated_silu(a: Tensor, b: Tensor) -> Tensor:
+    """silu(a) * sigmoid(b) of same-shape a and b, the experts' gated unit."""
+    if a.shape != b.shape:
+        raise ShapeError(f"gated_silu: shapes {a.shape} and {b.shape} do not match")
+    sa, sb = _sigmoid_vals(a.values), _sigmoid_vals(b.values)
+    u = a.values * sa
+    out, track = _result(u * sb, (a, b))
+    if track:
+        def _bw(g):
+            _accum(a, g * sb * sa * (1.0 + a.values * (1.0 - sa)))
+            _accum(b, g * u * sb * (1.0 - sb))
+        out._backward = _bw
     return out
 
 
@@ -431,7 +427,7 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 def embedding(table: Tensor, ids) -> Tensor:
-    """Row-gather: ids [N] -> [N, H]; gradients accumulate per looked-up row."""
+    """Token or position table lookup, ids [N] -> [N, H]; ids may repeat."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1:
         raise DataError(f"embedding: ids must be 1-D, got shape {ids.shape}")

@@ -63,8 +63,9 @@ class TrainConfig:
             raise ConfigError("batch_size and max_steps must be >= 1 and seed >= 0")
         if self.eval_every < 1 or self.log_every < 1:
             raise ConfigError("eval_every and log_every must be >= 1")
-        if self.routing_aux_coeff < 0:
-            raise ConfigError(f"routing_aux_coeff must be >= 0, got {self.routing_aux_coeff}")
+        for key in ("routing_aux_coeff", "checkpoint_every"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
 
     def to_json(self):
         return asdict(self)

@@ -13,8 +13,14 @@ def wsum(t, w):
     """Sum of t's entries weighted by the constants w (as many as t has),
     as a 0-d tensor, for 1-D or 2-D t; keeps gradients of order one."""
     w = np.asarray(w, dtype=float).reshape(t.shape)
-    # A 1-D t scales the rows of the column w; a 2-D t multiplies w.
-    rows = nd.scale_by(Tensor(w[:, None]), t) if t.values.ndim == 1 else nd.mul(t, Tensor(w))
+    if t.values.ndim == 2:
+        # Row i of t dotted with row i of w is entry (i, i) of t @ w^T.
+        n = t.shape[0]
+        t = nd.pick(nd.linear(t, Tensor(w.T), Tensor(np.zeros(n))),
+                    (np.arange(n), np.arange(n)))
+        w = np.ones(n)
+    # The 1-D t scales the rows of the column w.
+    rows = nd.scale_by(Tensor(w[:, None]), t)
     n, h = rows.shape
     total = nd.linear(nd.mean_rows(rows, [n]), Tensor(np.full((h, 1), float(n))), Tensor(np.zeros(1)))
     return nd.pick(total, (0, 0))

@@ -91,12 +91,8 @@ def _op_roster():
     builder(rng) -> (scalar closure, tensors)."""
 
     def add(rng):
-        a, b, m = _rand(rng, 3, 4), _rand(rng, 3, 4), _rand(rng, 3, 4)
-        return lambda: _scalar(nd.mul(nd.add(a, b), m)), [a, b, m]
-
-    def mul(rng):
-        a, b = _rand(rng, 3, 4), _rand(rng, 3, 4)
-        return lambda: _scalar(nd.mul(a, b)), [a, b]
+        a, b, w = _rand(rng, 3, 4), _rand(rng, 3, 4), _rand(rng, 4, 1)
+        return lambda: _scalar(nd.add(a, b), w), [a, b, w]
 
     def scale(rng):
         a = _rand(rng, 3, 4)
@@ -113,8 +109,8 @@ def _op_roster():
 
     def linear_untracked_input(rng):
         x = Tensor(rng.normal(size=(3, 4)))
-        w, b, m = _rand(rng, 4, 2), _rand(rng, 2), _rand(rng, 3, 2)
-        return lambda: _scalar(nd.mul(nd.linear(x, w, b), m)), [w, b, m]
+        w, b, m = _rand(rng, 4, 2), _rand(rng, 2), _rand(rng, 2, 1)
+        return lambda: _scalar(nd.linear(x, w, b), m), [w, b, m]
 
     def concat_rows(rng):
         a, b, w = _rand(rng, 2, 4), _rand(rng, 3, 4), _rand(rng, 4, 1)
@@ -174,23 +170,23 @@ def _op_roster():
         a, s = _rand(rng, 6, 4), _rand(rng, 3)
         return lambda: _scalar(nd.scale_by(a, s)), [a, s]
 
-    def sigmoid(rng):
-        a, m = _rand(rng, 3, 4), _rand(rng, 3, 4)
-        return lambda: _scalar(nd.mul(nd.sigmoid(a), m)), [a, m]
+    def gated_silu(rng):
+        a, b, w = _rand(rng, 3, 4), _rand(rng, 3, 4), _rand(rng, 4, 1)
+        return lambda: _scalar(nd.gated_silu(a, b), w), [a, b, w]
 
     def silu(rng):
-        a, m = _rand(rng, 3, 4), _rand(rng, 3, 4)
-        return lambda: _scalar(nd.mul(nd.silu(a), m)), [a, m]
+        a, w = _rand(rng, 3, 4), _rand(rng, 4, 1)
+        return lambda: _scalar(nd.silu(a), w), [a, w]
 
     def softmax(rng):
-        a, m = _rand(rng, 3, 5), _rand(rng, 3, 5)
-        return lambda: _scalar(nd.mul(nd.softmax(a), m)), [a, m]
+        a, w = _rand(rng, 3, 5), _rand(rng, 5, 1)
+        return lambda: _scalar(nd.softmax(a), w), [a, w]
 
     def dropout(rng):
-        a, m = _rand(rng, 4, 5), _rand(rng, 4, 5)
+        a, w = _rand(rng, 4, 5), _rand(rng, 5, 1)
         # fresh generator per call: identical mask on every rebuild
-        return (lambda: _scalar(nd.mul(
-            nd.dropout(a, 0.3, True, np.random.default_rng(1234)), m)), [a, m])
+        return (lambda: _scalar(nd.dropout(a, 0.3, True, np.random.default_rng(1234)), w),
+                [a, w])
 
     def layer_norm(rng):
         a = _rand(rng, 3, 5)
@@ -246,11 +242,11 @@ def _op_roster():
         return (lambda: _scalar(cmoe.cmoe_forward(layer, "m", x, lengths=lengths)[0]),
                 tensors)
 
-    return [add, mul, scale, scale_by, scale_by_blocks, linear, linear_untracked_input,
+    return [add, scale, scale_by, scale_by_blocks, linear, linear_untracked_input,
             concat_rows, attention_causal, attention_cross,
             attention_offset_causal, attention_batched_padding, attention_batched_causal,
             attention_batched_cross, attention_head_major_kv, pick, mean_rows,
-            mean_rows_blocks, sigmoid, silu, softmax, dropout, layer_norm, embedding,
+            mean_rows_blocks, gated_silu, silu, softmax, dropout, layer_norm, embedding,
             cross_entropy_lm, cross_entropy_lm_weighted, expert_path, routed_layer_path,
             routed_batch_path]
 

@@ -59,11 +59,13 @@ def _assert_json_layout(path):
 
 def test_synth_toy_writes_manifest_and_run_record(tmp_path, capsys):
     out = tmp_path / "toy.jsonl"
-    assert cli.main(["synth-toy", "--n", "30", "--out", str(out)]) == 0
+    argv = ["synth-toy", "--n", "30", "--out", str(out)]
+    assert cli.main(argv) == 0
     assert "wrote 30 samples" in capsys.readouterr().out
     assert len(load_manifest(out)) == 30
     record = json.loads((tmp_path / "run.json").read_text())
     assert record["command"] == "synth-toy"
+    assert record["argv"] == argv  # the list main was given, not the host's sys.argv
     assert record["seed"] == 0
     assert record["effective_config"]["n"] == 30
     assert len(record["config_hash"]) == 12
@@ -363,7 +365,8 @@ def test_config_file_bad_value_exits_1_naming_file_line_and_key(tmp_path, corpus
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("line", ["n_heads=0", "seed=-1", "split_seed=-1"])
+@pytest.mark.parametrize("line", ["n_heads=0", "seed=-1", "split_seed=-1",
+                                  "checkpoint_every=-3"])
 def test_config_file_value_out_of_range_exits_1(tmp_path, corpus, capsys, line):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"{line}\n")
@@ -423,6 +426,28 @@ def test_eval_writes_metrics(tmp_path, corpus, trained, capsys):
     for path in (out, tmp_path / "run.json"):
         _assert_json_layout(path)
     assert json.loads((tmp_path / "run.json").read_text())["command"] == "eval"
+
+
+def test_eval_run_record_hashes_the_checkpoint(tmp_path, corpus, trained):
+    ckpt_dir = tmp_path / "checkpoint"
+    shutil.copytree(trained / "checkpoint", ckpt_dir)
+    weights_path = ckpt_dir / ckpt.WEIGHTS_FILE
+
+    def eval_inputs(run):
+        out = tmp_path / run / "eval.json"
+        assert cli.main(["eval", "--manifest", str(corpus), "--checkpoint", str(ckpt_dir),
+                         "--out", str(out)]) == 0
+        return json.loads((out.parent / "run.json").read_text())["inputs"]
+
+    first = eval_inputs("a")
+    weights = ckpt.read_tensor_file(weights_path)
+    weights["head.b"] = weights["head.b"] + 0.5
+    ckpt.write_tensor_file(weights_path, weights)
+    second = eval_inputs("b")
+    for name in (ckpt.CONFIG_FILE, ckpt.VOCAB_FILE, ckpt.WEIGHTS_FILE):
+        assert str(ckpt_dir / name) in first
+    assert first[str(corpus)] == second[str(corpus)]
+    assert first[str(weights_path)] != second[str(weights_path)]
 
 
 def test_route_report_renders_matrices(tmp_path, corpus, trained, capsys):
@@ -520,8 +545,13 @@ def _json_edit(edit):
     ("config.json", lambda blob: blob[:-3], "not JSON"),
     ("config.json", _json_edit(lambda c: c.update(h="x")), "h must be of type int"),
     ("config.json", _json_edit(lambda c: c.update(moe_enabled=1)), "moe_enabled"),
+    ("vocab.tsv", lambda blob: b"".join(blob.splitlines(keepends=True)[:-20]),
+     "tokens, but config.json gives vocab_size"),
+    ("vocab.tsv", lambda blob: blob + b"".join(b"extra%d\t%d\n" % (i, blob.count(b"\n") + i)
+                                               for i in range(3)),
+     "tokens, but config.json gives vocab_size"),
 ], ids=["vocab_not_utf8", "vocab_without_reserved_tokens", "config_not_json",
-        "config_string_h", "config_int_flag"])
+        "config_string_h", "config_int_flag", "vocab_20_tokens_short", "vocab_3_tokens_long"])
 def test_malformed_checkpoint_file_exits_2_naming_it(tmp_path, corpus, trained, capsys,
                                                      name, edit, match):
     ckpt_dir = tmp_path / "checkpoint"

@@ -39,13 +39,6 @@ def test_add_shape_mismatch():
         nd.add(Tensor(np.zeros((5, 3))), Tensor(np.zeros(3)))
 
 
-def test_mul_grad():
-    rng = np.random.default_rng(2)
-    a, b = leaf((4, 2), rng), leaf((4, 2), rng)
-    w = rng.normal(size=8)
-    check_grads(lambda: wsum(nd.mul(a, b), w), [a, b])
-
-
 def test_scale_grad():
     rng = np.random.default_rng(3)
     a = leaf((3, 3), rng)
@@ -245,6 +238,9 @@ def test_pick_mean_rows_grads():
     rows, cols = np.array([3, 0, 1]), np.array([5, 5, 0])
     assert np.array_equal(nd.pick(a, (rows, cols)).values, a.values[rows, cols])
     check_grads(lambda: wsum(nd.pick(a, (rows, cols)), w2[:3]), [a])
+    order, w3 = np.array([2, 0, 3]), rng.normal(size=18)  # distinct rows
+    assert np.array_equal(nd.pick(a, order).values, a.values[order])
+    check_grads(lambda: wsum(nd.pick(a, order), w3), [a])
 
 
 def test_mean_rows_over_blocks_grads_and_reference():
@@ -270,9 +266,29 @@ def test_sigmoid_silu_softmax_grads():
     rng = np.random.default_rng(10)
     a = leaf((3, 5), rng, scale=2.0)
     w = rng.normal(size=15)
-    check_grads(lambda: wsum(nd.sigmoid(a), w), [a])
+    b = leaf((3, 5), rng, scale=2.0)
+    check_grads(lambda: wsum(nd.gated_silu(a, b), w), [a, b])
     check_grads(lambda: wsum(nd.silu(a), w), [a])
     check_grads(lambda: wsum(nd.softmax(a), w), [a])
+
+
+def test_gated_silu_equals_silu_times_sigmoid_bit_for_bit():
+    """Values and both gradients equal those of separate silu, sigmoid and
+    product ops, each step in that order of arithmetic."""
+    rng = np.random.default_rng(24)
+    a, b = leaf((6, 7), rng, scale=4.0), leaf((6, 7), rng, scale=4.0)
+    a.values[0, :4] = b.values[1, :4] = [800.0, -800.0, 0.0, -0.0]
+    g = rng.normal(size=(6, 7))
+    sa, sb = nd._sigmoid_vals(a.values), nd._sigmoid_vals(b.values)
+    u = a.values * sa
+    out = nd.gated_silu(a, b)
+    assert np.array_equal(out.values, u * sb)
+    out._backward(g)
+    gu, gv = g * sb, g * u  # the product's backward, then silu's and sigmoid's
+    assert np.array_equal(a.grad, gu * sa * (1.0 + a.values * (1.0 - sa)))
+    assert np.array_equal(b.grad, gv * sb * (1.0 - sb))
+    with pytest.raises(ShapeError, match="gated_silu"):
+        nd.gated_silu(a, Tensor(np.zeros((7, 6))))
 
 
 def test_softmax_rows_normalized_and_stable():
@@ -438,7 +454,8 @@ def test_backward_releases_the_graph_and_keeps_leaf_grads():
 
     def build():
         h = nd.silu(nd.linear(a, w, b))
-        return wsum(nd.layer_norm(nd.mul(h, h), Tensor(np.ones(3)), b), rng.normal(size=12))
+        return wsum(nd.layer_norm(nd.gated_silu(h, h), Tensor(np.ones(3)), b),
+                    rng.normal(size=12))
 
     rng = np.random.default_rng(19)
     backward_keeping_graph(build())
@@ -517,7 +534,7 @@ def test_lazy_grad_and_zero_grad():
 @given(st.integers(0, 2**32 - 1))
 def test_sigmoid_bounds_and_silu_identity(seed):
     x = np.random.default_rng(seed).normal(0, 50, (3, 4))
-    s = nd.sigmoid(Tensor(x)).values
+    s = nd._sigmoid_vals(x)
     assert ((s > 0) & (s < 1) | np.isclose(s, 0) | np.isclose(s, 1)).all()
     assert np.allclose(nd.silu(Tensor(x)).values, x * s)
 
@@ -536,8 +553,8 @@ def test_sigmoid_equals_the_two_branch_reference_bit_for_bit():
     special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 36.7, -36.7,
                         700.0, -700.0, 800.0, -800.0, 1e308, -1e308, np.inf, -np.inf])
     for x in (special, np.random.default_rng(23).normal(0, 30, 10_000)):
-        assert np.array_equal(nd.sigmoid(Tensor(x)).values, _sigmoid_by_sign(x))
-    assert np.isnan(nd.sigmoid(Tensor(np.array([np.nan]))).values).all()
+        assert np.array_equal(nd._sigmoid_vals(x), _sigmoid_by_sign(x))
+    assert np.isnan(nd._sigmoid_vals(np.array([np.nan]))).all()
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -42,7 +42,8 @@ def test_train_config_validation():
     tr.TrainConfig()
     for bad in (dict(lr=0.0), dict(beta1=1.0), dict(beta2=-0.1), dict(eps=0.0),
                 dict(clip_norm=-1.0), dict(batch_size=0), dict(max_steps=0),
-                dict(eval_every=0), dict(log_every=0), dict(routing_aux_coeff=-0.5)):
+                dict(eval_every=0), dict(log_every=0), dict(routing_aux_coeff=-0.5),
+                dict(checkpoint_every=-1), dict(checkpoint_every=-3)):
         with pytest.raises(ConfigError):
             tr.TrainConfig(**bad)
 
