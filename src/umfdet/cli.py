@@ -283,7 +283,7 @@ def _training_inputs(args, flag_model: dict, flag_train: dict):
                        "seed": args.seed, "eval_every": args.eval_every,
                        "target_val_acc": args.target_val_acc})
     model_kv, train_kv, extra = resolve_configs(args.config, flag_model, flag_train)
-    tcfg = TrainConfig.from_json({**TrainConfig().to_json(), **train_kv})
+    tcfg = TrainConfig(**train_kv)
     template = _template(args)
     splits = _split_corpus(_load_corpus(args.manifest), extra["split_seed"])
     if getattr(args, "resume", False):
@@ -295,8 +295,7 @@ def _training_inputs(args, flag_model: dict, flag_train: dict):
                               f"given {', '.join(changed)}")
     else:
         vocab = build_vocab(splits[0], template, extra["min_count"], extra["max_vocab"])
-        mcfg = ModelConfig.from_json({**ModelConfig().to_json(), **model_kv,
-                                      "vocab_size": len(vocab)})
+        mcfg = ModelConfig(**{**model_kv, "vocab_size": len(vocab)})
         params = init_model(mcfg, np.random.default_rng(tcfg.seed))
     effective = {"model": params.config.to_json(), "train": tcfg.to_json(),
                  "split_seed": extra["split_seed"], "seed": tcfg.seed,

@@ -76,13 +76,13 @@ def init_cmoe_layer(t: dict, rng: np.random.Generator, name: str, h: int,
     t[f"{name}.router.b"] = zeros(N_EXPERTS)
 
 
-def expert_forward(t: dict, name: str, x: Tensor, training: bool = False,
-                   rng: np.random.Generator | None = None,
+def expert_forward(t: dict, name: str, x: Tensor, rng: np.random.Generator | None = None,
                    dropout_rate: float = 0.0) -> Tensor:
-    """Dropout(SiLU(xW_a + b_a) * sigmoid(xW_b + b_b)) W_out + b_out."""
+    """Dropout(SiLU(xW_a + b_a) * sigmoid(xW_b + b_b)) W_out + b_out, the
+    dropout only when a generator is passed (without one nothing is drawn)."""
     y = nd.gated_silu(nd.linear(x, t[f"{name}.W_a"], t[f"{name}.b_a"]),
                       nd.linear(x, t[f"{name}.W_b"], t[f"{name}.b_b"]))
-    y = nd.dropout(y, dropout_rate, training, rng)
+    y = nd.dropout(y, dropout_rate, rng)
     return nd.linear(y, t[f"{name}.W_out"], t[f"{name}.b_out"])
 
 
@@ -95,11 +95,12 @@ def route(t: dict, name: str, x: Tensor, lengths) -> Routing:
     return Routing(logits, weights, np.argmax(weights.values, axis=1))
 
 
-def cmoe_forward(t: dict, name: str, x: Tensor, lengths, training: bool = False,
+def cmoe_forward(t: dict, name: str, x: Tensor, lengths,
                  rng: np.random.Generator | None = None, dropout_rate: float = 0.0,
                  gate_scaling: bool = True):
     """Route each sequence, then run each selected expert once, on the row
-    blocks of the sequences that chose it.
+    blocks of the sequences that chose it. Expert dropout runs only when a
+    generator is passed, and without one nothing is drawn.
 
     Returns (output, routing). With gate scaling each block of the output is
     the expert output times its sequence's routing probability; without it,
@@ -113,7 +114,7 @@ def cmoe_forward(t: dict, name: str, x: Tensor, lengths, training: bool = False,
         rows = np.flatnonzero(expert_of_row == e)
         if rows.size:
             xe = x if rows.size == x.shape[0] else nd.pick(x, rows)
-            parts.append(expert_forward(t, f"{name}.{expert}", xe, training, rng, dropout_rate))
+            parts.append(expert_forward(t, f"{name}.{expert}", xe, rng, dropout_rate))
     # concat holds the rows stably sorted by expert; the inverse sort restores their order.
     out = parts[0] if len(parts) == 1 else nd.pick(
         nd.concat(parts), np.argsort(np.argsort(expert_of_row, kind="stable")))

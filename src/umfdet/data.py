@@ -131,7 +131,8 @@ def _decode_array(b64, shape):
     return np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
 
 
-# Types of the manipulation fields when not null; a bool is never a number here.
+# The manifest's manipulation keys, in the order to_json writes them, and
+# their types when not null; a bool is never a number here.
 _MANIPULATION_TYPES = {"kind": str, "mask_ref": str, "p_src": str, "p_mod": str,
                        "rewrite_log": dict, "edit_strength": (int, float),
                        "similarity": (int, float)}
@@ -141,8 +142,9 @@ _MANIPULATION_TYPES = {"kind": str, "mask_ref": str, "p_src": str, "p_mod": str,
 class ManipulationAnnotation:
     kind: str = "none"
     mask_ref: str | None = None
-    prompt_pair: tuple | None = None  # (p_src, p_mod)
-    rewrite_log: dict | None = None   # embedded RewriteLog (see textforge)
+    p_src: str | None = None  # inpainting prompts: source and modified
+    p_mod: str | None = None
+    rewrite_log: dict | None = None  # embedded RewriteLog (see textforge)
     edit_strength: float | None = None
     similarity: float | None = None
 
@@ -152,8 +154,9 @@ class ManipulationAnnotation:
         if (self.kind == "none") != (label is Category.REAL):
             raise DataError(f"kind {self.kind!r} inconsistent with label {label.value!r} "
                             "(kind none <=> label real)")
-        if self.kind == "inpaint_replace" and (self.mask_ref is None or self.prompt_pair is None):
-            raise DataError("inpaint_replace requires mask_ref and prompt_pair")
+        if self.kind == "inpaint_replace" and (
+                self.mask_ref is None or (self.p_src is None and self.p_mod is None)):
+            raise DataError("inpaint_replace requires mask_ref and p_src or p_mod")
         if self.kind in TEXT_KINDS and self.rewrite_log is None:
             raise DataError(f"text manipulation {self.kind!r} requires rewrite_log")
         if self.similarity is not None and not 0.0 <= self.similarity <= 1.0:
@@ -162,23 +165,13 @@ class ManipulationAnnotation:
             raise DataError(f"edit_strength {self.edit_strength} is not finite")
 
     def to_json(self):
-        return {
-            "kind": self.kind,
-            "mask_ref": self.mask_ref,
-            "p_src": self.prompt_pair[0] if self.prompt_pair else None,
-            "p_mod": self.prompt_pair[1] if self.prompt_pair else None,
-            "rewrite_log": self.rewrite_log,
-            "edit_strength": self.edit_strength,
-            "similarity": self.similarity,
-        }
+        return {k: getattr(self, k) for k in _MANIPULATION_TYPES}
 
     @classmethod
     def from_json(cls, obj):
         if not isinstance(obj, dict):
             raise DataError("manipulation field must be an object")
-        allowed = {"kind", "mask_ref", "p_src", "p_mod", "rewrite_log",
-                   "edit_strength", "similarity"}
-        extra = set(obj) - allowed
+        extra = set(obj) - set(_MANIPULATION_TYPES)
         if extra:
             raise DataError(f"unknown manipulation keys {sorted(extra)}")
         for key, kind in _MANIPULATION_TYPES.items():
@@ -186,12 +179,7 @@ class ManipulationAnnotation:
             if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
                 raise DataError(f"manipulation {key} has the wrong type "
                                 f"({type(value).__name__})")
-        pair = None
-        if obj.get("p_src") is not None or obj.get("p_mod") is not None:
-            pair = (obj.get("p_src"), obj.get("p_mod"))
-        return cls(kind=obj.get("kind", "none"), mask_ref=obj.get("mask_ref"),
-                   prompt_pair=pair, rewrite_log=obj.get("rewrite_log"),
-                   edit_strength=obj.get("edit_strength"), similarity=obj.get("similarity"))
+        return cls(**obj)
 
 
 @dataclass
@@ -469,7 +457,7 @@ def synth_toy_corpus(n: int, cue_strength: float, seed: int):
                 if kind == "inpaint_replace":
                     annotation = ManipulationAnnotation(
                         kind=kind, mask_ref=f"masks/toy-{i:05d}.png",
-                        prompt_pair=(noun, f"painted {noun}"), similarity=similarity)
+                        p_src=noun, p_mod=f"painted {noun}", similarity=similarity)
                 else:
                     annotation = ManipulationAnnotation(kind=kind, similarity=similarity)
         entity = person if rng.random() < 0.5 else location

@@ -215,8 +215,8 @@ def _key_padding(lengths, n):
     return np.where(np.arange(n) < lengths[:, None], 0.0, _NEG)[:, None, :]
 
 
-def _ffn(t, name, x, training, rng, rate):
-    u = nd.dropout(nd.silu(nd.linear(x, t[f"{name}.W1"], t[f"{name}.b1"])), rate, training, rng)
+def _ffn(t, name, x, rng, rate):
+    u = nd.dropout(nd.silu(nd.linear(x, t[f"{name}.W1"], t[f"{name}.b1"])), rate, rng)
     return nd.linear(u, t[f"{name}.W2"], t[f"{name}.b2"])
 
 
@@ -270,10 +270,10 @@ def embed_image(params: ModelParams, payload: ImagePayload, sample_id: str = "?"
 
 
 def encode(params: ModelParams, samples, vocab: Vocabulary,
-           template: InstructionTemplate, training: bool = False,
-           rng: np.random.Generator | None = None):
+           template: InstructionTemplate, rng: np.random.Generator | None = None):
     """Fused memory over [visual tokens; prompt tokens] after the encoder
-    stack, the mixture stage and the output norm.
+    stack, the mixture stage and the output norm. Dropout runs only when a
+    generator is passed; without one nothing is drawn.
 
     One NewsSample gives (memory [T, H], routings). A list of B samples is
     encoded as one padded batch: sample b fills the first lengths[b] of the
@@ -306,27 +306,28 @@ def encode(params: ModelParams, samples, vocab: Vocabulary,
     for i in range(cfg.n_enc):
         a = _attention(t, f"enc.{i}.attn", _ln(t, f"enc.{i}.ln1", x), None, cfg.n_heads,
                        mask, b)
-        x = nd.add(x, nd.dropout(a, rate, training, rng))
-        f = _ffn(t, f"enc.{i}.ffn", _ln(t, f"enc.{i}.ln2", x), training, rng, rate)
-        x = nd.add(x, nd.dropout(f, rate, training, rng))
+        x = nd.add(x, nd.dropout(a, rate, rng))
+        f = _ffn(t, f"enc.{i}.ffn", _ln(t, f"enc.{i}.ln2", x), rng, rate)
+        x = nd.add(x, nd.dropout(f, rate, rng))
     routings = []
     for i in range(cfg.n_moe):
         normed = _ln(t, f"cmoe.{i}.ln", x)
         if cfg.moe_enabled:
-            out, routing = cmoe_forward(t, f"cmoe.{i}", normed, lengths, training, rng,
-                                        rate, cfg.gate_scaling)
+            out, routing = cmoe_forward(t, f"cmoe.{i}", normed, lengths, rng, rate,
+                                        cfg.gate_scaling)
             routings.append(routing)
         else:
-            out = expert_forward(t, f"cmoe.{i}.solo", normed, training, rng, rate)
+            out = expert_forward(t, f"cmoe.{i}.solo", normed, rng, rate)
         x = nd.add(x, out)
     x = _ln(t, "moe_out_ln", x)
     return (x, routings) if single else (x, lengths, routings)
 
 
-def decode(params: ModelParams, memory, ids, training: bool = False,
-           rng: np.random.Generator | None = None, sample_id: str = "?",
+def decode(params: ModelParams, memory, ids, rng: np.random.Generator | None = None,
            cache: dict | None = None, memory_lengths=None):
     """Causal decoder over B target rows in lockstep; returns [B*n, V] logits.
+    Dropout runs only when a generator is passed; without one nothing is
+    drawn.
 
     ids is one target [n] (B = 1) or B targets [B, n]; memory is B row blocks
     [B*T, H] whose first memory_lengths[b] rows are valid (None: all rows).
@@ -348,12 +349,8 @@ def decode(params: ModelParams, memory, ids, training: bool = False,
             raise GraphError("a decode cache holds no gradients; decode under no_grad")
         start, size = cache.setdefault("len", 0), cache.setdefault("size", cfg.max_len)
         if start + n > size:
-            raise DataError(f"sample {sample_id}: {start + n} tokens exceed the decode "
-                            f"cache of {size}")
-    try:
-        y = embed_text(t["tok_emb"], t["pos_emb"], ids, start)
-    except DataError as exc:
-        raise DataError(f"sample {sample_id}: {exc}") from None
+            raise DataError(f"{start + n} tokens exceed the decode cache of {size}")
+    y = embed_text(t["tok_emb"], t["pos_emb"], ids, start)
     # Query i of the n newest sees the first start + i + 1 keys; one query sees all.
     self_mask = np.triu(np.full((n, start + n), _NEG), k=start + 1) if n > 1 else None
     if cache is not None and "memory_mask" in cache:
@@ -366,12 +363,12 @@ def decode(params: ModelParams, memory, ids, training: bool = False,
     for i in range(cfg.n_dec):
         a = _attention(t, f"dec.{i}.self_attn", _ln(t, f"dec.{i}.ln1", y), None,
                        cfg.n_heads, self_mask, b, cache)
-        y = nd.add(y, nd.dropout(a, rate, training, rng))
+        y = nd.add(y, nd.dropout(a, rate, rng))
         c = _attention(t, f"dec.{i}.cross_attn", _ln(t, f"dec.{i}.ln2", y),
                        memory, cfg.n_heads, memory_mask, b, cache)
-        y = nd.add(y, nd.dropout(c, rate, training, rng))
-        f = _ffn(t, f"dec.{i}.ffn", _ln(t, f"dec.{i}.ln3", y), training, rng, rate)
-        y = nd.add(y, nd.dropout(f, rate, training, rng))
+        y = nd.add(y, nd.dropout(c, rate, rng))
+        f = _ffn(t, f"dec.{i}.ffn", _ln(t, f"dec.{i}.ln3", y), rng, rate)
+        y = nd.add(y, nd.dropout(f, rate, rng))
     if cache is not None:
         cache["len"] = start + n
     y = _ln(t, "final_ln", y)
@@ -416,21 +413,26 @@ def _span_masks(target_ids, sample_id):
     return think_span, answer_span
 
 
-def _target_ids(sample, vocab):
+def _target_ids(sample, vocab, max_len):
     """Decoder target: the rationale (if any) and the answer, then EOS."""
     if sample.cot is None or not sample.cot.answer.strip():
         raise DataError(f"sample {sample.id}: training requires a rationale note "
                         f"with a non-empty answer")
-    return vocab.encode(sample.cot.target_text()) + [EOS]
+    ids = vocab.encode(sample.cot.target_text()) + [EOS]
+    if len(ids) > max_len:
+        raise DataError(f"sample {sample.id}: target of {len(ids)} tokens exceeds "
+                        f"max_len {max_len}")
+    return ids
 
 
 def forward_train(params: ModelParams, samples, vocab: Vocabulary,
-                  template: InstructionTemplate, training: bool = True,
+                  template: InstructionTemplate,
                   rng: np.random.Generator | None = None) -> ForwardResult:
     """Forward pass over a list of B samples packed into one graph, yielding
     the two masked losses, each the mean over samples of the sample's mean
     over its span; a sample without a rationale adds 0 to the reasoning loss
-    and still counts in B.
+    and still counts in B. Dropout runs only when a generator is passed;
+    without one nothing is drawn and the losses are deterministic.
 
     The samples are encoded as one padded batch and their targets decoded as
     B rows padded with PAD at the end, which the causal mask hides from every
@@ -440,7 +442,7 @@ def forward_train(params: ModelParams, samples, vocab: Vocabulary,
     samples = list(samples)
     if not samples:
         raise DataError("forward_train needs at least one sample")
-    targets = [_target_ids(s, vocab) for s in samples]
+    targets = [_target_ids(s, vocab, params.config.max_len) for s in samples]
     lens = [len(ids) for ids in targets]
     b, n = len(samples), max(lens)
     dec_in = np.full((b, n), PAD)
@@ -453,9 +455,8 @@ def forward_train(params: ModelParams, samples, vocab: Vocabulary,
         for span, w in ((answer_span, det_w), (think_span, cot_w)):
             if span:
                 w[i, sorted(span)] = 1.0 / (b * len(span))
-    memory, lengths, routings = encode(params, samples, vocab, template, training, rng)
-    logits = decode(params, memory, dec_in, training, rng, samples[int(np.argmax(lens))].id,
-                    memory_lengths=lengths)
+    memory, lengths, routings = encode(params, samples, vocab, template, rng)
+    logits = decode(params, memory, dec_in, rng, memory_lengths=lengths)
 
     def span_loss(w):  # weighted over the span's rows; the other rows ignored
         w = w.ravel()
@@ -487,7 +488,7 @@ def generate(params: ModelParams, samples, vocab: Vocabulary,
     budget = min(cfg.gen_max_tokens, cfg.max_len - 1)
     samples = list(samples)
     with nd.no_grad():
-        memory, lengths, routings = encode(params, samples, vocab, template, training=False)
+        memory, lengths, routings = encode(params, samples, vocab, template)
         cache = {"size": budget}
         nxt = np.full((len(samples), 1), BOS)
         done = np.zeros(len(samples), dtype=bool)

@@ -5,10 +5,11 @@ Covers exactly the operations the detector needs: one affine map
 concatenation, gathers of distinct elements or rows, SiLU and the gated unit
 silu(a) * sigmoid(b), last-axis softmax, fused multi-head attention over a
 batch of sequences stacked as row blocks (keys and values may come split
-into heads, as a decode cache keeps them), inverted dropout, layer norm,
+into heads, as a decode cache keeps them), inverted dropout (which runs
+only when given a generator, and without one draws nothing), layer norm,
 token table lookup and a fused label-masked language-modeling cross
-entropy. Everything runs in float64 so
-finite-difference gradient checks are meaningful.
+entropy. Everything runs in float64 so finite-difference gradient checks
+are meaningful.
 
 Gradient tracking is implicit: every op result remembers its parents and a
 backward closure, and ``Tensor.backward()`` replays the recorded ops in
@@ -381,15 +382,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None,
     return out
 
 
-def dropout(a: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-rate); identity in eval mode.
-
-    The rng is consumed only in training mode with rate > 0, so eval passes
-    leave the generator untouched.
-    """
+def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout: survivors scaled by 1/(1-rate). It runs only when a
+    generator is passed; with rng None (evaluation) or rate 0 it is the
+    identity and draws nothing."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return a
     keep = (rng.random(a.shape) >= rate) / (1.0 - rate)
     out, track = _result(a.values * keep, (a,))

@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -69,14 +69,6 @@ class TrainConfig:
 
     def to_json(self):
         return asdict(self)
-
-    @classmethod
-    def from_json(cls, d):
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {unknown}")
-        return cls(**d)
 
 
 def config_hash(d: dict) -> str:
@@ -180,7 +172,7 @@ def _batch_loss(params, batch, vocab, template, tcfg, rng):
     lambda_cot times the rationale loss, each a mean over the batch's
     samples; the mixture alignment term joins only when its coefficient is
     nonzero. Returns (total, detection loss, rationale loss)."""
-    fr = forward_train(params, batch, vocab, template, training=True, rng=rng)
+    fr = forward_train(params, batch, vocab, template, rng)
     total = nd.add(fr.loss_det, nd.scale(fr.loss_cot, params.config.lambda_cot))
     if tcfg.routing_aux_coeff != 0.0:
         labels = [s.label for s in batch]
@@ -344,8 +336,8 @@ def ablate(splits, vocab, template, model_cfg: ModelConfig, tcfg: TrainConfig,
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for name, model_over, train_over in ABLATION_GRID:
-        mcfg = ModelConfig.from_json({**model_cfg.to_json(), **model_over})
-        cfg = TrainConfig.from_json({**tcfg.to_json(), **train_over})
+        mcfg = replace(model_cfg, **model_over)
+        cfg = replace(tcfg, **train_over)
         started = time.time()
         params = init_model(mcfg, np.random.default_rng(cfg.seed))
         result = train(params, train_s, val_s, vocab, template, cfg,

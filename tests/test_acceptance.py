@@ -185,7 +185,7 @@ def _op_roster():
     def dropout(rng):
         a, w = _rand(rng, 4, 5), _rand(rng, 5, 1)
         # fresh generator per call: identical mask on every rebuild
-        return (lambda: _scalar(nd.dropout(a, 0.3, True, np.random.default_rng(1234)), w),
+        return (lambda: _scalar(nd.dropout(a, 0.3, np.random.default_rng(1234)), w),
                 [a, w])
 
     def layer_norm(rng):
@@ -280,8 +280,7 @@ def test_gradients_match_finite_differences_everywhere(toy_corpus, toy_vocab,
         assert small, "expected some low-dimensional parameters to probe"
 
         def full_loss():
-            fr = model.forward_train(params, [sample], toy_vocab, template,
-                                     training=False)
+            fr = model.forward_train(params, [sample], toy_vocab, template)
             return nd.add(fr.loss_det, nd.scale(fr.loss_cot,
                                                 params.config.lambda_cot))
 
@@ -393,7 +392,7 @@ def test_zero_weight_rationale_loss_is_bitwise_inert(toy_corpus, toy_vocab,
     cfg = model.ModelConfig.from_json({**_tiny_cfg_json(toy_vocab), "lambda_cot": 0.0})
 
     def detection_only(params, batch, vocab, template, tcfg, rng):
-        fr = trainer.forward_train(params, batch, vocab, template, training=True, rng=rng)
+        fr = trainer.forward_train(params, batch, vocab, template, rng)
         return fr.loss_det, float(fr.loss_det.values), float(fr.loss_cot.values)
 
     blobs = []

@@ -1,0 +1,47 @@
+"""The library names and call forms the benchmark in umfbench/ relies on:
+its tracer patches functions by name, and its greedy check calls the
+one-sample encode and decode forms. A rename or a changed form fails here,
+not only in a benchmark run."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from umfdet import evalkit, model, trainer
+
+UMFBENCH = Path(__file__).resolve().parents[1] / "umfbench"
+
+
+@pytest.fixture()
+def bench(monkeypatch):
+    """umfbench's checks and tracing modules, importable in this test only."""
+    monkeypatch.syspath_prepend(str(UMFBENCH))
+    yield importlib.import_module("checks"), importlib.import_module("tracing")
+    for name in ("checks", "tracing"):
+        sys.modules.pop(name, None)
+
+
+def test_tracer_patch_points_and_greedy_check(bench, tmp_path, toy_corpus, toy_vocab,
+                                              template, tiny_config):
+    checks, tracing = bench
+    params = model.init_model(tiny_config, np.random.default_rng(7))
+    posts = toy_corpus[:4]
+    encode = model.encode
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        trainer.train(params, toy_corpus[4:12], [], toy_vocab, template,
+                      trainer.TrainConfig(max_steps=1, batch_size=4), tmp_path)
+        result = evalkit.evaluate_model(params, posts, toy_vocab, template)
+        checks.check_greedy(params, posts, toy_vocab, template, result.predictions)
+    finally:
+        tracer.uninstall()
+    assert model.encode is encode
+    seen = {span[0] for span in tracer.spans}
+    assert {"trainer.step", "trainer.forward_train", "trainer.adam", "cmoe.forward",
+            "model.encode", "model.decode", "model.generate",
+            "evalkit.evaluate_model"} <= seen
+    assert tracer.ops > 0

@@ -404,8 +404,8 @@ def test_config_file_fuzzed_loads_or_is_config_error(tmp_path_factory, lines, ra
     path.write_bytes(raw if raw is not None else "\n".join(lines).encode("utf-8"))
     try:
         model_kv, train_kv, extra = cli.resolve_configs(path, {}, {})
-        ModelConfig.from_json({**ModelConfig().to_json(), **model_kv})
-        TrainConfig.from_json({**TrainConfig().to_json(), **train_kv})
+        ModelConfig(**model_kv)
+        TrainConfig(**train_kv)
         split([], SplitSpec(seed=extra["split_seed"]))
         Vocabulary.build([], extra["min_count"], extra["max_vocab"])
     except ConfigError:

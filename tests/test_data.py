@@ -115,8 +115,12 @@ def test_annotation_kind_requirements():
         ManipulationAnnotation(kind="made_up").validate(Category.AI_SYNTHESIZED)
     with pytest.raises(DataError):
         ManipulationAnnotation(kind="inpaint_replace").validate(Category.AI_SYNTHESIZED)
-    ManipulationAnnotation(kind="inpaint_replace", mask_ref="m.png",
-                           prompt_pair=("dog", "cat")).validate(Category.AI_SYNTHESIZED)
+    with pytest.raises(DataError, match="p_src or p_mod"):
+        ManipulationAnnotation(kind="inpaint_replace",
+                               mask_ref="m.png").validate(Category.AI_SYNTHESIZED)
+    for prompts in ({"p_src": "dog", "p_mod": "cat"}, {"p_src": "dog"}, {"p_mod": "cat"}):
+        ManipulationAnnotation(kind="inpaint_replace", mask_ref="m.png",
+                               **prompts).validate(Category.AI_SYNTHESIZED)
     with pytest.raises(DataError):
         ManipulationAnnotation(kind="pure_fake_text").validate(Category.HUMAN_CRAFTED)
     with pytest.raises(DataError):
@@ -124,11 +128,13 @@ def test_annotation_kind_requirements():
             Category.AI_SYNTHESIZED)
 
 
-def test_annotation_json_round_trip_flattens_prompt_pair():
+def test_annotation_json_round_trip_keeps_the_manifest_keys():
     ann = ManipulationAnnotation(kind="inpaint_replace", mask_ref="masks/x.png",
-                                 prompt_pair=("harbor", "painted harbor"),
+                                 p_src="harbor", p_mod="painted harbor",
                                  edit_strength=0.4, similarity=0.82)
     obj = ann.to_json()
+    assert list(obj) == ["kind", "mask_ref", "p_src", "p_mod", "rewrite_log",
+                         "edit_strength", "similarity"]
     assert obj["p_src"] == "harbor" and obj["p_mod"] == "painted harbor"
     back = ManipulationAnnotation.from_json(obj)
     assert back == ann

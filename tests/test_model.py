@@ -202,19 +202,23 @@ def test_forward_train_requires_rationale(tiny_model, toy_vocab, template):
     sample = _sample()
     sample.cot = None
     with pytest.raises(DataError, match="rationale"):
-        M.forward_train(tiny_model, [sample], toy_vocab, template, training=False)
+        M.forward_train(tiny_model, [sample], toy_vocab, template)
     sample.cot = CotNote(think="x", answer="  ", verdict="accepted")
     with pytest.raises(DataError):
-        M.forward_train(tiny_model, [sample], toy_vocab, template, training=False)
+        M.forward_train(tiny_model, [sample], toy_vocab, template)
+    long = _sample(think="word " * tiny_model.config.max_len)
+    long.id = "s-long"
+    with pytest.raises(DataError, match="sample s-long: target of .* exceeds max_len 128"):
+        M.forward_train(tiny_model, [_sample(), long], toy_vocab, template)
 
 
 def test_forward_train_needs_a_sample(tiny_model, toy_vocab, template):
     with pytest.raises(DataError, match="at least one sample"):
-        M.forward_train(tiny_model, [], toy_vocab, template, training=False)
+        M.forward_train(tiny_model, [], toy_vocab, template)
 
 
 def test_forward_train_losses_and_counts(tiny_model, toy_vocab, template):
-    res = M.forward_train(tiny_model, [_sample()], toy_vocab, template, training=False)
+    res = M.forward_train(tiny_model, [_sample()], toy_vocab, template)
     assert res.loss_det.values.shape == ()
     assert float(res.loss_det.values) > 0.0
     assert float(res.loss_cot.values) > 0.0
@@ -226,8 +230,7 @@ def test_forward_train_losses_and_counts(tiny_model, toy_vocab, template):
 
 
 def test_forward_train_no_think_gives_inert_zero(tiny_model, toy_vocab, template):
-    res = M.forward_train(tiny_model, [_sample(think="")], toy_vocab, template,
-                          training=False)
+    res = M.forward_train(tiny_model, [_sample(think="")], toy_vocab, template)
     assert float(res.loss_cot.values) == 0.0
     assert not res.loss_cot.requires_grad
     assert res.n_think_tokens == 0
@@ -239,12 +242,14 @@ def _fresh(tiny_config):
 
 
 def test_forward_train_deterministic_without_dropout(tiny_config, toy_vocab, template):
-    a = M.forward_train(_fresh(tiny_config), [_sample()], toy_vocab, template,
-                        training=False)
-    b = M.forward_train(_fresh(tiny_config), [_sample()], toy_vocab, template,
-                        training=False)
-    assert float(a.loss_det.values) == float(b.loss_det.values)
-    assert float(a.loss_cot.values) == float(b.loss_cot.values)
+    """Without a generator there is no dropout: the losses are finite and two
+    passes agree bit for bit, although dropout_rate is nonzero."""
+    assert tiny_config.dropout_rate > 0.0
+    a = M.forward_train(_fresh(tiny_config), [_sample()], toy_vocab, template)
+    b = M.forward_train(_fresh(tiny_config), [_sample()], toy_vocab, template)
+    for loss_a, loss_b in ((a.loss_det, b.loss_det), (a.loss_cot, b.loss_cot)):
+        assert np.isfinite(loss_a.values)
+        assert loss_a.values.tobytes() == loss_b.values.tobytes()
 
 
 def test_zero_weight_rationale_loss_matches_detection_only(tiny_config, toy_vocab,
@@ -254,13 +259,13 @@ def test_zero_weight_rationale_loss_matches_detection_only(tiny_config, toy_voca
     sample = _sample()
 
     pa = _fresh(tiny_config)
-    ra = M.forward_train(pa, [sample], toy_vocab, template, training=False)
+    ra = M.forward_train(pa, [sample], toy_vocab, template)
     total = nd.add(ra.loss_det, nd.scale(ra.loss_cot, 0.0))
     assert float(total.values) == float(ra.loss_det.values)  # x + 0.0 is bitwise x
     nd.Graph(total).backward()
 
     pb = _fresh(tiny_config)
-    rb = M.forward_train(pb, [sample], toy_vocab, template, training=False)
+    rb = M.forward_train(pb, [sample], toy_vocab, template)
     nd.Graph(rb.loss_det).backward()
 
     for name in pa.tensors:
@@ -276,7 +281,7 @@ def test_backward_release_keeps_model_grads_bitwise(tiny_config, toy_vocab, temp
     for release in (False, True):
         params = _fresh(tiny_config)
         res = M.forward_train(params, [_sample(), _sample(think="")], toy_vocab, template,
-                              training=True, rng=np.random.default_rng(3))
+                              rng=np.random.default_rng(3))
         total = nd.add(res.loss_det, res.loss_cot)
         if release:
             total.backward()
@@ -289,9 +294,9 @@ def test_backward_release_keeps_model_grads_bitwise(tiny_config, toy_vocab, temp
 def test_forward_train_dropout_depends_on_rng(tiny_config, toy_vocab, template):
     sample = _sample()
     a = M.forward_train(_fresh(tiny_config), [sample], toy_vocab, template,
-                        training=True, rng=np.random.default_rng(1))
+                        rng=np.random.default_rng(1))
     b = M.forward_train(_fresh(tiny_config), [sample], toy_vocab, template,
-                        training=True, rng=np.random.default_rng(2))
+                        rng=np.random.default_rng(2))
     assert float(a.loss_det.values) != float(b.loss_det.values)
 
 

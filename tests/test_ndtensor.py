@@ -369,11 +369,13 @@ def test_embedding_rejects_bad_ids():
 def test_dropout_modes():
     rng = np.random.default_rng(13)
     a = leaf((6, 4), rng)
-    assert nd.dropout(a, 0.5, training=False, rng=None) is a
-    assert nd.dropout(a, 0.0, training=True, rng=None) is a
+    assert nd.dropout(a, 0.5, None) is a
+    assert nd.dropout(a, 0.0, np.random.default_rng(0)) is a
     with pytest.raises(ConfigError):
-        nd.dropout(a, 1.0, training=True, rng=np.random.default_rng(0))
-    out = nd.dropout(a, 0.5, training=True, rng=np.random.default_rng(0))
+        nd.dropout(a, 1.0, None)
+    with pytest.raises(ConfigError):
+        nd.dropout(a, 1.0, np.random.default_rng(0))
+    out = nd.dropout(a, 0.5, np.random.default_rng(0))
     kept = out.values != 0.0
     assert np.allclose(out.values[kept], a.values[kept] * 2.0)
 
@@ -385,7 +387,7 @@ def test_dropout_grad_with_fixed_mask():
 
     def build():
         rng = np.random.default_rng(99)  # same mask on every rebuild
-        return wsum(nd.dropout(a, 0.4, training=True, rng=rng), w)
+        return wsum(nd.dropout(a, 0.4, rng), w)
 
     check_grads(build, [a])
 

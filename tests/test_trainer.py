@@ -56,13 +56,6 @@ def test_train_config_rejects_non_finite_values_naming_the_key(key, value):
         tr.TrainConfig(**{key: value})
 
 
-def test_train_config_json_round_trip():
-    cfg = _tcfg(routing_aux_coeff=0.5, target_val_acc=0.9)
-    assert tr.TrainConfig.from_json(cfg.to_json()) == cfg
-    with pytest.raises(ConfigError):
-        tr.TrainConfig.from_json({"lr": 1e-3, "warmup": 10})
-
-
 def test_config_hash_is_content_addressed():
     h1 = tr.config_hash({"a": 1, "b": [2, 3]})
     h2 = tr.config_hash({"b": [2, 3], "a": 1})
@@ -232,8 +225,7 @@ def _per_sample_loss(params, batch, vocab, template, tcfg):
     lam = params.config.lambda_cot
     total = None
     for sample in batch:
-        fr = forward_train(params, [sample], vocab, template, training=True,
-                           rng=np.random.default_rng(0))
+        fr = forward_train(params, [sample], vocab, template, np.random.default_rng(0))
         loss = nd.add(fr.loss_det, nd.scale(fr.loss_cot, lam))
         for routing in fr.routings if tcfg.routing_aux_coeff else ():
             loss = nd.add(loss, routing_alignment_loss(routing, [sample.label],
@@ -251,7 +243,7 @@ def test_packed_batch_loss_equals_per_sample_sum(toy_corpus, toy_vocab, template
     batch = [copy.deepcopy(s) for s in toy_corpus[:5]]
     batch[2].cot = CotNote(think="", answer=batch[2].cot.answer, verdict="accepted")
     prompts = {len(toy_vocab.encode(render_prompt(template, s.title))) for s in batch}
-    targets = {len(_target_ids(s, toy_vocab)) for s in batch}
+    targets = {len(_target_ids(s, toy_vocab, cfg.max_len)) for s in batch}
     assert len(prompts) > 1 and len(targets) > 1, "lengths must be uneven"
     tcfg = _tcfg(routing_aux_coeff=aux)
     grads, losses = [], []
