@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, write_json
+from .errors import ConfigError, DataError, check_record, write_json
 from .instruct import Vocabulary
 from .model import ModelConfig, ModelParams, init_model
 
@@ -50,23 +50,19 @@ def write_tensor_file(path, named) -> None:
             fh.write(arr.tobytes())
 
 
+_ENTRY_TYPES = {"name": str, "shape": list, "offset": int}
+
+
 def _entry_fields(path, entry):
     """(name, shape, offset) of one manifest entry, with a non-negative
     integer offset and shape dimensions."""
-    if (not isinstance(entry, dict) or not {"name", "shape", "offset"} <= set(entry)
-            or not isinstance(entry["name"], str)):
-        raise DataError(f"{path}: manifest entry {entry!r} needs a string name, "
-                        f"a shape and an offset")
+    check_record(entry, _ENTRY_TYPES, f"{path}: manifest entry", required=_ENTRY_TYPES)
     name, shape, offset = entry["name"], entry["shape"], entry["offset"]
-    if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
+    if not all(type(n) is int and n >= 0 for n in shape):
         raise DataError(f"{path}: tensor {name} has invalid shape {shape!r}")
-    if not _is_count(offset):
+    if offset < 0:
         raise DataError(f"{path}: tensor {name} has invalid offset {offset!r}")
     return name, tuple(shape), offset
-
-
-def _is_count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
 def read_tensor_file(path) -> dict:
@@ -78,12 +74,9 @@ def read_tensor_file(path) -> dict:
         raise DataError(f"{path}: truncated header")
     (manifest_len,) = struct.unpack("<Q", blob[len(MAGIC):len(MAGIC) + 8])
     start = len(MAGIC) + 8
-    try:
-        manifest = json.loads(blob[start:start + manifest_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: unreadable manifest: {exc}")
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), list):
-        raise DataError(f"{path}: manifest is not an object with a 'tensors' list")
+    manifest = check_record(_json(blob[start:start + manifest_len], f"{path}: manifest"),
+                            {"dtype": str, "tensors": list}, f"{path}: manifest",
+                            required=("tensors",))
     payload = blob[start + manifest_len:]
     spans, names = [], set()
     for entry in manifest["tensors"]:
@@ -128,15 +121,15 @@ def load_model(ckpt_dir):
     for required in (WEIGHTS_FILE, CONFIG_FILE, VOCAB_FILE):
         if not (d / required).exists():
             raise DataError(f"checkpoint {d} is missing {required}")
-    try:
-        config = ModelConfig.from_json(_read_json_object(d / CONFIG_FILE))
+    try:  # the config's sizes may also be past what init_model can allocate
+        config = ModelConfig.from_json(_json((d / CONFIG_FILE).read_bytes(), d / CONFIG_FILE))
+        vocab = Vocabulary.load(d / VOCAB_FILE)
+        if len(vocab) != config.vocab_size:
+            raise DataError(f"{d / VOCAB_FILE}: {len(vocab)} tokens, but {CONFIG_FILE} "
+                            f"gives vocab_size {config.vocab_size}")
+        params = init_model(config, None)
     except ConfigError as exc:
         raise DataError(f"{d / CONFIG_FILE}: {exc}") from None
-    vocab = Vocabulary.load(d / VOCAB_FILE)
-    if len(vocab) != config.vocab_size:
-        raise DataError(f"{d / VOCAB_FILE}: {len(vocab)} tokens, but {CONFIG_FILE} "
-                        f"gives vocab_size {config.vocab_size}")
-    params = init_model(config, None)
     loaded = read_tensor_file(d / WEIGHTS_FILE)
     missing = sorted(set(params.tensors) - set(loaded))
     extra = sorted(set(loaded) - set(params.tensors))
@@ -165,30 +158,29 @@ def load_train_state(ckpt_dir):
     """Return (moment_arrays, meta) or None when the directory holds no
     trainer state (weights-only checkpoint)."""
     d = Path(ckpt_dir)
+    path = d / TRAIN_STATE_FILE
     if not (d / OPTIMIZER_FILE).exists():
         return None
-    if not (d / TRAIN_STATE_FILE).exists():
+    if not path.exists():
         raise DataError(f"checkpoint {d} has optimizer moments but no {TRAIN_STATE_FILE}")
     arrays = read_tensor_file(d / OPTIMIZER_FILE)
-    meta = _read_json_object(d / TRAIN_STATE_FILE)
-    sampler = meta.get("sampler") if isinstance(meta.get("sampler"), dict) else {}
-    perm = sampler.get("perm")
-    for key, ok in (("step", _is_count(meta.get("step"))),
-                    ("rng_state", isinstance(meta.get("rng_state"), dict)),
-                    ("sampler.perm", isinstance(perm, list) and all(map(_is_count, perm))
-                     and sorted(perm) == list(range(len(perm)))),
-                    ("sampler.cursor", _is_count(sampler.get("cursor")))):
+    meta = check_record(_json(path.read_bytes(), path),
+                        {"step": int, "rng_state": dict, "sampler": dict}, path,
+                        required=("step", "rng_state", "sampler"))
+    sampler = check_record(meta["sampler"], {"perm": list, "cursor": int}, f"{path}: sampler",
+                           required=("perm", "cursor"))
+    perm = sampler["perm"]
+    for key, ok in (("step", meta["step"] >= 0), ("sampler.cursor", sampler["cursor"] >= 0),
+                    ("sampler.perm", all(type(i) is int for i in perm)
+                     and sorted(perm) == list(range(len(perm))))):
         if not ok:
-            raise DataError(f"{d / TRAIN_STATE_FILE}: missing or invalid {key}")
+            raise DataError(f"{path}: invalid {key}")
     return arrays, meta
 
 
-def _read_json_object(path) -> dict:
-    """A JSON object from a checkpoint file; anything else is a DataError."""
+def _json(blob: bytes, what):
+    """The JSON value of blob; bytes that are not JSON are a DataError naming what."""
     try:
-        obj = json.loads(Path(path).read_bytes().decode("utf-8"))
+        return json.loads(blob.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
-        raise DataError(f"{path}: not JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise DataError(f"{path}: expected a JSON object, got {type(obj).__name__}")
-    return obj
+        raise DataError(f"{what}: not JSON: {exc}") from None

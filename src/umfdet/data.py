@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ManifestError
+from .errors import ConfigError, DataError, ManifestError, check_record
 
 
 class Category(enum.Enum):
@@ -132,10 +132,13 @@ def _decode_array(b64, shape):
 
 
 # The manifest's manipulation keys, in the order to_json writes them, and
-# their types when not null; a bool is never a number here.
-_MANIPULATION_TYPES = {"kind": str, "mask_ref": str, "p_src": str, "p_mod": str,
-                       "rewrite_log": dict, "edit_strength": (int, float),
-                       "similarity": (int, float)}
+# their types; a bool is never a number here.
+_NULL = type(None)
+_MANIPULATION_TYPES = {"kind": str, "mask_ref": (str, _NULL), "p_src": (str, _NULL),
+                       "p_mod": (str, _NULL), "rewrite_log": (dict, _NULL),
+                       "edit_strength": (int, float, _NULL), "similarity": (int, float, _NULL)}
+_SAMPLE_TYPES = {"id": str, "title": str, "image": dict, "label": str,
+                 "manipulation": (dict, _NULL), "cot": (dict, _NULL)}
 
 
 @dataclass
@@ -169,17 +172,7 @@ class ManipulationAnnotation:
 
     @classmethod
     def from_json(cls, obj):
-        if not isinstance(obj, dict):
-            raise DataError("manipulation field must be an object")
-        extra = set(obj) - set(_MANIPULATION_TYPES)
-        if extra:
-            raise DataError(f"unknown manipulation keys {sorted(extra)}")
-        for key, kind in _MANIPULATION_TYPES.items():
-            value = obj.get(key)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
-                raise DataError(f"manipulation {key} has the wrong type "
-                                f"({type(value).__name__})")
-        return cls(**obj)
+        return cls(**check_record(obj, _MANIPULATION_TYPES, "manipulation"))
 
 
 @dataclass
@@ -201,15 +194,8 @@ class CotNote:
 
     @classmethod
     def from_json(cls, obj):
-        if not isinstance(obj, dict):
-            raise DataError("cot field must be an object")
-        keys = {"think", "answer", "verdict"}
-        if set(obj) != keys:
-            raise DataError(f"cot keys must be {sorted(keys)}, got {sorted(obj)}")
-        for key in sorted(keys):
-            if not isinstance(obj[key], str):
-                raise DataError(f"cot {key} must be a string, got {type(obj[key]).__name__}")
-        return cls(think=obj["think"], answer=obj["answer"], verdict=obj["verdict"])
+        keys = ("think", "answer", "verdict")
+        return cls(**check_record(obj, dict.fromkeys(keys, str), "cot", required=keys))
 
 
 @dataclass
@@ -238,27 +224,16 @@ class NewsSample:
 
     @classmethod
     def from_json(cls, obj):
-        if not isinstance(obj, dict):
-            raise DataError("sample must be a JSON object")
-        extra = set(obj) - {"id", "title", "image", "label", "manipulation", "cot"}
-        if extra:
-            raise DataError(f"unknown sample keys {sorted(extra)}")
-        missing = [k for k in ("id", "title", "image") if k not in obj]
-        if missing:
-            raise DataError(f"missing sample keys {missing}")
-        if not isinstance(obj["id"], str) or not isinstance(obj["title"], str):
-            raise DataError("sample id and title must be strings")
-        label = obj.get("label", "")
-        label = Category.parse(label) if isinstance(label, str) else None
+        check_record(obj, _SAMPLE_TYPES, "sample", required=("id", "title", "image", "label"))
+        label = Category.parse(obj["label"])
         if label is None:
-            raise DataError(f"unknown label {obj.get('label')!r}")
+            raise DataError(f"unknown label {obj['label']!r}")
         sample = cls(
             id=obj["id"],
             title=obj["title"],
             image=ImagePayload.from_json(obj["image"]),
             label=label,
-            annotation=ManipulationAnnotation.from_json(
-                {} if obj.get("manipulation") is None else obj["manipulation"]),
+            annotation=ManipulationAnnotation.from_json(obj.get("manipulation") or {}),
             cot=None if obj.get("cot") is None else CotNote.from_json(obj["cot"]),
         )
         sample.validate()

@@ -1,8 +1,14 @@
-"""Shared exception types, the text-file reader that raises them, and the
-one JSON-artifact writer.
+"""Shared exception types, the text-file reader that raises them, the one
+JSON-artifact writer and the one JSON-record check.
 
 The CLI maps these onto exit codes: usage problems exit 1, data problems
 exit 2, anything else exits 3.
+
+Every JSON object the program reads from a file (a manifest line and its
+manipulation and cot fields, config.json, train_state.json and its sampler,
+a tensor file's header and entries) is a closed record: check_record
+refuses a key outside its type table, a missing required key, and a value
+of another type, where a bool never stands for a number.
 """
 
 import json
@@ -62,6 +68,25 @@ def read_utf8(path, error: type) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8: {exc}") from None
+
+
+def check_record(obj, types: dict, what, required=(), error: type = DataError) -> dict:
+    """obj, when it is a dict whose keys are among types and include every
+    key in required, and whose values are instances of their key's type or
+    tuple of types, a bool only where bool is named; otherwise error("<what>:
+    <fault>") naming the key."""
+    if not isinstance(obj, dict):
+        raise error(f"{what}: expected a JSON object, got {type(obj).__name__}")
+    unknown, missing = sorted(set(obj) - set(types)), [k for k in required if k not in obj]
+    if unknown or missing:
+        fault = f"unknown keys {unknown}" if unknown else f"missing keys {missing}"
+        raise error(f"{what}: {fault}")
+    for key, value in obj.items():
+        want = types[key] if isinstance(types[key], tuple) else (types[key],)
+        if not isinstance(value, want) or (isinstance(value, bool) and bool not in want):
+            raise error(f"{what}: {key} must be of type "
+                        f"{' or '.join(t.__name__ for t in want)}, got {type(value).__name__}")
+    return obj
 
 
 def write_json(path, obj) -> None:

@@ -159,7 +159,7 @@ class Vocabulary:
                 continue
             tight = (tok in _CLOSING_MARKERS
                      or (tok in _OPENING_MARKERS and prev in _CLOSING_MARKERS)
-                     or (len(tok) == 1 and not tok.isalnum() and tok != "'"))
+                     or (len(tok) == 1 and not tok.isalnum() and tok not in "'_"))
             if not out or glue_next or tight:
                 out.append(tok)
             else:

@@ -19,7 +19,7 @@ from . import ndtensor as nd
 from .cmoe import (cmoe_forward, expert_forward, init_cmoe_layer, init_expert,
                    normal, xavier, zeros)
 from .data import ImagePayload, NewsSample
-from .errors import ConfigError, DataError, GraphError
+from .errors import ConfigError, DataError, GraphError, check_record
 from .instruct import (ANSWER_CLOSE, ANSWER_OPEN, BOS, EOS, PAD, THINK_CLOSE,
                        THINK_OPEN, InstructionTemplate, Vocabulary, render_prompt)
 from .ndtensor import Tensor
@@ -74,18 +74,11 @@ class ModelConfig:
         return asdict(self)
 
     @classmethod
-    def from_json(cls, d: dict) -> "ModelConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {unknown}")
-        for f in fields(cls):  # a bool is never a number; an int may stand for a float
-            value, want = d.get(f.name, f.default), type(f.default)
-            if (isinstance(value, bool) != (want is bool)
-                    or not isinstance(value, (int, float) if want is float else want)):
-                raise ConfigError(f"model config {f.name} must be of type {want.__name__}, "
-                                  f"got {value!r}")
-        return cls(**d)
+    def from_json(cls, d) -> "ModelConfig":
+        """A config from config.json's object; an int may stand for a float."""
+        types = {f.name: (int, float) if type(f.default) is float else type(f.default)
+                 for f in fields(cls)}
+        return cls(**check_record(d, types, "model config", error=ConfigError))
 
 
 @dataclass
@@ -124,38 +117,45 @@ def _ffn_params(tensors, rng, name, h, ratio):
 
 def init_model(config: ModelConfig, rng: np.random.Generator | None) -> ModelParams:
     """Every weight the config names, in a stable order, drawn from rng; with
-    rng None every weight is zero and no random number is drawn."""
+    rng None every weight is zero and no random number is drawn. Sizes that
+    cannot be allocated are a ConfigError."""
     h, r = config.h, config.expansion_ratio
     t = {}
-    t["tok_emb"] = normal(rng, 0.02, (config.vocab_size, h))
-    t["pos_emb"] = normal(rng, 0.02, (config.max_len, h))
-    t["vis_pos_emb"] = normal(rng, 0.02, (config.max_vis_tokens, h))
-    t["vis_proj.W"] = xavier(rng, config.h_v, h)
-    t["vis_proj.b"] = zeros(h)
-    t["patch_proj.W"] = xavier(rng, config.in_channels * PATCH * PATCH, h)
-    t["patch_proj.b"] = zeros(h)
-    for i in range(config.n_enc):
-        _ln_pair(t, f"enc.{i}.ln1", h)
-        _attn_params(t, rng, f"enc.{i}.attn", h)
-        _ln_pair(t, f"enc.{i}.ln2", h)
-        _ffn_params(t, rng, f"enc.{i}.ffn", h, r)
-    for i in range(config.n_moe):
-        _ln_pair(t, f"cmoe.{i}.ln", h)
-        if config.moe_enabled:
-            init_cmoe_layer(t, rng, f"cmoe.{i}", h, r)
-        else:
-            init_expert(t, rng, f"cmoe.{i}.solo", h, r)
-    _ln_pair(t, "moe_out_ln", h)
-    for i in range(config.n_dec):
-        _ln_pair(t, f"dec.{i}.ln1", h)
-        _attn_params(t, rng, f"dec.{i}.self_attn", h)
-        _ln_pair(t, f"dec.{i}.ln2", h)
-        _attn_params(t, rng, f"dec.{i}.cross_attn", h)
-        _ln_pair(t, f"dec.{i}.ln3", h)
-        _ffn_params(t, rng, f"dec.{i}.ffn", h, r)
-    _ln_pair(t, "final_ln", h)
-    t["head.W"] = xavier(rng, h, config.vocab_size)
-    t["head.b"] = zeros(config.vocab_size)
+    try:
+        t["tok_emb"] = normal(rng, 0.02, (config.vocab_size, h))
+        t["pos_emb"] = normal(rng, 0.02, (config.max_len, h))
+        t["vis_pos_emb"] = normal(rng, 0.02, (config.max_vis_tokens, h))
+        t["vis_proj.W"] = xavier(rng, config.h_v, h)
+        t["vis_proj.b"] = zeros(h)
+        t["patch_proj.W"] = xavier(rng, config.in_channels * PATCH * PATCH, h)
+        t["patch_proj.b"] = zeros(h)
+        for i in range(config.n_enc):
+            _ln_pair(t, f"enc.{i}.ln1", h)
+            _attn_params(t, rng, f"enc.{i}.attn", h)
+            _ln_pair(t, f"enc.{i}.ln2", h)
+            _ffn_params(t, rng, f"enc.{i}.ffn", h, r)
+        for i in range(config.n_moe):
+            _ln_pair(t, f"cmoe.{i}.ln", h)
+            if config.moe_enabled:
+                init_cmoe_layer(t, rng, f"cmoe.{i}", h, r)
+            else:
+                init_expert(t, rng, f"cmoe.{i}.solo", h, r)
+        _ln_pair(t, "moe_out_ln", h)
+        for i in range(config.n_dec):
+            _ln_pair(t, f"dec.{i}.ln1", h)
+            _attn_params(t, rng, f"dec.{i}.self_attn", h)
+            _ln_pair(t, f"dec.{i}.ln2", h)
+            _attn_params(t, rng, f"dec.{i}.cross_attn", h)
+            _ln_pair(t, f"dec.{i}.ln3", h)
+            _ffn_params(t, rng, f"dec.{i}.ffn", h, r)
+        _ln_pair(t, "final_ln", h)
+        t["head.W"] = xavier(rng, h, config.vocab_size)
+        t["head.b"] = zeros(config.vocab_size)
+    except (ValueError, OverflowError, MemoryError) as exc:
+        raise ConfigError(f"cannot allocate the weights of h={h}, h_v={config.h_v}, "
+                          f"vocab_size={config.vocab_size}, max_len={config.max_len}, "
+                          f"max_vis_tokens={config.max_vis_tokens}, expansion_ratio={r}: "
+                          f"{exc}") from None
     return ModelParams(config=config, tensors=t)
 
 
@@ -236,7 +236,7 @@ def embed_text(table, pos_table, ids, start=0):
     return nd.add(tok, pos)
 
 
-def embed_image(params: ModelParams, payload: ImagePayload, sample_id: str = "?"):
+def embed_image(params: ModelParams, payload: ImagePayload, sample_id: str):
     """Image payload -> [T_v, H] visual tokens with positional rows added."""
     cfg = params.config
     t = params.tensors
@@ -292,11 +292,11 @@ def encode(params: ModelParams, samples, vocab: Vocabulary,
     seqs = []
     for s in batch:
         prompt_ids = vocab.encode(render_prompt(template, s.title))
-        try:
-            e_t = embed_text(t["tok_emb"], t["pos_emb"], prompt_ids)
-        except DataError as exc:
-            raise DataError(f"sample {s.id}: {exc}") from None
-        seqs.append((embed_image(params, s.image, s.id), e_t))
+        if len(prompt_ids) > cfg.max_len:
+            raise DataError(f"sample {s.id}: prompt of {len(prompt_ids)} tokens exceeds "
+                            f"max_len {cfg.max_len}")
+        seqs.append((embed_image(params, s.image, s.id),
+                     embed_text(t["tok_emb"], t["pos_emb"], prompt_ids)))
     lengths = [e_v.shape[0] + e_t.shape[0] for e_v, e_t in seqs]
     n = max(lengths)
     x = nd.concat([part for (e_v, e_t), m in zip(seqs, lengths)

@@ -220,7 +220,7 @@ def train(params: ModelParams, train_samples, val_samples, vocab, template,
         optim.load_moments(arrays, meta["step"])
         try:
             rng.bit_generator.state = meta["rng_state"]
-        except (TypeError, ValueError, KeyError) as exc:
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
             raise DataError(f"{ckpt_dir / ckpt.TRAIN_STATE_FILE}: invalid rng_state "
                             f"({exc})") from None
         sampler.load(meta["sampler"])

@@ -1,7 +1,9 @@
 """The library names and call forms the benchmark in umfbench/ relies on:
-its tracer patches functions by name, and its greedy check calls the
-one-sample encode and decode forms. A rename or a changed form fails here,
-not only in a benchmark run."""
+its tracer patches functions by name, its greedy check calls the
+one-sample encode and decode forms, and its train and corpus checks read
+back what a resumed run and a saved manifest wrote. A rename, a changed
+form or a reader that refuses its writer's output fails here, not only in
+a benchmark run."""
 
 import importlib
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from umfdet import evalkit, model, trainer
+from umfdet import data, evalkit, model, trainer
 
 UMFBENCH = Path(__file__).resolve().parents[1] / "umfbench"
 
@@ -45,3 +47,22 @@ def test_tracer_patch_points_and_greedy_check(bench, tmp_path, toy_corpus, toy_v
             "model.encode", "model.decode", "model.generate",
             "evalkit.evaluate_model"} <= seen
     assert tracer.ops > 0
+
+
+def test_resumed_run_and_saved_manifest_pass_the_benchmark_checks(bench, tmp_path, toy_corpus,
+                                                                   toy_vocab, template,
+                                                                   tiny_config):
+    """A run resumed once from its checkpoint, as each train-workload round
+    is, and a manifest saved and loaded back, as in the corpus workload."""
+    checks, _ = bench
+    params = model.init_model(tiny_config, np.random.default_rng(7))
+    for steps in (1, 2):
+        result = trainer.train(params, toy_corpus[4:12], [], toy_vocab, template,
+                               trainer.TrainConfig(max_steps=steps, batch_size=4, log_every=1),
+                               tmp_path / "train", resume=steps > 1)
+    assert result.steps_run == 2
+    checks.check_history(result.history_path, params.config.lambda_cot, check_drop=False)
+    checks.check_checkpoint(params, toy_vocab, result.checkpoint_dir)
+    path = tmp_path / "toy.jsonl"
+    data.save_manifest(toy_corpus, path)
+    checks.check_manifest(toy_corpus, path, data.load_manifest(path))

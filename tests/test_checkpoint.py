@@ -1,6 +1,7 @@
 """Binary tensor files and checkpoint directories round-trip bit-exactly."""
 
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -77,10 +78,13 @@ def test_tensor_file_truncated_header(tmp_path):
 
 def test_tensor_file_corrupt_manifest(tmp_path):
     path = tmp_path / "t.umfd"
-    manifest = b"{broken"
-    path.write_bytes(b"UMFD1" + struct.pack("<Q", len(manifest)) + manifest)
-    with pytest.raises(DataError, match="manifest"):
-        ck.read_tensor_file(path)
+    for manifest in (b"{broken", b'{"tensors": [], "dtype": "\xff"}',
+                     b'{"tensors": [], "dtype": ' + b"9" * 5000 + b"}",  # past the digit limit
+                     b"[" * 100_000 + b"]" * 100_000):  # nesting past the recursion limit
+        path.write_bytes(b"UMFD1" + struct.pack("<Q", len(manifest)) + manifest)
+        with pytest.raises(DataError, match="manifest: not JSON") as info:
+            ck.read_tensor_file(path)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 def test_tensor_file_payload_overrun(tmp_path):
@@ -107,11 +111,17 @@ def _with_manifest(path, manifest, payload=b"\x00" * 16):
 
 
 @pytest.mark.parametrize("manifest, match", [
-    ({"dtype": "<f8"}, "'tensors' list"),
-    ([{"name": "x", "shape": [2], "offset": 0}], "'tensors' list"),
+    ({"dtype": "<f8"}, r"manifest: missing keys \['tensors'\]"),
+    ([{"name": "x", "shape": [2], "offset": 0}], "manifest: expected a JSON object"),
     ({"tensors": [{"name": "x", "shape": [2], "offset": -8}]}, "offset"),
-    ({"tensors": [{"name": "x", "shape": [2]}]}, "needs a string name"),
+    ({"tensors": [{"name": "x", "shape": [2]}]}, r"manifest entry: missing keys \['offset'\]"),
     ({"tensors": [{"name": "x", "shape": 2, "offset": 0}]}, "shape"),
+    ({"tensors": [{"name": "x", "shape": [2], "offset": False}]},
+     "offset must be of type int, got bool"),
+    ({"tensors": [{"name": "x", "shape": [True], "offset": 0}]}, "invalid shape"),
+    ({"dtype": "<f8", "tensors": [], "note": "x"}, r"manifest: unknown keys \['note'\]"),
+    ({"tensors": [{"name": "x", "shape": [2], "offset": 0, "dtype": "<f8"}]},
+     r"manifest entry: unknown keys \['dtype'\]"),
     ({"dtype": "<f4", "tensors": [{"name": "x", "shape": [2], "offset": 0}]}, "'<f4'"),
     ({"dtype": "<f8", "tensors": [{"name": "x", "shape": [2], "offset": 0},
                                   {"name": "y", "shape": [1], "offset": 8}]},
@@ -125,7 +135,8 @@ def _with_manifest(path, manifest, payload=b"\x00" * 16):
     ({"dtype": "<f8", "tensors": [{"name": "x", "shape": [2 ** 63], "offset": 0}]},
      "tensor x overruns"),
 ], ids=["no_tensors_key", "list_manifest", "negative_offset", "missing_entry_key",
-        "non_list_shape", "foreign_dtype", "overlapping_offsets", "duplicate_name",
+        "non_list_shape", "bool_offset", "bool_dimension", "unknown_header_key",
+        "unknown_entry_key", "foreign_dtype", "overlapping_offsets", "duplicate_name",
         "shape_product_past_int64", "shape_product_at_int64_sign_bit"])
 def test_tensor_file_malformed_manifest_is_data_error(tmp_path, manifest, match):
     path = _with_manifest(tmp_path / "t.umfd", manifest)
@@ -229,6 +240,41 @@ def test_load_model_shape_mismatch(tmp_path, small):
     ck.write_tensor_file(tmp_path / "ckpt" / ck.WEIGHTS_FILE, weights)
     with pytest.raises(DataError, match="head.b"):
         ck.load_model(tmp_path / "ckpt")
+
+
+@pytest.fixture(scope="module")
+def saved_small(tmp_path_factory, toy_vocab):
+    cfg = ModelConfig(h=16, h_v=64, n_heads=2, n_enc=1, n_moe=1, n_dec=1,
+                      vocab_size=len(toy_vocab), max_len=64, max_vis_tokens=8)
+    d = tmp_path_factory.mktemp("small") / "ckpt"
+    ck.save_model(d, init_model(cfg, np.random.default_rng(1)), toy_vocab)
+    return d
+
+
+# A config key (or an unknown one) and its new value: any JSON value but an
+# int, a small count, or a size past int64 or far past memory. n_enc and
+# n_dec, which cost a loop pass per unit, take no huge size.
+_HUGE = st.sampled_from([2 ** 62, 10 ** 15, 2 ** 64])
+_CONFIG_EDITS = st.sampled_from(sorted(ModelConfig().to_json()) + ["mystery"]).flatmap(
+    lambda key: st.tuples(st.just(key), JSON_VALUES.filter(lambda v: type(v) is not int)
+                          | st.integers(-2, 40)
+                          | (st.nothing() if key in ("n_enc", "n_dec") else _HUGE)))
+
+
+@given(edit=_CONFIG_EDITS)
+def test_load_model_with_a_fuzzed_config_loads_or_is_data_error(tmp_path_factory,
+                                                                saved_small, edit):
+    """A config.json with one key set to an arbitrary value loads, or is a
+    DataError naming the checkpoint."""
+    d = tmp_path_factory.mktemp("fuzz") / "ckpt"
+    shutil.copytree(saved_small, d)
+    key, value = edit
+    path = d / ck.CONFIG_FILE
+    path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+    try:
+        ck.load_model(d)
+    except DataError as exc:
+        assert str(d) in str(exc)
 
 
 # ---------------------------------------------------------------------------

@@ -387,6 +387,18 @@ def test_config_file_non_finite_value_exits_1_naming_the_key(tmp_path, corpus, c
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("line", [f"h={2 ** 62}", f"max_len={10 ** 15}",
+                                  f"expansion_ratio={2 ** 60}"])
+def test_config_file_unallocatable_model_size_exits_1_naming_it(tmp_path, corpus, capsys, line):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{line}\n")
+    rc = cli.main(["train", "--manifest", str(corpus),
+                   "--out", str(tmp_path / "run"), "--config", str(cfg), "--steps", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "ConfigError: cannot allocate the weights of" in err and line in err
+
+
 _CONFIG_LINES = st.lists(
     st.tuples(st.sampled_from(sorted({**cli._MODEL_FIELDS, **cli._TRAIN_FIELDS,
                                       **cli._EXTRA_KEYS})) | st.text(max_size=6),
@@ -545,13 +557,22 @@ def _json_edit(edit):
     ("config.json", lambda blob: blob[:-3], "not JSON"),
     ("config.json", _json_edit(lambda c: c.update(h="x")), "h must be of type int"),
     ("config.json", _json_edit(lambda c: c.update(moe_enabled=1)), "moe_enabled"),
+    ("config.json", _json_edit(lambda c: c.update(mystery=1)), "unknown keys ['mystery']"),
+    ("config.json", _json_edit(lambda c: c.update(h=2 ** 62)),
+     f"cannot allocate the weights of h={2 ** 62}"),
+    ("config.json", _json_edit(lambda c: c.update(max_len=10 ** 15)),
+     f"max_len={10 ** 15}"),
+    ("config.json", _json_edit(lambda c: c.update(expansion_ratio=2 ** 60)),
+     f"expansion_ratio={2 ** 60}"),
     ("vocab.tsv", lambda blob: b"".join(blob.splitlines(keepends=True)[:-20]),
      "tokens, but config.json gives vocab_size"),
     ("vocab.tsv", lambda blob: blob + b"".join(b"extra%d\t%d\n" % (i, blob.count(b"\n") + i)
                                                for i in range(3)),
      "tokens, but config.json gives vocab_size"),
 ], ids=["vocab_not_utf8", "vocab_without_reserved_tokens", "config_not_json",
-        "config_string_h", "config_int_flag", "vocab_20_tokens_short", "vocab_3_tokens_long"])
+        "config_string_h", "config_int_flag", "config_unknown_key", "config_h_past_memory",
+        "config_max_len_past_memory", "config_expansion_past_memory", "vocab_20_tokens_short",
+        "vocab_3_tokens_long"])
 def test_malformed_checkpoint_file_exits_2_naming_it(tmp_path, corpus, trained, capsys,
                                                      name, edit, match):
     ckpt_dir = tmp_path / "checkpoint"
@@ -580,20 +601,42 @@ def _edit_state(edit):
 @pytest.mark.parametrize("damage, file, match", [
     (_edit_state(lambda blob: blob[:10]), ckpt.TRAIN_STATE_FILE, "not JSON"),
     (_edit_state(lambda blob: b"[]"), ckpt.TRAIN_STATE_FILE, "JSON object"),
-    (_edit_state(_json_edit(lambda m: m.pop("step"))), ckpt.TRAIN_STATE_FILE, "invalid step"),
+    (_edit_state(_json_edit(lambda m: m.pop("step"))), ckpt.TRAIN_STATE_FILE,
+     "missing keys ['step']"),
+    (_edit_state(_json_edit(lambda m: m.update(step=-1))), ckpt.TRAIN_STATE_FILE,
+     "invalid step"),
+    (_edit_state(_json_edit(lambda m: m.update(step=True))), ckpt.TRAIN_STATE_FILE,
+     "step must be of type int, got bool"),
+    (_edit_state(_json_edit(lambda m: m.update(mystery=1))), ckpt.TRAIN_STATE_FILE,
+     "unknown keys ['mystery']"),
     (_edit_state(_json_edit(lambda m: m.pop("rng_state"))), ckpt.TRAIN_STATE_FILE,
-     "invalid rng_state"),
+     "missing keys ['rng_state']"),
     (_edit_state(_json_edit(lambda m: m["rng_state"].pop("state"))), ckpt.TRAIN_STATE_FILE,
      "invalid rng_state"),
+    (_edit_state(_json_edit(lambda m: m["rng_state"]["state"].update(state=-1))),
+     ckpt.TRAIN_STATE_FILE, "invalid rng_state"),
+    (_edit_state(_json_edit(lambda m: m["rng_state"].update(has_uint32=2 ** 70))),
+     ckpt.TRAIN_STATE_FILE, "invalid rng_state"),
+    (_edit_state(_json_edit(lambda m: m["rng_state"].update(uinteger=2 ** 70))),
+     ckpt.TRAIN_STATE_FILE, "invalid rng_state"),
     (_edit_state(_json_edit(lambda m: m["sampler"].pop("perm"))), ckpt.TRAIN_STATE_FILE,
-     "invalid sampler.perm"),
+     "sampler: missing keys ['perm']"),
     (_edit_state(_json_edit(lambda m: m["sampler"].pop("cursor"))), ckpt.TRAIN_STATE_FILE,
+     "sampler: missing keys ['cursor']"),
+    (_edit_state(_json_edit(lambda m: m["sampler"].update(cursor=-1))), ckpt.TRAIN_STATE_FILE,
      "invalid sampler.cursor"),
+    (_edit_state(_json_edit(lambda m: m["sampler"].update(epoch=0))), ckpt.TRAIN_STATE_FILE,
+     "sampler: unknown keys ['epoch']"),
     (_edit_state(_json_edit(lambda m: m["sampler"]["perm"].append(10 ** 6))),
      ckpt.TRAIN_STATE_FILE, "invalid sampler.perm"),
+    (_edit_state(_json_edit(lambda m: m["sampler"]["perm"].__setitem__(0, 0.0))),
+     ckpt.TRAIN_STATE_FILE, "invalid sampler.perm"),
     (_drop_moment, ckpt.OPTIMIZER_FILE, "adam.v.head.b"),
-], ids=["state_not_json", "state_list", "no_step", "no_rng_state", "rng_state_no_state",
-        "no_perm", "no_cursor", "perm_not_a_permutation", "no_adam_moment"])
+], ids=["state_not_json", "state_list", "no_step", "negative_step", "bool_step",
+        "unknown_state_key", "no_rng_state", "rng_state_no_state", "rng_state_negative_state",
+        "rng_state_huge_has_uint32", "rng_state_huge_uinteger", "no_perm", "no_cursor",
+        "negative_cursor", "unknown_sampler_key", "perm_not_a_permutation", "float_in_perm",
+        "no_adam_moment"])
 def test_resume_from_malformed_trainer_state_exits_2_naming_file_and_key(
         tmp_path, corpus, trained, capsys, damage, file, match):
     out = tmp_path / "run"

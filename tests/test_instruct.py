@@ -3,7 +3,7 @@
 import dataclasses
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from umfdet import instruct
@@ -239,6 +239,7 @@ def test_load_template_fuzzed_file_loads_or_is_template_error(tmp_path_factory, 
 
 
 @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=80))
+@example("0 _")  # a lone underscore is a word token, not punctuation to glue on
 def test_decode_of_encode_is_stable(text):
     v = Vocabulary.build([text.lower()], min_count=1)
     once = v.decode(v.encode(text))

@@ -64,8 +64,25 @@ def test_config_rejects_non_finite_values_naming_the_key(key, value):
 def test_config_json_round_trip():
     cfg = M.ModelConfig(h=32, n_heads=2, lambda_cot=0.5, moe_enabled=False)
     assert M.ModelConfig.from_json(cfg.to_json()) == cfg
-    with pytest.raises(ConfigError):
-        M.ModelConfig.from_json({"h": 32, "mystery": 1})
+    assert M.ModelConfig.from_json({"dropout_rate": 0}).dropout_rate == 0  # an int is a float
+    for obj, match in (({"h": 32, "mystery": 1}, r"unknown keys \['mystery'\]"),
+                       ({"h": True}, "h must be of type int, got bool"),
+                       ({"lambda_cot": False}, "lambda_cot must be of type int or float"),
+                       ({"moe_enabled": 1}, "moe_enabled must be of type bool, got int"),
+                       ([], "expected a JSON object, got list")):
+        with pytest.raises(ConfigError, match=f"^model config: {match}"):
+            M.ModelConfig.from_json(obj)
+
+
+@pytest.mark.parametrize("sizes", [{"h": 2 ** 62}, {"max_len": 10 ** 15},
+                                   {"expansion_ratio": 2 ** 60}],
+                         ids=["h", "max_len", "expansion_ratio"])
+def test_init_model_unallocatable_sizes_are_config_errors_naming_them(tiny_config, sizes):
+    cfg = replace(tiny_config, **sizes)
+    (key, value), = sizes.items()
+    for rng in (None, np.random.default_rng(0)):
+        with pytest.raises(ConfigError, match=f"cannot allocate the weights of .*{key}={value}"):
+            M.init_model(cfg, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +138,7 @@ def test_trainable_freeze_prefixes(tiny_config):
 
 def test_embed_image_feature_payload(tiny_config):
     params = M.init_model(tiny_config, np.random.default_rng(0))
-    out = M.embed_image(params, ImagePayload(feat=np.zeros((5, tiny_config.h_v))))
+    out = M.embed_image(params, ImagePayload(feat=np.zeros((5, tiny_config.h_v))), "s-0")
     assert out.shape == (5, tiny_config.h)
     # zero features leave only the projection bias plus positional rows
     expected = params.tensors["vis_proj.b"].values + params.tensors["vis_pos_emb"].values[:5]
@@ -130,7 +147,7 @@ def test_embed_image_feature_payload(tiny_config):
 
 def test_embed_image_raw_patches(tiny_config):
     params = M.init_model(tiny_config, np.random.default_rng(0))
-    out = M.embed_image(params, ImagePayload(raw=np.ones((1, 16, 16))))
+    out = M.embed_image(params, ImagePayload(raw=np.ones((1, 16, 16))), "s-0")
     assert out.shape == (4, tiny_config.h)  # (16/8)^2 patches
 
 
@@ -143,7 +160,7 @@ def test_embed_image_raw_patch_values_order(tiny_config):
     pos = params.tensors["vis_pos_emb"].values
     flat = raw[0, 0:8, 8:16].reshape(-1)
     expected = flat @ W + b + pos[1]
-    out = M.embed_image(params, ImagePayload(raw=raw))
+    out = M.embed_image(params, ImagePayload(raw=raw), "s-0")
     assert np.allclose(out.values[1], expected)
 
 
@@ -151,12 +168,12 @@ def test_embed_image_errors(tiny_config):
     params = M.init_model(tiny_config, np.random.default_rng(0))
     with pytest.raises(DataError, match="resolve"):
         M.embed_image(params, ImagePayload(path="img.png"), "s-9")
-    with pytest.raises(DataError, match="h_v"):
-        M.embed_image(params, ImagePayload(feat=np.zeros((2, tiny_config.h_v + 1))))
-    with pytest.raises(DataError, match="channels"):
-        M.embed_image(params, ImagePayload(raw=np.zeros((3, 16, 16))))
-    with pytest.raises(DataError, match="multiple"):
-        M.embed_image(params, ImagePayload(raw=np.zeros((1, 12, 12))))
+    with pytest.raises(DataError, match="s-1.*h_v"):
+        M.embed_image(params, ImagePayload(feat=np.zeros((2, tiny_config.h_v + 1))), "s-1")
+    with pytest.raises(DataError, match="s-2.*channels"):
+        M.embed_image(params, ImagePayload(raw=np.zeros((3, 16, 16))), "s-2")
+    with pytest.raises(DataError, match="s-3.*multiple"):
+        M.embed_image(params, ImagePayload(raw=np.zeros((1, 12, 12))), "s-3")
     with pytest.raises(DataError, match="s-7.*visual tokens"):
         M.embed_image(params, ImagePayload(
             feat=np.zeros((tiny_config.max_vis_tokens + 1, tiny_config.h_v))), "s-7")
@@ -332,6 +349,18 @@ def test_encode_shapes_and_routings(tiny_model, toy_vocab, template):
     assert memory.shape == (3 + n_prompt, tiny_model.config.h)
     assert len(routings) == tiny_model.config.n_moe
     assert all(r.selected.tolist() in ([0], [1], [2]) for r in routings)
+
+
+def test_encode_rejects_an_over_long_prompt_naming_its_sample(tiny_model, toy_vocab,
+                                                               template):
+    long = _sample(title="harbor " * tiny_model.config.max_len)
+    long.id = "s-long"
+    n = len(toy_vocab.encode(render_prompt(template, long.title)))
+    with pytest.raises(DataError, match=f"^sample s-long: prompt of {n} tokens exceeds "
+                                        f"max_len 128$"):
+        M.encode(tiny_model, [_sample(), long], toy_vocab, template)
+    with pytest.raises(DataError, match="sample s-long: prompt of"):
+        M.generate(tiny_model, [long], toy_vocab, template)
 
 
 def test_encode_without_moe_has_no_routings(tiny_config, toy_vocab, template):

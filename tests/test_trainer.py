@@ -3,20 +3,24 @@
 import copy
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from umfdet import checkpoint as ckpt
 from umfdet import data as data_mod
 from umfdet import trainer as tr
-from umfdet.errors import ConfigError, NumericsError
+from umfdet.errors import ConfigError, DataError, NumericsError
 from umfdet import ndtensor as nd
 from umfdet.cmoe import routing_alignment_loss
 from umfdet.data import CotNote
 from umfdet.instruct import render_prompt
 from umfdet.model import ModelConfig, _target_ids, forward_train, init_model
 from umfdet.ndtensor import Tensor
+
+from helpers import JSON_VALUES
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +308,47 @@ def test_train_resume_refuses_another_training_set_size(tmp_path, splits, toy_vo
         tr.train(params, train_s[:-2], [], vocab, template, _tcfg(max_steps=4),
                  tmp_path / "run", resume=True)
     assert str(tmp_path / "run" / "checkpoint") in str(info.value)
+
+
+@pytest.fixture(scope="module")
+def one_step_run(tmp_path_factory, splits, toy_vocab, template, tiny_config):
+    """A run directory and its checkpoint after one step on eight posts."""
+    out = tmp_path_factory.mktemp("one_step") / "run"
+    tr.train(_fresh(tiny_config), splits[0][:8], [], toy_vocab, template, _tcfg(max_steps=1),
+             out)
+    return out
+
+
+_STATE_FIELDS = [("step",), ("rng_state",), ("rng_state", "bit_generator"),
+                 ("rng_state", "state"), ("rng_state", "state", "state"),
+                 ("rng_state", "state", "inc"), ("rng_state", "has_uint32"),
+                 ("rng_state", "uinteger"), ("sampler",), ("sampler", "perm"),
+                 ("sampler", "perm", 0), ("sampler", "cursor"), ("mystery",)]
+
+
+@given(field=st.sampled_from(_STATE_FIELDS), value=JSON_VALUES)
+def test_resume_from_a_fuzzed_train_state_runs_or_is_data_error(
+        tmp_path_factory, one_step_run, splits, template, field, value):
+    """A train_state.json with one field set to an arbitrary JSON value
+    resumes, or is a DataError naming the file. A valid permutation of
+    another length is the ConfigError of a resume on another training set."""
+    out = tmp_path_factory.mktemp("fuzz") / "run"
+    shutil.copytree(one_step_run, out)
+    path = out / "checkpoint" / ckpt.TRAIN_STATE_FILE
+    state = json.loads(path.read_text())
+    parent = state
+    for key in field[:-1]:
+        parent = parent[key]
+    parent[field[-1]] = value
+    path.write_text(json.dumps(state))
+    params, vocab = ckpt.load_model(out / "checkpoint")
+    try:
+        tr.train(params, splits[0][:8], [], vocab, template, _tcfg(max_steps=2), out,
+                 resume=True)
+    except DataError as exc:
+        assert str(path) in str(exc)
+    except ConfigError as exc:
+        assert "resume needs the same training set" in str(exc)
 
 
 def test_train_resume_without_state(tmp_path, splits, toy_vocab, template, tiny_config):
