@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -66,44 +67,55 @@ def _entry_fields(path, entry):
 
 
 def read_tensor_file(path) -> dict:
+    """name -> float64 array of each tensor in a tensor file, in manifest
+    order. Each tensor is read straight from the file into a new array of
+    its own, so the file is never held whole and the caller may keep any
+    array as its own."""
+    head_len = len(MAGIC) + 8
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:len(MAGIC)] != MAGIC:
-        raise DataError(f"{path}: not a tensor file (bad magic {blob[:5]!r})")
-    if len(blob) < len(MAGIC) + 8:
-        raise DataError(f"{path}: truncated header")
-    (manifest_len,) = struct.unpack("<Q", blob[len(MAGIC):len(MAGIC) + 8])
-    start = len(MAGIC) + 8
-    manifest = check_record(_json(blob[start:start + manifest_len], f"{path}: manifest"),
-                            {"dtype": str, "tensors": list}, f"{path}: manifest",
-                            required=("tensors",))
-    payload = blob[start + manifest_len:]
-    spans, names = [], set()
-    for entry in manifest["tensors"]:
-        name, shape, offset = _entry_fields(path, entry)
-        if name in names:
-            raise DataError(f"{path}: tensor {name} is listed twice in the manifest")
-        names.add(name)
-        n = math.prod(shape)
-        if offset + 8 * n > len(payload):
-            raise DataError(f"{path}: tensor {name} overruns payload")
-        spans.append((offset, offset + 8 * n, name, shape))
-    if manifest.get("dtype") != "<f8":
-        raise DataError(f"{path}: tensors stored as dtype {manifest.get('dtype')!r}, "
-                        f"expected '<f8'")
-    filled = sorted(s for s in spans if s[1] > s[0])
-    for (_, end, a, _), (begin, _, b, _) in zip(filled, filled[1:]):
-        if begin < end:
-            raise DataError(f"{path}: tensors {a} and {b} overlap in the payload")
-    expected = max((end for _, end, _, _ in spans), default=0)
-    if expected != len(payload):
-        raise DataError(f"{path}: payload has {len(payload) - expected} trailing bytes")
-    try:  # an empty tensor may still name more or larger dimensions than numpy allows
-        return {name: np.frombuffer(payload, dtype="<f8", count=(end - offset) // 8,
-                                    offset=offset).reshape(shape).astype(np.float64)
-                for offset, end, name, shape in spans}
-    except ValueError as exc:
-        raise DataError(f"{path}: a tensor shape is beyond numpy: {exc}") from None
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(head_len)
+        if head[:len(MAGIC)] != MAGIC:
+            raise DataError(f"{path}: not a tensor file (bad magic {head[:5]!r})")
+        if len(head) < head_len:
+            raise DataError(f"{path}: truncated header")
+        (manifest_len,) = struct.unpack("<Q", head[len(MAGIC):])
+        # a length past the end of the file reads only what is there
+        manifest = check_record(_json(fh.read(min(manifest_len, size - head_len)),
+                                      f"{path}: manifest"),
+                                {"dtype": str, "tensors": list}, f"{path}: manifest",
+                                required=("tensors",))
+        base = head_len + manifest_len
+        payload_len = max(size - base, 0)
+        spans, names = [], set()
+        for entry in manifest["tensors"]:
+            name, shape, offset = _entry_fields(path, entry)
+            if name in names:
+                raise DataError(f"{path}: tensor {name} is listed twice in the manifest")
+            names.add(name)
+            n = math.prod(shape)
+            if offset + 8 * n > payload_len:
+                raise DataError(f"{path}: tensor {name} overruns payload")
+            spans.append((offset, offset + 8 * n, name, shape))
+        if manifest.get("dtype") != "<f8":
+            raise DataError(f"{path}: tensors stored as dtype {manifest.get('dtype')!r}, "
+                            f"expected '<f8'")
+        filled = sorted(s for s in spans if s[1] > s[0])
+        for (_, end, a, _), (begin, _, b, _) in zip(filled, filled[1:]):
+            if begin < end:
+                raise DataError(f"{path}: tensors {a} and {b} overlap in the payload")
+        expected = max((end for _, end, _, _ in spans), default=0)
+        if expected != payload_len:
+            raise DataError(f"{path}: payload has {payload_len - expected} trailing bytes")
+        try:  # an empty tensor may still name more or larger dimensions than numpy allows
+            arrays = {name: np.empty(shape, dtype="<f8") for _, _, name, shape in spans}
+        except ValueError as exc:
+            raise DataError(f"{path}: a tensor shape is beyond numpy: {exc}") from None
+        for offset, end, name, _ in filled:  # an empty tensor has no bytes to read
+            fh.seek(base + offset)
+            if fh.readinto(arrays[name]) != end - offset:
+                raise DataError(f"{path}: tensor {name} is truncated")
+    return arrays
 
 
 def save_model(ckpt_dir, params: ModelParams, vocab: Vocabulary) -> None:

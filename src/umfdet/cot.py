@@ -20,8 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 
-import requests
-
 from .data import CATEGORY_NAMES, Category, CotNote, NewsSample, template_cot
 from .errors import ConfigError, TransportError
 
@@ -322,10 +320,15 @@ class GenClient:
 
 class HttpGenClient(GenClient):
     """JSON-over-HTTP client: POST {"prompt", "max_tokens": HTTP_MAX_TOKENS}
-    -> {"text"}, each request bounded by HTTP_TIMEOUT_S."""
+    -> {"text"}, each request bounded by HTTP_TIMEOUT_S.
+
+    requests is imported when a client is built, so a process that never
+    builds one does not load the HTTP stack."""
 
     def __init__(self, endpoint: str, auth_token: str | None = None,
                  retries: int = 2, backoff: float = 0.5, session=None):
+        import requests
+        self._request_error = requests.RequestException
         self.endpoint = endpoint
         self.auth_token = auth_token
         self.retries = retries
@@ -344,7 +347,7 @@ class HttpGenClient(GenClient):
             try:
                 resp = self.session.post(self.endpoint, json=payload,
                                          headers=headers, timeout=HTTP_TIMEOUT_S)
-            except requests.RequestException as exc:
+            except self._request_error as exc:
                 last = exc
                 continue
             if resp.status_code >= 500:

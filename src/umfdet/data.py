@@ -210,6 +210,8 @@ class NewsSample:
     def validate(self):
         if not self.id:
             raise DataError("sample id must be non-empty")
+        if not self.title.strip():
+            raise DataError(f"sample {self.id!r} has a blank title")
         self.annotation.validate(self.label)
 
     def to_json(self):

@@ -84,8 +84,10 @@ class Adam:
         self.named = list(named_tensors)
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = {name: np.zeros_like(t.values) for name, t in self.named}
-        self.v = {name: np.zeros_like(t.values) for name, t in self.named}
+        # np.zeros takes zeroed memory from calloc, whose fresh pages stay
+        # untouched until a step writes them: moments a resume replaces cost none
+        self.m = {name: np.zeros(t.values.shape) for name, t in self.named}
+        self.v = {name: np.zeros(t.values.shape) for name, t in self.named}
 
     def step(self):
         self.t += 1
@@ -109,9 +111,12 @@ class Adam:
         return out
 
     def load_moments(self, arrays, t):
+        """Continue from step t with the moments in arrays (as moment_arrays
+        names them). Takes ownership: the arrays are updated in place by
+        later steps, so the caller must not keep or share them."""
         for name in self.m:
-            self.m[name] = arrays[f"adam.m.{name}"].copy()
-            self.v[name] = arrays[f"adam.v.{name}"].copy()
+            self.m[name] = arrays[f"adam.m.{name}"]
+            self.v[name] = arrays[f"adam.v.{name}"]
         self.t = t
 
 

@@ -42,6 +42,22 @@ def test_tensor_file_round_trip_bit_exact(tmp_path):
         assert back[name].tobytes() == arr.astype("<f8").tobytes()
 
 
+def test_tensor_file_arrays_are_separate_writable_and_aligned(tmp_path):
+    """Each tensor is an array of its own that callers may keep and update
+    in place, as Adam.load_moments does."""
+    path = tmp_path / "t.umfd"
+    ck.write_tensor_file(path, {**_arrays(), "empty": np.zeros((0, 3))})
+    back = ck.read_tensor_file(path)
+    for arr in back.values():
+        assert arr.dtype == np.float64
+        assert arr.flags.writeable and arr.flags.aligned and arr.flags.c_contiguous
+        assert arr.flags.owndata
+    arrs = list(back.values())
+    for i, a in enumerate(arrs):
+        for b in arrs[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
 def test_tensor_file_accepts_tensors_and_rewrites_identically(tmp_path):
     named = {"w": Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)}
     a, b = tmp_path / "a.umfd", tmp_path / "b.umfd"

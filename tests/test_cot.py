@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -477,6 +481,20 @@ class _StubSession:
         if isinstance(item, Exception):
             raise item
         return item
+
+
+def test_requests_is_imported_only_when_an_http_client_is_built():
+    """The CLI and the offline pipeline never load the HTTP stack."""
+    src = Path(cot.__file__).resolve().parents[1]
+    code = ("import sys, umfdet.cli\n"
+            "print('requests' in sys.modules)\n"
+            "from umfdet.cot import HttpGenClient\n"
+            "HttpGenClient('http://gen.local')\n"
+            "print('requests' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.split() == ["False", "True"]
 
 
 def test_http_client_success_payload_and_auth():

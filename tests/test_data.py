@@ -241,6 +241,16 @@ def test_manifest_bad_sample_cites_line(tmp_path):
     assert exc.value.line == 2
 
 
+def test_manifest_blank_title_is_manifest_error_naming_the_line(tmp_path):
+    path = tmp_path / "m.jsonl"
+    good = json.dumps(_sample(0).to_json())
+    blank = json.dumps({**_sample(1).to_json(), "title": "   "})
+    path.write_text(good + "\n" + blank + "\n")
+    with pytest.raises(ManifestError, match="line 2: .*blank title") as exc:
+        load_manifest(path)
+    assert exc.value.line == 2
+
+
 _GOOD = {"id": "x", "title": "t", "image": {"feat": [[0.0, 1.0], [2.0, 3.0]]},
          "label": "real"}
 
