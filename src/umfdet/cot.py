@@ -328,7 +328,6 @@ class HttpGenClient(GenClient):
     def __init__(self, endpoint: str, auth_token: str | None = None,
                  retries: int = 2, backoff: float = 0.5, session=None):
         import requests
-        self._request_error = requests.RequestException
         self.endpoint = endpoint
         self.auth_token = auth_token
         self.retries = retries
@@ -336,6 +335,7 @@ class HttpGenClient(GenClient):
         self.session = session or requests.Session()
 
     def generate(self, prompt: str) -> str:
+        import requests
         payload = {"prompt": prompt, "max_tokens": HTTP_MAX_TOKENS}
         headers = {}
         if self.auth_token:
@@ -347,7 +347,7 @@ class HttpGenClient(GenClient):
             try:
                 resp = self.session.post(self.endpoint, json=payload,
                                          headers=headers, timeout=HTTP_TIMEOUT_S)
-            except self._request_error as exc:
+            except requests.RequestException as exc:
                 last = exc
                 continue
             if resp.status_code >= 500:

@@ -82,11 +82,8 @@ def check_record(obj, types: dict, what, required=(), error: type = DataError) -
         fault = f"unknown keys {unknown}" if unknown else f"missing keys {missing}"
         raise error(f"{what}: {fault}")
     for key, value in obj.items():
-        want = types[key]
-        if isinstance(value, want) and type(value) is not bool:
-            continue
-        want = want if isinstance(want, tuple) else (want,)
-        if not isinstance(value, want) or bool not in want:
+        want = types[key] if isinstance(types[key], tuple) else (types[key],)
+        if not isinstance(value, want) or (isinstance(value, bool) and bool not in want):
             raise error(f"{what}: {key} must be of type "
                         f"{' or '.join(t.__name__ for t in want)}, got {type(value).__name__}")
     return obj

@@ -149,14 +149,9 @@ def _accum(t, g):
         t._grad += g
 
 
-def _records(parents) -> bool:
-    """Whether an op on parents records a backward."""
-    return _grad_enabled and any(p._tracked for p in parents)
-
-
 def _result(values, parents):
     out = Tensor(values)
-    if _records(parents):
+    if _grad_enabled and any(p._tracked for p in parents):
         out._parents = tuple(parents)
         return out, True
     return out, False
@@ -300,19 +295,14 @@ def gated_silu(a: Tensor, b: Tensor) -> Tensor:
     """silu(a) * sigmoid(b) of same-shape a and b, the experts' gated unit."""
     if a.shape != b.shape:
         raise ShapeError(f"gated_silu: shapes {a.shape} and {b.shape} do not match")
-    sa = _sigmoid_vals(a.values)
-    if not _records((a, b)):
-        # no backward to keep arrays for: build the product in sa's buffer
-        u = np.multiply(a.values, sa, out=sa)
-        return Tensor(np.multiply(u, _sigmoid_vals(b.values), out=u))
-    sb = _sigmoid_vals(b.values)
+    sa, sb = _sigmoid_vals(a.values), _sigmoid_vals(b.values)
     u = a.values * sa
-    out, _ = _result(u * sb, (a, b))  # always recorded past the branch above
-
-    def _bw(g):
-        _accum(a, g * sb * sa * (1.0 + a.values * (1.0 - sa)))
-        _accum(b, g * u * sb * (1.0 - sb))
-    out._backward = _bw
+    out, track = _result(u * sb, (a, b))
+    if track:
+        def _bw(g):
+            _accum(a, g * sb * sa * (1.0 + a.values * (1.0 - sa)))
+            _accum(b, g * u * sb * (1.0 - sb))
+        out._backward = _bw
     return out
 
 
