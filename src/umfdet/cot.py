@@ -28,6 +28,8 @@ DEFAULT_THINK_RANGE = (12, 160)  # accepted rationale length in tokens, inclusiv
 DEFAULT_ATTEMPTS = 3
 HTTP_MAX_TOKENS = 512
 HTTP_TIMEOUT_S = 30.0
+HTTP_RETRIES = 2      # further attempts after a transport failure or a 5xx reply
+HTTP_BACKOFF_S = 0.5  # the wait before retry i is HTTP_BACKOFF_S * 2 ** (i - 1)
 
 _WORD = re.compile(r"[A-Za-z][A-Za-z'\-]*")
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
@@ -320,18 +322,16 @@ class GenClient:
 
 class HttpGenClient(GenClient):
     """JSON-over-HTTP client: POST {"prompt", "max_tokens": HTTP_MAX_TOKENS}
-    -> {"text"}, each request bounded by HTTP_TIMEOUT_S.
+    -> {"text"}, each request bounded by HTTP_TIMEOUT_S and retried up to
+    HTTP_RETRIES times with exponential backoff.
 
     requests is imported when a client is built, so a process that never
     builds one does not load the HTTP stack."""
 
-    def __init__(self, endpoint: str, auth_token: str | None = None,
-                 retries: int = 2, backoff: float = 0.5, session=None):
+    def __init__(self, endpoint: str, auth_token: str | None = None, session=None):
         import requests
         self.endpoint = endpoint
         self.auth_token = auth_token
-        self.retries = retries
-        self.backoff = backoff
         self.session = session or requests.Session()
 
     def generate(self, prompt: str) -> str:
@@ -341,9 +341,9 @@ class HttpGenClient(GenClient):
         if self.auth_token:
             headers["Authorization"] = f"Bearer {self.auth_token}"
         last = None
-        for attempt in range(self.retries + 1):
+        for attempt in range(HTTP_RETRIES + 1):
             if attempt:
-                time.sleep(self.backoff * 2 ** (attempt - 1))
+                time.sleep(HTTP_BACKOFF_S * 2 ** (attempt - 1))
             try:
                 resp = self.session.post(self.endpoint, json=payload,
                                          headers=headers, timeout=HTTP_TIMEOUT_S)
@@ -362,7 +362,7 @@ class HttpGenClient(GenClient):
             if not isinstance(body, dict) or not isinstance(body.get("text"), str):
                 raise TransportError("generation response has no string 'text' field")
             return body["text"]
-        raise TransportError(f"generation failed after {self.retries + 1} attempts: {last}")
+        raise TransportError(f"generation failed after {HTTP_RETRIES + 1} attempts: {last}")
 
 
 _LABEL_LINE = re.compile(r"^Label:\s*(\S+)", re.MULTILINE)

@@ -102,9 +102,11 @@ def split_tokens(text: str) -> list:
     The markers match case-sensitively (<THINK> is three tokens), so the
     tokens are found first and lowercased after, in one call over them joined
     by spaces: no token holds a space, and a space ends the context str.lower
-    reads for a final sigma, so each token lowers as it would alone."""
+    reads for a final sigma, so each token lowers as it would alone. The
+    dotted capital I (U+0130) becomes a plain i, its Turkish lowercase: str.lower
+    gives i plus a combining dot, which would split into two tokens again."""
     tokens = _TOKEN_RE.findall(text)
-    return " ".join(tokens).lower().split(" ") if tokens else []
+    return " ".join(tokens).replace("\u0130", "i").lower().split(" ") if tokens else []
 
 
 class Vocabulary:

@@ -87,14 +87,6 @@ class ModelParams:
     config: ModelConfig
     tensors: dict
 
-    def trainable(self, freeze_prefixes=()):
-        out = []
-        for name, t in self.tensors.items():
-            if any(name.startswith(p) for p in freeze_prefixes):
-                continue
-            out.append((name, t))
-        return out
-
 
 def _ln_pair(tensors, name, h):
     tensors[f"{name}.gamma"] = Tensor(np.ones(h), requires_grad=True)
@@ -384,37 +376,13 @@ class ForwardResult:
     loss_det: Tensor
     loss_cot: Tensor
     routings: list
-    n_answer_tokens: int
-    n_think_tokens: int
-
-
-def _span_masks(target_ids, sample_id):
-    """Locate the reasoning and answer spans; both include their markers and
-    the answer span also owns the trailing end token. Duplicate, unpaired or
-    misordered markers are data errors."""
-    positions = {}
-    for marker, label in ((THINK_OPEN, "<think>"), (THINK_CLOSE, "</think>"),
-                          (ANSWER_OPEN, "<answer>"), (ANSWER_CLOSE, "</answer>")):
-        hits = [i for i, t in enumerate(target_ids) if t == marker]
-        if len(hits) > 1:
-            raise DataError(f"sample {sample_id}: duplicate {label} marker in target")
-        positions[marker] = hits[0] if hits else None
-    t_open, t_close = positions[THINK_OPEN], positions[THINK_CLOSE]
-    a_open, a_close = positions[ANSWER_OPEN], positions[ANSWER_CLOSE]
-    if (t_open is None) != (t_close is None):
-        raise DataError(f"sample {sample_id}: unpaired think markers in target")
-    if a_open is None or a_close is None:
-        raise DataError(f"sample {sample_id}: target lacks a complete answer block")
-    if a_open > a_close or (t_open is not None and not t_open < t_close < a_open):
-        raise DataError(f"sample {sample_id}: target markers out of order")
-    think_span = set(range(t_open, t_close + 1)) if t_open is not None else set()
-    answer_span = set(range(a_open, a_close + 1))
-    answer_span.update(range(a_close + 1, len(target_ids)))  # trailing EOS
-    return think_span, answer_span
 
 
 def _target_ids(sample, vocab, max_len):
-    """Decoder target: the rationale (if any) and the answer, then EOS."""
+    """Decoder target and where its answer starts: (ids, k), ids the
+    rationale (if any) and the answer, then EOS. The reasoning span is
+    ids[:k] and the answer span ids[k:], each holding its markers; the
+    answer span also owns the end token."""
     if sample.cot is None or not sample.cot.answer.strip():
         raise DataError(f"sample {sample.id}: training requires a rationale note "
                         f"with a non-empty answer")
@@ -422,7 +390,13 @@ def _target_ids(sample, vocab, max_len):
     if len(ids) > max_len:
         raise DataError(f"sample {sample.id}: target of {len(ids)} tokens exceeds "
                         f"max_len {max_len}")
-    return ids
+    k = ids.index(ANSWER_OPEN)
+    markers = [(i, t) for i, t in enumerate(ids) if THINK_OPEN <= t <= ANSWER_CLOSE]
+    think = [(0, THINK_OPEN), (k - 1, THINK_CLOSE)] if k else []
+    if markers != think + [(k, ANSWER_OPEN), (len(ids) - 2, ANSWER_CLOSE)]:
+        raise DataError(f"sample {sample.id}: rationale holds a <think>/<answer> marker "
+                        f"of its own")
+    return ids, k
 
 
 def forward_train(params: ModelParams, samples, vocab: Vocabulary,
@@ -436,25 +410,22 @@ def forward_train(params: ModelParams, samples, vocab: Vocabulary,
 
     The samples are encoded as one padded batch and their targets decoded as
     B rows padded with PAD at the end, which the causal mask hides from every
-    real position. routings holds one cmoe.Routing per mixture layer; the
-    token counts are totals over the batch.
+    real position. routings holds one cmoe.Routing per mixture layer.
     """
     samples = list(samples)
     if not samples:
         raise DataError("forward_train needs at least one sample")
     targets = [_target_ids(s, vocab, params.config.max_len) for s in samples]
-    lens = [len(ids) for ids in targets]
-    b, n = len(samples), max(lens)
+    b, n = len(samples), max(len(ids) for ids, _ in targets)
     dec_in = np.full((b, n), PAD)
     padded = np.full((b, n), nd.IGNORE)
     det_w, cot_w = np.zeros((b, n)), np.zeros((b, n))
-    for i, (s, ids) in enumerate(zip(samples, targets)):
-        think_span, answer_span = _span_masks(ids, s.id)
-        dec_in[i, :lens[i]] = [BOS] + ids[:-1]
-        padded[i, :lens[i]] = ids
-        for span, w in ((answer_span, det_w), (think_span, cot_w)):
-            if span:
-                w[i, sorted(span)] = 1.0 / (b * len(span))
+    for i, (ids, k) in enumerate(targets):
+        dec_in[i, :len(ids)] = [BOS] + ids[:-1]
+        padded[i, :len(ids)] = ids
+        det_w[i, k:len(ids)] = 1.0 / (b * (len(ids) - k))
+        if k:
+            cot_w[i, :k] = 1.0 / (b * k)
     memory, lengths, routings = encode(params, samples, vocab, template, rng)
     logits = decode(params, memory, dec_in, rng, memory_lengths=lengths)
 
@@ -464,8 +435,7 @@ def forward_train(params: ModelParams, samples, vocab: Vocabulary,
                                    weights=w)
 
     return ForwardResult(loss_det=span_loss(det_w), loss_cot=span_loss(cot_w),
-                         routings=routings, n_answer_tokens=int((det_w > 0).sum()),
-                         n_think_tokens=int((cot_w > 0).sum()))
+                         routings=routings)
 
 
 @dataclass

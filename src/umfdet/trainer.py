@@ -4,9 +4,11 @@ bit-reproducible checkpointing.
 
 Reproducibility contract: a run is a pure function of (initial weights,
 train config, data order). One generator drives both batch shuffling and
-dropout; its state, the optimizer moments, the shuffle cursor and the step
-counter all persist in the checkpoint, so an interrupted run resumed from
-disk retraces the original run bit for bit.
+dropout; its state, the optimizer moments, the shuffle cursor, the step
+counter and history_bytes, the length of history.csv when the checkpoint
+was written, all persist in the checkpoint, so an interrupted run resumed
+from disk retraces the original run bit for bit, its log cut back to that
+length first.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -202,8 +205,9 @@ def train(params: ModelParams, train_samples, val_samples, vocab, template,
 
     rng = np.random.default_rng(tcfg.seed)
     sampler = _Sampler(len(train_samples), rng)
-    trainable = params.trainable(
-        FREEZE_VISUAL_PREFIXES if tcfg.freeze_patch_embedder else ())
+    frozen = FREEZE_VISUAL_PREFIXES if tcfg.freeze_patch_embedder else ()
+    trainable = [(name, t) for name, t in params.tensors.items()
+                 if not name.startswith(frozen)]
     optim = Adam(trainable, tcfg.lr, tcfg.beta1, tcfg.beta2, tcfg.eps)
 
     start_step = 0
@@ -230,14 +234,20 @@ def train(params: ModelParams, train_samples, val_samples, vocab, template,
                             f"({exc})") from None
         sampler.load(meta["sampler"])
         start_step = meta["step"]
+        logged = history_path.stat().st_size if history_path.exists() else -1
+        if logged < meta["history_bytes"]:
+            found = "no such file" if logged < 0 else f"{logged} bytes"
+            raise DataError(f"{history_path}: {found}, but {ckpt_dir / ckpt.TRAIN_STATE_FILE} "
+                            f"records history_bytes {meta['history_bytes']}")
+        # rows a crashed run logged after its checkpoint go; the resumed run logs them again
+        os.truncate(history_path, meta["history_bytes"])
 
-    kept = _logged_rows(history_path, start_step) if resume else []
     stopped_early = False
     val_acc = None
-    with open(history_path, "w", newline="", encoding="utf-8") as hist_fh:
+    with open(history_path, "a" if resume else "w", newline="", encoding="utf-8") as hist_fh:
         writer = csv.writer(hist_fh)
-        writer.writerows([HISTORY_HEADER] + kept)
-        hist_fh.flush()  # the resumed-from rows reach disk before any new step runs
+        if not resume:
+            writer.writerow(HISTORY_HEADER)
         step = start_step
         while step < tcfg.max_steps:
             step += 1
@@ -271,46 +281,22 @@ def train(params: ModelParams, train_samples, val_samples, vocab, template,
             if (tcfg.checkpoint_every and step % tcfg.checkpoint_every == 0
                     and step < tcfg.max_steps):
                 hist_fh.flush()  # the log on disk covers every step the checkpoint holds
-                _save_all(ckpt_dir, params, vocab, optim, rng, sampler, step)
+                _save_all(ckpt_dir, params, vocab, optim, rng, sampler, history_path, step)
             if (ran_eval and tcfg.target_val_acc is not None
                     and val_acc >= tcfg.target_val_acc):
                 stopped_early = True
                 break
 
-    _save_all(ckpt_dir, params, vocab, optim, rng, sampler, step)
+    _save_all(ckpt_dir, params, vocab, optim, rng, sampler, history_path, step)
     return TrainResult(steps_run=step, final_val_accuracy=val_acc,
                        history_path=str(history_path), checkpoint_dir=str(ckpt_dir),
                        stopped_early=stopped_early)
 
 
-def _logged_rows(history_path, last_step):
-    """The rows of an earlier run's history.csv that a resume from last_step
-    keeps: the leading rows whose step increases and is at most last_step,
-    up to the first row that does not parse. The rows a crashed run logged
-    after its checkpoint are dropped, since the resumed run logs them again."""
-    kept, prev = [], 0
-    try:
-        with open(history_path, newline="", encoding="utf-8", errors="replace") as fh:
-            for row in csv.reader(fh):
-                if not kept and row == HISTORY_HEADER:
-                    continue
-                try:
-                    step = int(row[0])
-                except (IndexError, ValueError):
-                    break
-                if not prev < step <= last_step:
-                    break
-                kept.append(row)
-                prev = step
-    except (FileNotFoundError, csv.Error):  # no log yet, or a row csv cannot read
-        pass
-    return kept
-
-
-def _save_all(ckpt_dir, params, vocab, optim, rng, sampler, step):
+def _save_all(ckpt_dir, params, vocab, optim, rng, sampler, history_path, step):
     ckpt.save_model(ckpt_dir, params, vocab)
     meta = {"step": step, "rng_state": rng.bit_generator.state,
-            "sampler": sampler.state()}
+            "sampler": sampler.state(), "history_bytes": history_path.stat().st_size}
     ckpt.save_train_state(ckpt_dir, optim.moment_arrays(), meta)
 
 

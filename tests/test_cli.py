@@ -631,12 +631,14 @@ def _edit_state(edit):
      ckpt.TRAIN_STATE_FILE, "invalid sampler.perm"),
     (_edit_state(_json_edit(lambda m: m["sampler"]["perm"].__setitem__(0, 0.0))),
      ckpt.TRAIN_STATE_FILE, "invalid sampler.perm"),
+    (_edit_state(_json_edit(lambda m: m.update(history_bytes=-1))), ckpt.TRAIN_STATE_FILE,
+     "invalid history_bytes"),
     (_drop_moment, ckpt.OPTIMIZER_FILE, "adam.v.head.b"),
 ], ids=["state_not_json", "state_list", "no_step", "negative_step", "bool_step",
         "unknown_state_key", "no_rng_state", "rng_state_no_state", "rng_state_negative_state",
         "rng_state_huge_has_uint32", "rng_state_huge_uinteger", "no_perm", "no_cursor",
         "negative_cursor", "unknown_sampler_key", "perm_not_a_permutation", "float_in_perm",
-        "no_adam_moment"])
+        "negative_history_bytes", "no_adam_moment"])
 def test_resume_from_malformed_trainer_state_exits_2_naming_file_and_key(
         tmp_path, corpus, trained, capsys, damage, file, match):
     out = tmp_path / "run"
@@ -649,6 +651,45 @@ def test_resume_from_malformed_trainer_state_exits_2_naming_file_and_key(
     assert rc == 2
     err = capsys.readouterr().err
     assert f"DataError: {out / 'checkpoint' / file}: " in err and match in err
+
+
+def _state_without_history_bytes(out):
+    _edit_state(_json_edit(lambda m: m.pop("history_bytes")))(out / "checkpoint")
+
+
+@pytest.mark.parametrize("damage, file, match", [
+    (lambda out: (out / "history.csv").unlink(), "history.csv", "no such file"),
+    (lambda out: (out / "history.csv").write_bytes((out / "history.csv").read_bytes()[:-1]),
+     "history.csv", "bytes, but "),
+    (_state_without_history_bytes, f"checkpoint/{ckpt.TRAIN_STATE_FILE}",
+     "missing keys ['history_bytes']"),
+], ids=["history_missing", "history_shorter", "state_without_history_bytes"])
+def test_resume_needs_the_log_its_checkpoint_records(tmp_path, corpus, trained, capsys,
+                                                     damage, file, match):
+    """A resume cuts history.csv back to the length train_state.json records;
+    a log shorter than that, or a state from before the length was recorded,
+    exits 2 naming the file, and leaves the log as it was."""
+    out = tmp_path / "run"
+    shutil.copytree(trained, out)
+    damage(out)
+    log = out / "history.csv"
+    before = log.read_bytes() if log.exists() else None
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(SMALL_MODEL)
+    rc = cli.main(["train", "--manifest", str(corpus), "--out", str(out), "--config", str(cfg),
+                   "--steps", "3", "--batch-size", "2", "--resume"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"DataError: {out / file}: " in err and match in err
+    assert (log.read_bytes() if log.exists() else None) == before
+
+
+def test_a_state_without_history_bytes_still_loads_for_eval(tmp_path, corpus, trained):
+    out = tmp_path / "run"
+    shutil.copytree(trained, out)
+    _state_without_history_bytes(out)
+    assert cli.main(["eval", "--manifest", str(corpus), "--checkpoint",
+                     str(out / "checkpoint"), "--out", str(tmp_path / "eval")]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -516,31 +517,41 @@ def test_http_client_omits_optional_fields():
     assert "Authorization" not in req["headers"]
 
 
-def test_http_client_retries_on_5xx_then_succeeds():
+@pytest.fixture()
+def slept(monkeypatch):
+    """The backoff waits the client asks for, none of them taken."""
+    waits = []
+    monkeypatch.setattr(cot.time, "sleep", waits.append)
+    return waits
+
+
+def test_http_client_retries_on_5xx_then_succeeds(slept):
     session = _StubSession([_StubResponse(503), _StubResponse(200, {"text": "ok"})])
-    client = HttpGenClient("http://gen.local", retries=2, backoff=0.0, session=session)
+    client = HttpGenClient("http://gen.local", session=session)
     assert client.generate("p") == "ok"
     assert len(session.requests) == 2
+    assert slept == [cot.HTTP_BACKOFF_S]
 
 
-def test_http_client_retries_on_connection_error():
+def test_http_client_retries_on_connection_error(slept):
     session = _StubSession([requests.ConnectionError("refused"),
                             _StubResponse(200, {"text": "ok"})])
-    client = HttpGenClient("http://gen.local", retries=1, backoff=0.0, session=session)
+    client = HttpGenClient("http://gen.local", session=session)
     assert client.generate("p") == "ok"
 
 
-def test_http_client_exhausted_retries_raise():
-    session = _StubSession([_StubResponse(500)] * 3)
-    client = HttpGenClient("http://gen.local", retries=2, backoff=0.0, session=session)
-    with pytest.raises(TransportError, match="after 3 attempts"):
+def test_http_client_exhausted_retries_raise(slept):
+    session = _StubSession([_StubResponse(500)] * (cot.HTTP_RETRIES + 1))
+    client = HttpGenClient("http://gen.local", session=session)
+    with pytest.raises(TransportError, match=f"after {cot.HTTP_RETRIES + 1} attempts"):
         client.generate("p")
-    assert len(session.requests) == 3
+    assert len(session.requests) == cot.HTTP_RETRIES + 1
+    assert slept == [cot.HTTP_BACKOFF_S * 2 ** i for i in range(cot.HTTP_RETRIES)]
 
 
 def test_http_client_4xx_fails_without_retry():
     session = _StubSession([_StubResponse(404)])
-    client = HttpGenClient("http://gen.local", retries=2, backoff=0.0, session=session)
+    client = HttpGenClient("http://gen.local", session=session)
     with pytest.raises(TransportError, match="404"):
         client.generate("p")
     assert len(session.requests) == 1
@@ -551,7 +562,7 @@ def test_http_client_4xx_fails_without_retry():
                                          ({"text": None}, "string 'text'")])
 def test_http_client_non_object_body_is_transport_error(body, match):
     session = _StubSession([_StubResponse(200, body)])
-    client = HttpGenClient("http://gen.local", retries=2, backoff=0.0, session=session)
+    client = HttpGenClient("http://gen.local", session=session)
     with pytest.raises(TransportError, match=match):
         client.generate("p")
     assert len(session.requests) == 1
@@ -574,7 +585,7 @@ def test_non_string_http_text_rejects_only_its_sample():
                 return _StubResponse(200, {"text": 5})
             return _StubResponse(200, {"text": MockGenClient().generate(json["prompt"])})
 
-    client = HttpGenClient("http://gen.local", retries=0, session=Session())
+    client = HttpGenClient("http://gen.local", session=Session())
     records = generate_corpus_cots(samples, client, gazetteer=_gaz())
     assert [r.to_note().verdict for r in records] == ["accepted", "accepted",
                                                       "rejected:transport", "accepted"]
@@ -589,11 +600,12 @@ _HTTP_REPLY = st.tuples(
 @given(replies=st.lists(_HTTP_REPLY, min_size=3, max_size=3))
 def test_http_client_fuzzed_replies_give_text_or_transport_error(replies):
     """Any status with any JSON (or non-JSON) body either yields a string or
-    is a TransportError, after at most the configured attempts."""
+    is a TransportError, after at most HTTP_RETRIES + 1 attempts."""
     session = _StubSession([_StubResponse(status, body) for status, body in replies])
-    client = HttpGenClient("http://gen.local", retries=2, backoff=0.0, session=session)
-    try:
-        assert isinstance(client.generate("p"), str)
-    except TransportError:
-        pass
-    assert 1 <= len(session.requests) <= 3
+    client = HttpGenClient("http://gen.local", session=session)
+    with mock.patch.object(cot.time, "sleep"):
+        try:
+            assert isinstance(client.generate("p"), str)
+        except TransportError:
+            pass
+    assert 1 <= len(session.requests) <= cot.HTTP_RETRIES + 1
