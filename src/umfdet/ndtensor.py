@@ -17,6 +17,13 @@ reverse execution order, releasing each op's gradient, closure and parents
 once it has run, so a graph is freed while backward walks it. Leaf tensors
 keep their gradients. One graph is meant to live on one thread; there is
 no internal locking.
+
+A backward closure keeps only what it cannot recompute from its parents'
+values: silu and gated_silu keep nothing and recompute their sigmoids,
+dropout keeps its boolean keep-mask, layer norm its per-row mean and
+inverse deviation, softmax and attention their probabilities, and the cross
+entropy its row maxima. Backward reads the parents' values, so nothing may
+change those values between forward and backward.
 """
 
 from __future__ import annotations
@@ -279,29 +286,45 @@ def mean_rows(a: Tensor, lengths) -> Tensor:
 def _sigmoid_vals(x):
     # 1/(1+e) for x >= 0 and e/(1+e) below, with e = exp(-|x|) <= 1: no
     # exponent overflows, and exp(min(x, 0)) picks the numerator without a branch.
-    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+    # Each step writes into the numerator or the denominator, so no other
+    # array of x's shape is made.
+    s = np.minimum(x, 0.0)
+    np.exp(s, out=s)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    e += 1.0
+    s /= e
+    return s
 
 
 def silu(a: Tensor) -> Tensor:
-    """x * sigmoid(x)."""
-    s = _sigmoid_vals(a.values)
-    out, track = _result(a.values * s, (a,))
+    """x * sigmoid(x). Backward recomputes sigmoid(x) from a."""
+    y = _sigmoid_vals(a.values)
+    y *= a.values
+    out, track = _result(y, (a,))
     if track:
-        out._backward = lambda g: _accum(a, g * s * (1.0 + a.values * (1.0 - s)))
+        def _bw(g):
+            s = _sigmoid_vals(a.values)
+            _accum(a, g * s * (1.0 + a.values * (1.0 - s)))
+        out._backward = _bw
     return out
 
 
 def gated_silu(a: Tensor, b: Tensor) -> Tensor:
-    """silu(a) * sigmoid(b) of same-shape a and b, the experts' gated unit."""
+    """silu(a) * sigmoid(b) of same-shape a and b, the experts' gated unit.
+    Backward recomputes sigmoid(a), sigmoid(b) and silu(a) from a and b."""
     if a.shape != b.shape:
         raise ShapeError(f"gated_silu: shapes {a.shape} and {b.shape} do not match")
-    sa, sb = _sigmoid_vals(a.values), _sigmoid_vals(b.values)
-    u = a.values * sa
-    out, track = _result(u * sb, (a, b))
+    y = _sigmoid_vals(a.values)
+    y *= a.values
+    y *= _sigmoid_vals(b.values)
+    out, track = _result(y, (a, b))
     if track:
         def _bw(g):
+            sa, sb = _sigmoid_vals(a.values), _sigmoid_vals(b.values)
             _accum(a, g * sb * sa * (1.0 + a.values * (1.0 - sa)))
-            _accum(b, g * u * sb * (1.0 - sb))
+            _accum(b, g * (a.values * sa) * sb * (1.0 - sb))
         out._backward = _bw
     return out
 
@@ -390,10 +413,13 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if rng is None or rate == 0.0:
         return a
-    keep = (rng.random(a.shape) >= rate) / (1.0 - rate)
-    out, track = _result(a.values * keep, (a,))
+    keep = rng.random(a.shape) >= rate
+    c = 1.0 / (1.0 - rate)
+    y = a.values * keep
+    y *= c
+    out, track = _result(y, (a,))
     if track:
-        out._backward = lambda g: _accum(a, g * keep)
+        out._backward = lambda g: _accum(a, g * keep * c)
     return out
 
 
@@ -406,7 +432,8 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         raise ShapeError(f"layer_norm: gamma/beta must be [{h}], got {gamma.shape}/{beta.shape}")
     # The arithmetic of a.mean(1) and a.var(1), with the centred rows reused
     # as xhat and the squared deviations as the output buffer.
-    xhat = a.values - np.add.reduce(a.values, axis=1, keepdims=True) / h
+    mu = np.add.reduce(a.values, axis=1, keepdims=True) / h
+    xhat = a.values - mu
     y = xhat * xhat
     inv = 1.0 / np.sqrt(np.add.reduce(y, axis=1, keepdims=True) / h + LAYER_NORM_EPS)
     xhat *= inv
@@ -415,6 +442,7 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     out, track = _result(y, (a, gamma, beta))
     if track:
         def _bw(g):
+            xhat = (a.values - mu) * inv
             _accum(gamma, (g * xhat).sum(axis=0))
             _accum(beta, g.sum(axis=0))
             gx = g * gamma.values
@@ -477,7 +505,7 @@ def cross_entropy_lm(logits: Tensor, targets, weights=None) -> Tensor:
     out, track = _result(np.asarray(nll.mean() if w is None else nll @ w), (logits,))
     if track:
         def _bw(g):
-            p = np.exp(rows - m)
+            p = np.exp(logits.values[kept] - m)
             p /= p.sum(axis=1, keepdims=True)
             p[np.arange(kept.size), targets[kept]] -= 1.0
             buf = np.zeros_like(logits.values)

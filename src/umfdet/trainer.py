@@ -241,6 +241,10 @@ def train(params: ModelParams, train_samples, val_samples, vocab, template,
                             f"records history_bytes {meta['history_bytes']}")
         # rows a crashed run logged after its checkpoint go; the resumed run logs them again
         os.truncate(history_path, meta["history_bytes"])
+    else:
+        # an older run's trainer state must not outlive the log rewritten below
+        (ckpt_dir / ckpt.TRAIN_STATE_FILE).unlink(missing_ok=True)
+        (ckpt_dir / ckpt.OPTIMIZER_FILE).unlink(missing_ok=True)
 
     stopped_early = False
     val_acc = None

@@ -1,5 +1,6 @@
 """Model assembly: config, weights naming, fused encoding, masked losses."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -304,6 +305,29 @@ def test_backward_release_keeps_model_grads_bitwise(tiny_config, toy_vocab, temp
             backward_keeping_graph(total)
         grads.append([t.grad.tobytes() for t in params.tensors.values()])
     assert grads[0] == grads[1]
+
+
+# tracemalloc bytes a default-config batch-8 training graph held when backward
+# closures started keeping only what they cannot recompute (28.25 MB before).
+TRAIN_GRAPH_BYTES = 19.66e6
+
+
+def test_training_graph_keeps_only_what_backward_reads(toy_corpus, toy_vocab, template):
+    params = M.init_model(M.ModelConfig(vocab_size=len(toy_vocab)), np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        res = M.forward_train(params, toy_corpus[:8], toy_vocab, template,
+                              rng=np.random.default_rng(0))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.05 * TRAIN_GRAPH_BYTES, f"graph holds {held / 1e6:.2f} MB"
+    dropouts = [t._backward for t in nd.Graph(nd.add(res.loss_det, res.loss_cot)).nodes
+                if t._backward is not None and t._backward.__qualname__.startswith("dropout.")]
+    assert dropouts
+    for bw in dropouts:
+        kept = [c.cell_contents for c in bw.__closure__]
+        assert not any(isinstance(v, np.ndarray) and v.dtype == np.float64 for v in kept)
 
 
 def test_forward_train_dropout_depends_on_rng(tiny_config, toy_vocab, template):

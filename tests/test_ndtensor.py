@@ -337,6 +337,81 @@ def test_layer_norm_is_bitwise_the_mean_var_form(data, shape):
         assert np.array_equal(got, want)
 
 
+# Backward closures recompute what they used to keep. Each reference below is
+# the op's closed form with every intermediate kept from forward; values past
+# |x| = 709, where exp overflows, exercise the sigmoid's guard. Layer norm's
+# is test_layer_norm_is_bitwise_the_mean_var_form above.
+_WIDE = st.floats(-1e4, 1e4) | st.sampled_from([709.8, -709.8, 745.2, -745.2, 800.0, -800.0,
+                                               1e300, -1e300, 0.0, -0.0])
+_SHAPES = st.tuples(st.integers(1, 12), st.integers(1, 12))
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _kept_sigmoid(x):
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+
+
+def _draw(data, shape, elements=_WIDE):
+    return data.draw(hnp.arrays(np.float64, shape, elements=elements))
+
+
+@given(data=st.data(), shape=_SHAPES)
+def test_silu_and_gated_silu_recompute_bit_for_bit(data, shape):
+    x, y = _draw(data, shape), _draw(data, shape)
+    g = _draw(data, shape, st.floats(-10, 10))
+    a, b = Tensor(x, requires_grad=True), Tensor(y, requires_grad=True)
+    s = _kept_sigmoid(x)
+    out = nd.silu(a)
+    out._backward(g)
+    assert _same_bits(out.values, x * s)
+    assert _same_bits(a.grad, g * s * (1.0 + x * (1.0 - s)))
+
+    a.zero_grad()
+    sa, sb = _kept_sigmoid(x), _kept_sigmoid(y)
+    u = x * sa
+    out = nd.gated_silu(a, b)
+    out._backward(g)
+    assert _same_bits(out.values, u * sb)
+    assert _same_bits(a.grad, g * sb * sa * (1.0 + x * (1.0 - sa)))
+    assert _same_bits(b.grad, g * u * sb * (1.0 - sb))
+
+
+@given(data=st.data(), shape=_SHAPES, rate=st.floats(0.01, 0.95), seed=st.integers(0, 2**32 - 1))
+def test_dropout_keeps_a_boolean_mask_bit_for_bit(data, shape, rate, seed):
+    a = Tensor(_draw(data, shape, _FLOATS), requires_grad=True)
+    g = _draw(data, shape, _FLOATS)
+    keep = (np.random.default_rng(seed).random(shape) >= rate) / (1.0 - rate)
+    out = nd.dropout(a, rate, np.random.default_rng(seed))
+    out._backward(g)
+    assert _same_bits(out.values, a.values * keep)
+    assert _same_bits(a.grad, g * keep)
+
+
+@given(data=st.data(), t=st.integers(1, 10), v=st.integers(1, 8), weighted=st.booleans(),
+       g=st.floats(-10, 10))
+def test_cross_entropy_regathers_its_rows_bit_for_bit(data, t, v, weighted, g):
+    logits = Tensor(_draw(data, (t, v), st.floats(-1e3, 1e3)), requires_grad=True)
+    targets = np.asarray(data.draw(st.lists(st.sampled_from([nd.IGNORE, *range(v)]),
+                                            min_size=t, max_size=t)))
+    weights = _draw(data, t, st.floats(0, 10)) if weighted else None
+    loss = nd.cross_entropy_lm(logits, targets, weights=weights)
+    kept = np.nonzero(targets != nd.IGNORE)[0]
+    if kept.size == 0:
+        return
+    loss._backward(np.asarray(g))
+    rows = logits.values[kept]
+    m = rows.max(axis=1, keepdims=True)
+    p = np.exp(rows - m)
+    p /= p.sum(axis=1, keepdims=True)
+    p[np.arange(kept.size), targets[kept]] -= 1.0
+    want = np.zeros_like(logits.values)
+    want[kept] = p * (g / kept.size if weights is None else g * weights[kept][:, None])
+    assert _same_bits(logits.grad, want)
+
+
 def test_layer_norm_shape_errors():
     with pytest.raises(ShapeError):
         nd.layer_norm(Tensor(np.zeros(4)), Tensor(np.ones(4)), Tensor(np.zeros(4)))

@@ -467,6 +467,37 @@ def test_train_resumes_from_a_periodic_checkpoint_after_a_crash(
     assert (run / "history.csv").read_bytes() == straight_log
 
 
+def test_fresh_run_killed_before_its_first_save_leaves_nothing_to_resume(
+        tmp_path, splits, toy_vocab, template, tiny_config, monkeypatch):
+    """A fresh run into a directory that holds an older checkpoint drops that
+    checkpoint's trainer state before it rewrites history.csv, so a resume
+    after the new run dies cannot continue the older run with the new log."""
+    train_s, _, _ = splits
+    run = tmp_path / "run"
+    tr.train(_fresh(tiny_config, seed=1), train_s, [], toy_vocab, template,
+             _tcfg(max_steps=2, seed=1), run)
+    assert ckpt.load_train_state(run / "checkpoint") is not None
+
+    real, calls = tr._batch_loss, []
+
+    def killed_in_step_4(*args):
+        calls.append(1)
+        if len(calls) == 4:
+            raise RuntimeError("killed in step 4")
+        return real(*args)
+
+    monkeypatch.setattr(tr, "_batch_loss", killed_in_step_4)
+    with pytest.raises(RuntimeError, match="killed"):
+        tr.train(_fresh(tiny_config, seed=5), train_s, [], toy_vocab, template,
+                 _tcfg(max_steps=6, seed=5, lr=1e-3), run)
+    monkeypatch.undo()
+    assert ckpt.load_train_state(run / "checkpoint") is None
+    params, vocab = ckpt.load_model(run / "checkpoint")
+    with pytest.raises(ConfigError, match="holds no trainer state"):
+        tr.train(params, train_s, [], vocab, template, _tcfg(max_steps=6, seed=5, lr=1e-3),
+                 run, resume=True)
+
+
 # ---------------------------------------------------------------------------
 # ablation grid
 
