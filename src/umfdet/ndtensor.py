@@ -11,25 +11,35 @@ token table lookup and a fused label-masked language-modeling cross
 entropy. Everything runs in float64 so finite-difference gradient checks
 are meaningful.
 
-Gradient tracking is implicit: every op result remembers its parents and a
-backward closure, and ``Tensor.backward()`` replays the recorded ops in
-reverse execution order, releasing each op's gradient, closure and parents
-once it has run, so a graph is freed while backward walks it. Leaf tensors
-keep their gradients. One graph is meant to live on one thread; there is
-no internal locking.
+Gradient tracking is implicit. A tensor that requires a gradient, and every
+op result computed from one, carries a graph node: the accumulated
+gradient, the nodes of the op's parents, the op's backward closure and its
+creation order. Nodes hold no values. Each closure owns the arrays it
+reads, the "saved tensors" of PyTorch's autograd, and is called with the
+parents' nodes, so it holds no Tensor: an op output that no backward reads
+(a dropout's input, an addend, a concatenated or gathered part) is freed
+as soon as the caller drops it, while its node still collects a gradient. Untracked results, under
+``no_grad`` or from constants, get no node. ``Tensor.backward()`` replays the
+recorded ops in reverse execution order, releasing each op's gradient,
+closure and parents once it has run, so a graph is freed while backward
+walks it. Leaf tensors keep their gradients. One graph is meant to live on
+one thread; there is no internal locking.
 
-A backward closure keeps only what it cannot recompute from its parents'
-values: silu and gated_silu keep nothing and recompute their sigmoids,
-dropout keeps its boolean keep-mask, layer norm its per-row mean and
-inverse deviation, softmax and attention their probabilities, and the cross
-entropy its row maxima. Backward reads the parents' values, so nothing may
-change those values between forward and backward.
+A backward closure keeps only what it cannot recompute from the arrays it
+reads: silu and gated_silu keep their inputs and recompute their sigmoids,
+dropout keeps its boolean keep-mask, linear its input and weight, layer
+norm its input with the per-row mean and inverse deviation, softmax and
+attention their probabilities, pick and embedding only their index and
+the parent's shape, and the cross entropy its logits and row maxima. The
+arrays a closure keeps are the very arrays of the forward pass, so nothing
+may change them between forward and backward.
 """
 
 from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
+from operator import attrgetter
 
 import numpy as np
 
@@ -59,109 +69,142 @@ def no_grad():
         _grad_enabled = prev
 
 
-class Tensor:
-    """Dense float64 array plus an accumulated gradient of the same shape."""
+class _Node:
+    """Gradient record of one tracked tensor: the accumulated gradient, the
+    nodes of the op's parents (None for an untracked parent), the op's
+    backward closure, called as backward(grad, *parents) (None for a leaf,
+    and once it has run), and the creation order. It holds no values.
 
-    __slots__ = ("values", "requires_grad", "_grad", "_parents", "_backward",
-                 "_seq", "_backward_done")
+    It has no __init__: _result sets every field, so recording an op makes
+    no Python call."""
+
+    __slots__ = ("grad", "parents", "backward", "seq")
+
+
+class _Leaf(_Node):
+    """Node of a tensor that requires a gradient; backward never releases it."""
+
+    __slots__ = ()
+
+    def __init__(self):
+        self.grad, self.parents, self.backward = None, (), None
+        self.seq = next(_seq_counter)
+
+
+class Tensor:
+    """Dense float64 array plus, when tracked, the graph node that
+    accumulates its gradient."""
+
+    __slots__ = ("values", "_node")
 
     def __init__(self, values, requires_grad=False):
         self.values = np.asarray(values, dtype=np.float64)
-        self.requires_grad = requires_grad
-        self._grad = None
-        self._parents = ()
-        self._backward = None
-        self._seq = next(_seq_counter)
-        self._backward_done = False
+        self._node = _Leaf() if requires_grad else None
 
     @property
     def shape(self):
         return self.values.shape
 
     @property
-    def grad(self):
-        """Accumulated gradient; all-zero until a backward pass touches it."""
-        if self._grad is None:
-            self._grad = np.zeros_like(self.values)
-        return self._grad
+    def requires_grad(self):
+        """True for a leaf that collects a gradient, False for op results and
+        constants."""
+        return type(self._node) is _Leaf
 
-    def zero_grad(self):
-        self._grad = None
+    @requires_grad.setter
+    def requires_grad(self, flag):
+        if flag != self.requires_grad:
+            self._node = _Leaf() if flag else None
 
     @property
-    def _tracked(self):
-        return self.requires_grad or self._backward is not None
+    def grad(self):
+        """Accumulated gradient; all-zero until a backward pass touches it."""
+        node = self._node
+        if node is None:
+            return np.zeros_like(self.values)
+        if node.grad is None:
+            node.grad = np.zeros_like(self.values)
+        return node.grad
+
+    def zero_grad(self):
+        if self._node is not None:
+            self._node.grad = None
 
     def backward(self):
         """Run reverse-mode accumulation from this (scalar) tensor."""
         Graph(self).backward()
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, seq={self._seq})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 class Graph:
     """Ordered record of the ops that produced a root tensor.
 
-    ``nodes`` holds every tensor reachable from the root, sorted by creation
-    order, oldest first; backward pops and visits each recorded op exactly
-    once, newest first.
+    ``nodes`` holds the graph node of every tracked tensor reachable from the
+    root, sorted by creation order, oldest first; backward pops and visits
+    each recorded op exactly once, newest first.
     """
 
     def __init__(self, root):
         self.root = root
         nodes = []
         seen = set()
-        stack = [root]
+        stack = [root._node]
         while stack:
-            t = stack.pop()
-            if id(t) in seen:
+            node = stack.pop()
+            if node is None or id(node) in seen:
                 continue
-            seen.add(id(t))
-            nodes.append(t)
-            stack.extend(t._parents)
-        nodes.sort(key=lambda t: t._seq)
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node.parents)
+        nodes.sort(key=attrgetter("seq"))
         self.nodes = nodes
 
     def backward(self):
         root = self.root
-        if root._backward_done:
-            raise GraphError("backward already ran for this graph; re-run forward first")
+        if root._node is None or root._node.backward is None:
+            raise GraphError("backward already ran for this graph, or no op recorded its "
+                             "root; re-run forward first")
         if root.values.size != 1:
             raise GraphError(f"backward root must be scalar, got shape {root.shape}")
-        root._backward_done = True
-        root._grad = np.ones_like(root.values)
+        root._node.grad = np.ones_like(root.values)
         nodes = self.nodes
         while nodes:
-            t = nodes.pop()
-            if t._backward is None:
+            node = nodes.pop()
+            if node.backward is None:
                 continue
-            g = t._grad
+            g = node.grad
             # Exact-zero incoming gradient propagates nothing; skipping keeps
             # zero-weighted loss branches bitwise inert.
             if g is not None and g.any():
-                t._backward(g)
-            # Every op that feeds t is older, so nothing reads t again: drop
-            # its gradient and closure, and with them the arrays they hold.
-            t._grad = t._backward = None
-            t._parents = ()
+                node.backward(g, *node.parents)
+            # Every op that feeds this node is older, so nothing reads it
+            # again: drop its gradient and closure, and the arrays they hold.
+            node.grad = node.backward = None
+            node.parents = ()
 
 
-def _accum(t, g):
-    if not t._tracked:
+def _accum(node, g):
+    if node is None:
         return
-    if t._grad is None:
-        t._grad = g.copy()
+    if node.grad is None:
+        node.grad = g.copy()
     else:
-        t._grad += g
+        node.grad += g
 
 
 def _result(values, parents):
+    """The op output holding values, and its graph node when recording is on
+    and one of the parent nodes is not None (the op then sets its backward),
+    else None."""
     out = Tensor(values)
-    if _grad_enabled and any(p._tracked for p in parents):
-        out._parents = tuple(parents)
-        return out, True
-    return out, False
+    if _grad_enabled and any(parents):
+        node = out._node = _Node()
+        node.grad, node.parents, node.backward = None, parents, None
+        node.seq = next(_seq_counter)
+        return out, node
+    return out, None
 
 
 # ---------------------------------------------------------------------------
@@ -172,21 +215,21 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of same-shape tensors."""
     if a.shape != b.shape:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not match")
-    out, track = _result(a.values + b.values, (a, b))
-    if track:
-        def _bw(g):
-            _accum(a, g)
-            _accum(b, g)
-        out._backward = _bw
+    out, node = _result(a.values + b.values, (a._node, b._node))
+    if node:
+        def _bw(g, na, nb):
+            _accum(na, g)
+            _accum(nb, g)
+        node.backward = _bw
     return out
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a python constant."""
     c = float(c)
-    out, track = _result(a.values * c, (a,))
-    if track:
-        out._backward = lambda g: _accum(a, g * c)
+    out, node = _result(a.values * c, (a._node,))
+    if node:
+        node.backward = lambda g, na: _accum(na, g * c)
     return out
 
 
@@ -199,13 +242,14 @@ def scale_by(a: Tensor, s: Tensor) -> Tensor:
         raise ShapeError(f"scale_by: {a.shape} does not split into {n} row blocks")
     blocks = a.values.reshape(n, -1)
     sv = s.values.reshape(n, 1)
-    out, track = _result((blocks * sv).reshape(a.shape), (a, s))
-    if track:
-        def _bw(g):
+    shape, s_shape = a.values.shape, s.values.shape
+    out, node = _result((blocks * sv).reshape(shape), (a._node, s._node))
+    if node:
+        def _bw(g, na, ns):
             gb = g.reshape(n, -1)
-            _accum(a, (gb * sv).reshape(a.shape))
-            _accum(s, (gb * blocks).sum(axis=1).reshape(s.shape))
-        out._backward = _bw
+            _accum(na, (gb * sv).reshape(shape))
+            _accum(ns, (gb * blocks).sum(axis=1).reshape(s_shape))
+        node.backward = _bw
     return out
 
 
@@ -216,16 +260,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear: cannot multiply {x.shape} by {w.shape}")
     if b.shape != (w.shape[1],):
         raise ShapeError(f"linear: bias must be [{w.shape[1]}], got {b.shape}")
-    y = x.values @ w.values
+    xv, wv = x.values, w.values
+    y = xv @ wv
     y += b.values
-    out, track = _result(y, (x, w, b))
-    if track:
-        def _bw(g):
-            _accum(b, g.sum(axis=0))
-            if x._tracked:
-                _accum(x, g @ w.values.T)
-            _accum(w, x.values.T @ g)
-        out._backward = _bw
+    out, node = _result(y, (x._node, w._node, b._node))
+    if node:
+        def _bw(g, nx, nw, nb):
+            _accum(nb, g.sum(axis=0))
+            if nx is not None:
+                _accum(nx, g @ wv.T)
+            _accum(nw, xv.T @ g)
+        node.backward = _bw
     return out
 
 
@@ -234,15 +279,17 @@ def concat(tensors) -> Tensor:
     tensors = [t for t in tensors if t.values.size > 0]
     if not tensors:
         raise ShapeError("concat: nothing to concatenate")
-    out, track = _result(np.concatenate([t.values for t in tensors]), tensors)
-    if track:
-        def _bw(g):
+    out, node = _result(np.concatenate([t.values for t in tensors]),
+                        tuple([t._node for t in tensors]))
+    if node:
+        sizes = [t.values.shape[0] for t in tensors]
+
+        def _bw(g, *parents):
             offset = 0
-            for t in tensors:
-                n = t.shape[0]
-                _accum(t, g[offset:offset + n])
+            for parent, n in zip(parents, sizes):
+                _accum(parent, g[offset:offset + n])
                 offset += n
-        out._backward = _bw
+        node.backward = _bw
     return out
 
 
@@ -250,13 +297,14 @@ def pick(a: Tensor, index) -> Tensor:
     """Gather what index names, each element at most once (the backward
     assigns): a tuple of ints gives a 0-d tensor, a tuple of equal-length
     index arrays an [n] tensor, an array of distinct row numbers [n, ...]."""
-    out, track = _result(np.asarray(a.values[index]), (a,))
-    if track:
-        def _bw(g):
-            buf = np.zeros_like(a.values)
+    shape = a.values.shape
+    out, node = _result(np.asarray(a.values[index]), (a._node,))
+    if node:
+        def _bw(g, na):
+            buf = np.zeros(shape)
             buf[index] = g
-            _accum(a, buf)
-        out._backward = _bw
+            _accum(na, buf)
+        node.backward = _bw
     return out
 
 
@@ -272,10 +320,11 @@ def mean_rows(a: Tensor, lengths) -> Tensor:
         raise DataError(f"mean_rows: lengths {lens.tolist()} do not fit {a.shape[0]} rows")
     blocks = a.values.reshape(lens.size, rows, a.shape[1])
     valid = (np.arange(rows) < lens[:, None])[:, :, None]
-    out, track = _result(np.where(valid, blocks, 0.0).sum(axis=1) / lens[:, None], (a,))
-    if track:
-        out._backward = lambda g: _accum(a, np.where(valid, (g / lens[:, None])[:, None],
-                                                     0.0).reshape(a.shape))
+    shape = a.values.shape
+    out, node = _result(np.where(valid, blocks, 0.0).sum(axis=1) / lens[:, None], (a._node,))
+    if node:
+        node.backward = lambda g, na: _accum(na, np.where(valid, (g / lens[:, None])[:, None],
+                                                      0.0).reshape(shape))
     return out
 
 
@@ -300,14 +349,15 @@ def _sigmoid_vals(x):
 
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x). Backward recomputes sigmoid(x) from a."""
-    y = _sigmoid_vals(a.values)
-    y *= a.values
-    out, track = _result(y, (a,))
-    if track:
-        def _bw(g):
-            s = _sigmoid_vals(a.values)
-            _accum(a, g * s * (1.0 + a.values * (1.0 - s)))
-        out._backward = _bw
+    av = a.values
+    y = _sigmoid_vals(av)
+    y *= av
+    out, node = _result(y, (a._node,))
+    if node:
+        def _bw(g, na):
+            s = _sigmoid_vals(av)
+            _accum(na, g * s * (1.0 + av * (1.0 - s)))
+        node.backward = _bw
     return out
 
 
@@ -316,16 +366,17 @@ def gated_silu(a: Tensor, b: Tensor) -> Tensor:
     Backward recomputes sigmoid(a), sigmoid(b) and silu(a) from a and b."""
     if a.shape != b.shape:
         raise ShapeError(f"gated_silu: shapes {a.shape} and {b.shape} do not match")
-    y = _sigmoid_vals(a.values)
-    y *= a.values
-    y *= _sigmoid_vals(b.values)
-    out, track = _result(y, (a, b))
-    if track:
-        def _bw(g):
-            sa, sb = _sigmoid_vals(a.values), _sigmoid_vals(b.values)
-            _accum(a, g * sb * sa * (1.0 + a.values * (1.0 - sa)))
-            _accum(b, g * (a.values * sa) * sb * (1.0 - sb))
-        out._backward = _bw
+    av, bv = a.values, b.values
+    y = _sigmoid_vals(av)
+    y *= av
+    y *= _sigmoid_vals(bv)
+    out, node = _result(y, (a._node, b._node))
+    if node:
+        def _bw(g, na, nb):
+            sa, sb = _sigmoid_vals(av), _sigmoid_vals(bv)
+            _accum(na, g * sb * sa * (1.0 + av * (1.0 - sa)))
+            _accum(nb, g * (av * sa) * sb * (1.0 - sb))
+        node.backward = _bw
     return out
 
 
@@ -334,12 +385,12 @@ def softmax(a: Tensor) -> Tensor:
     shifted = a.values - a.values.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=-1, keepdims=True)
-    out, track = _result(s, (a,))
-    if track:
-        def _bw(g):
+    out, node = _result(s, (a._node,))
+    if node:
+        def _bw(g, na):
             dot = (g * s).sum(axis=-1, keepdims=True)
-            _accum(a, s * (g - dot))
-        out._backward = _bw
+            _accum(na, s * (g - dot))
+        node.backward = _bw
     return out
 
 
@@ -391,17 +442,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask=None,
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    out, track = _result(merge(p @ vh, tq), (q, k, v))
-    if track:
-        def _bw(g):
+    out, node = _result(merge(p @ vh, tq), (q._node, k._node, v._node))
+    if node:
+        def _bw(g, nq, nk, nv):
             gh = split(g, tq)
             dp = gh @ vh.swapaxes(-1, -2)
             ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * c
-            _accum(q, merge(ds @ kh, tq))
+            _accum(nq, merge(ds @ kh, tq))
             dk, dv = ds.swapaxes(-1, -2) @ qh, p.swapaxes(-1, -2) @ gh
-            _accum(k, merge(dk, tk) if rows else dk)
-            _accum(v, merge(dv, tk) if rows else dv)
-        out._backward = _bw
+            _accum(nk, merge(dk, tk) if rows else dk)
+            _accum(nv, merge(dv, tk) if rows else dv)
+        node.backward = _bw
     return out
 
 
@@ -417,9 +468,9 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     c = 1.0 / (1.0 - rate)
     y = a.values * keep
     y *= c
-    out, track = _result(y, (a,))
-    if track:
-        out._backward = lambda g: _accum(a, g * keep * c)
+    out, node = _result(y, (a._node,))
+    if node:
+        node.backward = lambda g, na: _accum(na, g * keep * c)
     return out
 
 
@@ -432,24 +483,25 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         raise ShapeError(f"layer_norm: gamma/beta must be [{h}], got {gamma.shape}/{beta.shape}")
     # The arithmetic of a.mean(1) and a.var(1), with the centred rows reused
     # as xhat and the squared deviations as the output buffer.
-    mu = np.add.reduce(a.values, axis=1, keepdims=True) / h
-    xhat = a.values - mu
+    av, gv = a.values, gamma.values
+    mu = np.add.reduce(av, axis=1, keepdims=True) / h
+    xhat = av - mu
     y = xhat * xhat
     inv = 1.0 / np.sqrt(np.add.reduce(y, axis=1, keepdims=True) / h + LAYER_NORM_EPS)
     xhat *= inv
-    np.multiply(xhat, gamma.values, out=y)
+    np.multiply(xhat, gv, out=y)
     y += beta.values
-    out, track = _result(y, (a, gamma, beta))
-    if track:
-        def _bw(g):
-            xhat = (a.values - mu) * inv
-            _accum(gamma, (g * xhat).sum(axis=0))
-            _accum(beta, g.sum(axis=0))
-            gx = g * gamma.values
+    out, node = _result(y, (a._node, gamma._node, beta._node))
+    if node:
+        def _bw(g, na, ngamma, nbeta):
+            xhat = (av - mu) * inv
+            _accum(ngamma, (g * xhat).sum(axis=0))
+            _accum(nbeta, g.sum(axis=0))
+            gx = g * gv
             da = inv / h * (h * gx - gx.sum(axis=1, keepdims=True)
                             - xhat * (gx * xhat).sum(axis=1, keepdims=True))
-            _accum(a, da)
-        out._backward = _bw
+            _accum(na, da)
+        node.backward = _bw
     return out
 
 
@@ -458,18 +510,19 @@ def embedding(table: Tensor, ids) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1:
         raise DataError(f"embedding: ids must be 1-D, got shape {ids.shape}")
-    v = table.shape[0]
+    shape = table.values.shape
+    v = shape[0]
     bad = np.nonzero((ids < 0) | (ids >= v))[0]
     if bad.size:
         raise DataError(f"embedding: id {ids[bad[0]]} at position {bad[0]} outside table of {v} rows")
-    out, track = _result(table.values[ids].copy() if ids.size else
-                         np.zeros((0, table.shape[1])), (table,))
-    if track:
-        def _bw(g):
-            buf = np.zeros_like(table.values)
+    out, node = _result(table.values[ids].copy() if ids.size else np.zeros((0, shape[1])),
+                        (table._node,))
+    if node:
+        def _bw(g, ntable):
+            buf = np.zeros(shape)
             np.add.at(buf, ids, g)
-            _accum(table, buf)
-        out._backward = _bw
+            _accum(ntable, buf)
+        node.backward = _bw
     return out
 
 
@@ -497,19 +550,20 @@ def cross_entropy_lm(logits: Tensor, targets, weights=None) -> Tensor:
     kept = np.nonzero(targets != IGNORE)[0]
     if kept.size == 0:
         return Tensor(np.asarray(0.0))
-    rows = logits.values[kept]
+    lv = logits.values
+    rows = lv[kept]
     m = rows.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(rows - m).sum(axis=1))
     nll = lse - rows[np.arange(kept.size), targets[kept]]
     w = None if weights is None else np.asarray(weights, dtype=np.float64)[kept]
-    out, track = _result(np.asarray(nll.mean() if w is None else nll @ w), (logits,))
-    if track:
-        def _bw(g):
-            p = np.exp(logits.values[kept] - m)
+    out, node = _result(np.asarray(nll.mean() if w is None else nll @ w), (logits._node,))
+    if node:
+        def _bw(g, nlogits):
+            p = np.exp(lv[kept] - m)
             p /= p.sum(axis=1, keepdims=True)
             p[np.arange(kept.size), targets[kept]] -= 1.0
-            buf = np.zeros_like(logits.values)
+            buf = np.zeros(lv.shape)
             buf[kept] = p * (float(g) / kept.size if w is None else float(g) * w[:, None])
-            _accum(logits, buf)
-        out._backward = _bw
+            _accum(nlogits, buf)
+        node.backward = _bw
     return out

@@ -79,10 +79,10 @@ def check_grads(build_scalar_tensor, tensors, h=1e-5, tol=1e-4):
 def backward_keeping_graph(root):
     """Reference backward: every recorded op newest first, as Graph.backward
     runs them, but with nothing released."""
-    root._grad = np.ones_like(root.values)
-    for t in reversed(nd.Graph(root).nodes):
-        if t._backward is not None and t._grad is not None and t._grad.any():
-            t._backward(t._grad)
+    root._node.grad = np.ones_like(root.values)
+    for node in reversed(nd.Graph(root).nodes):
+        if node.backward is not None and node.grad is not None and node.grad.any():
+            node.backward(node.grad, *node.parents)
 
 
 # Any JSON value, NaN and the infinities included, nested a few levels deep.

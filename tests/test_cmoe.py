@@ -89,7 +89,7 @@ def test_only_selected_expert_receives_gradient():
     loss = nd.pick(nd.mean_rows(out, [4]), (0, 0))
     loss.backward()
     for i, expert in enumerate(cmoe.EXPERT_NAMES):
-        touched = any(p._grad is not None and p.grad.any() for p in under(t, f"m.{expert}"))
+        touched = any(p._node.grad is not None and p.grad.any() for p in under(t, f"m.{expert}"))
         assert touched == (i == routing.selected[0])
 
 
@@ -98,8 +98,8 @@ def test_gate_off_router_gradient_exactly_zero():
     x = Tensor(np.random.default_rng(8).normal(size=(4, 6)), requires_grad=True)
     out, _ = cmoe.cmoe_forward(t, "m", x, [4], gate_scaling=False)
     nd.pick(nd.mean_rows(out, [4]), (0, 0)).backward()
-    assert t["m.router.W"]._grad is None or not t["m.router.W"].grad.any()
-    assert t["m.router.b"]._grad is None or not t["m.router.b"].grad.any()
+    assert t["m.router.W"]._node.grad is None or not t["m.router.W"].grad.any()
+    assert t["m.router.b"]._node.grad is None or not t["m.router.b"].grad.any()
 
 
 def test_gate_on_router_gradient_nonzero():

@@ -1,6 +1,9 @@
 """Autodiff core: every op's gradient against the finite-difference oracle,
 plus graph lifecycle rules and numeric edge cases."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,6 +21,11 @@ RNG = np.random.default_rng(12345)
 
 def leaf(shape, rng, scale=1.0):
     return Tensor(rng.normal(0.0, scale, shape), requires_grad=True)
+
+
+def _op_backward(out, g):
+    """Run the backward of the op that made out, for the output gradient g."""
+    out._node.backward(g, *out._node.parents)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +96,7 @@ def test_linear_untracked_input_gets_no_gradient():
     w, b = leaf((4, 2), rng), leaf((2,), rng)
     ws = rng.normal(size=6)
     check_grads(lambda: wsum(nd.linear(x, w, b), ws), [w, b])
-    assert x._grad is None
+    assert x._node is None
 
 
 def test_linear_shape_errors():
@@ -283,7 +291,7 @@ def test_gated_silu_equals_silu_times_sigmoid_bit_for_bit():
     u = a.values * sa
     out = nd.gated_silu(a, b)
     assert np.array_equal(out.values, u * sb)
-    out._backward(g)
+    _op_backward(out, g)
     gu, gv = g * sb, g * u  # the product's backward, then silu's and sigmoid's
     assert np.array_equal(a.grad, gu * sa * (1.0 + a.values * (1.0 - sa)))
     assert np.array_equal(b.grad, gv * sb * (1.0 - sb))
@@ -331,7 +339,7 @@ def test_layer_norm_is_bitwise_the_mean_var_form(data, shape):
                           requires_grad=True) for _ in range(2))
     g = data.draw(hnp.arrays(np.float64, shape, elements=_FLOATS))
     out = nd.layer_norm(a, gamma, beta)
-    out._backward(g)
+    _op_backward(out, g)
     ref = _reference_layer_norm(a.values, gamma.values, beta.values, g)
     for got, want in zip((out.values, a.grad, gamma.grad, beta.grad), ref):
         assert np.array_equal(got, want)
@@ -365,7 +373,7 @@ def test_silu_and_gated_silu_recompute_bit_for_bit(data, shape):
     a, b = Tensor(x, requires_grad=True), Tensor(y, requires_grad=True)
     s = _kept_sigmoid(x)
     out = nd.silu(a)
-    out._backward(g)
+    _op_backward(out, g)
     assert _same_bits(out.values, x * s)
     assert _same_bits(a.grad, g * s * (1.0 + x * (1.0 - s)))
 
@@ -373,7 +381,7 @@ def test_silu_and_gated_silu_recompute_bit_for_bit(data, shape):
     sa, sb = _kept_sigmoid(x), _kept_sigmoid(y)
     u = x * sa
     out = nd.gated_silu(a, b)
-    out._backward(g)
+    _op_backward(out, g)
     assert _same_bits(out.values, u * sb)
     assert _same_bits(a.grad, g * sb * sa * (1.0 + x * (1.0 - sa)))
     assert _same_bits(b.grad, g * u * sb * (1.0 - sb))
@@ -385,7 +393,7 @@ def test_dropout_keeps_a_boolean_mask_bit_for_bit(data, shape, rate, seed):
     g = _draw(data, shape, _FLOATS)
     keep = (np.random.default_rng(seed).random(shape) >= rate) / (1.0 - rate)
     out = nd.dropout(a, rate, np.random.default_rng(seed))
-    out._backward(g)
+    _op_backward(out, g)
     assert _same_bits(out.values, a.values * keep)
     assert _same_bits(a.grad, g * keep)
 
@@ -401,7 +409,7 @@ def test_cross_entropy_regathers_its_rows_bit_for_bit(data, t, v, weighted, g):
     kept = np.nonzero(targets != nd.IGNORE)[0]
     if kept.size == 0:
         return
-    loss._backward(np.asarray(g))
+    _op_backward(loss, np.asarray(g))
     rows = logits.values[kept]
     m = rows.max(axis=1, keepdims=True)
     p = np.exp(rows - m)
@@ -499,7 +507,7 @@ def test_cross_entropy_all_ignored_is_inert_zero():
     logits = Tensor(np.random.default_rng(16).normal(size=(3, 4)), requires_grad=True)
     loss = nd.cross_entropy_lm(logits, [nd.IGNORE] * 3)
     assert float(loss.values) == 0.0
-    assert loss._backward is None and not loss._parents
+    assert loss._node is None
 
 
 def test_cross_entropy_validation():
@@ -542,16 +550,49 @@ def test_backward_releases_the_graph_and_keeps_leaf_grads():
     rng = np.random.default_rng(19)
     out = build()
     graph = nd.Graph(out)
-    interior = [t for t in graph.nodes if t._backward is not None]
+    interior = [n for n in graph.nodes if n.backward is not None]
     assert len(interior) > 5
     graph.backward()
     assert graph.nodes == []
-    for t in interior:
-        assert t._grad is None and t._backward is None and t._parents == ()
+    for n in interior:
+        assert n.grad is None and n.backward is None and n.parents == ()
     for t, g in zip((a, w, b), before):
         assert t.grad.tobytes() == g.tobytes()
     with pytest.raises(GraphError):
         out.backward()
+
+
+def test_an_output_no_backward_reads_is_freed_when_dropped():
+    """dropout's backward reads only its mask, so the silu output it consumed
+    goes with the caller's last reference; linear's reads its input, which
+    lives until that backward has run. Gradients are those of a backward
+    that releases nothing."""
+    rng = np.random.default_rng(26)
+    x, w, b = leaf((6, 5), rng), leaf((5, 3), rng), leaf((3,), rng)
+    ws = rng.normal(size=18)
+
+    def build():
+        h = nd.silu(x)
+        dropped = weakref.ref(h.values)
+        d = nd.dropout(h, 0.5, np.random.default_rng(3))
+        del h
+        u = nd.silu(d)
+        kept = weakref.ref(u.values)
+        return wsum(nd.linear(u, w, b), ws), dropped, kept
+
+    backward_keeping_graph(build()[0])
+    want = [t.grad.copy() for t in (x, w, b)]
+    for t in (x, w, b):
+        t.zero_grad()
+    out, dropped, kept = build()
+    gc.collect()
+    assert dropped() is None
+    assert kept() is not None
+    out.backward()
+    gc.collect()
+    assert kept() is None
+    for t, g in zip((x, w, b), want):
+        assert t.grad.tobytes() == g.tobytes()
 
 
 def test_backward_non_scalar_raises():
@@ -564,7 +605,7 @@ def test_no_grad_suppresses_tracking():
     a = Tensor(np.ones((2, 2)), requires_grad=True)
     with nd.no_grad():
         out = nd.scale(a, 2.0)
-    assert out._backward is None and not out._parents
+    assert out._node is None
 
 
 def test_reuse_accumulates():
@@ -591,17 +632,17 @@ def test_exact_zero_branch_never_propagates():
     dead = nd.scale(wsum(b, w), 0.0)
     total = nd.add(live, dead)
     total.backward()
-    assert b._grad is None  # skipped entirely, not merely zeroed
+    assert b._node.grad is None  # skipped entirely, not merely zeroed
     assert np.allclose(a.grad, w.reshape(3, 3))
 
 
 def test_lazy_grad_and_zero_grad():
     a = Tensor(np.zeros((2, 3)), requires_grad=True)
-    assert a._grad is None
+    assert a._node.grad is None
     assert a.grad.shape == (2, 3) and not a.grad.any()
     a.grad[0, 0] = 5.0
     a.zero_grad()
-    assert a._grad is None
+    assert a._node.grad is None
 
 
 # ---------------------------------------------------------------------------
