@@ -159,7 +159,7 @@ def load_model(ckpt_dir):
 
 def save_train_state(ckpt_dir, moment_arrays: dict, meta: dict) -> None:
     """Persist optimizer moments plus JSON-serializable trainer metadata
-    (step counter, rng state, sampler and history_bytes)."""
+    (step, seed, batch_size, train_size and history_bytes)."""
     d = Path(ckpt_dir)
     d.mkdir(parents=True, exist_ok=True)
     write_tensor_file(d / OPTIMIZER_FILE, moment_arrays)
@@ -176,16 +176,10 @@ def load_train_state(ckpt_dir):
     if not path.exists():
         raise DataError(f"checkpoint {d} has optimizer moments but no {TRAIN_STATE_FILE}")
     arrays = read_tensor_file(d / OPTIMIZER_FILE)
-    types = {"step": int, "rng_state": dict, "sampler": dict, "history_bytes": int}
+    types = dict.fromkeys(("step", "seed", "batch_size", "train_size", "history_bytes"), int)
     meta = check_record(_json(path.read_bytes(), path), types, path, required=types)
-    sampler = check_record(meta["sampler"], {"perm": list, "cursor": int}, f"{path}: sampler",
-                           required=("perm", "cursor"))
-    perm = sampler["perm"]
-    for key, ok in (("step", meta["step"] >= 0), ("history_bytes", meta["history_bytes"] >= 0),
-                    ("sampler.cursor", sampler["cursor"] >= 0),
-                    ("sampler.perm", all(type(i) is int for i in perm)
-                     and sorted(perm) == list(range(len(perm))))):
-        if not ok:
+    for key, value in meta.items():
+        if value < 0:
             raise DataError(f"{path}: invalid {key}")
     return arrays, meta
 

@@ -5,8 +5,8 @@ The CLI maps these onto exit codes: usage problems exit 1, data problems
 exit 2, anything else exits 3.
 
 Every JSON object the program reads from a file (a manifest line and its
-manipulation and cot fields, config.json, train_state.json and its sampler,
-a tensor file's header and entries) is a closed record: check_record
+manipulation and cot fields, config.json, train_state.json, a tensor
+file's header and entries) is a closed record: check_record
 refuses a key outside its type table, a missing required key, and a value
 of another type, where a bool never stands for a number.
 """

@@ -111,11 +111,6 @@ class Tensor:
         constants."""
         return type(self._node) is _Leaf
 
-    @requires_grad.setter
-    def requires_grad(self, flag):
-        if flag != self.requires_grad:
-            self._node = _Leaf() if flag else None
-
     @property
     def grad(self):
         """Accumulated gradient; all-zero until a backward pass touches it."""
@@ -515,8 +510,7 @@ def embedding(table: Tensor, ids) -> Tensor:
     bad = np.nonzero((ids < 0) | (ids >= v))[0]
     if bad.size:
         raise DataError(f"embedding: id {ids[bad[0]]} at position {bad[0]} outside table of {v} rows")
-    out, node = _result(table.values[ids].copy() if ids.size else np.zeros((0, shape[1])),
-                        (table._node,))
+    out, node = _result(table.values[ids], (table._node,))
     if node:
         def _bw(g, ntable):
             buf = np.zeros(shape)

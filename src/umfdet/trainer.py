@@ -3,12 +3,14 @@ forward pass per minibatch, periodic validation by greedy decoding, and
 bit-reproducible checkpointing.
 
 Reproducibility contract: a run is a pure function of (initial weights,
-train config, data order). One generator drives both batch shuffling and
-dropout; its state, the optimizer moments, the shuffle cursor, the step
-counter and history_bytes, the length of history.csv when the checkpoint
-was written, all persist in the checkpoint, so an interrupted run resumed
-from disk retraces the original run bit for bit, its log cut back to that
-length first.
+train config, training set). Every random draw derives from (seed, step):
+step s trains on entries (s-1)*B to s*B-1 of the concatenated epoch
+shuffles (_batch_ids) and draws its dropout from default_rng([seed, 1, s]).
+So the checkpoint holds no generator state. The optimizer moments, the
+step, the seed, batch size and training-set size (a resume refuses others)
+and history_bytes, the length of history.csv when the checkpoint was
+written, let an interrupted run resumed from disk retrace the original run
+bit for bit, its log cut back to that length first.
 """
 
 from __future__ import annotations
@@ -148,31 +150,16 @@ class TrainResult:
     stopped_early: bool = False
 
 
-class _Sampler:
-    """Seeded epoch shuffling with an explicit cursor so it can checkpoint."""
-
-    def __init__(self, n, rng):
-        self.n = n
-        self.rng = rng
-        self.perm = rng.permutation(n)
-        self.cursor = 0
-
-    def next_batch(self, size):
-        out = []
-        while len(out) < size:
-            if self.cursor >= self.n:
-                self.perm = self.rng.permutation(self.n)
-                self.cursor = 0
-            out.append(int(self.perm[self.cursor]))
-            self.cursor += 1
-        return out
-
-    def state(self):
-        return {"perm": [int(i) for i in self.perm], "cursor": self.cursor}
-
-    def load(self, state):
-        self.perm = np.asarray(state["perm"], dtype=np.int64)
-        self.cursor = int(state["cursor"])
+def _batch_ids(seed, n, batch_size, step):
+    """Training-set positions of step's batch: entries (step-1)*batch_size
+    to step*batch_size-1 of the concatenated epoch shuffles, epoch e being
+    default_rng([seed, 0, e]).permutation(n). A batch may span epochs."""
+    start = (step - 1) * batch_size
+    epochs = range(start // n, (start + batch_size - 1) // n + 1)
+    perms = np.concatenate([np.random.default_rng([seed, 0, e]).permutation(n)
+                            for e in epochs])
+    offset = start - epochs[0] * n
+    return [int(i) for i in perms[offset:offset + batch_size]]
 
 
 def _batch_loss(params, batch, vocab, template, tcfg, rng):
@@ -203,8 +190,7 @@ def train(params: ModelParams, train_samples, val_samples, vocab, template,
     ckpt_dir = out / "checkpoint"
     history_path = out / "history.csv"
 
-    rng = np.random.default_rng(tcfg.seed)
-    sampler = _Sampler(len(train_samples), rng)
+    run = {"seed": tcfg.seed, "batch_size": tcfg.batch_size, "train_size": len(train_samples)}
     frozen = FREEZE_VISUAL_PREFIXES if tcfg.freeze_patch_embedder else ()
     trainable = [(name, t) for name, t in params.tensors.items()
                  if not name.startswith(frozen)]
@@ -221,18 +207,15 @@ def train(params: ModelParams, train_samples, val_samples, vocab, template,
         if bad:
             raise DataError(f"{ckpt_dir / ckpt.OPTIMIZER_FILE}: {bad[0]} is missing or "
                             f"has the wrong shape")
-        saved_n = len(meta["sampler"]["perm"])
-        if saved_n != len(train_samples):
-            raise ConfigError(f"checkpoint {ckpt_dir} was trained on {saved_n} samples, "
-                              f"not the {len(train_samples)} given; resume needs the "
-                              f"same training set")
+        if meta["train_size"] != len(train_samples):
+            raise ConfigError(f"checkpoint {ckpt_dir} was trained on {meta['train_size']} "
+                              f"samples, not the {len(train_samples)} given; resume needs "
+                              f"the same training set")
+        for key in ("seed", "batch_size"):
+            if meta[key] != run[key]:
+                raise ConfigError(f"checkpoint {ckpt_dir} was trained with {key} {meta[key]}, "
+                                  f"not the {run[key]} given; resume needs the same {key}")
         optim.load_moments(arrays, meta["step"])
-        try:
-            rng.bit_generator.state = meta["rng_state"]
-        except (TypeError, ValueError, KeyError, OverflowError) as exc:
-            raise DataError(f"{ckpt_dir / ckpt.TRAIN_STATE_FILE}: invalid rng_state "
-                            f"({exc})") from None
-        sampler.load(meta["sampler"])
         start_step = meta["step"]
         logged = history_path.stat().st_size if history_path.exists() else -1
         if logged < meta["history_bytes"]:
@@ -255,12 +238,12 @@ def train(params: ModelParams, train_samples, val_samples, vocab, template,
         step = start_step
         while step < tcfg.max_steps:
             step += 1
-            idxs = sampler.next_batch(tcfg.batch_size)
-            batch = [train_samples[i] for i in idxs]
+            batch = [train_samples[i] for i in
+                     _batch_ids(tcfg.seed, len(train_samples), tcfg.batch_size, step)]
             for t in params.tensors.values():
                 t.zero_grad()
-            total, det_avg, cot_avg = _batch_loss(params, batch, vocab, template,
-                                                  tcfg, rng)
+            total, det_avg, cot_avg = _batch_loss(params, batch, vocab, template, tcfg,
+                                                  np.random.default_rng([tcfg.seed, 1, step]))
             loss_val = float(total.values)
             if not np.isfinite(loss_val):
                 raise NumericsError(
@@ -285,22 +268,21 @@ def train(params: ModelParams, train_samples, val_samples, vocab, template,
             if (tcfg.checkpoint_every and step % tcfg.checkpoint_every == 0
                     and step < tcfg.max_steps):
                 hist_fh.flush()  # the log on disk covers every step the checkpoint holds
-                _save_all(ckpt_dir, params, vocab, optim, rng, sampler, history_path, step)
+                _save_all(ckpt_dir, params, vocab, optim, run, history_path, step)
             if (ran_eval and tcfg.target_val_acc is not None
                     and val_acc >= tcfg.target_val_acc):
                 stopped_early = True
                 break
 
-    _save_all(ckpt_dir, params, vocab, optim, rng, sampler, history_path, step)
+    _save_all(ckpt_dir, params, vocab, optim, run, history_path, step)
     return TrainResult(steps_run=step, final_val_accuracy=val_acc,
                        history_path=str(history_path), checkpoint_dir=str(ckpt_dir),
                        stopped_early=stopped_early)
 
 
-def _save_all(ckpt_dir, params, vocab, optim, rng, sampler, history_path, step):
+def _save_all(ckpt_dir, params, vocab, optim, run, history_path, step):
     ckpt.save_model(ckpt_dir, params, vocab)
-    meta = {"step": step, "rng_state": rng.bit_generator.state,
-            "sampler": sampler.state(), "history_bytes": history_path.stat().st_size}
+    meta = {**run, "step": step, "history_bytes": history_path.stat().st_size}
     ckpt.save_train_state(ckpt_dir, optim.moment_arrays(), meta)
 
 

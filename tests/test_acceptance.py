@@ -215,8 +215,6 @@ def _op_roster():
         cmoe.init_expert(p, rng, "e", 5)
         x = _rand(rng, 3, 5)
         tensors = list(p.values()) + [x]
-        for t in tensors:
-            t.requires_grad = True
         return lambda: _scalar(cmoe.expert_forward(p, "e", x)), tensors
 
     def routed_layer_path(rng):
@@ -225,8 +223,6 @@ def _op_roster():
         x = _rand(rng, 4, 6)
         tensors = [x] + _under(layer, "m.router")
         tensors += _under(layer, f"m.{cmoe.EXPERT_NAMES[_routed(layer, x, [4])[0]]}")
-        for t in tensors:
-            t.requires_grad = True
         return lambda: _scalar(cmoe.cmoe_forward(layer, "m", x, [4])[0]), tensors
 
     def routed_batch_path(rng):
@@ -237,8 +233,6 @@ def _op_roster():
         tensors = [x] + _under(layer, "m.router")
         for e in sorted(set(_routed(layer, x, lengths))):
             tensors += _under(layer, f"m.{cmoe.EXPERT_NAMES[e]}")
-        for t in tensors:
-            t.requires_grad = True
         return (lambda: _scalar(cmoe.cmoe_forward(layer, "m", x, lengths=lengths)[0]),
                 tensors)
 
@@ -333,7 +327,6 @@ def test_routing_shift_invariance_and_gradient_isolation():
         cmoe.init_cmoe_layer(layer, case, "m", 8)
         x = Tensor(case.normal(size=(5, 8)), requires_grad=True)
         for t in layer.values():
-            t.requires_grad = True
             t.zero_grad()
         out, routing = cmoe.cmoe_forward(layer, "m", x, [5], dropout_rate=0.0,
                                          gate_scaling=gate_scaling)

@@ -530,6 +530,27 @@ def test_train_resume_refuses_changed_model_settings_naming_them(
     assert state["step"] == 2
 
 
+@pytest.mark.parametrize("flags, mismatch", [
+    (["--batch-size", "2", "--seed", "1"], "seed 0, not the 1 given"),
+    (["--batch-size", "3"], "batch_size 2, not the 3 given"),
+], ids=["seed", "batch_size"])
+def test_train_resume_refuses_another_seed_or_batch_size_naming_it(
+        tmp_path, corpus, trained, capsys, flags, mismatch):
+    """The seed and the batch size decide every batch and dropout mask, so a
+    resume must keep the ones the checkpoint was trained with."""
+    out = tmp_path / "run"
+    shutil.copytree(trained, out)
+    log = (out / "history.csv").read_bytes()
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(SMALL_MODEL)
+    rc = cli.main(["train", "--manifest", str(corpus), "--out", str(out), "--config", str(cfg),
+                   "--steps", "4", "--resume"] + flags)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"ConfigError: checkpoint {out / 'checkpoint'} was trained with {mismatch}" in err
+    assert (out / "history.csv").read_bytes() == log
+
+
 @pytest.mark.parametrize("flag, error", [("--config", "ConfigError"),
                                          ("--template", "TemplateError")])
 def test_non_utf8_config_or_template_exits_1_naming_it(tmp_path, corpus, capsys, flag, error):
@@ -609,36 +630,31 @@ def _edit_state(edit):
      "step must be of type int, got bool"),
     (_edit_state(_json_edit(lambda m: m.update(mystery=1))), ckpt.TRAIN_STATE_FILE,
      "unknown keys ['mystery']"),
-    (_edit_state(_json_edit(lambda m: m.pop("rng_state"))), ckpt.TRAIN_STATE_FILE,
-     "missing keys ['rng_state']"),
-    (_edit_state(_json_edit(lambda m: m["rng_state"].pop("state"))), ckpt.TRAIN_STATE_FILE,
-     "invalid rng_state"),
-    (_edit_state(_json_edit(lambda m: m["rng_state"]["state"].update(state=-1))),
-     ckpt.TRAIN_STATE_FILE, "invalid rng_state"),
-    (_edit_state(_json_edit(lambda m: m["rng_state"].update(has_uint32=2 ** 70))),
-     ckpt.TRAIN_STATE_FILE, "invalid rng_state"),
-    (_edit_state(_json_edit(lambda m: m["rng_state"].update(uinteger=2 ** 70))),
-     ckpt.TRAIN_STATE_FILE, "invalid rng_state"),
-    (_edit_state(_json_edit(lambda m: m["sampler"].pop("perm"))), ckpt.TRAIN_STATE_FILE,
-     "sampler: missing keys ['perm']"),
-    (_edit_state(_json_edit(lambda m: m["sampler"].pop("cursor"))), ckpt.TRAIN_STATE_FILE,
-     "sampler: missing keys ['cursor']"),
-    (_edit_state(_json_edit(lambda m: m["sampler"].update(cursor=-1))), ckpt.TRAIN_STATE_FILE,
-     "invalid sampler.cursor"),
-    (_edit_state(_json_edit(lambda m: m["sampler"].update(epoch=0))), ckpt.TRAIN_STATE_FILE,
-     "sampler: unknown keys ['epoch']"),
-    (_edit_state(_json_edit(lambda m: m["sampler"]["perm"].append(10 ** 6))),
-     ckpt.TRAIN_STATE_FILE, "invalid sampler.perm"),
-    (_edit_state(_json_edit(lambda m: m["sampler"]["perm"].__setitem__(0, 0.0))),
-     ckpt.TRAIN_STATE_FILE, "invalid sampler.perm"),
+    (_edit_state(_json_edit(lambda m: m.pop("train_size"))), ckpt.TRAIN_STATE_FILE,
+     "missing keys ['train_size']"),
+    (_edit_state(_json_edit(lambda m: m.update(train_size=-1))), ckpt.TRAIN_STATE_FILE,
+     "invalid train_size"),
+    (_edit_state(_json_edit(lambda m: m.update(train_size=True))), ckpt.TRAIN_STATE_FILE,
+     "train_size must be of type int, got bool"),
+    (_edit_state(_json_edit(lambda m: m.pop("seed"))), ckpt.TRAIN_STATE_FILE,
+     "missing keys ['seed']"),
+    (_edit_state(_json_edit(lambda m: m.update(seed=-1))), ckpt.TRAIN_STATE_FILE,
+     "invalid seed"),
+    (_edit_state(_json_edit(lambda m: m.update(seed=True))), ckpt.TRAIN_STATE_FILE,
+     "seed must be of type int, got bool"),
+    (_edit_state(_json_edit(lambda m: m.pop("batch_size"))), ckpt.TRAIN_STATE_FILE,
+     "missing keys ['batch_size']"),
+    (_edit_state(_json_edit(lambda m: m.update(batch_size=-1))), ckpt.TRAIN_STATE_FILE,
+     "invalid batch_size"),
+    (_edit_state(_json_edit(lambda m: m.update(batch_size=True))), ckpt.TRAIN_STATE_FILE,
+     "batch_size must be of type int, got bool"),
     (_edit_state(_json_edit(lambda m: m.update(history_bytes=-1))), ckpt.TRAIN_STATE_FILE,
      "invalid history_bytes"),
     (_drop_moment, ckpt.OPTIMIZER_FILE, "adam.v.head.b"),
 ], ids=["state_not_json", "state_list", "no_step", "negative_step", "bool_step",
-        "unknown_state_key", "no_rng_state", "rng_state_no_state", "rng_state_negative_state",
-        "rng_state_huge_has_uint32", "rng_state_huge_uinteger", "no_perm", "no_cursor",
-        "negative_cursor", "unknown_sampler_key", "perm_not_a_permutation", "float_in_perm",
-        "negative_history_bytes", "no_adam_moment"])
+        "unknown_state_key", "no_train_size", "negative_train_size", "bool_train_size",
+        "no_seed", "negative_seed", "bool_seed", "no_batch_size", "negative_batch_size",
+        "bool_batch_size", "negative_history_bytes", "no_adam_moment"])
 def test_resume_from_malformed_trainer_state_exits_2_naming_file_and_key(
         tmp_path, corpus, trained, capsys, damage, file, match):
     out = tmp_path / "run"
@@ -688,6 +704,33 @@ def test_a_state_without_history_bytes_still_loads_for_eval(tmp_path, corpus, tr
     out = tmp_path / "run"
     shutil.copytree(trained, out)
     _state_without_history_bytes(out)
+    assert cli.main(["eval", "--manifest", str(corpus), "--checkpoint",
+                     str(out / "checkpoint"), "--out", str(tmp_path / "eval")]) == 0
+
+
+def _state_with_a_stored_generator(meta):
+    """The train_state.json of a run whose checkpoint stored its generator
+    state and sampler rather than the seed, batch size and training-set size."""
+    for key in ("seed", "batch_size", "train_size"):
+        del meta[key]
+    meta["rng_state"] = {"bit_generator": "PCG64", "state": {"state": 1, "inc": 3},
+                         "has_uint32": 0, "uinteger": 0}
+    meta["sampler"] = {"perm": [1, 0], "cursor": 2}
+
+
+def test_a_state_with_a_stored_generator_loads_for_eval_but_not_for_resume(
+        tmp_path, corpus, trained, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(trained, out)
+    path = out / "checkpoint" / ckpt.TRAIN_STATE_FILE
+    _edit_state(_json_edit(_state_with_a_stored_generator))(out / "checkpoint")
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(SMALL_MODEL)
+    rc = cli.main(["train", "--manifest", str(corpus), "--out", str(out), "--config", str(cfg),
+                   "--steps", "3", "--batch-size", "2", "--resume"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"DataError: {path}: unknown keys ['rng_state', 'sampler']" in err
     assert cli.main(["eval", "--manifest", str(corpus), "--checkpoint",
                      str(out / "checkpoint"), "--out", str(tmp_path / "eval")]) == 0
 

@@ -439,6 +439,10 @@ def test_embedding_grad_accumulates_repeated_rows():
     assert np.allclose(table.grad[1], 3.0)
     assert np.allclose(table.grad[3], 1.0)
     assert np.allclose(table.grad[0], 0.0)
+    # the rows are the op's own copy, not a view of the table
+    rows = nd.embedding(table, ids).values
+    assert not np.shares_memory(rows, table.values)
+    assert nd.embedding(table, []).shape == (0, 3)
 
 
 def test_embedding_rejects_bad_ids():

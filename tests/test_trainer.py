@@ -140,30 +140,26 @@ def test_clip_global_norm_zero_disables():
 
 
 # ---------------------------------------------------------------------------
-# sampler
+# batches
 
 
-def test_sampler_covers_epochs_without_repeats():
-    sampler = tr._Sampler(5, np.random.default_rng(0))
-    seen = sampler.next_batch(5)
-    assert sorted(seen) == [0, 1, 2, 3, 4]
-    second = sampler.next_batch(5)
-    assert sorted(second) == [0, 1, 2, 3, 4]
-
-
-def test_sampler_state_round_trip():
-    rng = np.random.default_rng(3)
-    a = tr._Sampler(7, rng)
-    a.next_batch(4)
-    state = a.state()
-    rng_state = rng.bit_generator.state
-    upcoming = [a.next_batch(3) for _ in range(4)]
-
-    rng2 = np.random.default_rng(99)
-    b = tr._Sampler(7, rng2)
-    b.load(json.loads(json.dumps(state)))      # survives JSON round trip
-    rng2.bit_generator.state = rng_state
-    assert [b.next_batch(3) for _ in range(4)] == upcoming
+@given(n=st.integers(1, 30), batch_size=st.integers(1, 12), seed=st.integers(0, 2 ** 64),
+       k=st.integers(1, 12), order=st.randoms(use_true_random=False))
+def test_batches_are_a_function_of_seed_and_step(n, batch_size, seed, k, order):
+    """Step s takes entries (s-1)*B to s*B-1 of the concatenated epoch
+    shuffles, whatever steps were drawn before it, so each complete epoch is
+    a permutation of the training set."""
+    steps = list(range(1, k + 1))
+    batches = {s: tr._batch_ids(seed, n, batch_size, s) for s in steps}
+    order.shuffle(steps)
+    assert {s: tr._batch_ids(seed, n, batch_size, s) for s in steps} == batches
+    stream = [i for s in range(1, k + 1) for i in batches[s]]
+    assert len(stream) == k * batch_size
+    perms = [np.random.default_rng([seed, 0, e]).permutation(n).tolist()
+             for e in range(len(stream) // n + 1)]
+    assert stream == sum(perms, [])[:len(stream)]
+    for e in range(len(stream) // n):
+        assert sorted(stream[e * n:(e + 1) * n]) == list(range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -280,21 +276,29 @@ def test_train_same_seed_bitwise_identical(tmp_path, splits, toy_vocab, template
 
 
 def test_train_resume_is_bitwise(tmp_path, splits, toy_vocab, template, tiny_config):
+    """Seven posts in batches of two: the resume at step 3 falls mid-epoch,
+    and step 4's batch spans the first and second epochs."""
     train_s, val_s, _ = splits
-    straight = tr.train(_fresh(tiny_config), train_s, val_s[:2], toy_vocab, template,
-                        _tcfg(max_steps=6), tmp_path / "straight")
-
-    first = tr.train(_fresh(tiny_config), train_s, val_s[:2], toy_vocab, template,
-                     _tcfg(max_steps=3), tmp_path / "resumed")
-    assert first.steps_run == 3
-    params, vocab = ckpt.load_model(tmp_path / "resumed" / "checkpoint")
-    second = tr.train(params, train_s, val_s[:2], vocab, template,
-                      _tcfg(max_steps=6), tmp_path / "resumed", resume=True)
-    assert second.steps_run == 6
-
-    wa = (tmp_path / "straight" / "checkpoint" / ckpt.WEIGHTS_FILE).read_bytes()
-    wb = (tmp_path / "resumed" / "checkpoint" / ckpt.WEIGHTS_FILE).read_bytes()
-    assert wa == wb
+    train_s = train_s[:7]
+    for coeff in (0.0, 0.5):
+        runs = tmp_path / f"aux{coeff}"
+        straight = tr.train(_fresh(tiny_config), train_s, val_s[:2], toy_vocab, template,
+                            _tcfg(max_steps=6, eval_every=3, routing_aux_coeff=coeff),
+                            runs / "straight")
+        assert straight.steps_run == 6
+        first = tr.train(_fresh(tiny_config), train_s, val_s[:2], toy_vocab, template,
+                         _tcfg(max_steps=3, eval_every=3, routing_aux_coeff=coeff),
+                         runs / "resumed")
+        assert first.steps_run == 3
+        params, vocab = ckpt.load_model(runs / "resumed" / "checkpoint")
+        second = tr.train(params, train_s, val_s[:2], vocab, template,
+                          _tcfg(max_steps=6, eval_every=3, routing_aux_coeff=coeff),
+                          runs / "resumed", resume=True)
+        assert second.steps_run == 6
+        for name in (f"checkpoint/{ckpt.WEIGHTS_FILE}", f"checkpoint/{ckpt.OPTIMIZER_FILE}",
+                     "history.csv"):
+            assert ((runs / "straight" / name).read_bytes()
+                    == (runs / "resumed" / name).read_bytes()), (coeff, name)
 
 
 def test_train_resume_refuses_another_training_set_size(tmp_path, splits, toy_vocab,
@@ -319,28 +323,20 @@ def one_step_run(tmp_path_factory, splits, toy_vocab, template, tiny_config):
     return out
 
 
-_STATE_FIELDS = [("step",), ("rng_state",), ("rng_state", "bit_generator"),
-                 ("rng_state", "state"), ("rng_state", "state", "state"),
-                 ("rng_state", "state", "inc"), ("rng_state", "has_uint32"),
-                 ("rng_state", "uinteger"), ("sampler",), ("sampler", "perm"),
-                 ("sampler", "perm", 0), ("sampler", "cursor"), ("history_bytes",),
-                 ("mystery",)]
+_STATE_FIELDS = ["step", "seed", "batch_size", "train_size", "history_bytes", "mystery"]
 
 
 @given(field=st.sampled_from(_STATE_FIELDS), value=JSON_VALUES)
 def test_resume_from_a_fuzzed_train_state_runs_or_is_data_error(
         tmp_path_factory, one_step_run, splits, template, field, value):
     """A train_state.json with one field set to an arbitrary JSON value
-    resumes, or is a DataError naming the file. A valid permutation of
-    another length is the ConfigError of a resume on another training set."""
+    resumes, or is a DataError naming the file. Another valid seed, batch
+    size or training-set size is the ConfigError of a resume that changes it."""
     out = tmp_path_factory.mktemp("fuzz") / "run"
     shutil.copytree(one_step_run, out)
     path = out / "checkpoint" / ckpt.TRAIN_STATE_FILE
     state = json.loads(path.read_text())
-    parent = state
-    for key in field[:-1]:
-        parent = parent[key]
-    parent[field[-1]] = value
+    state[field] = value
     path.write_text(json.dumps(state))
     params, vocab = ckpt.load_model(out / "checkpoint")
     try:
@@ -349,7 +345,8 @@ def test_resume_from_a_fuzzed_train_state_runs_or_is_data_error(
     except DataError as exc:
         assert str(path) in str(exc)
     except ConfigError as exc:
-        assert "resume needs the same training set" in str(exc)
+        need = {"train_size": "training set", "seed": "seed", "batch_size": "batch_size"}
+        assert f"resume needs the same {need[field]}" in str(exc)
 
 
 def test_train_resume_without_state(tmp_path, splits, toy_vocab, template, tiny_config):
