@@ -4,8 +4,8 @@ Tensor files are a small self-describing binary format: a 5-byte magic,
 a little-endian u64 manifest length, a JSON manifest listing (name, shape,
 offset) per tensor, then raw little-endian float64 payloads at those
 offsets. Values round-trip bit-exactly, which the resume contract relies
-on. A checkpoint directory holds the weights file plus the vocabulary and
-the model config, and optionally the optimizer state for resuming.
+on. A checkpoint holds the weights, the vocabulary and the model config,
+and, for resuming, train_state.json and optimizer.umfd (adam.m, adam.v).
 """
 
 from __future__ import annotations
@@ -153,13 +153,13 @@ def load_model(ckpt_dir):
         if t.values.shape != arr.shape:
             raise DataError(f"checkpoint {d}: tensor {name} has shape {arr.shape}, "
                             f"expected {t.values.shape}")
-        t.values = arr
+        t.values[...] = arr
     return params, vocab
 
 
 def save_train_state(ckpt_dir, moment_arrays: dict, meta: dict) -> None:
-    """Persist optimizer moments plus JSON-serializable trainer metadata
-    (step, seed, batch_size, train_size and history_bytes)."""
+    """Persist optimizer moments plus the JSON-serializable trainer metadata
+    that load_train_state checks."""
     d = Path(ckpt_dir)
     d.mkdir(parents=True, exist_ok=True)
     write_tensor_file(d / OPTIMIZER_FILE, moment_arrays)
@@ -176,7 +176,8 @@ def load_train_state(ckpt_dir):
     if not path.exists():
         raise DataError(f"checkpoint {d} has optimizer moments but no {TRAIN_STATE_FILE}")
     arrays = read_tensor_file(d / OPTIMIZER_FILE)
-    types = dict.fromkeys(("step", "seed", "batch_size", "train_size", "history_bytes"), int)
+    types = {**dict.fromkeys(("step", "seed", "batch_size", "train_size", "history_bytes"), int),
+             "freeze_patch_embedder": bool}
     meta = check_record(_json(path.read_bytes(), path), types, path, required=types)
     for key, value in meta.items():
         if value < 0:

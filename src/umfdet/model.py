@@ -11,7 +11,7 @@ to the reasoning span (markers inclusive). Generation is greedy.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -83,9 +83,20 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """All weights, flat name -> Tensor in a stable insertion order."""
+    """All weights, name -> Tensor in a stable insertion order; each weight's
+    values and gradient are views, in that order, into values and grads."""
     config: ModelConfig
     tensors: dict
+    values: np.ndarray = field(init=False, repr=False)
+    grads: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        ts = list(self.tensors.values())
+        self.values = np.concatenate([t.values.ravel() for t in ts])
+        self.grads = np.zeros(self.values.size)  # calloc: untouched until a backward writes it
+        cuts = np.cumsum([t.values.size for t in ts])[:-1]
+        for t, w, g in zip(ts, np.split(self.values, cuts), np.split(self.grads, cuts)):
+            t.values, t._node.grad = w.reshape(t.shape), g.reshape(t.shape)
 
 
 def _ln_pair(tensors, name, h):

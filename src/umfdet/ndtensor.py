@@ -22,8 +22,8 @@ as soon as the caller drops it, while its node still collects a gradient. Untrac
 ``no_grad`` or from constants, get no node. ``Tensor.backward()`` replays the
 recorded ops in reverse execution order, releasing each op's gradient,
 closure and parents once it has run, so a graph is freed while backward
-walks it. Leaf tensors keep their gradients. One graph is meant to live on
-one thread; there is no internal locking.
+walks it. A leaf keeps its gradient in place in the array its node holds.
+One graph is meant to live on one thread; there is no internal locking.
 
 A backward closure keeps only what it cannot recompute from the arrays it
 reads: silu and gated_silu keep their inputs and recompute their sigmoids,
@@ -120,10 +120,6 @@ class Tensor:
         if node.grad is None:
             node.grad = np.zeros_like(self.values)
         return node.grad
-
-    def zero_grad(self):
-        if self._node is not None:
-            self._node.grad = None
 
     def backward(self):
         """Run reverse-mode accumulation from this (scalar) tensor."""

@@ -1,16 +1,16 @@
-"""Training loop: Adam with global-norm gradient clipping, one packed
-forward pass per minibatch, periodic validation by greedy decoding, and
-bit-reproducible checkpointing.
+"""Training loop: Adam with global-norm gradient clipping over the flat
+parameter store, one packed forward pass per minibatch, periodic
+validation by greedy decoding, and bit-reproducible checkpointing.
 
 Reproducibility contract: a run is a pure function of (initial weights,
 train config, training set). Every random draw derives from (seed, step):
 step s trains on entries (s-1)*B to s*B-1 of the concatenated epoch
 shuffles (_batch_ids) and draws its dropout from default_rng([seed, 1, s]).
-So the checkpoint holds no generator state. The optimizer moments, the
-step, the seed, batch size and training-set size (a resume refuses others)
-and history_bytes, the length of history.csv when the checkpoint was
-written, let an interrupted run resumed from disk retrace the original run
-bit for bit, its log cut back to that length first.
+So the checkpoint holds no generator state. The two moment arrays, the
+step, the seed, batch size, training-set size and freeze_patch_embedder (a
+resume refuses others) and history_bytes, the length of history.csv when
+the checkpoint was written, let an interrupted run resumed from disk
+retrace the original run bit for bit, its log cut back to that length first.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .model import ModelConfig, ModelParams, forward_train, init_model
 
 FREEZE_VISUAL_PREFIXES = ("patch_proj", "vis_proj", "vis_pos_emb")
 HISTORY_HEADER = ["step", "loss_det", "loss_cot", "loss_total", "grad_norm", "val_acc"]
+ADAM_BLOCK = 8192  # elements: 64 KiB temporaries stay under glibc's 128 KiB mmap threshold
 
 
 @dataclass
@@ -83,45 +84,36 @@ def config_hash(d: dict) -> str:
 
 
 class Adam:
-    """Per-tensor first/second moment tracking, bias-corrected updates."""
+    """Bias-corrected Adam over one flat vector of values and its gradient."""
 
-    def __init__(self, named_tensors, lr, beta1, beta2, eps):
-        self.named = list(named_tensors)
+    def __init__(self, values, grads, lr, beta1, beta2, eps):
+        self.values, self.grads = values, grads
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
         # np.zeros takes zeroed memory from calloc, whose fresh pages stay
         # untouched until a step writes them: moments a resume replaces cost none
-        self.m = {name: np.zeros(t.values.shape) for name, t in self.named}
-        self.v = {name: np.zeros(t.values.shape) for name, t in self.named}
+        self.m, self.v = np.zeros(values.size), np.zeros(values.size)
 
     def step(self):
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for name, t in self.named:
-            g = t.grad
-            m = self.m[name]
-            v = self.v[name]
+        for i in range(0, self.values.size, ADAM_BLOCK):
+            w, g, m, v = (a[i:i + ADAM_BLOCK] for a in (self.values, self.grads, self.m, self.v))
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
-            t.values -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            w -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
     def moment_arrays(self):
-        out = {}
-        for name in self.m:
-            out[f"adam.m.{name}"] = self.m[name]
-            out[f"adam.v.{name}"] = self.v[name]
-        return out
+        return {"adam.m": self.m, "adam.v": self.v}
 
     def load_moments(self, arrays, t):
         """Continue from step t with the moments in arrays (as moment_arrays
         names them). Takes ownership: the arrays are updated in place by
         later steps, so the caller must not keep or share them."""
-        for name in self.m:
-            self.m[name] = arrays[f"adam.m.{name}"]
-            self.v[name] = arrays[f"adam.v.{name}"]
+        self.m, self.v = arrays["adam.m"], arrays["adam.v"]
         self.t = t
 
 
@@ -190,11 +182,11 @@ def train(params: ModelParams, train_samples, val_samples, vocab, template,
     ckpt_dir = out / "checkpoint"
     history_path = out / "history.csv"
 
-    run = {"seed": tcfg.seed, "batch_size": tcfg.batch_size, "train_size": len(train_samples)}
+    run = {"seed": tcfg.seed, "batch_size": tcfg.batch_size, "train_size": len(train_samples),
+           "freeze_patch_embedder": tcfg.freeze_patch_embedder}
     frozen = FREEZE_VISUAL_PREFIXES if tcfg.freeze_patch_embedder else ()
-    trainable = [(name, t) for name, t in params.tensors.items()
-                 if not name.startswith(frozen)]
-    optim = Adam(trainable, tcfg.lr, tcfg.beta1, tcfg.beta2, tcfg.eps)
+    frozen_grads = [t.grad for name, t in params.tensors.items() if name.startswith(frozen)]
+    optim = Adam(params.values, params.grads, tcfg.lr, tcfg.beta1, tcfg.beta2, tcfg.eps)
 
     start_step = 0
     if resume:
@@ -202,16 +194,15 @@ def train(params: ModelParams, train_samples, val_samples, vocab, template,
         if state is None:
             raise ConfigError(f"--resume given but {ckpt_dir} holds no trainer state")
         arrays, meta = state
-        bad = [k for k, v in optim.moment_arrays().items()
-               if k not in arrays or arrays[k].shape != v.shape]
-        if bad:
-            raise DataError(f"{ckpt_dir / ckpt.OPTIMIZER_FILE}: {bad[0]} is missing or "
-                            f"has the wrong shape")
+        for key, moment in optim.moment_arrays().items():
+            if key not in arrays or arrays[key].shape != moment.shape:
+                raise DataError(f"{ckpt_dir / ckpt.OPTIMIZER_FILE}: {key} is missing or "
+                                f"has the wrong shape")
         if meta["train_size"] != len(train_samples):
             raise ConfigError(f"checkpoint {ckpt_dir} was trained on {meta['train_size']} "
                               f"samples, not the {len(train_samples)} given; resume needs "
                               f"the same training set")
-        for key in ("seed", "batch_size"):
+        for key in ("seed", "batch_size", "freeze_patch_embedder"):
             if meta[key] != run[key]:
                 raise ConfigError(f"checkpoint {ckpt_dir} was trained with {key} {meta[key]}, "
                                   f"not the {run[key]} given; resume needs the same {key}")
@@ -240,8 +231,7 @@ def train(params: ModelParams, train_samples, val_samples, vocab, template,
             step += 1
             batch = [train_samples[i] for i in
                      _batch_ids(tcfg.seed, len(train_samples), tcfg.batch_size, step)]
-            for t in params.tensors.values():
-                t.zero_grad()
+            params.grads.fill(0.0)
             total, det_avg, cot_avg = _batch_loss(params, batch, vocab, template, tcfg,
                                                   np.random.default_rng([tcfg.seed, 1, step]))
             loss_val = float(total.values)
@@ -250,7 +240,9 @@ def train(params: ModelParams, train_samples, val_samples, vocab, template,
                     f"non-finite loss {loss_val} at step {step}, "
                     f"batch ids {[s.id for s in batch]}")
             total.backward()
-            norm = clip_global_norm(trainable, tcfg.clip_norm)
+            for g in frozen_grads:  # so their moments, and their updates, stay exactly 0
+                g.fill(0.0)
+            norm = clip_global_norm(params.tensors.items(), tcfg.clip_norm)
             if not np.isfinite(norm):
                 raise NumericsError(
                     f"non-finite gradient norm at step {step}, "

@@ -66,7 +66,7 @@ def check_grads(build_scalar_tensor, tensors, h=1e-5, tol=1e-4):
     """Run backward once, compare against the numeric oracle; returns the
     observed worst relative error (asserting it is under tol)."""
     for t in tensors:
-        t.zero_grad()
+        t.grad.fill(0.0)
     out = build_scalar_tensor()
     out.backward()
     analytic = [t.grad.copy() for t in tensors]

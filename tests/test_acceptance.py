@@ -327,7 +327,7 @@ def test_routing_shift_invariance_and_gradient_isolation():
         cmoe.init_cmoe_layer(layer, case, "m", 8)
         x = Tensor(case.normal(size=(5, 8)), requires_grad=True)
         for t in layer.values():
-            t.zero_grad()
+            t.grad.fill(0.0)
         out, routing = cmoe.cmoe_forward(layer, "m", x, [5], dropout_rate=0.0,
                                          gate_scaling=gate_scaling)
         _scalar(out).backward()

@@ -298,12 +298,14 @@ def test_load_model_with_a_fuzzed_config_loads_or_is_data_error(tmp_path_factory
 
 
 def test_train_state_round_trip(tmp_path):
-    moments = {"adam.m.w": np.full(3, 0.25), "adam.v.w": np.full(3, 0.5)}
-    meta = {"step": 17, "seed": 3, "batch_size": 8, "train_size": 96, "history_bytes": 120}
+    moments = {"adam.m": np.full(3, 0.25), "adam.v": np.full(3, 0.5)}
+    meta = {"step": 17, "seed": 3, "batch_size": 8, "train_size": 96, "history_bytes": 120,
+            "freeze_patch_embedder": True}
     ck.save_train_state(tmp_path / "ckpt", moments, meta)
     arrays, back = ck.load_train_state(tmp_path / "ckpt")
     assert back == meta
-    assert np.array_equal(arrays["adam.m.w"], moments["adam.m.w"])
+    assert np.array_equal(arrays["adam.m"], moments["adam.m"])
+    assert np.array_equal(arrays["adam.v"], moments["adam.v"])
 
 
 def test_train_state_absent_returns_none(tmp_path, small):

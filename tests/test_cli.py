@@ -533,11 +533,14 @@ def test_train_resume_refuses_changed_model_settings_naming_them(
 @pytest.mark.parametrize("flags, mismatch", [
     (["--batch-size", "2", "--seed", "1"], "seed 0, not the 1 given"),
     (["--batch-size", "3"], "batch_size 2, not the 3 given"),
-], ids=["seed", "batch_size"])
+    (["--batch-size", "2", "--freeze-patch-embedder"],
+     "freeze_patch_embedder False, not the True given"),
+], ids=["seed", "batch_size", "freeze_patch_embedder"])
 def test_train_resume_refuses_another_seed_or_batch_size_naming_it(
         tmp_path, corpus, trained, capsys, flags, mismatch):
-    """The seed and the batch size decide every batch and dropout mask, so a
-    resume must keep the ones the checkpoint was trained with."""
+    """The seed and the batch size decide every batch and dropout mask, and
+    the freeze flag which weights move, so a resume must keep the ones the
+    checkpoint was trained with."""
     out = tmp_path / "run"
     shutil.copytree(trained, out)
     log = (out / "history.csv").read_bytes()
@@ -608,7 +611,7 @@ def test_malformed_checkpoint_file_exits_2_naming_it(tmp_path, corpus, trained, 
 
 def _drop_moment(ckpt_dir):
     arrays = ckpt.read_tensor_file(ckpt_dir / ckpt.OPTIMIZER_FILE)
-    del arrays["adam.v.head.b"]
+    del arrays["adam.v"]
     ckpt.write_tensor_file(ckpt_dir / ckpt.OPTIMIZER_FILE, arrays)
 
 
@@ -650,11 +653,16 @@ def _edit_state(edit):
      "batch_size must be of type int, got bool"),
     (_edit_state(_json_edit(lambda m: m.update(history_bytes=-1))), ckpt.TRAIN_STATE_FILE,
      "invalid history_bytes"),
-    (_drop_moment, ckpt.OPTIMIZER_FILE, "adam.v.head.b"),
+    (_edit_state(_json_edit(lambda m: m.pop("freeze_patch_embedder"))), ckpt.TRAIN_STATE_FILE,
+     "missing keys ['freeze_patch_embedder']"),
+    (_edit_state(_json_edit(lambda m: m.update(freeze_patch_embedder=0))),
+     ckpt.TRAIN_STATE_FILE, "freeze_patch_embedder must be of type bool, got int"),
+    (_drop_moment, ckpt.OPTIMIZER_FILE, "adam.v is missing"),
 ], ids=["state_not_json", "state_list", "no_step", "negative_step", "bool_step",
         "unknown_state_key", "no_train_size", "negative_train_size", "bool_train_size",
         "no_seed", "negative_seed", "bool_seed", "no_batch_size", "negative_batch_size",
-        "bool_batch_size", "negative_history_bytes", "no_adam_moment"])
+        "bool_batch_size", "negative_history_bytes", "no_freeze_flag", "int_freeze_flag",
+        "no_adam_moment"])
 def test_resume_from_malformed_trainer_state_exits_2_naming_file_and_key(
         tmp_path, corpus, trained, capsys, damage, file, match):
     out = tmp_path / "run"
@@ -731,6 +739,34 @@ def test_a_state_with_a_stored_generator_loads_for_eval_but_not_for_resume(
     assert rc == 2
     err = capsys.readouterr().err
     assert f"DataError: {path}: unknown keys ['rng_state', 'sampler']" in err
+    assert cli.main(["eval", "--manifest", str(corpus), "--checkpoint",
+                     str(out / "checkpoint"), "--out", str(tmp_path / "eval")]) == 0
+
+
+def _per_weight_moments(ckpt_dir):
+    """Rewrite optimizer.umfd as it was before the flat parameter store: an
+    adam.m.<name> and an adam.v.<name> entry for each weight."""
+    params, _ = ckpt.load_model(ckpt_dir)
+    flat = ckpt.read_tensor_file(ckpt_dir / ckpt.OPTIMIZER_FILE)
+    arrays, start = {}, 0
+    for name, t in params.tensors.items():
+        for key in ("adam.m", "adam.v"):
+            arrays[f"{key}.{name}"] = flat[key][start:start + t.values.size].reshape(t.shape)
+        start += t.values.size
+    ckpt.write_tensor_file(ckpt_dir / ckpt.OPTIMIZER_FILE, arrays)
+
+
+def test_per_weight_moments_load_for_eval_but_not_for_resume(tmp_path, corpus, trained, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(trained, out)
+    _per_weight_moments(out / "checkpoint")
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(SMALL_MODEL)
+    rc = cli.main(["train", "--manifest", str(corpus), "--out", str(out), "--config", str(cfg),
+                   "--steps", "3", "--batch-size", "2", "--resume"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"DataError: {out / 'checkpoint' / ckpt.OPTIMIZER_FILE}: adam.m is missing" in err
     assert cli.main(["eval", "--manifest", str(corpus), "--checkpoint",
                      str(out / "checkpoint"), "--out", str(tmp_path / "eval")]) == 0
 

@@ -81,40 +81,49 @@ def _mirror_adam_step(values, g, m, v, t, lr, b1, b2, eps):
     return values - update, m, v
 
 
+# two whole blocks and a short tail
+_ADAM_N = 2 * tr.ADAM_BLOCK + 5
+
+
 def test_adam_matches_hand_formula():
+    """The blocked update gives the bits of the per-element formula, since
+    each element sees the same arithmetic in the same order."""
     rng = np.random.default_rng(0)
-    w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    values, grads = rng.normal(size=_ADAM_N), np.zeros(_ADAM_N)
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-    optim = tr.Adam([("w", w)], lr, b1, b2, eps)
-    ref_vals = w.values.copy()
+    optim = tr.Adam(values, grads, lr, b1, b2, eps)
+    ref_vals = values.copy()
     ref_m = np.zeros_like(ref_vals)
     ref_v = np.zeros_like(ref_vals)
     for t in range(1, 4):
-        g = rng.normal(size=(4, 3))
-        w.zero_grad()
-        w.grad[...] = g
+        grads[...] = rng.normal(size=_ADAM_N)
         optim.step()
-        ref_vals, ref_m, ref_v = _mirror_adam_step(ref_vals, g, ref_m, ref_v,
+        ref_vals, ref_m, ref_v = _mirror_adam_step(ref_vals, grads, ref_m, ref_v,
                                                    t, lr, b1, b2, eps)
-        assert np.allclose(w.values, ref_vals, atol=1e-15), t
-        assert np.allclose(optim.m["w"], ref_m, atol=1e-15)
-        assert np.allclose(optim.v["w"], ref_v, atol=1e-15)
+        assert np.array_equal(values, ref_vals), t
+        assert np.array_equal(optim.m, ref_m), t
+        assert np.array_equal(optim.v, ref_v), t
     assert optim.t == 3
 
 
 def test_adam_moments_round_trip():
-    w = Tensor(np.ones((2, 2)), requires_grad=True)
-    optim = tr.Adam([("w", w)], 0.01, 0.9, 0.999, 1e-8)
-    w.grad[...] = 0.5
+    """The two moment arrays and the step are all an optimizer needs to
+    continue: one that adopts them steps to the same bits."""
+    grads = np.random.default_rng(1).normal(size=_ADAM_N)
+    values = np.ones(_ADAM_N)
+    optim = tr.Adam(values, grads, 0.01, 0.9, 0.999, 1e-8)
     optim.step()
     arrays = optim.moment_arrays()
-    assert set(arrays) == {"adam.m.w", "adam.v.w"}
-    w2 = Tensor(np.ones((2, 2)), requires_grad=True)
-    optim2 = tr.Adam([("w", w2)], 0.01, 0.9, 0.999, 1e-8)
-    optim2.load_moments(arrays, optim.t)
+    assert set(arrays) == {"adam.m", "adam.v"}
+    values2 = values.copy()
+    optim2 = tr.Adam(values2, grads, 0.01, 0.9, 0.999, 1e-8)
+    optim2.load_moments({k: a.copy() for k, a in arrays.items()}, optim.t)
     assert optim2.t == 1
-    assert np.array_equal(optim2.m["w"], optim.m["w"])
-    assert np.array_equal(optim2.v["w"], optim.v["w"])
+    optim.step()
+    optim2.step()
+    assert np.array_equal(values2, values)
+    assert np.array_equal(optim2.m, optim.m)
+    assert np.array_equal(optim2.v, optim.v)
 
 
 def test_clip_global_norm_scales_only_above_threshold():
@@ -323,7 +332,8 @@ def one_step_run(tmp_path_factory, splits, toy_vocab, template, tiny_config):
     return out
 
 
-_STATE_FIELDS = ["step", "seed", "batch_size", "train_size", "history_bytes", "mystery"]
+_STATE_FIELDS = ["step", "seed", "batch_size", "train_size", "history_bytes",
+                 "freeze_patch_embedder", "mystery"]
 
 
 @given(field=st.sampled_from(_STATE_FIELDS), value=JSON_VALUES)
@@ -331,7 +341,8 @@ def test_resume_from_a_fuzzed_train_state_runs_or_is_data_error(
         tmp_path_factory, one_step_run, splits, template, field, value):
     """A train_state.json with one field set to an arbitrary JSON value
     resumes, or is a DataError naming the file. Another valid seed, batch
-    size or training-set size is the ConfigError of a resume that changes it."""
+    size, training-set size or freeze flag is the ConfigError of a resume
+    that changes it."""
     out = tmp_path_factory.mktemp("fuzz") / "run"
     shutil.copytree(one_step_run, out)
     path = out / "checkpoint" / ckpt.TRAIN_STATE_FILE
@@ -345,8 +356,8 @@ def test_resume_from_a_fuzzed_train_state_runs_or_is_data_error(
     except DataError as exc:
         assert str(path) in str(exc)
     except ConfigError as exc:
-        need = {"train_size": "training set", "seed": "seed", "batch_size": "batch_size"}
-        assert f"resume needs the same {need[field]}" in str(exc)
+        need = {"train_size": "training set"}.get(field, field)
+        assert f"resume needs the same {need}" in str(exc)
 
 
 def test_train_resume_without_state(tmp_path, splits, toy_vocab, template, tiny_config):
@@ -368,16 +379,75 @@ def test_train_aborts_on_nan(tmp_path, splits, toy_vocab, template, tiny_config)
 
 def test_train_freeze_keeps_visual_embedder_fixed(tmp_path, splits, toy_vocab,
                                                   template, tiny_config):
+    """Frozen weights keep their bits through training and a resume: their
+    gradients are zeroed, so their moments stay exactly 0."""
     train_s, _, _ = splits
     params = _fresh(tiny_config)
-    before = {name: params.tensors[name].values.copy()
-              for name in ("patch_proj.W", "vis_proj.W", "vis_pos_emb", "tok_emb")}
+    frozen = [name for name in params.tensors if name.startswith(tr.FREEZE_VISUAL_PREFIXES)]
+    before = {name: params.tensors[name].values.copy() for name in frozen + ["tok_emb"]}
     tr.train(params, train_s, [], toy_vocab, template,
              _tcfg(max_steps=2, freeze_patch_embedder=True), tmp_path / "run")
-    assert np.array_equal(params.tensors["patch_proj.W"].values, before["patch_proj.W"])
-    assert np.array_equal(params.tensors["vis_proj.W"].values, before["vis_proj.W"])
-    assert np.array_equal(params.tensors["vis_pos_emb"].values, before["vis_pos_emb"])
     assert not np.array_equal(params.tensors["tok_emb"].values, before["tok_emb"])
+    resumed, vocab = ckpt.load_model(tmp_path / "run" / "checkpoint")
+    tr.train(resumed, train_s, [], vocab, template,
+             _tcfg(max_steps=4, freeze_patch_embedder=True), tmp_path / "run", resume=True)
+    for p in (params, resumed):
+        for name in frozen:
+            assert p.tensors[name].values.tobytes() == before[name].tobytes(), name
+    moments = ckpt.read_tensor_file(tmp_path / "run" / "checkpoint" / ckpt.OPTIMIZER_FILE)
+    start = 0
+    for name, t in resumed.tensors.items():
+        end = start + t.values.size
+        if name in frozen:
+            assert not moments["adam.m"][start:end].any() and not moments["adam.v"][start:end].any()
+        start = end
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_train_resume_refuses_another_freeze_flag(tmp_path, splits, toy_vocab, template,
+                                                  tiny_config, frozen):
+    """Turning the freeze on at a resume would move the frozen weights
+    through their old moments, and turning it off would restart them from
+    moments of 0; a resume refuses either."""
+    train_s, _, _ = splits
+    tr.train(_fresh(tiny_config), train_s, [], toy_vocab, template,
+             _tcfg(max_steps=2, freeze_patch_embedder=frozen), tmp_path / "run")
+    params, vocab = ckpt.load_model(tmp_path / "run" / "checkpoint")
+    with pytest.raises(ConfigError, match=f"freeze_patch_embedder {frozen}, not the "
+                                          f"{not frozen} given; resume needs the same "
+                                          f"freeze_patch_embedder"):
+        tr.train(params, train_s, [], vocab, template,
+                 _tcfg(max_steps=4, freeze_patch_embedder=not frozen), tmp_path / "run",
+                 resume=True)
+
+
+def _assert_tiled(params):
+    """Each weight's values and gradient are views of params.values and
+    params.grads, and the views tile both arrays in insertion order."""
+    def address(a):
+        return a.__array_interface__["data"][0]
+
+    start = 0
+    for t in params.tensors.values():
+        for view, store in ((t.values, params.values), (t.grad, params.grads)):
+            assert np.shares_memory(view, store) and view.flags.c_contiguous
+            assert address(view) == address(store) + store.itemsize * start
+        start += t.values.size
+    assert start == params.values.size == params.grads.size
+
+
+def test_weights_and_gradients_are_views_into_the_store(tmp_path, splits, toy_vocab,
+                                                        template, tiny_config):
+    params = _fresh(tiny_config)
+    _assert_tiled(params)
+    assert "values=" not in repr(params) and "grads=" not in repr(params)
+    tr.train(params, splits[0][:8], [], toy_vocab, template, _tcfg(max_steps=1),
+             tmp_path / "run")
+    _assert_tiled(params)
+    assert params.grads.any()
+    loaded, _ = ckpt.load_model(tmp_path / "run" / "checkpoint")
+    _assert_tiled(loaded)
+    assert loaded.values.tobytes() == params.values.tobytes()
 
 
 def test_train_early_stop_on_target(tmp_path, splits, toy_vocab, template, tiny_config):
