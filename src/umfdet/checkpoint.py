@@ -4,8 +4,11 @@ Tensor files are a small self-describing binary format: a 5-byte magic,
 a little-endian u64 manifest length, a JSON manifest listing (name, shape,
 offset) per tensor, then raw little-endian float64 payloads at those
 offsets. Values round-trip bit-exactly, which the resume contract relies
-on. A checkpoint holds the weights, the vocabulary and the model config,
-and, for resuming, train_state.json and optimizer.umfd (adam.m, adam.v).
+on. A reader fills arrays its caller already holds, the views of the
+parameter store or the optimizer's moments, after checking that the file
+lists exactly their names and shapes. A checkpoint holds the weights, the
+vocabulary and the model config, and, for resuming, train_state.json and
+optimizer.umfd (adam.m, adam.v).
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ import math
 import os
 import struct
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ConfigError, DataError, check_record, write_json
 from .instruct import Vocabulary
@@ -30,13 +31,8 @@ VOCAB_FILE = "vocab.tsv"
 TRAIN_STATE_FILE = "train_state.json"
 
 
-def write_tensor_file(path, named) -> None:
-    """Serialize name -> array (or Tensor) preserving insertion order."""
-    arrays = {}
-    for name, t in named.items():
-        src = np.asarray(getattr(t, "values", t), dtype="<f8")
-        # ascontiguousarray promotes 0-d to 1-d; restore the true shape
-        arrays[name] = np.ascontiguousarray(src).reshape(src.shape)
+def write_tensor_file(path, arrays) -> None:
+    """Serialize name -> float64 array preserving insertion order."""
     entries = []
     offset = 0
     for name, arr in arrays.items():
@@ -66,11 +62,13 @@ def _entry_fields(path, entry):
     return name, tuple(shape), offset
 
 
-def read_tensor_file(path) -> dict:
-    """name -> float64 array of each tensor in a tensor file, in manifest
-    order. Each tensor is read straight from the file into a new array of
-    its own, so the file is never held whole and the caller may keep any
-    array as its own."""
+def read_tensor_file(path, arrays) -> None:
+    """Fill arrays, name -> float64 array, from a tensor file that lists
+    exactly those names, each with its array's shape. The whole layout is
+    checked before the first byte is read, so a file that does not match
+    leaves every array as it was; then each tensor is read straight from
+    the file into its array. The file stores '<f8', which is native float64
+    on the little-endian hosts umfdet runs on."""
     head_len = len(MAGIC) + 8
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -87,41 +85,45 @@ def read_tensor_file(path) -> dict:
                                 required=("tensors",))
         base = head_len + manifest_len
         payload_len = max(size - base, 0)
-        spans, names = [], set()
+        spans, shapes = [], {}
         for entry in manifest["tensors"]:
             name, shape, offset = _entry_fields(path, entry)
-            if name in names:
+            if name in shapes:
                 raise DataError(f"{path}: tensor {name} is listed twice in the manifest")
-            names.add(name)
+            shapes[name] = shape
             n = math.prod(shape)
             if offset + 8 * n > payload_len:
                 raise DataError(f"{path}: tensor {name} overruns payload")
-            spans.append((offset, offset + 8 * n, name, shape))
+            spans.append((offset, offset + 8 * n, name))
         if manifest.get("dtype") != "<f8":
             raise DataError(f"{path}: tensors stored as dtype {manifest.get('dtype')!r}, "
                             f"expected '<f8'")
         filled = sorted(s for s in spans if s[1] > s[0])
-        for (_, end, a, _), (begin, _, b, _) in zip(filled, filled[1:]):
+        for (_, end, a), (begin, _, b) in zip(filled, filled[1:]):
             if begin < end:
                 raise DataError(f"{path}: tensors {a} and {b} overlap in the payload")
-        expected = max((end for _, end, _, _ in spans), default=0)
+        expected = max((end for _, end, _ in spans), default=0)
         if expected != payload_len:
             raise DataError(f"{path}: payload has {payload_len - expected} trailing bytes")
-        try:  # an empty tensor may still name more or larger dimensions than numpy allows
-            arrays = {name: np.empty(shape, dtype="<f8") for _, _, name, shape in spans}
-        except ValueError as exc:
-            raise DataError(f"{path}: a tensor shape is beyond numpy: {exc}") from None
-        for offset, end, name, _ in filled:  # an empty tensor has no bytes to read
+        wrong = ([f"{n} is missing" for n in arrays if n not in shapes]
+                 + [f"{n} is unexpected" for n in shapes if n not in arrays])
+        if wrong:
+            raise DataError(f"{path}: {', '.join(wrong[:5])}: tensor names disagree "
+                            f"with the expected layout")
+        for name, arr in arrays.items():
+            if shapes[name] != arr.shape:
+                raise DataError(f"{path}: tensor {name} has shape {shapes[name]}, "
+                                f"expected {arr.shape}")
+        for offset, end, name in filled:  # an empty tensor has no bytes to read
             fh.seek(base + offset)
             if fh.readinto(arrays[name]) != end - offset:
                 raise DataError(f"{path}: tensor {name} is truncated")
-    return arrays
 
 
 def save_model(ckpt_dir, params: ModelParams, vocab: Vocabulary) -> None:
     d = Path(ckpt_dir)
     d.mkdir(parents=True, exist_ok=True)
-    write_tensor_file(d / WEIGHTS_FILE, params.tensors)
+    write_tensor_file(d / WEIGHTS_FILE, {n: t.values for n, t in params.tensors.items()})
     vocab.save(d / VOCAB_FILE)
     write_json(d / CONFIG_FILE, params.config.to_json())
 
@@ -142,18 +144,7 @@ def load_model(ckpt_dir):
         params = init_model(config, None)
     except ConfigError as exc:
         raise DataError(f"{d / CONFIG_FILE}: {exc}") from None
-    loaded = read_tensor_file(d / WEIGHTS_FILE)
-    missing = sorted(set(params.tensors) - set(loaded))
-    extra = sorted(set(loaded) - set(params.tensors))
-    if missing or extra:
-        raise DataError(f"checkpoint {d} weight names disagree with config: "
-                        f"missing {missing[:5]}, unexpected {extra[:5]}")
-    for name, arr in loaded.items():
-        t = params.tensors[name]
-        if t.values.shape != arr.shape:
-            raise DataError(f"checkpoint {d}: tensor {name} has shape {arr.shape}, "
-                            f"expected {t.values.shape}")
-        t.values[...] = arr
+    read_tensor_file(d / WEIGHTS_FILE, {n: t.values for n, t in params.tensors.items()})
     return params, vocab
 
 
@@ -166,23 +157,24 @@ def save_train_state(ckpt_dir, moment_arrays: dict, meta: dict) -> None:
     write_json(d / TRAIN_STATE_FILE, meta)
 
 
-def load_train_state(ckpt_dir):
-    """Return (moment_arrays, meta) or None when the directory holds no
-    trainer state (weights-only checkpoint)."""
+def load_train_state(ckpt_dir, moment_arrays: dict):
+    """Read the optimizer moments into moment_arrays, which name them as
+    save_train_state was given them, and return the trainer metadata; None
+    when the directory holds no trainer state (weights-only checkpoint)."""
     d = Path(ckpt_dir)
     path = d / TRAIN_STATE_FILE
     if not (d / OPTIMIZER_FILE).exists():
         return None
     if not path.exists():
         raise DataError(f"checkpoint {d} has optimizer moments but no {TRAIN_STATE_FILE}")
-    arrays = read_tensor_file(d / OPTIMIZER_FILE)
     types = {**dict.fromkeys(("step", "seed", "batch_size", "train_size", "history_bytes"), int),
              "freeze_patch_embedder": bool}
     meta = check_record(_json(path.read_bytes(), path), types, path, required=types)
     for key, value in meta.items():
         if value < 0:
             raise DataError(f"{path}: invalid {key}")
-    return arrays, meta
+    read_tensor_file(d / OPTIMIZER_FILE, moment_arrays)
+    return meta
 
 
 def _json(blob: bytes, what):

@@ -237,38 +237,29 @@ def validate_cot(rec: CotRecord, sample: NewsSample, m: EntitySet,
     """
     if rec.verdict == "rejected":
         return rec
-    if not rec.grounded_image_span or not rec.grounded_text_span:
-        rec.verdict, rec.reject_reason = "rejected", "missing_grounded_span"
-        return rec
     answer = rec.answer.strip().lower()
-    if answer not in CATEGORY_NAMES:
-        rec.verdict, rec.reject_reason = "rejected", "invalid_answer"
-        return rec
-    if answer != sample.label.value:
-        rec.verdict, rec.reject_reason = "rejected", "answer_label_mismatch"
-        return rec
     lo, hi = DEFAULT_THINK_RANGE
-    n_tokens = len(_think_tokens(rec.think))
-    if n_tokens < lo:
-        rec.verdict, rec.reject_reason = "rejected", "think_too_short"
-        return rec
-    if n_tokens > hi:
-        rec.verdict, rec.reject_reason = "rejected", "think_too_long"
-        return rec
-    gaz = gazetteer or default_gazetteer()
-    mentioned = extract_entities(rec.think, gaz)
-    known = {s.lower() for s in m.surfaces()}
-    cited = []
-    for entity in mentioned.entities:
-        surface = entity.surface
-        linkable = (surface.lower() in known
-                    or re.search(rf"\b{re.escape(surface)}\b", sample.title))
-        if not linkable:
-            rec.verdict, rec.reject_reason = "rejected", "unlinkable_entity"
-            return rec
-        cited.append(surface)
-    rec.cited_entities = cited
-    rec.verdict, rec.reject_reason = "accepted", None
+    reason = None
+    if not rec.grounded_image_span or not rec.grounded_text_span:
+        reason = "missing_grounded_span"
+    elif answer not in CATEGORY_NAMES:
+        reason = "invalid_answer"
+    elif answer != sample.label.value:
+        reason = "answer_label_mismatch"
+    elif (n_tokens := len(_think_tokens(rec.think))) < lo:
+        reason = "think_too_short"
+    elif n_tokens > hi:
+        reason = "think_too_long"
+    else:
+        known = {s.lower() for s in m.surfaces()}
+        cited = [e.surface for e in
+                 extract_entities(rec.think, gazetteer or default_gazetteer()).entities]
+        if all(surface.lower() in known or re.search(rf"\b{re.escape(surface)}\b", sample.title)
+               for surface in cited):
+            rec.cited_entities = cited
+        else:
+            reason = "unlinkable_entity"
+    rec.verdict, rec.reject_reason = ("rejected", reason) if reason else ("accepted", None)
     return rec
 
 

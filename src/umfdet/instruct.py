@@ -120,9 +120,6 @@ class Vocabulary:
     def __len__(self):
         return len(self.id_to_token)
 
-    def __contains__(self, token):
-        return token in self.token_to_id
-
     @classmethod
     def build(cls, texts, min_count: int = 2, max_size: int = 8192) -> "Vocabulary":
         """Count word tokens over the corpus, keep those seen at least

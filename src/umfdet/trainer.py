@@ -11,6 +11,7 @@ step, the seed, batch size, training-set size and freeze_patch_embedder (a
 resume refuses others) and history_bytes, the length of history.csv when
 the checkpoint was written, let an interrupted run resumed from disk
 retrace the original run bit for bit, its log cut back to that length first.
+A resume reads the moments straight into the optimizer's own arrays.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class Adam:
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
         # np.zeros takes zeroed memory from calloc, whose fresh pages stay
-        # untouched until a step writes them: moments a resume replaces cost none
+        # untouched until a step, or a resume reading into them, writes them
         self.m, self.v = np.zeros(values.size), np.zeros(values.size)
 
     def step(self):
@@ -107,27 +108,22 @@ class Adam:
             w -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
     def moment_arrays(self):
+        """The moments by name; a resume reads a checkpoint's into them."""
         return {"adam.m": self.m, "adam.v": self.v}
 
-    def load_moments(self, arrays, t):
-        """Continue from step t with the moments in arrays (as moment_arrays
-        names them). Takes ownership: the arrays are updated in place by
-        later steps, so the caller must not keep or share them."""
-        self.m, self.v = arrays["adam.m"], arrays["adam.v"]
-        self.t = t
 
-
-def clip_global_norm(named_tensors, max_norm: float) -> float:
+def clip_global_norm(tensors, max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most max_norm;
-    returns the pre-clip norm."""
+    returns the pre-clip norm. The squares are summed tensor by tensor, in
+    order, which fixes the norm's rounding."""
     total = 0.0
-    for _, t in named_tensors:
+    for t in tensors:
         g = t.grad
         total += float(np.sum(g * g))
     norm = float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:
         factor = max_norm / norm
-        for _, t in named_tensors:
+        for t in tensors:
             g = t.grad
             g *= factor
     return norm
@@ -190,14 +186,9 @@ def train(params: ModelParams, train_samples, val_samples, vocab, template,
 
     start_step = 0
     if resume:
-        state = ckpt.load_train_state(ckpt_dir)
-        if state is None:
+        meta = ckpt.load_train_state(ckpt_dir, optim.moment_arrays())
+        if meta is None:
             raise ConfigError(f"--resume given but {ckpt_dir} holds no trainer state")
-        arrays, meta = state
-        for key, moment in optim.moment_arrays().items():
-            if key not in arrays or arrays[key].shape != moment.shape:
-                raise DataError(f"{ckpt_dir / ckpt.OPTIMIZER_FILE}: {key} is missing or "
-                                f"has the wrong shape")
         if meta["train_size"] != len(train_samples):
             raise ConfigError(f"checkpoint {ckpt_dir} was trained on {meta['train_size']} "
                               f"samples, not the {len(train_samples)} given; resume needs "
@@ -206,8 +197,7 @@ def train(params: ModelParams, train_samples, val_samples, vocab, template,
             if meta[key] != run[key]:
                 raise ConfigError(f"checkpoint {ckpt_dir} was trained with {key} {meta[key]}, "
                                   f"not the {run[key]} given; resume needs the same {key}")
-        optim.load_moments(arrays, meta["step"])
-        start_step = meta["step"]
+        optim.t = start_step = meta["step"]
         logged = history_path.stat().st_size if history_path.exists() else -1
         if logged < meta["history_bytes"]:
             found = "no such file" if logged < 0 else f"{logged} bytes"
@@ -242,7 +232,7 @@ def train(params: ModelParams, train_samples, val_samples, vocab, template,
             total.backward()
             for g in frozen_grads:  # so their moments, and their updates, stay exactly 0
                 g.fill(0.0)
-            norm = clip_global_norm(params.tensors.items(), tcfg.clip_norm)
+            norm = clip_global_norm(params.tensors.values(), tcfg.clip_norm)
             if not np.isfinite(norm):
                 raise NumericsError(
                     f"non-finite gradient norm at step {step}, "

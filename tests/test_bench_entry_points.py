@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from umfdet import data, evalkit, model, trainer
+from umfdet import checkpoint, data, evalkit, model, trainer
 
 UMFBENCH = Path(__file__).resolve().parents[1] / "umfbench"
 
@@ -53,7 +53,9 @@ def test_resumed_run_and_saved_manifest_pass_the_benchmark_checks(bench, tmp_pat
                                                                    toy_vocab, template,
                                                                    tiny_config):
     """A run resumed once from its checkpoint, as each train-workload round
-    is, and a manifest saved and loaded back, as in the corpus workload."""
+    is, a model loaded back from that checkpoint decoding greedily, as in
+    the eval workload's set-up, and a manifest saved and loaded back, as in
+    the corpus workload."""
     checks, _ = bench
     params = model.init_model(tiny_config, np.random.default_rng(7))
     for steps in (1, 2):
@@ -63,6 +65,10 @@ def test_resumed_run_and_saved_manifest_pass_the_benchmark_checks(bench, tmp_pat
     assert result.steps_run == 2
     checks.check_history(result.history_path, params.config.lambda_cot, check_drop=False)
     checks.check_checkpoint(params, toy_vocab, result.checkpoint_dir)
+    loaded, vocab = checkpoint.load_model(result.checkpoint_dir)
+    posts = toy_corpus[:4]
+    evaluated = evalkit.evaluate_model(loaded, posts, vocab, template)
+    checks.check_greedy(loaded, posts, vocab, template, evaluated.predictions)
     path = tmp_path / "toy.jsonl"
     data.save_manifest(toy_corpus, path)
     checks.check_manifest(toy_corpus, path, data.load_manifest(path))

@@ -12,7 +12,6 @@ from umfdet import checkpoint as ck
 from umfdet.errors import DataError
 from umfdet.instruct import Vocabulary
 from umfdet.model import ModelConfig, init_model
-from umfdet.ndtensor import Tensor
 
 from helpers import JSON_VALUES
 
@@ -31,39 +30,61 @@ def _arrays():
 # tensor files
 
 
+def _blank(arrays):
+    """Destinations shaped as arrays, filled with NaN."""
+    return {name: np.full(arr.shape, np.nan) for name, arr in arrays.items()}
+
+
 def test_tensor_file_round_trip_bit_exact(tmp_path):
     path = tmp_path / "t.umfd"
-    arrays = _arrays()
+    arrays = {**_arrays(), "empty": np.zeros((0, 3))}
     ck.write_tensor_file(path, arrays)
-    back = ck.read_tensor_file(path)
-    assert list(back) == list(arrays)  # insertion order preserved
+    (mlen,) = struct.unpack("<Q", path.read_bytes()[5:13])
+    manifest = json.loads(path.read_bytes()[13:13 + mlen])
+    assert [e["name"] for e in manifest["tensors"]] == list(arrays)  # insertion order
+    back = _blank(arrays)
+    ck.read_tensor_file(path, back)
     for name, arr in arrays.items():
-        assert back[name].shape == arr.shape
         assert back[name].tobytes() == arr.astype("<f8").tobytes()
 
 
-def test_tensor_file_arrays_are_separate_writable_and_aligned(tmp_path):
-    """Each tensor is an array of its own that callers may keep and update
-    in place, as Adam.load_moments does."""
+def test_tensor_file_fills_views_of_one_store(tmp_path):
+    """Destinations may be views into one flat array, as the parameter
+    store's weights are; each is filled in place and nothing else is."""
     path = tmp_path / "t.umfd"
-    ck.write_tensor_file(path, {**_arrays(), "empty": np.zeros((0, 3))})
-    back = ck.read_tensor_file(path)
-    for arr in back.values():
-        assert arr.dtype == np.float64
-        assert arr.flags.writeable and arr.flags.aligned and arr.flags.c_contiguous
-        assert arr.flags.owndata
-    arrs = list(back.values())
-    for i, a in enumerate(arrs):
-        for b in arrs[i + 1:]:
-            assert not np.shares_memory(a, b)
+    arrays = _arrays()
+    ck.write_tensor_file(path, arrays)
+    store = np.full(sum(a.size for a in arrays.values()) + 1, np.nan)
+    views, start = {}, 0
+    for name, arr in arrays.items():
+        views[name] = store[start:start + arr.size].reshape(arr.shape)
+        start += arr.size
+    ck.read_tensor_file(path, views)
+    assert store[:-1].tobytes() == np.concatenate(
+        [a.ravel() for a in arrays.values()]).tobytes()
+    assert np.isnan(store[-1])
 
 
-def test_tensor_file_accepts_tensors_and_rewrites_identically(tmp_path):
-    named = {"w": Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)}
-    a, b = tmp_path / "a.umfd", tmp_path / "b.umfd"
-    ck.write_tensor_file(a, named)
-    ck.write_tensor_file(b, {"w": named["w"].values})
-    assert a.read_bytes() == b.read_bytes()
+@pytest.mark.parametrize("layout, match", [
+    ({"a": (3, 4), "b.W": (7,), "scalarish": (), "tiny": (4,), "more": (2,)},
+     "more is missing"),
+    ({"a": (3, 4), "b.W": (7,), "scalarish": ()}, "tiny is unexpected"),
+    ({"a": (4, 3), "b.W": (7,), "scalarish": (), "tiny": (4,)},
+     r"tensor a has shape \(3, 4\), expected \(4, 3\)"),
+], ids=["missing_name", "unexpected_name", "wrong_shape"])
+def test_tensor_file_layout_mismatch_reads_nothing(tmp_path, layout, match):
+    """The layout is checked before any read: a file that does not list
+    exactly the destinations' names and shapes is a DataError naming it, and
+    every destination keeps its bits."""
+    path = tmp_path / "t.umfd"
+    ck.write_tensor_file(path, _arrays())
+    rng = np.random.default_rng(9)
+    dest = {name: rng.normal(size=shape) for name, shape in layout.items()}
+    before = {name: arr.tobytes() for name, arr in dest.items()}
+    with pytest.raises(DataError, match=match) as info:
+        ck.read_tensor_file(path, dest)
+    assert str(info.value).startswith(f"{path}: ")
+    assert {name: arr.tobytes() for name, arr in dest.items()} == before
 
 
 def test_tensor_file_header_layout(tmp_path):
@@ -82,14 +103,14 @@ def test_tensor_file_bad_magic(tmp_path):
     path = tmp_path / "t.umfd"
     path.write_bytes(b"NOPE1" + b"\x00" * 16)
     with pytest.raises(DataError, match="magic"):
-        ck.read_tensor_file(path)
+        ck.read_tensor_file(path, {})
 
 
 def test_tensor_file_truncated_header(tmp_path):
     path = tmp_path / "t.umfd"
     path.write_bytes(b"UMFD1\x08")
     with pytest.raises(DataError, match="truncated"):
-        ck.read_tensor_file(path)
+        ck.read_tensor_file(path, {})
 
 
 def test_tensor_file_corrupt_manifest(tmp_path):
@@ -99,7 +120,7 @@ def test_tensor_file_corrupt_manifest(tmp_path):
                      b"[" * 100_000 + b"]" * 100_000):  # nesting past the recursion limit
         path.write_bytes(b"UMFD1" + struct.pack("<Q", len(manifest)) + manifest)
         with pytest.raises(DataError, match="manifest: not JSON") as info:
-            ck.read_tensor_file(path)
+            ck.read_tensor_file(path, {})
         assert str(info.value).startswith(f"{path}: ")
 
 
@@ -109,7 +130,7 @@ def test_tensor_file_payload_overrun(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])  # drop one float64
     with pytest.raises(DataError, match="overruns"):
-        ck.read_tensor_file(path)
+        ck.read_tensor_file(path, {"x": np.zeros(4)})
 
 
 def test_tensor_file_trailing_bytes(tmp_path):
@@ -117,7 +138,7 @@ def test_tensor_file_trailing_bytes(tmp_path):
     ck.write_tensor_file(path, {"x": np.zeros(4)})
     path.write_bytes(path.read_bytes() + b"\x00" * 8)
     with pytest.raises(DataError, match="trailing"):
-        ck.read_tensor_file(path)
+        ck.read_tensor_file(path, {"x": np.zeros(4)})
 
 
 def _with_manifest(path, manifest, payload=b"\x00" * 16):
@@ -157,12 +178,19 @@ def _with_manifest(path, manifest, payload=b"\x00" * 16):
 def test_tensor_file_malformed_manifest_is_data_error(tmp_path, manifest, match):
     path = _with_manifest(tmp_path / "t.umfd", manifest)
     with pytest.raises(DataError, match=match) as info:
-        ck.read_tensor_file(path)
+        ck.read_tensor_file(path, _base_layout())
     assert str(path) in str(info.value)
 
 
 _TENSOR_BASE = {"dtype": "<f8", "tensors": [{"name": "x", "shape": [2], "offset": 0},
                                             {"name": "y", "shape": [0, 3], "offset": 16}]}
+
+
+def _base_layout():
+    """Destinations shaped as _TENSOR_BASE lists them."""
+    return {e["name"]: np.full(e["shape"], np.nan) for e in _TENSOR_BASE["tensors"]}
+
+
 _TENSOR_FIELDS = [("dtype",), ("tensors",)] + [
     ("tensors", i, *key) for i in (0, 1) for key in ((), ("name",), ("shape",), ("shape", 0),
                                                      ("offset",))]
@@ -180,7 +208,8 @@ def test_tensor_file_fuzzed_bytes_load_or_are_data_error(tmp_path_factory, edit,
                                                          raw):
     """A file of arbitrary bytes after the magic (raw), or a valid file with
     one manifest field replaced by an arbitrary value over an arbitrary
-    payload, loads or is a DataError naming the file."""
+    payload, read into _TENSOR_BASE's layout, loads the payload or is a
+    DataError naming the file."""
     path = tmp_path_factory.mktemp("fuzz") / "t.umfd"
     if raw is None:
         field, value = edit
@@ -192,12 +221,18 @@ def test_tensor_file_fuzzed_bytes_load_or_are_data_error(tmp_path_factory, edit,
         _with_manifest(path, manifest, payload)
     else:
         path.write_bytes(b"UMFD1" + raw)
+    arrays = _base_layout()
     try:
-        arrays = ck.read_tensor_file(path)
+        ck.read_tensor_file(path, arrays)
     except DataError as exc:
         assert str(path) in str(exc)
     else:
-        assert all(a.dtype == np.float64 for a in arrays.values())
+        blob = path.read_bytes()
+        (mlen,) = struct.unpack("<Q", blob[5:13])
+        for entry in json.loads(blob[13:13 + mlen])["tensors"]:
+            start = 13 + mlen + entry["offset"]
+            arr = arrays[entry["name"]]
+            assert arr.tobytes() == blob[start:start + arr.nbytes]
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +276,7 @@ def test_load_model_missing_files(tmp_path, small):
 def test_load_model_name_mismatch(tmp_path, small):
     _, params, vocab = small
     ck.save_model(tmp_path / "ckpt", params, vocab)
-    weights = ck.read_tensor_file(tmp_path / "ckpt" / ck.WEIGHTS_FILE)
+    weights = {name: t.values for name, t in params.tensors.items()}
     weights["bogus.W"] = weights.pop("head.W")
     ck.write_tensor_file(tmp_path / "ckpt" / ck.WEIGHTS_FILE, weights)
     with pytest.raises(DataError, match="disagree"):
@@ -251,7 +286,7 @@ def test_load_model_name_mismatch(tmp_path, small):
 def test_load_model_shape_mismatch(tmp_path, small):
     _, params, vocab = small
     ck.save_model(tmp_path / "ckpt", params, vocab)
-    weights = ck.read_tensor_file(tmp_path / "ckpt" / ck.WEIGHTS_FILE)
+    weights = {name: t.values for name, t in params.tensors.items()}
     weights["head.b"] = np.zeros(3)
     ck.write_tensor_file(tmp_path / "ckpt" / ck.WEIGHTS_FILE, weights)
     with pytest.raises(DataError, match="head.b"):
@@ -302,7 +337,8 @@ def test_train_state_round_trip(tmp_path):
     meta = {"step": 17, "seed": 3, "batch_size": 8, "train_size": 96, "history_bytes": 120,
             "freeze_patch_embedder": True}
     ck.save_train_state(tmp_path / "ckpt", moments, meta)
-    arrays, back = ck.load_train_state(tmp_path / "ckpt")
+    arrays = {"adam.m": np.empty(3), "adam.v": np.empty(3)}
+    back = ck.load_train_state(tmp_path / "ckpt", arrays)
     assert back == meta
     assert np.array_equal(arrays["adam.m"], moments["adam.m"])
     assert np.array_equal(arrays["adam.v"], moments["adam.v"])
@@ -311,11 +347,12 @@ def test_train_state_round_trip(tmp_path):
 def test_train_state_absent_returns_none(tmp_path, small):
     _, params, vocab = small
     ck.save_model(tmp_path / "ckpt", params, vocab)
-    assert ck.load_train_state(tmp_path / "ckpt") is None
+    assert ck.load_train_state(tmp_path / "ckpt", {"adam.m": np.empty(params.values.size),
+                                                  "adam.v": np.empty(params.values.size)}) is None
 
 
 def test_train_state_orphan_moments(tmp_path):
     ck.save_train_state(tmp_path / "ckpt", {"m": np.zeros(1)}, {"step": 1})
     (tmp_path / "ckpt" / ck.TRAIN_STATE_FILE).unlink()
     with pytest.raises(DataError, match=ck.TRAIN_STATE_FILE):
-        ck.load_train_state(tmp_path / "ckpt")
+        ck.load_train_state(tmp_path / "ckpt", {"m": np.empty(1)})

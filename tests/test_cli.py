@@ -4,6 +4,7 @@ import hashlib
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from hypothesis import given, strategies as st
@@ -452,7 +453,8 @@ def test_eval_run_record_hashes_the_checkpoint(tmp_path, corpus, trained):
         return json.loads((out.parent / "run.json").read_text())["inputs"]
 
     first = eval_inputs("a")
-    weights = ckpt.read_tensor_file(weights_path)
+    params, _ = ckpt.load_model(ckpt_dir)
+    weights = {name: t.values for name, t in params.tensors.items()}
     weights["head.b"] = weights["head.b"] + 0.5
     ckpt.write_tensor_file(weights_path, weights)
     second = eval_inputs("b")
@@ -609,8 +611,16 @@ def test_malformed_checkpoint_file_exits_2_naming_it(tmp_path, corpus, trained, 
     assert f"DataError: {path}: " in err and match in err
 
 
+def _moments(ckpt_dir):
+    """The optimizer moments of the checkpoint in ckpt_dir."""
+    params, _ = ckpt.load_model(ckpt_dir)
+    arrays = {key: np.empty(params.values.size) for key in ("adam.m", "adam.v")}
+    ckpt.read_tensor_file(ckpt_dir / ckpt.OPTIMIZER_FILE, arrays)
+    return params, arrays
+
+
 def _drop_moment(ckpt_dir):
-    arrays = ckpt.read_tensor_file(ckpt_dir / ckpt.OPTIMIZER_FILE)
+    _, arrays = _moments(ckpt_dir)
     del arrays["adam.v"]
     ckpt.write_tensor_file(ckpt_dir / ckpt.OPTIMIZER_FILE, arrays)
 
@@ -746,8 +756,7 @@ def test_a_state_with_a_stored_generator_loads_for_eval_but_not_for_resume(
 def _per_weight_moments(ckpt_dir):
     """Rewrite optimizer.umfd as it was before the flat parameter store: an
     adam.m.<name> and an adam.v.<name> entry for each weight."""
-    params, _ = ckpt.load_model(ckpt_dir)
-    flat = ckpt.read_tensor_file(ckpt_dir / ckpt.OPTIMIZER_FILE)
+    params, flat = _moments(ckpt_dir)
     arrays, start = {}, 0
     for name, t in params.tensors.items():
         for key in ("adam.m", "adam.v"):

@@ -262,7 +262,7 @@ def test_build_vocab_covers_prompts_and_rationales(toy_corpus, template):
               for s in samples]
     v = instruct.build_vocab(samples, template)
     assert v.id_to_token == Vocabulary.build(texts).id_to_token
-    assert "[image]" in v and "human_crafted" in v
+    assert "[image]" in v.token_to_id and "human_crafted" in v.token_to_id
     capped = instruct.build_vocab(samples, template, min_count=1, max_size=20)
     assert len(capped) == 20
 
@@ -297,5 +297,5 @@ def test_build_vocab_matches_the_unstripped_reference(toy_corpus, template, part
 def test_build_vocab_skips_missing_rationale(toy_corpus, template):
     bare = [dataclasses.replace(s, cot=None) for s in toy_corpus[:20]]
     v = instruct.build_vocab(bare, template, min_count=1)
-    assert "[image]" not in v
-    assert all(t in v for t in split_tokens(render_prompt(template, bare[0].title)))
+    assert "[image]" not in v.token_to_id
+    assert all(t in v.token_to_id for t in split_tokens(render_prompt(template, bare[0].title)))
