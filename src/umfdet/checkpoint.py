@@ -129,8 +129,8 @@ def save_model(ckpt_dir, params: ModelParams, vocab: Vocabulary) -> None:
 
 
 def load_model(ckpt_dir):
-    """Rebuild (params, vocab) from a checkpoint directory; weight names and
-    shapes must match the config's architecture exactly."""
+    """Rebuild (params, vocab) from a checkpoint directory, reading the weights
+    into an undrawn store whose layout their names and shapes must match."""
     d = Path(ckpt_dir)
     for required in (WEIGHTS_FILE, CONFIG_FILE, VOCAB_FILE):
         if not (d / required).exists():

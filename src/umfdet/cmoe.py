@@ -11,9 +11,12 @@ A batch of B sequences is one [B*T, H] tensor of B row blocks, each holding
 its sequence in the first lengths[b] of its T rows; each selected expert
 runs once, on the blocks of the sequences that chose it.
 
-The weights live in the model's flat name -> Tensor dict: each function
-takes that dict and the name of the module it reads or writes, such as
-``cmoe.0`` for a layer or ``cmoe.0.router`` for its router.
+The weights live in the model's parameter store. The forward functions
+only read it: each takes its name -> Tensor dict and the name of the module
+it reads, such as ``cmoe.0`` for a layer or ``cmoe.0.router`` for its
+router. The module supplies those names as layout rows, (name, shape,
+init), for one expert and for one layer, which ``model.build_store``
+allocates and draws; init is a Normal std (a float) or "zeros".
 """
 
 from __future__ import annotations
@@ -37,43 +40,31 @@ class Routing:
     selected: np.ndarray  # [B] argmax expert per sequence, lowest index on ties
 
 
-def normal(rng: np.random.Generator | None, std: float, shape) -> Tensor:
-    """Trainable weight drawn from N(0, std^2), or zeros when rng is None
-    (a skeleton whose values are about to be overwritten)."""
-    values = np.zeros(shape) if rng is None else rng.normal(0.0, std, shape)
-    return Tensor(values, requires_grad=True)
+def glorot(name: str, fan_in: int, fan_out: int) -> tuple:
+    """Layout row of a [fan_in, fan_out] weight drawn Glorot-normal."""
+    return name, (fan_in, fan_out), (2.0 / (fan_in + fan_out)) ** 0.5
 
 
-def xavier(rng: np.random.Generator | None, fan_in: int, fan_out: int) -> Tensor:
-    """Trainable [fan_in, fan_out] weight, Glorot-normal initialised."""
-    return normal(rng, (2.0 / (fan_in + fan_out)) ** 0.5, (fan_in, fan_out))
+def bias(name: str, n: int) -> tuple:
+    """Layout row of a zero bias of width n."""
+    return name, (n,), "zeros"
 
 
-def zeros(n: int) -> Tensor:
-    """Trainable zero bias of width n."""
-    return Tensor(np.zeros(n), requires_grad=True)
-
-
-def init_expert(t: dict, rng: np.random.Generator, name: str, h: int,
-                ratio: int = 2) -> None:
-    """Gated two-layer expert: name.{W_a,b_a,W_b,b_b,W_out,b_out}."""
+def expert_layout(name: str, h: int, ratio: int = 2) -> list:
+    """Layout rows of one gated expert: name.{W_a,b_a,W_b,b_b,W_out,b_out}."""
     he = ratio * h
-    t[f"{name}.W_a"] = xavier(rng, h, he)
-    t[f"{name}.b_a"] = zeros(he)
-    t[f"{name}.W_b"] = xavier(rng, h, he)
-    t[f"{name}.b_b"] = zeros(he)
-    t[f"{name}.W_out"] = xavier(rng, he, h)
-    t[f"{name}.b_out"] = zeros(h)
+    return [glorot(f"{name}.W_a", h, he), bias(f"{name}.b_a", he),
+            glorot(f"{name}.W_b", h, he), bias(f"{name}.b_b", he),
+            glorot(f"{name}.W_out", he, h), bias(f"{name}.b_out", h)]
 
 
-def init_cmoe_layer(t: dict, rng: np.random.Generator, name: str, h: int,
-                    ratio: int = 2) -> None:
-    """Three experts name.{reality,deception,synthesis}.*, then the linear
-    router name.router.{W,b} from [H] to the 3 expert logits."""
-    for expert in EXPERT_NAMES:
-        init_expert(t, rng, f"{name}.{expert}", h, ratio)
-    t[f"{name}.router.W"] = xavier(rng, h, N_EXPERTS)
-    t[f"{name}.router.b"] = zeros(N_EXPERTS)
+def layer_layout(name: str, h: int, ratio: int = 2) -> list:
+    """Layout rows of one mixture layer: three experts
+    name.{reality,deception,synthesis}.*, then the linear router
+    name.router.{W,b} from [H] to the 3 expert logits."""
+    return [*(row for expert in EXPERT_NAMES
+              for row in expert_layout(f"{name}.{expert}", h, ratio)),
+            glorot(f"{name}.router.W", h, N_EXPERTS), bias(f"{name}.router.b", N_EXPERTS)]
 
 
 def expert_forward(t: dict, name: str, x: Tensor, rng: np.random.Generator | None = None,

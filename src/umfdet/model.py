@@ -11,13 +11,12 @@ to the reasoning span (markers inclusive). Generation is greedy.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import ndtensor as nd
-from .cmoe import (cmoe_forward, expert_forward, init_cmoe_layer, init_expert,
-                   normal, xavier, zeros)
+from .cmoe import bias, cmoe_forward, expert_forward, expert_layout, glorot, layer_layout
 from .data import ImagePayload, NewsSample
 from .errors import ConfigError, DataError, GraphError, check_record
 from .instruct import (ANSWER_CLOSE, ANSWER_OPEN, BOS, EOS, PAD, THINK_CLOSE,
@@ -67,8 +66,9 @@ class ModelConfig:
             raise ConfigError(f"max_len too small: {self.max_len}")
         if self.in_channels not in (1, 3):
             raise ConfigError(f"in_channels must be 1 or 3, got {self.in_channels}")
-        if self.expansion_ratio < 1 or self.max_vis_tokens < 1 or self.gen_max_tokens < 4:
-            raise ConfigError("expansion_ratio, max_vis_tokens, gen_max_tokens out of range")
+        if (self.h_v < 0 or self.expansion_ratio < 1 or self.max_vis_tokens < 1
+                or self.gen_max_tokens < 4):
+            raise ConfigError("h_v, expansion_ratio, max_vis_tokens, gen_max_tokens out of range")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -83,83 +83,81 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """All weights, name -> Tensor in a stable insertion order; each weight's
-    values and gradient are views, in that order, into values and grads."""
+    """All weights, name -> Tensor in store order; each weight's values and
+    gradient are views, in that order, into values and grads (build_store)."""
     config: ModelConfig
     tensors: dict
-    values: np.ndarray = field(init=False, repr=False)
-    grads: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        ts = list(self.tensors.values())
-        self.values = np.concatenate([t.values.ravel() for t in ts])
-        self.grads = np.zeros(self.values.size)  # calloc: untouched until a backward writes it
-        cuts = np.cumsum([t.values.size for t in ts])[:-1]
-        for t, w, g in zip(ts, np.split(self.values, cuts), np.split(self.grads, cuts)):
-            t.values, t._node.grad = w.reshape(t.shape), g.reshape(t.shape)
+    values: np.ndarray = field(repr=False)
+    grads: np.ndarray = field(repr=False)
 
 
-def _ln_pair(tensors, name, h):
-    tensors[f"{name}.gamma"] = Tensor(np.ones(h), requires_grad=True)
-    tensors[f"{name}.beta"] = zeros(h)
+def _layout(config: ModelConfig) -> list:
+    """Layout rows, (name, shape, init), of every weight the config names,
+    in store and draw order; init is a Normal std (a float), "zeros" or
+    "ones". The mixture's rows come from cmoe."""
+    h, r, v = config.h, config.expansion_ratio, config.vocab_size
+
+    def ln(name):
+        return [(f"{name}.gamma", (h,), "ones"), bias(f"{name}.beta", h)]
+
+    def attn(name):
+        return ([glorot(f"{name}.{w}", h, h) for w in ("Wq", "Wk", "Wv", "Wo")]
+                + [bias(f"{name}.{b}", h) for b in ("bq", "bk", "bv", "bo")])
+
+    def ffn(name):
+        return [glorot(f"{name}.W1", h, r * h), bias(f"{name}.b1", r * h),
+                glorot(f"{name}.W2", r * h, h), bias(f"{name}.b2", h)]
+
+    rows = [("tok_emb", (v, h), 0.02), ("pos_emb", (config.max_len, h), 0.02),
+            ("vis_pos_emb", (config.max_vis_tokens, h), 0.02),
+            glorot("vis_proj.W", config.h_v, h), bias("vis_proj.b", h),
+            glorot("patch_proj.W", config.in_channels * PATCH * PATCH, h),
+            bias("patch_proj.b", h)]
+    for i in range(config.n_enc):
+        e = f"enc.{i}"
+        rows += ln(f"{e}.ln1") + attn(f"{e}.attn") + ln(f"{e}.ln2") + ffn(f"{e}.ffn")
+    for i in range(config.n_moe):
+        rows += ln(f"cmoe.{i}.ln") + (layer_layout(f"cmoe.{i}", h, r) if config.moe_enabled
+                                      else expert_layout(f"cmoe.{i}.solo", h, r))
+    rows += ln("moe_out_ln")
+    for i in range(config.n_dec):
+        d = f"dec.{i}"
+        rows += (ln(f"{d}.ln1") + attn(f"{d}.self_attn") + ln(f"{d}.ln2")
+                 + attn(f"{d}.cross_attn") + ln(f"{d}.ln3") + ffn(f"{d}.ffn"))
+    return rows + ln("final_ln") + [glorot("head.W", h, v), bias("head.b", v)]
 
 
-def _attn_params(tensors, rng, name, h):
-    for w in ("Wq", "Wk", "Wv", "Wo"):
-        tensors[f"{name}.{w}"] = xavier(rng, h, h)
-    for b in ("bq", "bk", "bv", "bo"):
-        tensors[f"{name}.{b}"] = zeros(h)
-
-
-def _ffn_params(tensors, rng, name, h, ratio):
-    tensors[f"{name}.W1"] = xavier(rng, h, ratio * h)
-    tensors[f"{name}.b1"] = zeros(ratio * h)
-    tensors[f"{name}.W2"] = xavier(rng, ratio * h, h)
-    tensors[f"{name}.b2"] = zeros(h)
+def build_store(rows, rng: np.random.Generator | None):
+    """(tensors, values, grads) for layout rows: values and grads are flat
+    zeroed arrays holding the rows in order, and tensors maps each name to a
+    trainable Tensor over its value and gradient views. With rng, the rows
+    are filled in order, a Normal std as rng.normal(0.0, std, shape) and
+    "ones" as 1; with rng None nothing is drawn or written."""
+    sizes = [math.prod(shape) for _, shape, _ in rows]
+    values, grads = np.zeros(sum(sizes)), np.zeros(sum(sizes))  # calloc: no page touched yet
+    tensors, start = {}, 0
+    for (name, shape, init), n in zip(rows, sizes):
+        t = tensors[name] = Tensor(values[start:start + n].reshape(shape), requires_grad=True)
+        t._node.grad = grads[start:start + n].reshape(shape)
+        start += n
+        if rng is not None and init != "zeros":
+            t.values[...] = 1.0 if init == "ones" else rng.normal(0.0, init, shape)
+    return tensors, values, grads
 
 
 def init_model(config: ModelConfig, rng: np.random.Generator | None) -> ModelParams:
-    """Every weight the config names, in a stable order, drawn from rng; with
-    rng None every weight is zero and no random number is drawn. Sizes that
-    cannot be allocated are a ConfigError."""
+    """Every weight the config names, in a stable order, drawn from rng. With
+    rng None nothing is drawn and every weight is 0, layer-norm gains
+    included: a store for a checkpoint read to fill. Sizes that cannot be
+    allocated are a ConfigError."""
     h, r = config.h, config.expansion_ratio
-    t = {}
     try:
-        t["tok_emb"] = normal(rng, 0.02, (config.vocab_size, h))
-        t["pos_emb"] = normal(rng, 0.02, (config.max_len, h))
-        t["vis_pos_emb"] = normal(rng, 0.02, (config.max_vis_tokens, h))
-        t["vis_proj.W"] = xavier(rng, config.h_v, h)
-        t["vis_proj.b"] = zeros(h)
-        t["patch_proj.W"] = xavier(rng, config.in_channels * PATCH * PATCH, h)
-        t["patch_proj.b"] = zeros(h)
-        for i in range(config.n_enc):
-            _ln_pair(t, f"enc.{i}.ln1", h)
-            _attn_params(t, rng, f"enc.{i}.attn", h)
-            _ln_pair(t, f"enc.{i}.ln2", h)
-            _ffn_params(t, rng, f"enc.{i}.ffn", h, r)
-        for i in range(config.n_moe):
-            _ln_pair(t, f"cmoe.{i}.ln", h)
-            if config.moe_enabled:
-                init_cmoe_layer(t, rng, f"cmoe.{i}", h, r)
-            else:
-                init_expert(t, rng, f"cmoe.{i}.solo", h, r)
-        _ln_pair(t, "moe_out_ln", h)
-        for i in range(config.n_dec):
-            _ln_pair(t, f"dec.{i}.ln1", h)
-            _attn_params(t, rng, f"dec.{i}.self_attn", h)
-            _ln_pair(t, f"dec.{i}.ln2", h)
-            _attn_params(t, rng, f"dec.{i}.cross_attn", h)
-            _ln_pair(t, f"dec.{i}.ln3", h)
-            _ffn_params(t, rng, f"dec.{i}.ffn", h, r)
-        _ln_pair(t, "final_ln", h)
-        t["head.W"] = xavier(rng, h, config.vocab_size)
-        t["head.b"] = zeros(config.vocab_size)
+        return ModelParams(config, *build_store(_layout(config), rng))
     except (ValueError, OverflowError, MemoryError) as exc:
         raise ConfigError(f"cannot allocate the weights of h={h}, h_v={config.h_v}, "
                           f"vocab_size={config.vocab_size}, max_len={config.max_len}, "
                           f"max_vis_tokens={config.max_vis_tokens}, expansion_ratio={r}: "
                           f"{exc}") from None
-    return ModelParams(config=config, tensors=t)
 
 
 # ---------------------------------------------------------------------------
@@ -389,18 +387,20 @@ class ForwardResult:
     routings: list
 
 
-def _target_ids(sample, vocab, max_len):
+def _target_ids(sample, vocab, config):
     """Decoder target and where its answer starts: (ids, k), ids the
     rationale (if any) and the answer, then EOS. The reasoning span is
     ids[:k] and the answer span ids[k:], each holding its markers; the
-    answer span also owns the end token."""
+    answer span also owns the end token. With lambda_cot 0 the reasoning
+    span would train nothing, so the target is the answer alone and k is 0."""
     if sample.cot is None or not sample.cot.answer.strip():
         raise DataError(f"sample {sample.id}: training requires a rationale note "
                         f"with a non-empty answer")
-    ids = vocab.encode(sample.cot.target_text()) + [EOS]
-    if len(ids) > max_len:
+    note = sample.cot if config.lambda_cot else replace(sample.cot, think="")
+    ids = vocab.encode(note.target_text()) + [EOS]
+    if len(ids) > config.max_len:
         raise DataError(f"sample {sample.id}: target of {len(ids)} tokens exceeds "
-                        f"max_len {max_len}")
+                        f"max_len {config.max_len}")
     k = ids.index(ANSWER_OPEN)
     markers = [(i, t) for i, t in enumerate(ids) if THINK_OPEN <= t <= ANSWER_CLOSE]
     think = [(0, THINK_OPEN), (k - 1, THINK_CLOSE)] if k else []
@@ -415,9 +415,10 @@ def forward_train(params: ModelParams, samples, vocab: Vocabulary,
                   rng: np.random.Generator | None = None) -> ForwardResult:
     """Forward pass over a list of B samples packed into one graph, yielding
     the two masked losses, each the mean over samples of the sample's mean
-    over its span; a sample without a rationale adds 0 to the reasoning loss
-    and still counts in B. Dropout runs only when a generator is passed;
-    without one nothing is drawn and the losses are deterministic.
+    over its span; a sample without a rationale, or any sample under
+    lambda_cot 0, adds 0 to the reasoning loss and still counts in B.
+    Dropout runs only when a generator is passed; without one nothing is
+    drawn and the losses are deterministic.
 
     The samples are encoded as one padded batch and their targets decoded as
     B rows padded with PAD at the end, which the causal mask hides from every
@@ -426,7 +427,7 @@ def forward_train(params: ModelParams, samples, vocab: Vocabulary,
     samples = list(samples)
     if not samples:
         raise DataError("forward_train needs at least one sample")
-    targets = [_target_ids(s, vocab, params.config.max_len) for s in samples]
+    targets = [_target_ids(s, vocab, params.config) for s in samples]
     b, n = len(samples), max(len(ids) for ids, _ in targets)
     dec_in = np.full((b, n), PAD)
     padded = np.full((b, n), nd.IGNORE)

@@ -211,23 +211,20 @@ def _op_roster():
         return (lambda: nd.cross_entropy_lm(logits, targets, weights=weights)), [logits]
 
     def expert_path(rng):
-        p = {}
-        cmoe.init_expert(p, rng, "e", 5)
+        p = model.build_store(cmoe.expert_layout("e", 5), rng)[0]
         x = _rand(rng, 3, 5)
         tensors = list(p.values()) + [x]
         return lambda: _scalar(cmoe.expert_forward(p, "e", x)), tensors
 
     def routed_layer_path(rng):
-        layer = {}
-        cmoe.init_cmoe_layer(layer, rng, "m", 6)
+        layer = model.build_store(cmoe.layer_layout("m", 6), rng)[0]
         x = _rand(rng, 4, 6)
         tensors = [x] + _under(layer, "m.router")
         tensors += _under(layer, f"m.{cmoe.EXPERT_NAMES[_routed(layer, x, [4])[0]]}")
         return lambda: _scalar(cmoe.cmoe_forward(layer, "m", x, [4])[0]), tensors
 
     def routed_batch_path(rng):
-        layer = {}
-        cmoe.init_cmoe_layer(layer, rng, "m", 4)
+        layer = model.build_store(cmoe.layer_layout("m", 4), rng)[0]
         x = _rand(rng, 3 * 3, 4)
         lengths = [3, 1, 2]
         tensors = [x] + _under(layer, "m.router")
@@ -313,7 +310,8 @@ def test_routing_shift_invariance_and_gradient_isolation():
     rng = np.random.default_rng(0)
     for _ in range(10_000):
         h = int(rng.integers(4, 12))
-        r = {"r.W": cmoe.xavier(rng, h, cmoe.N_EXPERTS), "r.b": cmoe.zeros(cmoe.N_EXPERTS)}
+        r = model.build_store([cmoe.glorot("r.W", h, cmoe.N_EXPERTS),
+                               cmoe.bias("r.b", cmoe.N_EXPERTS)], rng)[0]
         x = Tensor(rng.normal(size=(int(rng.integers(1, 6)), h)))
         base = cmoe.route(r, "r", x, [x.shape[0]]).selected
         r["r.b"].values += rng.uniform(-50.0, 50.0)
@@ -323,8 +321,7 @@ def test_routing_shift_invariance_and_gradient_isolation():
     for seed in range(60):
         case = np.random.default_rng(seed)
         gate_scaling = seed % 2 == 0
-        layer = {}
-        cmoe.init_cmoe_layer(layer, case, "m", 8)
+        layer = model.build_store(cmoe.layer_layout("m", 8), case)[0]
         x = Tensor(case.normal(size=(5, 8)), requires_grad=True)
         for t in layer.values():
             t.grad.fill(0.0)

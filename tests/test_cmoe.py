@@ -8,6 +8,7 @@ import umfdet.ndtensor as nd
 from umfdet import cmoe
 from umfdet.data import Category
 from umfdet.errors import DataError
+from umfdet.model import build_store
 from umfdet.ndtensor import Tensor
 
 from helpers import check_grads, wsum
@@ -19,9 +20,7 @@ def _sigmoid(x):
 
 def make_layer(h=6, seed=0):
     """Flat tensor dict holding one mixture layer named "m"."""
-    t = {}
-    cmoe.init_cmoe_layer(t, np.random.default_rng(seed), "m", h)
-    return t
+    return build_store(cmoe.layer_layout("m", h), np.random.default_rng(seed))[0]
 
 
 def under(t, prefix):
@@ -31,8 +30,7 @@ def under(t, prefix):
 
 def test_expert_forward_matches_manual_formula():
     rng = np.random.default_rng(1)
-    t = {}
-    cmoe.init_expert(t, rng, "e", 5)
+    t = build_store(cmoe.expert_layout("e", 5), rng)[0]
     x = rng.normal(size=(4, 5))
     out = cmoe.expert_forward(t, "e", Tensor(x)).values
     a = x @ t["e.W_a"].values + t["e.b_a"].values
@@ -42,8 +40,7 @@ def test_expert_forward_matches_manual_formula():
 
 
 def test_expert_hidden_width_is_double_by_default():
-    t = {}
-    cmoe.init_expert(t, np.random.default_rng(0), "e", 8)
+    t = build_store(cmoe.expert_layout("e", 8), np.random.default_rng(0))[0]
     assert t["e.W_a"].shape == (8, 16) and t["e.W_out"].shape == (16, 8)
 
 
@@ -154,9 +151,8 @@ def test_expert_index_mapping():
     assert cmoe.EXPERT_NAMES == ("reality", "deception", "synthesis")
 
 
-def test_init_cmoe_layer_checkpoint_names():
-    named = {}
-    cmoe.init_cmoe_layer(named, np.random.default_rng(28), "cmoe.1", 6)
+def test_layer_layout_checkpoint_names():
+    named = build_store(cmoe.layer_layout("cmoe.1", 6), np.random.default_rng(28))[0]
     assert "cmoe.1.reality.W_a" in named
     assert "cmoe.1.synthesis.b_out" in named
     assert "cmoe.1.router.W" in named and "cmoe.1.router.b" in named

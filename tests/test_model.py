@@ -1,5 +1,6 @@
 """Model assembly: config, weights naming, fused encoding, masked losses."""
 
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -53,6 +54,8 @@ def test_config_validation():
         M.ModelConfig(in_channels=2)
     with pytest.raises(ConfigError):
         M.ModelConfig(max_len=8)
+    with pytest.raises(ConfigError, match="h_v"):
+        M.ModelConfig(h_v=-1)
 
 
 @pytest.mark.parametrize("key", ["lambda_cot", "dropout_rate"])
@@ -114,14 +117,44 @@ def test_init_model_solo_names_without_moe(tiny_config):
 
 @pytest.mark.parametrize("moe_enabled", [True, False])
 def test_init_model_without_rng_is_a_zero_skeleton(tiny_config, moe_enabled):
+    """Without rng nothing is drawn or written: the names, shapes and
+    trainable flags of a drawn model, every value 0, layer-norm gains too."""
     cfg = M.ModelConfig(**{**tiny_config.to_json(), "moe_enabled": moe_enabled})
     drawn = M.init_model(cfg, np.random.default_rng(0)).tensors
-    skeleton = M.init_model(cfg, None).tensors
-    assert list(skeleton) == list(drawn)
-    for name, t in skeleton.items():
+    skeleton = M.init_model(cfg, None)
+    assert list(skeleton.tensors) == list(drawn)
+    for name, t in skeleton.tensors.items():
         assert t.shape == drawn[name].shape and t.requires_grad, name
-        # drawn weights are zero; ones and zeros stay as they are
-        assert not t.values.any() or np.array_equal(t.values, drawn[name].values), name
+    assert not skeleton.values.any()
+
+
+# sha256 of init_model(ModelConfig(moe_enabled=m), default_rng(0)).values: every
+# weight's draw order, shape and rounding, and the store order.
+INIT_SHA256 = {True: (324_742, "0300f1f35dd9809855fa22523d2288a112e39d278fe920798f900c0779bb5655"),
+               False: (224_768, "24a2f1b243ccdccf44a1b9fe79a0724950b6e15ef41b39763dcbabb1da96294a")}
+
+
+@pytest.mark.parametrize("moe_enabled", [True, False])
+def test_init_model_draws_are_pinned(moe_enabled):
+    values = M.init_model(M.ModelConfig(moe_enabled=moe_enabled), np.random.default_rng(0)).values
+    assert (values.size, hashlib.sha256(values.tobytes()).hexdigest()) == INIT_SHA256[moe_enabled]
+
+
+def test_layout_inits_are_stds_zeros_or_ones(tiny_config):
+    """A float init is drawn, "zeros" stays 0 and "ones" is 1; the store
+    holds the rows in layout order."""
+    rows = M._layout(tiny_config)
+    params = M.init_model(tiny_config, np.random.default_rng(0))
+    assert [(name, shape) for name, shape, _ in rows] == [
+        (name, t.shape) for name, t in params.tensors.items()]
+    for name, _, init in rows:
+        values = params.tensors[name].values
+        if init == "ones":
+            assert name.endswith(".gamma") and (values == 1.0).all(), name
+        elif init == "zeros":
+            assert not values.any(), name
+        else:
+            assert type(init) is float and values.all(), name
 
 
 def test_trainable_freeze_prefixes(tiny_config):
@@ -183,19 +216,34 @@ def test_embed_image_errors(tiny_config):
 # decoder target
 
 
-def test_target_ids_encode_the_note_and_split_at_the_answer(toy_vocab):
+def test_target_ids_encode_the_note_and_split_at_the_answer(toy_vocab, tiny_config):
     sample = _sample()
-    ids, k = M._target_ids(sample, toy_vocab, 128)
+    ids, k = M._target_ids(sample, toy_vocab, tiny_config)
     assert ids == toy_vocab.encode(sample.cot.target_text()) + [EOS]
     think, answer = ids[:k], ids[k:]
     assert think[0] == THINK_OPEN and think[-1] == THINK_CLOSE and len(think) > 10
     assert answer == [ANSWER_OPEN] + toy_vocab.encode("real") + [ANSWER_CLOSE, EOS]
 
 
-def test_target_ids_without_a_think_block_have_no_reasoning_span(toy_vocab):
-    ids, k = M._target_ids(_sample(think=""), toy_vocab, 128)
+def test_target_ids_without_a_think_block_have_no_reasoning_span(toy_vocab, tiny_config):
+    ids, k = M._target_ids(_sample(think=""), toy_vocab, tiny_config)
     assert k == 0
     assert ids == [ANSWER_OPEN] + toy_vocab.encode("real") + [ANSWER_CLOSE, EOS]
+
+
+def test_target_ids_without_the_rationale_loss_are_the_answer_alone(toy_vocab, tiny_config,
+                                                                    template):
+    """With lambda_cot 0 nothing would train the reasoning span, so the target
+    is the answer alone: greedy decoding from BOS learns to open it."""
+    cfg = replace(tiny_config, lambda_cot=0.0)
+    sample = _sample()
+    ids, k = M._target_ids(sample, toy_vocab, cfg)
+    assert k == 0 and ids[0] == ANSWER_OPEN
+    assert THINK_OPEN not in ids and THINK_CLOSE not in ids
+    assert ids == M._target_ids(_sample(think=""), toy_vocab, tiny_config)[0]
+    fr = M.forward_train(M.init_model(cfg, np.random.default_rng(0)), [sample], toy_vocab,
+                         template)
+    assert float(fr.loss_cot.values) == 0.0 and float(fr.loss_det.values) > 0.0
 
 
 @pytest.mark.parametrize("think, answer", [
@@ -206,11 +254,12 @@ def test_target_ids_without_a_think_block_have_no_reasoning_span(toy_vocab):
     ("a", "real </answer> more"),        # the answer closes early
     ("", "</answer> real <answer>"),     # answer markers out of order
 ])
-def test_target_ids_reject_a_rationale_holding_a_marker(toy_vocab, think, answer):
+def test_target_ids_reject_a_rationale_holding_a_marker(toy_vocab, tiny_config, think,
+                                                        answer):
     sample = replace(_sample(), id="s-13", cot=CotNote(think, answer, "accepted"))
     with pytest.raises(DataError, match="^sample s-13: rationale holds a <think>/<answer> "
                                         "marker of its own$"):
-        M._target_ids(sample, toy_vocab, 128)
+        M._target_ids(sample, toy_vocab, tiny_config)
 
 
 # ---------------------------------------------------------------------------

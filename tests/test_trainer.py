@@ -257,7 +257,7 @@ def test_packed_batch_loss_equals_per_sample_sum(toy_corpus, toy_vocab, template
     batch = [copy.deepcopy(s) for s in toy_corpus[:5]]
     batch[2].cot = CotNote(think="", answer=batch[2].cot.answer, verdict="accepted")
     prompts = {len(toy_vocab.encode(render_prompt(template, s.title))) for s in batch}
-    targets = {len(_target_ids(s, toy_vocab, cfg.max_len)[0]) for s in batch}
+    targets = {len(_target_ids(s, toy_vocab, cfg)[0]) for s in batch}
     assert len(prompts) > 1 and len(targets) > 1, "lengths must be uneven"
     tcfg = _tcfg(routing_aux_coeff=aux)
     grads, losses = [], []
