@@ -38,6 +38,12 @@ from .trainer import TrainConfig, config_hash
 ENDPOINT_ENV = "UMFDET_GEN_ENDPOINT"
 TOKEN_ENV = "UMFDET_GEN_TOKEN"
 MAX_WORKERS = 32
+# glibc mallopt parameters and the values main pins them to: a training step's
+# multi-MB temporaries stay on the heap instead of being mapped and unmapped,
+# and the heap is not trimmed after every backward to be faulted back in.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 64 << 20
+_TRIM_THRESHOLD = 256 << 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -457,7 +463,24 @@ def _fail(code: int, exc: BaseException) -> int:
     return code
 
 
+def _settle_heap() -> None:
+    """Pin glibc's mmap and trim thresholds for this process. Where the C
+    library has no mallopt, or refuses the mmap threshold, nothing changes.
+    Only main calls this: importing umfdet leaves the heap of a process that
+    embeds it alone."""
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no C library symbols, or no mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _settle_heap()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     args.argv, args.started = argv, time.time()  # run.json records both

@@ -32,6 +32,8 @@ HTTP_RETRIES = 2      # further attempts after a transport failure or a 5xx repl
 HTTP_BACKOFF_S = 0.5  # the wait before retry i is HTTP_BACKOFF_S * 2 ** (i - 1)
 
 _WORD = re.compile(r"[A-Za-z][A-Za-z'\-]*")
+_WORD_SPLIT = re.compile(f"({_WORD.pattern})")
+_SENTENCE_END = re.compile(r"[.!?:]\s+\Z")  # a separator that ends a sentence
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
 _CAP_STOPWORDS = {"the", "a", "an", "this", "that", "these", "those", "it",
                   "he", "she", "they", "we", "i", "you", "breaking"}
@@ -125,46 +127,47 @@ def default_gazetteer() -> Gazetteer:
         return Gazetteer.from_tsv(fh)
 
 
-def _sentence_initial_offsets(text):
-    starts = {0}
-    for m in re.finditer(r"[.!?:]\s+", text):
-        starts.add(m.end())
-    return starts
-
-
 def extract_entities(title: str, gazetteer: Gazetteer) -> EntitySet:
     """Gazetteer lookup (longest phrase first) plus a capitalized-token
     heuristic for unknown mid-sentence names; deterministic, set semantics.
 
-    A phrase can match only when it is its tokens joined by single spaces,
-    so its lowercase first word is its first token lowercased: tokens that
-    start no gazetteer key skip the width walk.
+    Only candidate tokens are visited: those whose lowercase form is the first
+    word of a gazetteer key, and capitalized non-stopwords. A phrase can
+    match only when it is its tokens joined by single spaces, so its
+    lowercase form is their lowercase forms joined the same way; the tokens
+    are ASCII, so one str.lower over them all lowers each as it would alone.
+    A token starts a sentence when it opens the title or follows sentence
+    punctuation and whitespace.
     """
-    tokens = [(m.group(0), m.start()) for m in _WORD.finditer(title)]
-    initial = _sentence_initial_offsets(title)
+    parts = _WORD_SPLIT.split(title)  # separator, token, separator, ..., separator
+    words = parts[1::2]
+    lowers = " ".join(words).lower().split(" ")
+    first, entries = gazetteer.first_words, gazetteer._entries
     found = []
     seen = set()
-    i = 0
-    while i < len(tokens):
-        entity = None
-        step = 1
-        word, off = tokens[i]
-        lower = word.lower()
-        if lower in gazetteer.first_words:
-            for width in range(min(gazetteer.max_words, len(tokens) - i), 0, -1):
-                last = tokens[i + width - 1]
-                phrase = title[off:last[1] + len(last[0])]
-                if " ".join(t[0] for t in tokens[i:i + width]) == phrase and phrase in gazetteer:
-                    entity = Entity(phrase, gazetteer.kind_of(phrase))
-                    step = width
+    end = 0  # tokens before end belong to a phrase already matched
+    for i in [i for i, (word, low) in enumerate(zip(words, lowers))
+              if low in first or (word[0].isupper() and low not in _CAP_STOPWORDS)]:
+        if i < end:
+            continue
+        word, low, entity = words[i], lowers[i], None
+        if low in first:
+            span = 1
+            while (span < gazetteer.max_words and i + span < len(words)
+                   and parts[2 * (i + span)] == " "):
+                span += 1
+            for width in range(span, 0, -1):
+                key = " ".join(lowers[i:i + width])
+                if key in entries:
+                    entity = Entity(" ".join(words[i:i + width]), entries[key])
+                    end = i + width
                     break
-        if (entity is None and word[0].isupper() and off not in initial
-                and lower not in _CAP_STOPWORDS):
-            entity = Entity(word, "person")
-        if entity is not None and entity.surface.lower() not in seen:
-            seen.add(entity.surface.lower())
+        if (entity is None and word[0].isupper() and low not in _CAP_STOPWORDS
+                and (i or parts[0]) and not _SENTENCE_END.search(parts[2 * i])):
+            entity, key = Entity(word, "person"), low
+        if entity is not None and key not in seen:
+            seen.add(key)
             found.append(entity)
-        i += step
     descriptions = {}
     for e in found:
         desc = gazetteer.description_of(e.surface)

@@ -249,9 +249,10 @@ class NewsSample:
 def save_manifest(samples, path):
     """Write one JSON line per sample, creating the parent directory."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     with open(path, "w", encoding="utf-8") as fh:
         for sample in samples:
-            fh.write(json.dumps(sample.to_json(), sort_keys=True, separators=(",", ":")))
+            fh.write(encode(sample.to_json()))
             fh.write("\n")
 
 

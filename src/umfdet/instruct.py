@@ -131,9 +131,9 @@ class Vocabulary:
             raise ConfigError(f"max_size {max_size} leaves no room beyond reserved tokens")
         counts = Counter()
         for text in texts:
-            for tok in split_tokens(text):
-                if tok not in RESERVED_TOKENS:
-                    counts[tok] += 1
+            counts.update(split_tokens(text))
+        for tok in RESERVED_TOKENS:
+            counts.pop(tok, None)
         kept = [t for t, c in counts.items() if c >= min_count]
         kept.sort(key=lambda t: (-counts[t], t))
         room = max_size - len(RESERVED_TOKENS)

@@ -183,9 +183,7 @@ def keyword_distortion(title: str, m: EntitySet, lexicon: AntonymLexicon,
     candidates = []
     for hit in _WORD.finditer(title):
         word, start = hit.group(0), hit.start()
-        if _inside(start, hit.end(), entity_spans):
-            continue
-        if word in lexicon:
+        if word in lexicon and not _inside(start, hit.end(), entity_spans):
             candidates.append((word, start))
     if len(candidates) < 2:
         if gen is None:

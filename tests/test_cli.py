@@ -1,8 +1,10 @@
 """In-process command-line runs: exit codes, artifacts, config precedence."""
 
+import ctypes
 import hashlib
 import json
 import shutil
+import types
 
 import numpy as np
 import pytest
@@ -109,6 +111,51 @@ def test_unknown_subcommand_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 1
+
+
+# ---------------------------------------------------------------------------
+# heap policy
+
+
+class _Mallopt:
+    """Stands in for the C function: records each call, answers with answer."""
+
+    def __init__(self, answer):
+        self.answer, self.calls = answer, []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return self.answer
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [lambda name: types.SimpleNamespace(), _no_c_library],
+                         ids=["no-mallopt", "no-c-library"])
+def test_settle_heap_is_a_no_op_where_mallopt_is_missing(monkeypatch, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert cli._settle_heap() is None
+
+
+@pytest.mark.parametrize("answer,calls", [
+    (1, [(-3, 64 << 20), (-1, 256 << 20)]),  # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD
+    (0, [(-3, 64 << 20)]),                   # a refused mmap threshold stops there
+])
+def test_settle_heap_pins_the_thresholds_through_mallopt(monkeypatch, answer, calls):
+    mallopt = _Mallopt(answer)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    cli._settle_heap()
+    assert mallopt.calls == calls
+
+
+def test_main_settles_the_heap_before_parsing(monkeypatch):
+    settled = []
+    monkeypatch.setattr(cli, "_settle_heap", lambda: settled.append(True))
+    with pytest.raises(SystemExit):
+        cli.main(["frobnicate"])
+    assert settled == [True]
 
 
 # ---------------------------------------------------------------------------

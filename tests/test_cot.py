@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -119,11 +120,24 @@ def test_extract_entities_descriptions():
     assert m.descriptions["Monday"] == "Monday is a known event or time"
 
 
+_REF_WORD = re.compile(r"[A-Za-z][A-Za-z'\-]*")
+_REF_CAP_STOPWORDS = {"the", "a", "an", "this", "that", "these", "those", "it",
+                      "he", "she", "they", "we", "i", "you", "breaking"}
+
+
+def _reference_sentence_initial_offsets(text):
+    starts = {0}
+    for m in re.finditer(r"[.!?:]\s+", text):
+        starts.add(m.end())
+    return starts
+
+
 def _reference_extract_entities(title, gazetteer):
     """extract_entities before the first-word index: every phrase width is
-    tried at every token. Kept as the reference the indexed lookup must match."""
-    tokens = [(m.group(0), m.start()) for m in cot._WORD.finditer(title)]
-    initial = cot._sentence_initial_offsets(title)
+    tried at every token. Kept as the reference the indexed lookup must match;
+    it shares no tokenizer, stopword list or sentence finder with cot."""
+    tokens = [(m.group(0), m.start()) for m in _REF_WORD.finditer(title)]
+    initial = _reference_sentence_initial_offsets(title)
     found, seen = [], set()
     i = 0
     while i < len(tokens):
@@ -139,7 +153,7 @@ def _reference_extract_entities(title, gazetteer):
         if entity is None:
             word, off = tokens[i]
             if (word[0].isupper() and off not in initial
-                    and word.lower() not in cot._CAP_STOPWORDS):
+                    and word.lower() not in _REF_CAP_STOPWORDS):
                 entity = Entity(word, "person")
         if entity is not None and entity.surface.lower() not in seen:
             seen.add(entity.surface.lower())

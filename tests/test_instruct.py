@@ -1,6 +1,7 @@
 """Templates, tokenization and the vocabulary contract."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import example, given
@@ -118,6 +119,32 @@ def test_vocab_build_ranking_and_min_count():
     assert v.id_to_token[8:] == ["b", "a"]          # freq desc, c dropped
     v2 = Vocabulary.build(["zz aa zz aa"], min_count=1)
     assert v2.id_to_token[8:] == ["aa", "zz"]       # tie broken lexicographically
+
+
+def _reference_vocab_tokens(texts, min_count, max_size):
+    """Vocabulary.build's tokens as it counted them before one Counter.update
+    per text: token by token, reserved tokens skipped as they are met."""
+    counts = Counter()
+    for text in texts:
+        for tok in split_tokens(text):
+            if tok not in RESERVED_TOKENS:
+                counts[tok] += 1
+    kept = [t for t, c in counts.items() if c >= min_count]
+    kept.sort(key=lambda t: (-counts[t], t))
+    return list(RESERVED_TOKENS) + kept[:max_size - len(RESERVED_TOKENS)]
+
+
+@given(texts=st.lists(_TOKEN_TEXT, max_size=8), min_count=st.integers(1, 3), data=st.data())
+def test_vocab_build_counts_as_the_per_token_loop(texts, min_count, data):
+    ranked = _reference_vocab_tokens(texts, min_count, 8192)[len(RESERVED_TOKENS):]
+    tally = Counter(tok for text in texts for tok in split_tokens(text))
+    # Where two neighbours in the ranking have equal counts, cap the size
+    # between them, so the tie order decides which one is kept.
+    ties = [k for k in range(1, len(ranked)) if tally[ranked[k - 1]] == tally[ranked[k]]]
+    cut = data.draw(st.sampled_from(ties) if ties else st.integers(1, len(ranked) + 1))
+    max_size = len(RESERVED_TOKENS) + cut
+    got = Vocabulary.build(texts, min_count=min_count, max_size=max_size)
+    assert got.id_to_token == _reference_vocab_tokens(texts, min_count, max_size)
 
 
 def test_vocab_build_cap_and_validation():
