@@ -148,7 +148,11 @@ def make_gen_client(args) -> cot_mod.GenClient:
     endpoint = os.environ.get(ENDPOINT_ENV)
     if getattr(args, "mock", False) or not endpoint:
         return cot_mod.MockGenClient()
-    return cot_mod.HttpGenClient(endpoint, auth_token=os.environ.get(TOKEN_ENV))
+    try:
+        return cot_mod.HttpGenClient(endpoint, auth_token=os.environ.get(TOKEN_ENV))
+    except ConfigError as exc:
+        setting = ENDPOINT_ENV if str(exc).startswith("endpoint") else TOKEN_ENV
+        raise ConfigError(f"{setting}: {exc}") from None
 
 
 def _load_corpus(path):

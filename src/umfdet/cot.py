@@ -317,40 +317,61 @@ class GenClient:
 class HttpGenClient(GenClient):
     """JSON-over-HTTP client: POST {"prompt", "max_tokens": HTTP_MAX_TOKENS}
     -> {"text"}, each request bounded by HTTP_TIMEOUT_S and retried up to
-    HTTP_RETRIES times with exponential backoff.
+    HTTP_RETRIES times with exponential backoff. A malformed endpoint or
+    token is a ConfigError when the client is built. opener is anything
+    with ``.open(request, timeout=)`` that raises HTTPError outside 200-299.
 
-    requests is imported when a client is built, so a process that never
-    builds one does not load the HTTP stack."""
+    urllib.request is imported when a client is built, so a process that
+    never builds one does not load the HTTP stack."""
 
-    def __init__(self, endpoint: str, auth_token: str | None = None, session=None):
-        import requests
+    def __init__(self, endpoint: str, auth_token: str | None = None, opener=None):
+        import urllib.parse
+        import urllib.request
+        try:
+            url = urllib.parse.urlsplit(endpoint)
+            url.port  # raises ValueError unless the port is absent or in 0..65535
+        except ValueError:
+            url = None
+        if (url is None or url.scheme not in ("http", "https") or not url.hostname
+                or not all("!" <= c <= "~" for c in endpoint)):
+            raise ConfigError(f"endpoint must be an absolute http or https URL with a host, "
+                              f"in printable ASCII without spaces, got {endpoint!r}")
+        if auth_token and not all(" " <= c <= "~" for c in auth_token):
+            raise ConfigError("auth token holds a control or non-ASCII character")
         self.endpoint = endpoint
         self.auth_token = auth_token
-        self.session = session or requests.Session()
+        self.opener = opener or urllib.request.build_opener()
 
     def generate(self, prompt: str) -> str:
-        import requests
-        payload = {"prompt": prompt, "max_tokens": HTTP_MAX_TOKENS}
-        headers = {}
-        if self.auth_token:
-            headers["Authorization"] = f"Bearer {self.auth_token}"
+        import http.client
+        import json
+        import urllib.error
+        import urllib.request
+        request = urllib.request.Request(
+            self.endpoint, method="POST", headers={"Content-Type": "application/json"},
+            data=json.dumps({"prompt": prompt, "max_tokens": HTTP_MAX_TOKENS}).encode())
+        if self.auth_token:  # unredirected: never sent on to where a redirect points
+            request.add_unredirected_header("Authorization", f"Bearer {self.auth_token}")
         last = None
         for attempt in range(HTTP_RETRIES + 1):
             if attempt:
                 time.sleep(HTTP_BACKOFF_S * 2 ** (attempt - 1))
             try:
-                resp = self.session.post(self.endpoint, json=payload,
-                                         headers=headers, timeout=HTTP_TIMEOUT_S)
-            except requests.RequestException as exc:
+                with self.opener.open(request, timeout=HTTP_TIMEOUT_S) as resp:
+                    status, raw = resp.status, resp.read()
+            except urllib.error.HTTPError as exc:  # an OSError too, so caught first
+                exc.close()
+                status = exc.code
+            except (OSError, http.client.HTTPException) as exc:  # refused, reset, timed out
                 last = exc
                 continue
-            if resp.status_code >= 500:
-                last = RuntimeError(f"server error {resp.status_code}")
+            if status >= 500:
+                last = RuntimeError(f"server error {status}")
                 continue
-            if resp.status_code != 200:
-                raise TransportError(f"generation endpoint returned {resp.status_code}")
+            if status != 200:
+                raise TransportError(f"generation endpoint returned {status}")
             try:
-                body = resp.json()
+                body = json.loads(raw)
             except (ValueError, RecursionError) as exc:
                 raise TransportError(f"generation response is not JSON: {exc}") from None
             if not isinstance(body, dict) or not isinstance(body.get("text"), str):

@@ -1,6 +1,11 @@
 """Shared test utilities: the finite-difference gradient oracle, a weighted
 sum that reduces any op output to a scalar, a backward walk that keeps the
-graph, and a hypothesis strategy for arbitrary JSON values."""
+graph, a hypothesis strategy for arbitrary JSON values, and an HTTP server
+on loopback."""
+
+import contextlib
+import http.server
+import threading
 
 import numpy as np
 from hypothesis import strategies as st
@@ -90,3 +95,19 @@ JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=True) | st.text(),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
     max_leaves=8)
+
+
+@contextlib.contextmanager
+def serve_loopback(handler):
+    """Serve handler (a BaseHTTPRequestHandler subclass) from a thread of this
+    process on 127.0.0.1 and a free port; yields the base URL."""
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()

@@ -305,6 +305,46 @@ def test_cot_gen_exits_3_when_every_sample_fails_in_transport(tmp_path, corpus, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["1", "4"])
+def test_cot_gen_over_loopback_http_writes_what_mock_writes(tmp_path, corpus, gen_server,
+                                                            monkeypatch, workers):
+    url, seen = gen_server
+    waits = []
+    monkeypatch.setattr(cli.cot_mod.time, "sleep", waits.append)
+    mock_out, http_out = tmp_path / "mock" / "cots.jsonl", tmp_path / "http" / "cots.jsonl"
+    assert cli.main(["cot-gen", "--manifest", str(corpus), "--mock",
+                     "--out", str(mock_out)]) == 0
+    monkeypatch.setenv(cli.ENDPOINT_ENV, url)
+    monkeypatch.setenv(cli.TOKEN_ENV, "tok")
+    assert cli.main(["cot-gen", "--manifest", str(corpus), "--workers", workers,
+                     "--out", str(http_out)]) == 0
+    assert http_out.read_bytes() == mock_out.read_bytes()
+    assert waits == [cli.cot_mod.HTTP_BACKOFF_S]  # the one 503 was retried
+    assert len(seen) == len(load_manifest(corpus)) + 1
+    assert {(ctype, auth) for ctype, auth, _ in seen} == {("application/json", "Bearer tok")}
+    assert all(sorted(body) == ["max_tokens", "prompt"] and body["max_tokens"] == 512
+               for _, _, body in seen)
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("ENDPOINT_ENV", "gen.local"), ("ENDPOINT_ENV", "ftp://127.0.0.1:9/"),
+    ("ENDPOINT_ENV", "http:///v1"), ("ENDPOINT_ENV", "http://127.0.0.1:99999/"),
+    ("ENDPOINT_ENV", "http://127.0.0.1:9/a b"), ("ENDPOINT_ENV", "http://127.0.0.1:9/é"),
+    ("TOKEN_ENV", "a\nb"), ("TOKEN_ENV", "tok\x7f"), ("TOKEN_ENV", "tök")])
+def test_cot_gen_refuses_a_malformed_endpoint_or_token_without_waiting(
+        tmp_path, corpus, capsys, monkeypatch, setting, value):
+    waits = []
+    monkeypatch.setattr(cli.cot_mod.time, "sleep", waits.append)
+    monkeypatch.setenv(cli.ENDPOINT_ENV, "http://127.0.0.1:9/v1")
+    monkeypatch.setenv(getattr(cli, setting), value)
+    out = tmp_path / "cots.jsonl"
+    assert cli.main(["cot-gen", "--manifest", str(corpus), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and getattr(cli, setting) in err
+    assert waits == []
+    assert not out.exists()
+
+
 def test_corrupt_manifest_exits_2(tmp_path, corpus, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(corpus.read_text() + "{broken\n")

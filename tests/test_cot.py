@@ -1,20 +1,22 @@
 """Entity extraction, rationale schema parsing, quality gate, gen clients."""
 
+import http.client
+import http.server
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import urllib.error
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-import requests
 from hypothesis import given, strategies as st
 
-from umfdet import cot
+from umfdet import cli, cot
 from umfdet.cot import (
     CotRecord,
     Entity,
@@ -30,10 +32,11 @@ from umfdet.cot import (
     parse_cot,
     validate_cot,
 )
-from umfdet.data import Category, ImagePayload, ManipulationAnnotation, NewsSample
+from umfdet.data import (Category, ImagePayload, ManipulationAnnotation, NewsSample,
+                         save_manifest, synth_toy_corpus)
 from umfdet.errors import ConfigError, TransportError
 
-from helpers import JSON_VALUES
+from helpers import JSON_VALUES, serve_loopback
 
 
 def _sample(title="Merkel visits the bright harbor in Oslo on Friday",
@@ -471,64 +474,103 @@ def test_generate_corpus_cots_marks_a_transport_failure_and_goes_on(workers):
 # http client
 
 
-class _StubResponse:
-    def __init__(self, status_code, body=None):
-        self.status_code = status_code
-        self._body = body or {}
+class _StubReply:
+    """A 2xx reply as an opener returns it; body is JSON-encoded unless it is
+    raw text, and an exception body is raised while the body is read."""
 
-    def json(self):
-        if isinstance(self._body, str):  # raw text: decode it as requests does
-            resp = requests.Response()
-            resp._content, resp.encoding = self._body.encode("utf-8"), "utf-8"
-            return resp.json()
-        return self._body
+    def __init__(self, status, body=None):
+        self.status = status
+        self._body = body
+
+    def read(self):
+        if isinstance(self._body, Exception):
+            raise self._body
+        if isinstance(self._body, str):
+            return self._body.encode("utf-8")
+        return json.dumps(self._body or {}).encode("utf-8")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
 
 
-class _StubSession:
+class _StubOpener:
+    """Plays a script of replies and exceptions in order. It records each
+    urllib.request.Request, and raises HTTPError for a status outside
+    200-299, as the default opener's HTTPErrorProcessor does."""
+
     def __init__(self, script):
-        self.script = list(script)  # responses or exceptions, in order
-        self.requests = []
+        self.script = list(script)
+        self.requests, self.timeouts, self.errors = [], [], []
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.requests.append({"url": url, "json": json, "headers": headers,
-                              "timeout": timeout})
+    def open(self, request, timeout=None):
+        self.requests.append(request)
+        self.timeouts.append(timeout)
         item = self.script.pop(0)
         if isinstance(item, Exception):
             raise item
+        if not 200 <= item.status < 300:
+            err = urllib.error.HTTPError(request.full_url, item.status, "stub", {},
+                                         io.BytesIO(item.read()))
+            self.errors.append(err)
+            raise err
         return item
 
 
-def test_requests_is_imported_only_when_an_http_client_is_built():
-    """The CLI and the offline pipeline never load the HTTP stack."""
+def _sent(request):
+    """The JSON body of a recorded request."""
+    return json.loads(request.data)
+
+
+def test_http_stack_is_stdlib_and_loaded_only_when_a_client_is_built(tmp_path, gen_server,
+                                                                     monkeypatch):
+    """With requests made unimportable, importing the CLI loads neither
+    http.client nor urllib.request, and cot-gen over loopback HTTP writes
+    what cot-gen --mock writes."""
+    url, _ = gen_server
+    monkeypatch.delenv(cli.TOKEN_ENV, raising=False)
+    manifest, mock_out = tmp_path / "toy.jsonl", tmp_path / "mock" / "cots.jsonl"
+    save_manifest(synth_toy_corpus(30, 0.9, seed=0), manifest)
+    assert cli.main(["cot-gen", "--manifest", str(manifest), "--mock",
+                     "--out", str(mock_out)]) == 0
     src = Path(cot.__file__).resolve().parents[1]
-    code = ("import sys, umfdet.cli\n"
-            "print('requests' in sys.modules)\n"
-            "from umfdet.cot import HttpGenClient\n"
-            "HttpGenClient('http://gen.local')\n"
-            "print('requests' in sys.modules)\n")
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True).stdout
-    assert out.split() == ["False", "True"]
+    code = ("import sys\n"
+            "sys.modules['requests'] = None  # any import of requests now fails\n"
+            "from umfdet import cli\n"
+            "loaded = [m for m in ('http.client', 'urllib.request') if m in sys.modules]\n"
+            "status = cli.main(sys.argv[1:])\n"
+            "print(loaded, status, 'urllib.request' in sys.modules, sys.modules['requests'])\n")
+    env = {**os.environ, "PYTHONPATH": str(src), cli.ENDPOINT_ENV: url}
+    http_out = tmp_path / "http" / "cots.jsonl"
+    out = subprocess.run([sys.executable, "-c", code, "cot-gen", "--manifest", str(manifest),
+                          "--out", str(http_out)], env=env, capture_output=True, text=True,
+                         timeout=60, check=True).stdout
+    assert out.splitlines()[-1] == "[] 0 True None"
+    assert http_out.read_bytes() == mock_out.read_bytes()
 
 
 def test_http_client_success_payload_and_auth():
-    session = _StubSession([_StubResponse(200, {"text": "ok"})])
-    client = HttpGenClient("http://gen.local/v1", auth_token="tok", session=session)
+    opener = _StubOpener([_StubReply(200, {"text": "ok"})])
+    client = HttpGenClient("http://gen.local/v1", auth_token="tok", opener=opener)
     assert client.generate("hello") == "ok"
-    req = session.requests[0]
-    assert req["url"] == "http://gen.local/v1"
-    assert req["json"] == {"prompt": "hello", "max_tokens": 512}
-    assert req["timeout"] == 30.0
-    assert req["headers"]["Authorization"] == "Bearer tok"
+    req = opener.requests[0]
+    assert req.full_url == "http://gen.local/v1"
+    assert req.get_method() == "POST"
+    assert _sent(req) == {"prompt": "hello", "max_tokens": 512}
+    assert opener.timeouts[0] == 30.0
+    assert req.get_header("Content-type") == "application/json"
+    assert req.get_header("Authorization") == "Bearer tok"
 
 
 def test_http_client_omits_optional_fields():
-    session = _StubSession([_StubResponse(200, {"text": "ok"})])
-    HttpGenClient("http://gen.local", session=session).generate("p")
-    req = session.requests[0]
-    assert "model" not in req["json"]
-    assert "Authorization" not in req["headers"]
+    opener = _StubOpener([_StubReply(200, {"text": "ok"})])
+    HttpGenClient("http://gen.local", opener=opener).generate("p")
+    req = opener.requests[0]
+    assert "model" not in _sent(req)
+    assert not req.has_header("Authorization")
+    assert "Authorization" not in dict(req.header_items())
 
 
 @pytest.fixture()
@@ -540,51 +582,90 @@ def slept(monkeypatch):
 
 
 def test_http_client_retries_on_5xx_then_succeeds(slept):
-    session = _StubSession([_StubResponse(503), _StubResponse(200, {"text": "ok"})])
-    client = HttpGenClient("http://gen.local", session=session)
+    opener = _StubOpener([_StubReply(503), _StubReply(200, {"text": "ok"})])
+    client = HttpGenClient("http://gen.local", opener=opener)
     assert client.generate("p") == "ok"
-    assert len(session.requests) == 2
+    assert len(opener.requests) == 2
     assert slept == [cot.HTTP_BACKOFF_S]
+    assert [err.fp.closed for err in opener.errors] == [True]
 
 
 def test_http_client_retries_on_connection_error(slept):
-    session = _StubSession([requests.ConnectionError("refused"),
-                            _StubResponse(200, {"text": "ok"})])
-    client = HttpGenClient("http://gen.local", session=session)
+    opener = _StubOpener([urllib.error.URLError(ConnectionRefusedError("refused")),
+                          _StubReply(200, {"text": "ok"})])
+    client = HttpGenClient("http://gen.local", opener=opener)
     assert client.generate("p") == "ok"
 
 
+@pytest.mark.parametrize("failure", [http.client.IncompleteRead(b'{"te', 20),
+                                     TimeoutError("timed out")], ids=type)
+def test_http_client_retries_when_reading_the_body_fails(slept, failure):
+    opener = _StubOpener([_StubReply(200, failure), _StubReply(200, {"text": "ok"})])
+    client = HttpGenClient("http://gen.local", opener=opener)
+    assert client.generate("p") == "ok"
+    assert len(opener.requests) == 2
+    assert slept == [cot.HTTP_BACKOFF_S]
+
+
 def test_http_client_exhausted_retries_raise(slept):
-    session = _StubSession([_StubResponse(500)] * (cot.HTTP_RETRIES + 1))
-    client = HttpGenClient("http://gen.local", session=session)
+    opener = _StubOpener([_StubReply(500)] * (cot.HTTP_RETRIES + 1))
+    client = HttpGenClient("http://gen.local", opener=opener)
     with pytest.raises(TransportError, match=f"after {cot.HTTP_RETRIES + 1} attempts"):
         client.generate("p")
-    assert len(session.requests) == cot.HTTP_RETRIES + 1
+    assert len(opener.requests) == cot.HTTP_RETRIES + 1
     assert slept == [cot.HTTP_BACKOFF_S * 2 ** i for i in range(cot.HTTP_RETRIES)]
 
 
 def test_http_client_4xx_fails_without_retry():
-    session = _StubSession([_StubResponse(404)])
-    client = HttpGenClient("http://gen.local", session=session)
+    opener = _StubOpener([_StubReply(404)])
+    client = HttpGenClient("http://gen.local", opener=opener)
     with pytest.raises(TransportError, match="404"):
         client.generate("p")
-    assert len(session.requests) == 1
+    assert len(opener.requests) == 1
+
+
+@pytest.mark.parametrize("code", [302, 307])
+def test_http_client_sends_its_token_to_no_redirect_target(slept, code):
+    """Over loopback: a 302 is followed as a GET that carries no token; a 307
+    is not followed and, like any other status below 500, is not retried."""
+    seen = []
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def reply(self):
+            seen.append((self.command, self.path, self.headers["Authorization"]))
+            self.send_response(code if self.path == "/old" else 404)
+            self.send_header("Location", "/new")
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+
+        do_GET = do_POST = reply
+
+        def log_message(self, format, *args):
+            pass
+
+    with serve_loopback(Handler) as url:
+        client = HttpGenClient(f"{url}/old", auth_token="tok")
+        with pytest.raises(TransportError, match=str(404 if code == 302 else code)):
+            client.generate("p")
+    followed = [("GET", "/new", None)] if code == 302 else []
+    assert seen == [("POST", "/old", "Bearer tok")] + followed
+    assert slept == []
 
 
 @pytest.mark.parametrize("body, match", [("<html>gateway</html>", "not JSON"),
                                          (["text"], "text"), ({"text": 5}, "string 'text'"),
                                          ({"text": None}, "string 'text'")])
 def test_http_client_non_object_body_is_transport_error(body, match):
-    session = _StubSession([_StubResponse(200, body)])
-    client = HttpGenClient("http://gen.local", session=session)
+    opener = _StubOpener([_StubReply(200, body)])
+    client = HttpGenClient("http://gen.local", opener=opener)
     with pytest.raises(TransportError, match=match):
         client.generate("p")
-    assert len(session.requests) == 1
+    assert len(opener.requests) == 1
 
 
 def test_http_client_missing_text_field():
-    session = _StubSession([_StubResponse(200, {"output": "x"})])
-    client = HttpGenClient("http://gen.local", session=session)
+    opener = _StubOpener([_StubReply(200, {"output": "x"})])
+    client = HttpGenClient("http://gen.local", opener=opener)
     with pytest.raises(TransportError, match="text"):
         client.generate("p")
 
@@ -593,13 +674,14 @@ def test_non_string_http_text_rejects_only_its_sample():
     samples = [_sample(title=f"word Merkel opens the harbor in Oslo run {i}")
                for i in range(4)]
 
-    class Session:
-        def post(self, url, json=None, headers=None, timeout=None):
-            if samples[2].title in json["prompt"]:
-                return _StubResponse(200, {"text": 5})
-            return _StubResponse(200, {"text": MockGenClient().generate(json["prompt"])})
+    class Opener:
+        def open(self, request, timeout=None):
+            prompt = _sent(request)["prompt"]
+            if samples[2].title in prompt:
+                return _StubReply(200, {"text": 5})
+            return _StubReply(200, {"text": MockGenClient().generate(prompt)})
 
-    client = HttpGenClient("http://gen.local", session=Session())
+    client = HttpGenClient("http://gen.local", opener=Opener())
     records = generate_corpus_cots(samples, client, gazetteer=_gaz())
     assert [r.to_note().verdict for r in records] == ["accepted", "accepted",
                                                       "rejected:transport", "accepted"]
@@ -615,11 +697,11 @@ _HTTP_REPLY = st.tuples(
 def test_http_client_fuzzed_replies_give_text_or_transport_error(replies):
     """Any status with any JSON (or non-JSON) body either yields a string or
     is a TransportError, after at most HTTP_RETRIES + 1 attempts."""
-    session = _StubSession([_StubResponse(status, body) for status, body in replies])
-    client = HttpGenClient("http://gen.local", session=session)
+    opener = _StubOpener([_StubReply(status, body) for status, body in replies])
+    client = HttpGenClient("http://gen.local", opener=opener)
     with mock.patch.object(cot.time, "sleep"):
         try:
             assert isinstance(client.generate("p"), str)
         except TransportError:
             pass
-    assert 1 <= len(session.requests) <= cot.HTTP_RETRIES + 1
+    assert 1 <= len(opener.requests) <= cot.HTTP_RETRIES + 1
