@@ -38,6 +38,7 @@ from .trainer import TrainConfig, config_hash
 ENDPOINT_ENV = "UMFDET_GEN_ENDPOINT"
 TOKEN_ENV = "UMFDET_GEN_TOKEN"
 MAX_WORKERS = 32
+PROBE_POSTS = 3  # cot-gen generates this many posts first and stops if all fail in transport
 # glibc mallopt parameters and the values main pins them to: a training step's
 # multi-MB temporaries stay on the heap instead of being mapped and unmapped,
 # and the heap is not trimmed after every backward to be faulted back in.
@@ -199,9 +200,9 @@ def cmd_synth_toy(args):
 def cmd_fabricate_text(args):
     rng = np.random.default_rng(_seed_flag(args))
     label = data_mod.Category.parse(args.label)
-    if label is None:
-        raise ConfigError(f"--label must be one of {data_mod.CATEGORY_NAMES}, "
-                          f"got {args.label!r}")
+    if label is None or label is data_mod.Category.REAL:
+        raise ConfigError(f"--label must be human_crafted or ai_synthesized (a fabricated "
+                          f"title is never real), got {args.label!r}")
     samples = data_mod.load_manifest(args.manifest)
     client = make_gen_client(args)
     lexicon = textforge.default_lexicon()
@@ -237,12 +238,14 @@ def cmd_cot_gen(args):
         raise ConfigError(f"--attempts must be >= 1, got {args.attempts}")
     samples = data_mod.load_manifest(args.manifest)
     client = make_gen_client(args)
-    records = cot_mod.generate_corpus_cots(samples, client, k_attempts=args.attempts,
-                                           max_workers=args.workers)
-    if records and all(rec.reject_reason == "transport" for rec in records):
-        raise TransportError(f"{args.manifest}: all {len(records)} samples failed in "
-                             f"transport; first, sample {samples[0].id}: "
-                             f"{records[0].error}")
+    records = []  # the first posts go first, so a dead endpoint costs only their retries
+    for chunk in (samples[:PROBE_POSTS], samples[PROBE_POSTS:]):
+        records += cot_mod.generate_corpus_cots(chunk, client, k_attempts=args.attempts,
+                                                max_workers=args.workers)
+        if records and all(rec.reject_reason == "transport" for rec in records):
+            raise TransportError(f"{args.manifest}: the first {len(records)} samples all "
+                                 f"failed in transport; first, sample {samples[0].id}: "
+                                 f"{records[0].error}")
     accepted = 0
     for s, rec in zip(samples, records):
         s.cot = rec.to_note()

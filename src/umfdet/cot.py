@@ -3,12 +3,12 @@
 Stage 1 extracts meta entities from the title (gazetteer lookup plus a
 capitalized-token heuristic). Stage 2 prompts a pluggable text-generation
 client for a rationale in the strict ``<think>...</think><answer>...</answer>``
-schema, then a lightweight quality gate checks grounded spans, answer/label
+schema, then a lightweight quality gate checks grounding, answer/label
 agreement, rationale length and entity linkage, regenerating up to K times
 before giving up on a sample.
 
-Grounded spans are detected through explicit ``[image]`` / ``[text]``
-sentence markers, which the prompt requests from the generator.
+A rationale is grounded when it holds both the ``[image]`` and the ``[text]``
+marker, which the prompt asks the generator to put on its grounded sentences.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import functools
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .data import CATEGORY_NAMES, Category, CotNote, NewsSample, template_cot
@@ -34,7 +34,6 @@ HTTP_BACKOFF_S = 0.5  # the wait before retry i is HTTP_BACKOFF_S * 2 ** (i - 1)
 _WORD = re.compile(r"[A-Za-z][A-Za-z'\-]*")
 _WORD_SPLIT = re.compile(f"({_WORD.pattern})")
 _SENTENCE_END = re.compile(r"[.!?:]\s+\Z")  # a separator that ends a sentence
-_SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
 _CAP_STOPWORDS = {"the", "a", "an", "this", "that", "these", "those", "it",
                   "he", "she", "they", "we", "i", "you", "breaking"}
 
@@ -47,22 +46,6 @@ _CAP_STOPWORDS = {"the", "a", "an", "this", "that", "these", "those", "it",
 class Entity:
     surface: str
     kind: str
-
-
-@dataclass
-class EntitySet:
-    """Meta entities found in a title, with short descriptions."""
-    entities: list = field(default_factory=list)
-    descriptions: dict = field(default_factory=dict)
-
-    def surfaces(self):
-        return [e.surface for e in self.entities]
-
-    def __len__(self):
-        return len(self.entities)
-
-    def __bool__(self):
-        return bool(self.entities)
 
 
 def tsv_rows(fh, table: str, layout: str) -> list:
@@ -83,26 +66,19 @@ def tsv_rows(fh, table: str, layout: str) -> list:
 
 class Gazetteer:
     """Case-insensitive surface -> (kind, description) lookup; keys may be
-    multi-word phrases. ``first_words`` holds each key's lowercase first
-    word, so a lookup can skip tokens that start no key."""
+    multi-word phrases. ``entries`` maps each lowercase surface to its kind;
+    ``first_words`` holds each key's lowercase first word, so a lookup can
+    skip tokens that start no key."""
 
     def __init__(self, entries, descriptions=None):
-        self._entries = {}
-        self._descriptions = {}
+        self.entries = {}
         for surface, kind in entries.items():
             if kind not in ENTITY_KINDS:
                 raise ConfigError(f"gazetteer kind {kind!r} for {surface!r} not in {ENTITY_KINDS}")
-            self._entries[surface.lower()] = kind
-        for surface, desc in (descriptions or {}).items():
-            self._descriptions[surface.lower()] = desc
-        self.max_words = max((len(k.split()) for k in self._entries), default=1)
-        self.first_words = {k.split(" ", 1)[0] for k in self._entries}
-
-    def __contains__(self, surface):
-        return surface.lower() in self._entries
-
-    def kind_of(self, surface):
-        return self._entries[surface.lower()]
+            self.entries[surface.lower()] = kind
+        self._descriptions = {s.lower(): desc for s, desc in (descriptions or {}).items()}
+        self.max_words = max((len(k.split()) for k in self.entries), default=1)
+        self.first_words = {k.split(" ", 1)[0] for k in self.entries}
 
     def description_of(self, surface):
         return self._descriptions.get(surface.lower())
@@ -127,7 +103,7 @@ def default_gazetteer() -> Gazetteer:
         return Gazetteer.from_tsv(fh)
 
 
-def extract_entities(title: str, gazetteer: Gazetteer) -> EntitySet:
+def extract_entities(title: str, gazetteer: Gazetteer) -> list[Entity]:
     """Gazetteer lookup (longest phrase first) plus a capitalized-token
     heuristic for unknown mid-sentence names; deterministic, set semantics.
 
@@ -142,7 +118,7 @@ def extract_entities(title: str, gazetteer: Gazetteer) -> EntitySet:
     parts = _WORD_SPLIT.split(title)  # separator, token, separator, ..., separator
     words = parts[1::2]
     lowers = " ".join(words).lower().split(" ")
-    first, entries = gazetteer.first_words, gazetteer._entries
+    first, entries = gazetteer.first_words, gazetteer.entries
     found = []
     seen = set()
     end = 0  # tokens before end belong to a phrase already matched
@@ -168,11 +144,7 @@ def extract_entities(title: str, gazetteer: Gazetteer) -> EntitySet:
         if entity is not None and key not in seen:
             seen.add(key)
             found.append(entity)
-    descriptions = {}
-    for e in found:
-        desc = gazetteer.description_of(e.surface)
-        descriptions[e.surface] = desc or f"{e.surface} is a known {e.kind.replace('_', ' or ')}"
-    return EntitySet(entities=found, descriptions=descriptions)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +155,6 @@ def extract_entities(title: str, gazetteer: Gazetteer) -> EntitySet:
 class CotRecord:
     think: str = ""
     answer: str = ""
-    grounded_image_span: str = ""
-    grounded_text_span: str = ""
-    cited_entities: list = field(default_factory=list)
     attempts_used: int = 0
     verdict: str = "rejected"
     reject_reason: str | None = None
@@ -217,33 +186,29 @@ def parse_cot(raw: str) -> CotRecord:
     m = re.fullmatch(r"\s*<think>(.*?)</think>\s*<answer>(.*?)</answer>\s*", raw, re.DOTALL)
     if not m:
         return _rejected("trailing_garbage")
-    think, answer = m.group(1).strip(), m.group(2).strip()
-    sentences = _SENTENCE_SPLIT.split(think)
-    image_span = next((s.strip() for s in sentences if "[image]" in s), "")
-    text_span = next((s.strip() for s in sentences if "[text]" in s), "")
-    return CotRecord(think=think, answer=answer, grounded_image_span=image_span,
-                     grounded_text_span=text_span, verdict="parsed")
+    return CotRecord(think=m.group(1).strip(), answer=m.group(2).strip(), verdict="parsed")
 
 
 def _think_tokens(text):
     return re.findall(r"[\w']+", text)
 
 
-def validate_cot(rec: CotRecord, sample: NewsSample, m: EntitySet,
+def validate_cot(rec: CotRecord, sample: NewsSample, entities: list[Entity],
                  gazetteer: Gazetteer | None = None) -> CotRecord:
     """Quality gate over a parsed record; the verdict captures any failure.
 
-    Accepts only when both grounded spans exist, the answer is a valid
-    category equal to the sample label, the rationale length is inside
-    DEFAULT_THINK_RANGE and every entity the rationale mentions links back
-    to the meta set or the title.
+    Accepts only when the rationale holds both the ``[image]`` and the
+    ``[text]`` marker, the answer is a valid category equal to the sample
+    label, the rationale length is inside DEFAULT_THINK_RANGE and every
+    entity the rationale mentions is one of the title's entities or appears
+    in the title.
     """
     if rec.verdict == "rejected":
         return rec
     answer = rec.answer.strip().lower()
     lo, hi = DEFAULT_THINK_RANGE
     reason = None
-    if not rec.grounded_image_span or not rec.grounded_text_span:
+    if "[image]" not in rec.think or "[text]" not in rec.think:
         reason = "missing_grounded_span"
     elif answer not in CATEGORY_NAMES:
         reason = "invalid_answer"
@@ -254,13 +219,10 @@ def validate_cot(rec: CotRecord, sample: NewsSample, m: EntitySet,
     elif n_tokens > hi:
         reason = "think_too_long"
     else:
-        known = {s.lower() for s in m.surfaces()}
-        cited = [e.surface for e in
-                 extract_entities(rec.think, gazetteer or default_gazetteer()).entities]
-        if all(surface.lower() in known or re.search(rf"\b{re.escape(surface)}\b", sample.title)
-               for surface in cited):
-            rec.cited_entities = cited
-        else:
+        known = {e.surface.lower() for e in entities}
+        if not all(e.surface.lower() in known
+                   or re.search(rf"\b{re.escape(e.surface)}\b", sample.title)
+                   for e in extract_entities(rec.think, gazetteer or default_gazetteer())):
             reason = "unlinkable_entity"
     rec.verdict, rec.reject_reason = ("rejected", reason) if reason else ("accepted", None)
     return rec
@@ -270,10 +232,10 @@ def validate_cot(rec: CotRecord, sample: NewsSample, m: EntitySet,
 # prompting
 
 
-def build_cot_prompt(sample: NewsSample, m: EntitySet) -> str:
+def build_cot_prompt(sample: NewsSample, entities: list[Entity], gazetteer: Gazetteer) -> str:
     """Render the rationale-generation prompt; the annotated label is spelled
     out so the generated reasoning stays consistent with it, and each entity
-    carries its description from m."""
+    carries its gazetteer description, or else one made from its kind."""
     lines = [
         "[TASK]",
         "Given the news image and title, explain step by step why this news belongs "
@@ -281,10 +243,12 @@ def build_cot_prompt(sample: NewsSample, m: EntitySet) -> str:
         f"Title: {sample.title}",
         f"Label: {sample.label.value}",
     ]
-    if m:
+    if entities:
         lines.append("Entities:")
-        for e in m.entities:
-            lines.append(f"- {e.surface} ({e.kind}): {m.descriptions.get(e.surface, '')}")
+        for e in entities:
+            desc = (gazetteer.description_of(e.surface)
+                    or f"{e.surface} is a known {e.kind.replace('_', ' or ')}")
+            lines.append(f"- {e.surface} ({e.kind}): {desc}")
     lines += [
         "[DEFINE]",
         "Decision criteria: real news keeps image-text consistency; human_crafted "
@@ -423,12 +387,11 @@ def generate_with_qc(sample: NewsSample, client: GenClient,
     if k_attempts < 1:
         raise ConfigError(f"k_attempts must be >= 1, got {k_attempts}")
     gaz = gazetteer or default_gazetteer()
-    m = extract_entities(sample.title, gaz)
-    prompt = build_cot_prompt(sample, m)
-    rec = CotRecord()
+    entities = extract_entities(sample.title, gaz)
+    prompt = build_cot_prompt(sample, entities, gaz)
     for attempt in range(1, k_attempts + 1):
         rec = parse_cot(client.generate(prompt))
-        rec = validate_cot(rec, sample, m, gazetteer=gaz)
+        rec = validate_cot(rec, sample, entities, gazetteer=gaz)
         rec.attempts_used = attempt
         if rec.accepted:
             return rec
@@ -440,11 +403,10 @@ def generate_corpus_cots(samples, client: GenClient, k_attempts: int = DEFAULT_A
     """Per-sample QC generation over a corpus; output order follows input order.
     A sample whose generation fails in transport gets a record rejected for
     reason "transport", and the other samples go on."""
-    gaz = gazetteer or default_gazetteer()
 
     def one(sample):
         try:
-            return generate_with_qc(sample, client, k_attempts, gaz)
+            return generate_with_qc(sample, client, k_attempts, gazetteer)
         except TransportError as exc:
             return _rejected("transport", error=str(exc))
 

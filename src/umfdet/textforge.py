@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .cot import _WORD, EntitySet, GenClient, tsv_rows
+from .cot import _WORD, Entity, GenClient, tsv_rows
 from .errors import ConfigError, FabricationError
 
 _POS_RANK = {"adj": 0, "verb": 1, "noun": 2}
@@ -126,10 +126,10 @@ def _match_case(replacement: str, original: str) -> str:
     return replacement
 
 
-def _entity_char_spans(title: str, m: EntitySet):
+def _entity_char_spans(title: str, entities: list[Entity]):
     spans = []
-    for surface in m.surfaces():
-        for hit in re.finditer(rf"(?<!\w){re.escape(surface)}(?!\w)", title):
+    for e in entities:
+        for hit in re.finditer(rf"(?<!\w){re.escape(e.surface)}(?!\w)", title):
             spans.append((hit.start(), hit.end()))
     return spans
 
@@ -138,7 +138,8 @@ def _inside(offset, end, spans):
     return any(offset < s_end and end > s_start for s_start, s_end in spans)
 
 
-def pure_fake_rewrite(title: str, m: EntitySet, gen: GenClient) -> tuple[str, RewriteLog]:
+def pure_fake_rewrite(title: str, entities: list[Entity],
+                      gen: GenClient) -> tuple[str, RewriteLog]:
     """Wholesale misleading rewrite with verbatim entity preservation.
 
     The generator output is checked, not trusted: every entity surface must
@@ -146,7 +147,7 @@ def pure_fake_rewrite(title: str, m: EntitySet, gen: GenClient) -> tuple[str, Re
     the regeneration budget of REWRITE_ATTEMPTS; exhaustion raises
     FabricationError.
     """
-    surfaces = m.surfaces()
+    surfaces = [e.surface for e in entities]
     prompt_lines = ["Rewrite this news headline into a misleading fake version."]
     if surfaces:
         prompt_lines.append("Keep these entity tokens verbatim: " + ", ".join(surfaces))
@@ -170,7 +171,7 @@ def pure_fake_rewrite(title: str, m: EntitySet, gen: GenClient) -> tuple[str, Re
         f"pure_fake rewrite failed after {REWRITE_ATTEMPTS} attempts: {problem}")
 
 
-def keyword_distortion(title: str, m: EntitySet, lexicon: AntonymLexicon,
+def keyword_distortion(title: str, entities: list[Entity], lexicon: AntonymLexicon,
                        rng, gen: GenClient | None = None) -> tuple[str, RewriteLog]:
     """Swap 2-3 non-entity content words for lexicon opposites.
 
@@ -179,7 +180,7 @@ def keyword_distortion(title: str, m: EntitySet, lexicon: AntonymLexicon,
     fewer than two candidates the strategy cannot produce a meaningful edit
     and falls back to pure_fake_rewrite (which needs a generator).
     """
-    entity_spans = _entity_char_spans(title, m)
+    entity_spans = _entity_char_spans(title, entities)
     candidates = []
     for hit in _WORD.finditer(title):
         word, start = hit.group(0), hit.start()
@@ -189,7 +190,7 @@ def keyword_distortion(title: str, m: EntitySet, lexicon: AntonymLexicon,
         if gen is None:
             raise FabricationError(
                 f"only {len(candidates)} distortion candidates and no fallback generator")
-        return pure_fake_rewrite(title, m, gen)
+        return pure_fake_rewrite(title, entities, gen)
     n = min(len(candidates), int(rng.integers(2, 4)))
     ordered = sorted(candidates,
                      key=lambda c: (_POS_RANK.get(lexicon.pos_of(c[0]), 3), c[1]))
@@ -202,6 +203,6 @@ def keyword_distortion(title: str, m: EntitySet, lexicon: AntonymLexicon,
         replacements.append(Replacement(original=word, replacement=swap, position=start))
     replacements.reverse()
     log = RewriteLog(strategy="keyword_distortion",
-                     preserved_entities=m.surfaces(),
+                     preserved_entities=[e.surface for e in entities],
                      replacements=replacements, output_title=out)
     return out, log

@@ -608,14 +608,13 @@ def test_rationale_gate_accepts_only_fully_valid_records():
         rec = cot.validate_cot(cot.parse_cot(raw), sample, m, gazetteer=gaz)
         assert rec.accepted, rec.reject_reason
         accepted += 1
-        assert rec.grounded_image_span and "[image]" in rec.grounded_image_span
-        assert rec.grounded_text_span and "[text]" in rec.grounded_text_span
+        assert "[image]" in rec.think and "[text]" in rec.think
         assert rec.answer == sample.label.value
         assert lo <= len(re.findall(r"[\w']+", rec.think)) <= hi
-        known = {s.lower() for s in m.surfaces()}
-        for surface in rec.cited_entities:
-            assert (surface.lower() in known
-                    or re.search(rf"\b{re.escape(surface)}\b", sample.title))
+        known = {e.surface.lower() for e in m}
+        for e in cot.extract_entities(rec.think, gaz):
+            assert (e.surface.lower() in known
+                    or re.search(rf"\b{re.escape(e.surface)}\b", sample.title))
 
         mutations = [
             (raw.replace("[image]", "image"), "missing_grounded_span"),
@@ -704,7 +703,7 @@ def test_fabrication_preserves_entities_and_logs_replay():
         oracle_candidates = sum(1 for w in re.findall(r"[A-Za-z']+", title)
                                 if w in lex)
         out, log = textforge.keyword_distortion(title, m, lex, rng, gen=gen)
-        for surface in m.surfaces():
+        for surface in [e.surface for e in m]:
             before, after = _count(surface, title), _count(surface, out)
             assert after >= 1 and (log.strategy != "keyword_distortion"
                                    or after == before), (

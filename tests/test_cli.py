@@ -190,6 +190,13 @@ def test_fabricate_text_bad_label_exits_1(tmp_path, corpus, capsys):
                    "--mock", "--out", str(tmp_path / "g.jsonl")])
     assert rc == 1  # the flag is checked before the manifest is read
     assert "--label" in capsys.readouterr().err
+    # A fabricated title is never real: the loader would refuse its manifest.
+    rc = cli.main(["fabricate-text", "--manifest", str(corpus), "--label", "real",
+                   "--mock", "--out", str(tmp_path / "h" / "h.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "--label" in err
+    assert not (tmp_path / "h").exists()
 
 
 def test_fabricate_text_missing_manifest_exits_2(tmp_path, capsys):
@@ -305,6 +312,33 @@ def test_cot_gen_exits_3_when_every_sample_fails_in_transport(tmp_path, corpus, 
     assert not out.exists()
 
 
+def test_cot_gen_stops_after_the_first_posts_fail_in_transport(tmp_path, corpus, capsys,
+                                                             monkeypatch):
+    """Against an endpoint that refuses every connection, cot-gen asks only
+    for the first PROBE_POSTS posts before it exits 3 and writes nothing."""
+    monkeypatch.setattr(cli.cot_mod, "HTTP_BACKOFF_S", 0.0)
+    manifest = tmp_path / "toy.jsonl"
+    save_manifest(load_manifest(corpus)[:10], manifest)
+    prompts = []
+
+    class Refuses:
+        def open(self, request, timeout=None):
+            prompts.append(json.loads(request.data)["prompt"])
+            raise ConnectionRefusedError("refused")
+
+    monkeypatch.setattr(cli, "make_gen_client", lambda args: cli.cot_mod.HttpGenClient(
+        "http://gen.local", opener=Refuses()))
+    out = tmp_path / "out" / "cots.jsonl"
+    assert cli.main(["cot-gen", "--manifest", str(manifest), "--out", str(out)]) == 3
+    assert "TransportError" in capsys.readouterr().err
+    titles = [s.title for s in load_manifest(manifest)]
+    assert len(set(titles)) == 10
+    assert len(prompts) == cli.PROBE_POSTS * (cli.cot_mod.HTTP_RETRIES + 1)
+    assert {t for t in titles if any(f"Title: {t}\n" in p for p in prompts)} == set(
+        titles[:cli.PROBE_POSTS])
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("workers", ["1", "4"])
 def test_cot_gen_over_loopback_http_writes_what_mock_writes(tmp_path, corpus, gen_server,
                                                             monkeypatch, workers):
@@ -375,6 +409,33 @@ def test_mistyped_manifest_field_exits_2_naming_the_line(tmp_path, corpus, capsy
     rc = cli.main(["cot-validate", "--manifest", str(bad)])
     assert rc == 2
     assert "line 61" in capsys.readouterr().err
+
+
+# sha256 of each manifest the offline rationale pipeline writes: synth-toy
+# --n 30 --seed 1, fabricate-text --mock over it, and cot-gen --mock over both.
+_PIPELINE_SHA256 = {
+    "toy.jsonl": "89a82cd9f7a0c7763cf55465f634061430ceafc30663d182e41fef697a9d3860",
+    "fab.jsonl": "c255a12ba376e4b3c86742db22c1e1ba8f5d1fc43ea863073a471823acfeb90b",
+    "toy_cots.jsonl": "464294758c54b6e6ff2f37e67123b002b1ed71f602dce9d3d9b169110053eb36",
+    "fab_cots.jsonl": "a59c6a5d6fd47169afe06ece41d05029e1f05be95ee18840301bbccb7ffaa744",
+}
+
+
+def test_mock_rationale_pipeline_writes_pinned_bytes(tmp_path):
+    """Synthesis, fabrication, entity extraction, prompting and the rationale
+    gate all feed these manifests, so a change that moves any of their bytes
+    shows here."""
+    paths = {name: tmp_path / name for name in _PIPELINE_SHA256}
+    for argv in (["synth-toy", "--n", "30", "--seed", "1", "--out", paths["toy.jsonl"]],
+                 ["fabricate-text", "--manifest", paths["toy.jsonl"], "--mock",
+                  "--out", paths["fab.jsonl"]],
+                 ["cot-gen", "--manifest", paths["toy.jsonl"], "--mock",
+                  "--out", paths["toy_cots.jsonl"]],
+                 ["cot-gen", "--manifest", paths["fab.jsonl"], "--mock",
+                  "--out", paths["fab_cots.jsonl"]]):
+        assert cli.main([str(a) for a in argv]) == 0
+    assert {name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in paths.items()} == _PIPELINE_SHA256
 
 
 # ---------------------------------------------------------------------------

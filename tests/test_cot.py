@@ -20,7 +20,6 @@ from umfdet import cli, cot
 from umfdet.cot import (
     CotRecord,
     Entity,
-    EntitySet,
     Gazetteer,
     HttpGenClient,
     MockGenClient,
@@ -60,8 +59,7 @@ def test_gazetteer_from_tsv_and_lookup():
         "\n"
         "Monday\tevent_time\tMonday is a weekday\n")
     g = Gazetteer.from_tsv(tsv)
-    assert "obama" in g and "OBAMA" in g and "New York" in g
-    assert g.kind_of("new york") == "location"
+    assert g.entries == {"obama": "person", "new york": "location", "monday": "event_time"}
     assert g.description_of("Obama") == "Obama is a former head of state"
     assert g.description_of("New York") is None
     assert g.max_words == 2
@@ -78,8 +76,7 @@ def test_default_gazetteer_has_core_entries():
     g = default_gazetteer()
     for surface, kind in (("Obama", "person"), ("Berlin", "location"),
                           ("NATO", "organization"), ("Monday", "event_time")):
-        assert surface in g
-        assert g.kind_of(surface) == kind
+        assert g.entries[surface.lower()] == kind
 
 
 # ---------------------------------------------------------------------------
@@ -89,38 +86,40 @@ def test_default_gazetteer_has_core_entries():
 def test_extract_entities_gazetteer_multiword_longest_match():
     g = Gazetteer({"New York": "location", "York": "location", "Obama": "person"})
     m = extract_entities("Obama lands in New York today", g)
-    assert [(e.surface, e.kind) for e in m.entities] == [
+    assert [(e.surface, e.kind) for e in m] == [
         ("Obama", "person"), ("New York", "location")]
 
 
 def test_extract_entities_cap_heuristic_mid_sentence_only():
     g = Gazetteer({"Berlin": "location"})
     m = extract_entities("Yesterday Snorkelwhistle toured Berlin", g)
-    surfaces = m.surfaces()
+    surfaces = [e.surface for e in m]
     # sentence-initial "Yesterday" is skipped, unknown mid-sentence cap is a person
     assert "Yesterday" not in surfaces
-    assert ("Snorkelwhistle", "person") in [(e.surface, e.kind) for e in m.entities]
-    assert ("Berlin", "location") in [(e.surface, e.kind) for e in m.entities]
+    assert ("Snorkelwhistle", "person") in [(e.surface, e.kind) for e in m]
+    assert ("Berlin", "location") in [(e.surface, e.kind) for e in m]
 
 
 def test_extract_entities_gazetteer_hits_at_sentence_start():
     g = Gazetteer({"Berlin": "location"})
     m = extract_entities("Berlin hosts a fair. Berlin wins praise", g)
-    assert m.surfaces() == ["Berlin"]  # found despite offset 0, deduped
+    assert m == [Entity("Berlin", "location")]  # found despite offset 0, deduped
 
 
 def test_extract_entities_skips_stopwords_and_lowercase():
     g = Gazetteer({"Oslo": "location"})
     m = extract_entities("officials said The plan for Oslo holds", g)
-    assert m.surfaces() == ["Oslo"]
+    assert m == [Entity("Oslo", "location")]
 
 
-def test_extract_entities_descriptions():
+def test_build_cot_prompt_describes_each_entity():
+    """A gazetteer description where there is one, else one made from the kind."""
     g = Gazetteer({"Obama": "person", "Monday": "event_time"},
                   {"Obama": "Obama is a former head of state"})
-    m = extract_entities("word Obama met aides on Monday", g)
-    assert m.descriptions["Obama"] == "Obama is a former head of state"
-    assert m.descriptions["Monday"] == "Monday is a known event or time"
+    sample = _sample(title="word Obama met aides on Monday")
+    lines = build_cot_prompt(sample, extract_entities(sample.title, g), g).splitlines()
+    assert "- Obama (person): Obama is a former head of state" in lines
+    assert "- Monday (event_time): Monday is a known event or time" in lines
 
 
 _REF_WORD = re.compile(r"[A-Za-z][A-Za-z'\-]*")
@@ -138,7 +137,8 @@ def _reference_sentence_initial_offsets(text):
 def _reference_extract_entities(title, gazetteer):
     """extract_entities before the first-word index: every phrase width is
     tried at every token. Kept as the reference the indexed lookup must match;
-    it shares no tokenizer, stopword list or sentence finder with cot."""
+    it shares no tokenizer, stopword list or sentence finder with cot.
+    Returns the entities and each one's description."""
     tokens = [(m.group(0), m.start()) for m in _REF_WORD.finditer(title)]
     initial = _reference_sentence_initial_offsets(title)
     found, seen = [], set()
@@ -149,8 +149,9 @@ def _reference_extract_entities(title, gazetteer):
         for width in range(min(gazetteer.max_words, len(tokens) - i), 0, -1):
             first, last = tokens[i], tokens[i + width - 1]
             phrase = title[first[1]:last[1] + len(last[0])]
-            if " ".join(t[0] for t in tokens[i:i + width]) == phrase and phrase in gazetteer:
-                entity = Entity(phrase, gazetteer.kind_of(phrase))
+            kind = gazetteer.entries.get(phrase.lower())
+            if " ".join(t[0] for t in tokens[i:i + width]) == phrase and kind:
+                entity = Entity(phrase, kind)
                 step = width
                 break
         if entity is None:
@@ -166,7 +167,7 @@ def _reference_extract_entities(title, gazetteer):
     for e in found:
         desc = gazetteer.description_of(e.surface)
         descriptions[e.surface] = desc or f"{e.surface} is a known {e.kind.replace('_', ' or ')}"
-    return EntitySet(entities=found, descriptions=descriptions)
+    return found, descriptions
 
 
 _CUSTOM_GAZETTEER = Gazetteer(
@@ -176,7 +177,7 @@ _CUSTOM_GAZETTEER = Gazetteer(
     {"New York": "largest city in the United States"})
 # Every key, each of its leading word runs, and each of its words on its own.
 _GAZETTEER_WORDS = sorted({piece for g in (default_gazetteer(), _CUSTOM_GAZETTEER)
-                           for key in g._entries
+                           for key in g.entries
                            for piece in [" ".join(key.split(" ")[:n])
                                          for n in range(1, len(key.split(" ")) + 1)]
                            + key.split(" ")})
@@ -192,21 +193,17 @@ _SEPARATORS = [" ", " ", " ", "  ", ", ", ". ", "! ", "? ", ": ", "-", "'", " - 
        gazetteer=st.sampled_from([default_gazetteer(), _CUSTOM_GAZETTEER]))
 def test_extract_entities_matches_the_unindexed_width_walk(parts, gazetteer):
     title = "".join(case(word) + sep for word, case, sep in parts).strip()
-    got, want = extract_entities(title, gazetteer), _reference_extract_entities(title, gazetteer)
-    assert got.entities == want.entities
-    assert got.descriptions == want.descriptions
+    got = extract_entities(title, gazetteer)
+    want, descriptions = _reference_extract_entities(title, gazetteer)
+    assert got == want
+    prompt = build_cot_prompt(_sample(title=title), got, gazetteer).splitlines()
+    assert [line for line in prompt if line.startswith("- ")] == [
+        f"- {e.surface} ({e.kind}): {descriptions[e.surface]}" for e in want]
 
 
 def test_gazetteer_first_words_index_the_lowercase_first_word_of_each_key():
     assert _CUSTOM_GAZETTEER.first_words == {
         "new", "york", "o'neill", "saint-denis", "the", "united", "monday"}
-
-
-def test_entity_set_basics():
-    empty = EntitySet()
-    assert not empty and len(empty) == 0
-    one = EntitySet(entities=[Entity("Oslo", "location")])
-    assert one and one.surfaces() == ["Oslo"]
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +219,9 @@ def test_parse_cot_accepts_strict_schema():
     rec = parse_cot(GOOD_RAW)
     assert rec.verdict == "parsed"
     assert rec.answer == "real"
-    assert rec.grounded_image_span == "Scene matches the caption [image]."
-    assert "[text]" in rec.grounded_text_span
-    assert rec.think.startswith("Scene matches")
+    assert rec.think == ("Scene matches the caption [image]. Wording stays factual "
+                         "around Merkel with no rewrite cues [text]. Looks authentic overall.")
+    assert "[image]" in rec.think and "[text]" in rec.think
 
 
 def test_parse_cot_tolerates_surrounding_whitespace():
@@ -277,18 +274,21 @@ def test_validate_cot_accepts_and_cites():
     rec = validate_cot(parse_cot(GOOD_RAW), _sample(), extract_entities(
         _sample().title, _gaz()), gazetteer=_gaz())
     assert rec.accepted and rec.reject_reason is None
-    assert rec.cited_entities == ["Merkel"]
+    assert extract_entities(rec.think, _gaz()) == [Entity("Merkel", "person")]
     assert rec.to_note().verdict == "accepted"
 
 
 def test_validate_cot_keeps_prior_rejection():
-    rec = validate_cot(parse_cot("garbage"), _sample(), EntitySet(), gazetteer=_gaz())
+    rec = validate_cot(parse_cot("garbage"), _sample(), [], gazetteer=_gaz())
     assert rec.reject_reason == "missing_block"
 
 
 @pytest.mark.parametrize("think,answer,reason", [
     ("w " * 30 + "[text].", "real", "missing_grounded_span"),
     ("w " * 30 + "[image].", "real", "missing_grounded_span"),
+    ("w " * 30 + "the [image] matches and so on.", "real", "missing_grounded_span"),
+    ("w " * 30 + "the [text] matches with no full stop", "real", "missing_grounded_span"),
+    (_think(30).replace("[image]", "[IMAGE]"), "real", "missing_grounded_span"),
     (_think(30), "maybe", "invalid_answer"),
     (_think(30), "human_crafted", "answer_label_mismatch"),
     (_think(9), "real", "think_too_short"),      # 11 tokens
@@ -305,6 +305,17 @@ def test_validate_cot_reject_reasons(think, answer, reason):
     assert rec.to_note().verdict == f"rejected:{reason}"
 
 
+@pytest.mark.parametrize("think", [
+    "w " * 30 + "the [image] matches while the [text] agrees. Nothing else.",
+    "w " * 30 + "the [image] matches while the [text] agrees with no full stop",
+])
+def test_validate_cot_accepts_markers_anywhere_in_a_sentence(think):
+    sample = _sample()
+    rec = validate_cot(parse_cot(f"<think>{think}</think><answer>real</answer>"), sample,
+                       extract_entities(sample.title, _gaz()), gazetteer=_gaz())
+    assert rec.accepted, rec.reject_reason
+
+
 def test_validate_cot_length_boundaries_inclusive():
     sample = _sample()
     m = extract_entities(sample.title, _gaz())
@@ -319,9 +330,9 @@ def test_validate_cot_links_title_only_entities():
     sample = _sample(title="word Novakovic visits the calm harbor in Oslo")
     think = _think(28)[:-1] + " Novakovic appears composed."
     raw = f"<think>{think}</think><answer>real</answer>"
-    rec = validate_cot(parse_cot(raw), sample, EntitySet(), gazetteer=_gaz())
+    rec = validate_cot(parse_cot(raw), sample, [], gazetteer=_gaz())
     assert rec.accepted
-    assert rec.cited_entities == ["Novakovic"]
+    assert extract_entities(rec.think, _gaz()) == [Entity("Novakovic", "person")]
 
 
 def test_validate_cot_custom_limits(monkeypatch):
@@ -342,7 +353,7 @@ def test_validate_cot_custom_limits(monkeypatch):
 def test_build_cot_prompt_sections_and_entities():
     sample = _sample(label=Category.HUMAN_CRAFTED)
     m = extract_entities(sample.title, _gaz())
-    prompt = build_cot_prompt(sample, m)
+    prompt = build_cot_prompt(sample, m, _gaz())
     assert prompt.index("[TASK]") < prompt.index("[DEFINE]") < prompt.index("[RESP]")
     assert f"Title: {sample.title}" in prompt
     assert "Label: human_crafted" in prompt
@@ -352,14 +363,14 @@ def test_build_cot_prompt_sections_and_entities():
 
 def test_build_cot_prompt_custom_knowledge():
     sample = _sample()
-    m = extract_entities(sample.title, _gaz())
-    m.descriptions["Merkel"] = "chancellor for 16 years"
-    prompt = build_cot_prompt(sample, m)
+    g = Gazetteer({"Merkel": "person", "Oslo": "location", "Friday": "event_time"},
+                  {"Merkel": "chancellor for 16 years"})
+    prompt = build_cot_prompt(sample, extract_entities(sample.title, g), g)
     assert "- Merkel (person): chancellor for 16 years" in prompt
 
 
 def test_build_cot_prompt_no_entities_omits_block():
-    prompt = build_cot_prompt(_sample(title="storm hits coastal towns"), EntitySet())
+    prompt = build_cot_prompt(_sample(title="storm hits coastal towns"), [], _gaz())
     assert "Entities:" not in prompt
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from umfdet.cot import Entity, EntitySet
+from umfdet.cot import Entity
 from umfdet.errors import ConfigError, FabricationError
 from umfdet.textforge import (
     REWRITE_ATTEMPTS,
@@ -20,8 +20,8 @@ from umfdet.textforge import (
 )
 
 
-def _meta(*pairs) -> EntitySet:
-    return EntitySet(entities=[Entity(s, k) for s, k in pairs])
+def _meta(*pairs) -> list[Entity]:
+    return [Entity(s, k) for s, k in pairs]
 
 
 LEX = AntonymLexicon([
