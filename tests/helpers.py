@@ -111,3 +111,55 @@ def serve_loopback(handler):
         server.server_close()
         thread.join(timeout=10)
         assert not thread.is_alive()
+
+
+def recipe_digests(out_dir):
+    """Train the 12-step recipe and return what it wrote, as sha256 prefixes.
+
+    The recipe: synth_toy_corpus(120, 1.0, 1), split seed 1, the train split's
+    vocabulary, default ModelConfig weights from default_rng(1), batch 8,
+    eval_every 6, train seed 0. For each (routing_aux_coeff,
+    freeze_patch_embedder) pair it maps "aux/freeze" to the prefixes of
+    weights.umfd, optimizer.umfd, train_state.json, history.csv and the
+    greedy test-split predictions of the saved model. "resumed" holds the
+    four file prefixes of the (0.5, on) run trained 6 steps, reloaded and
+    resumed to 12; "vocab" holds the vocabulary's size and prefix."""
+    import hashlib
+    import json
+    from pathlib import Path
+
+    from umfdet import checkpoint, data, evalkit, instruct, model, trainer
+
+    def sha(blob):
+        return hashlib.sha256(blob).hexdigest()[:16]
+
+    def files(run):
+        return [sha((run / name).read_bytes()) for name in (
+            f"checkpoint/{checkpoint.WEIGHTS_FILE}", f"checkpoint/{checkpoint.OPTIMIZER_FILE}",
+            f"checkpoint/{checkpoint.TRAIN_STATE_FILE}", "history.csv")]
+
+    out = Path(out_dir)
+    train_s, val_s, test_s = data.split(data.synth_toy_corpus(120, 1.0, 1),
+                                        data.SplitSpec(seed=1))
+    template = instruct.default_template()
+    vocab = instruct.build_vocab(train_s, template)
+
+    def run(dest, aux, freeze, steps, resume=False):
+        params = (checkpoint.load_model(dest / "checkpoint")[0] if resume else
+                  model.init_model(model.ModelConfig(vocab_size=len(vocab)),
+                                   np.random.default_rng(1)))
+        tcfg = trainer.TrainConfig(max_steps=steps, batch_size=8, eval_every=6,
+                                   routing_aux_coeff=aux, freeze_patch_embedder=freeze)
+        trainer.train(params, train_s, val_s, vocab, template, tcfg, dest, resume=resume)
+
+    digests = {"vocab": [len(vocab), sha("\n".join(vocab.id_to_token).encode())]}
+    for aux, freeze in ((0.0, False), (0.5, False), (0.0, True), (0.5, True)):
+        dest = out / f"{aux}-{freeze}"
+        run(dest, aux, freeze, 12)
+        params, saved_vocab = checkpoint.load_model(dest / "checkpoint")
+        rows = evalkit.evaluate_model(params, test_s, saved_vocab, template).predictions
+        digests[f"{aux}/{freeze}"] = files(dest) + [sha(json.dumps(rows).encode())]
+    run(out / "resumed", 0.5, True, 6)
+    run(out / "resumed", 0.5, True, 12, resume=True)
+    digests["resumed"] = files(out / "resumed")
+    return digests

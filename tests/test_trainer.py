@@ -3,7 +3,11 @@
 import copy
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,6 +280,37 @@ def test_packed_batch_loss_equals_per_sample_sum(toy_corpus, toy_vocab, template
         assert np.allclose(grads[0][name], g, rtol=0.0, atol=1e-12), name
     routed = [name for name, g in grads[1].items() if "router" in name and g.any()]
     assert bool(routed) == moe_enabled
+
+
+# helpers.recipe_digests on this host's OpenBLAS (DYNAMIC_ARCH) with one BLAS
+# thread. A change that moves trained bytes on purpose updates these pins and
+# says why.
+_RECIPE_DIGESTS = {
+    "vocab": [150, "ef4e7abb6b760f2d"],
+    "0.0/False": ["05d9fcdedd0d46fb", "e69deda0b37290d9", "68fdf8263531f05e",
+                  "b1d903c2f2620a5f", "7df16070810c75ad"],
+    "0.5/False": ["c7d2ff2b17b11946", "a62e72d216a2775a", "476599d043ad4162",
+                  "f8130634b8bb41bf", "e07f2fd518ed08c9"],
+    "0.0/True": ["977e8c0c397e9284", "d5ed7ddf20b11b3e", "38e8b302da5df47f",
+                 "28b45282409d6d51", "e2a11c0da23efe23"],
+    "0.5/True": ["41a955d413c205f1", "93214e7b77d384d1", "110bd91eef00185e",
+                 "f8e70567d3932727", "e2216026b7d74df5"],
+}
+
+
+def test_recipe_trains_pinned_bytes_and_resumes_to_them(tmp_path):
+    """The 12-step recipe in a fresh process with one BLAS thread, so that
+    the matrix products round the same way in every run."""
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    code = ("import json, sys, helpers\n"
+            "print(json.dumps(helpers.recipe_digests(sys.argv[1])))")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300, check=True).stdout
+    digests = json.loads(out)
+    assert digests.pop("resumed") == _RECIPE_DIGESTS["0.5/True"][:4]
+    assert digests == _RECIPE_DIGESTS
 
 
 def test_train_same_seed_bitwise_identical(tmp_path, splits, toy_vocab, template,
