@@ -156,14 +156,14 @@ def make_gen_client(args) -> cot_mod.GenClient:
         raise ConfigError(f"{setting}: {exc}") from None
 
 
-def _load_corpus(path):
-    samples = data_mod.load_manifest(path)
-    kept, _ = data_mod.similarity_gate(samples)
-    return kept
-
-
-def _split_corpus(samples, split_seed):
-    return data_mod.split(samples, data_mod.SplitSpec(seed=split_seed))
+def _corpus_splits(path, split_seed):
+    """(train, val, test) of the manifest at path after the similarity gate;
+    a class too small to stratify is a DataError naming the manifest."""
+    kept, _ = data_mod.similarity_gate(data_mod.load_manifest(path))
+    try:
+        return data_mod.split(kept, data_mod.SplitSpec(seed=split_seed))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _seed_flag(args):
@@ -280,6 +280,9 @@ def cmd_cot_validate(args):
     report = {"n_samples": len(samples), **counts, "rejected_by_reason": reasons}
     if args.out:
         write_json(args.out, report)
+        write_run_record(Path(args.out).parent, args,
+                         {"manifest": str(args.manifest), "out": str(args.out), "seed": None},
+                         [args.manifest])
     print(f"validated {len(samples)} rationales: {counts['accepted']} accepted, "
           f"{sum(reasons.values())} rejected, {counts['missing']} missing")
     return 0
@@ -298,7 +301,7 @@ def _training_inputs(args, flag_model: dict, flag_train: dict):
     model_kv, train_kv, extra = resolve_configs(args.config, flag_model, flag_train)
     tcfg = TrainConfig(**train_kv)
     template = _template(args)
-    splits = _split_corpus(_load_corpus(args.manifest), extra["split_seed"])
+    splits = _corpus_splits(args.manifest, extra["split_seed"])
     if getattr(args, "resume", False):
         params, vocab = ckpt.load_model(Path(args.out) / "checkpoint")
         changed = [f"{k}={v!r} (checkpoint: {getattr(params.config, k)!r})"
@@ -336,8 +339,7 @@ def cmd_train(args):
 def _load_eval_inputs(args):
     """What eval and route-report share: the chosen split of the gated corpus,
     the checkpoint's (params, vocab) and run.json's effective config and inputs."""
-    samples = _load_corpus(args.manifest)
-    splits = _split_corpus(samples, args.split_seed)
+    splits = _corpus_splits(args.manifest, args.split_seed)
     chosen = {"train": splits[0], "val": splits[1], "test": splits[2]}[args.split]
     params, vocab = ckpt.load_model(args.checkpoint)
     effective = {"split": args.split, "split_seed": args.split_seed,

@@ -186,7 +186,7 @@ class CotNote:
         return {"think": self.think, "answer": self.answer, "verdict": self.verdict}
 
     def target_text(self) -> str:
-        """The rationale as the model's target, <think>...</think><answer>...</answer>,
+        """The note as generator output, <think>...</think><answer>...</answer>,
         with both parts stripped and the think block dropped when empty."""
         think, answer = self.think.strip(), self.answer.strip()
         block = f"<think>{think}</think>" if think else ""
@@ -319,8 +319,8 @@ def split(samples, spec: SplitSpec):
         by_label[sample.label].append(sample)
     for c, group in by_label.items():
         if 0 < len(group) < 10:
-            raise ConfigError(f"class {c.value} has only {len(group)} samples; "
-                              "need >= 10 to stratify")
+            raise DataError(f"class {c.value} has only {len(group)} samples; "
+                            "need >= 10 to stratify")
     rng = np.random.default_rng(spec.seed)
     train, val, test = [], [], []
     for c in Category:

@@ -201,14 +201,19 @@ class Vocabulary:
         return vocab
 
 
+def target_parts(sample) -> tuple:
+    """(think, answer) a post trains on: the stripped think of a rationale note
+    the gate accepted, else "", and the label's name, which is the supervision."""
+    accepted = sample.cot is not None and sample.cot.verdict == "accepted"
+    return (sample.cot.think.strip() if accepted else ""), sample.label.value
+
+
 def build_vocab(samples, template: InstructionTemplate, min_count: int = 2,
                 max_size: int = 8192) -> Vocabulary:
-    """Vocabulary over each sample's rendered prompt and, when it has a
-    rationale, its target text."""
+    """Vocabulary over each sample's rendered prompt and its target_parts."""
     texts = []
     for s in samples:
         texts.append(render_prompt(template, s.title))
-        if s.cot is not None:
-            texts.append(s.cot.target_text())
+        texts.extend(target_parts(s))
     return Vocabulary.build(texts, min_count=min_count, max_size=max_size)
 

@@ -11,7 +11,7 @@ to the reasoning span (markers inclusive). Generation is greedy.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -19,8 +19,8 @@ from . import ndtensor as nd
 from .cmoe import bias, cmoe_forward, expert_forward, expert_layout, glorot, layer_layout
 from .data import ImagePayload, NewsSample
 from .errors import ConfigError, DataError, GraphError, check_record
-from .instruct import (ANSWER_CLOSE, ANSWER_OPEN, BOS, EOS, PAD, THINK_CLOSE,
-                       THINK_OPEN, InstructionTemplate, Vocabulary, render_prompt)
+from .instruct import (ANSWER_CLOSE, ANSWER_OPEN, BOS, EOS, PAD, THINK_CLOSE, THINK_OPEN,
+                       InstructionTemplate, Vocabulary, render_prompt, target_parts)
 from .ndtensor import Tensor
 
 PATCH = 8
@@ -388,26 +388,21 @@ class ForwardResult:
 
 
 def _target_ids(sample, vocab, config):
-    """Decoder target and where its answer starts: (ids, k), ids the
-    rationale (if any) and the answer, then EOS. The reasoning span is
-    ids[:k] and the answer span ids[k:], each holding its markers; the
-    answer span also owns the end token. With lambda_cot 0 the reasoning
-    span would train nothing, so the target is the answer alone and k is 0."""
-    if sample.cot is None or not sample.cot.answer.strip():
-        raise DataError(f"sample {sample.id}: training requires a rationale note "
-                        f"with a non-empty answer")
-    note = sample.cot if config.lambda_cot else replace(sample.cot, think="")
-    ids = vocab.encode(note.target_text()) + [EOS]
+    """Decoder target and where its answer starts: (ids, k). ids[:k] is the
+    think of instruct.target_parts between its markers, or nothing (k 0) when
+    that think is empty or lambda_cot is 0; ids[k:] is the answer between its
+    markers, then the end token."""
+    think, answer = target_parts(sample)
+    body = vocab.encode(think) if config.lambda_cot else []
+    head = [THINK_OPEN, *body, THINK_CLOSE] if body else []
+    ids = head + [ANSWER_OPEN, *vocab.encode(answer), ANSWER_CLOSE, EOS]
     if len(ids) > config.max_len:
         raise DataError(f"sample {sample.id}: target of {len(ids)} tokens exceeds "
                         f"max_len {config.max_len}")
-    k = ids.index(ANSWER_OPEN)
-    markers = [(i, t) for i, t in enumerate(ids) if THINK_OPEN <= t <= ANSWER_CLOSE]
-    think = [(0, THINK_OPEN), (k - 1, THINK_CLOSE)] if k else []
-    if markers != think + [(k, ANSWER_OPEN), (len(ids) - 2, ANSWER_CLOSE)]:
+    if any(THINK_OPEN <= t <= ANSWER_CLOSE for t in body):
         raise DataError(f"sample {sample.id}: rationale holds a <think>/<answer> marker "
                         f"of its own")
-    return ids, k
+    return ids, len(head)
 
 
 def forward_train(params: ModelParams, samples, vocab: Vocabulary,
@@ -415,8 +410,8 @@ def forward_train(params: ModelParams, samples, vocab: Vocabulary,
                   rng: np.random.Generator | None = None) -> ForwardResult:
     """Forward pass over a list of B samples packed into one graph, yielding
     the two masked losses, each the mean over samples of the sample's mean
-    over its span; a sample without a rationale, or any sample under
-    lambda_cot 0, adds 0 to the reasoning loss and still counts in B.
+    over its span; a sample with no reasoning span (no accepted rationale,
+    or lambda_cot 0) adds 0 to the reasoning loss and still counts in B.
     Dropout runs only when a generator is passed; without one nothing is
     drawn and the losses are deterministic.
 

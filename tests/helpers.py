@@ -1,16 +1,20 @@
 """Shared test utilities: the finite-difference gradient oracle, a weighted
 sum that reduces any op output to a scalar, a backward walk that keeps the
-graph, a hypothesis strategy for arbitrary JSON values, and an HTTP server
-on loopback."""
+graph, a hypothesis strategy for arbitrary JSON values, an HTTP server on
+loopback, and the digests of the 12-step training recipe."""
 
 import contextlib
+import hashlib
 import http.server
+import json
 import threading
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
 import umfdet.ndtensor as nd
+from umfdet import checkpoint, data, evalkit, instruct, model, trainer
 from umfdet.ndtensor import Tensor
 
 
@@ -124,12 +128,6 @@ def recipe_digests(out_dir):
     greedy test-split predictions of the saved model. "resumed" holds the
     four file prefixes of the (0.5, on) run trained 6 steps, reloaded and
     resumed to 12; "vocab" holds the vocabulary's size and prefix."""
-    import hashlib
-    import json
-    from pathlib import Path
-
-    from umfdet import checkpoint, data, evalkit, instruct, model, trainer
-
     def sha(blob):
         return hashlib.sha256(blob).hexdigest()[:16]
 

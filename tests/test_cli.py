@@ -2,6 +2,7 @@
 
 import ctypes
 import hashlib
+import io
 import json
 import shutil
 import types
@@ -13,10 +14,10 @@ from hypothesis import given, strategies as st
 
 from umfdet import checkpoint as ckpt
 from umfdet import cli
-from umfdet.data import SplitSpec, load_manifest, save_manifest, split
+from umfdet.data import SplitSpec, load_manifest, save_manifest, similarity_gate, split
 from umfdet.errors import ConfigError, TransportError
-from umfdet.instruct import Vocabulary
-from umfdet.model import ModelConfig
+from umfdet.instruct import ANSWER_CLOSE, ANSWER_OPEN, EOS, UNK, Vocabulary
+from umfdet.model import ModelConfig, _target_ids
 from umfdet.trainer import TrainConfig
 
 SMALL_MODEL = """\
@@ -256,13 +257,16 @@ def test_cot_gen_and_validate(tmp_path, corpus, capsys):
     for s in load_manifest(out):
         assert s.cot is not None and s.cot.verdict == "accepted"
 
-    report = tmp_path / "report.json"
-    assert cli.main(["cot-validate", "--manifest", str(out),
-                     "--out", str(report)]) == 0
+    report = tmp_path / "validate" / "report.json"
+    argv = ["cot-validate", "--manifest", str(out), "--out", str(report)]
+    assert cli.main(argv) == 0
     body = json.loads(report.read_text())
     assert body["n_samples"] == 60
     assert body["accepted"] == 60
     assert body["rejected_by_reason"] == {}
+    record = json.loads((report.parent / "run.json").read_text())
+    assert (record["command"], record["argv"]) == ("cot-validate", argv)
+    assert record["inputs"] == {str(out): _git_blob_hash(out)}
 
     # A whitespace-only rationale is missing; padding around one changes nothing.
     samples = load_manifest(out)
@@ -462,6 +466,64 @@ def test_train_artifacts(trained, corpus):
     assert record["effective_config"]["train"]["max_steps"] == 2
     assert record["effective_config"]["model"]["h"] == 16
     assert str(corpus) in record["inputs"]
+
+
+def test_train_on_rationales_the_gate_rejected_trains_the_gold_label(
+        tmp_path, corpus, monkeypatch):
+    """synth-toy -> cot-gen against an endpoint that refuses two training posts
+    and claims "real" for a third -> train exits 0, the refused posts
+    training on the answer alone and the mislabelled one toward its label."""
+    monkeypatch.setattr(cli.cot_mod, "HTTP_BACKOFF_S", 0.0)
+    train_s = split(similarity_gate(load_manifest(corpus))[0], SplitSpec(seed=0))[0]
+    refused = [s for s in train_s if s.label.value == "real"][:2]
+    mislabelled = next(s for s in train_s if s.label.value == "ai_synthesized")
+
+    class Endpoint:
+        """Answers as MockGenClient would, but refuses the connection for
+        the refused posts and claims "real" for the mislabelled one."""
+
+        def open(self, request, timeout=None):
+            prompt = json.loads(request.data)["prompt"]
+            if any(f"Title: {s.title}\n" in prompt for s in refused):
+                raise ConnectionRefusedError("refused")
+            text = cli.cot_mod.MockGenClient().generate(prompt)
+            if f"Title: {mislabelled.title}\n" in prompt:
+                text = text.replace("<answer>ai_synthesized<", "<answer>real<")
+            reply = io.BytesIO(json.dumps({"text": text}).encode())
+            reply.status = 200
+            return reply
+
+    monkeypatch.setattr(cli, "make_gen_client", lambda args: cli.cot_mod.HttpGenClient(
+        "http://gen.local", opener=Endpoint()))
+    cots, cfg = tmp_path / "cots.jsonl", tmp_path / "model.cfg"
+    assert cli.main(["cot-gen", "--manifest", str(corpus), "--out", str(cots)]) == 0
+    notes = {s.id: s for s in load_manifest(cots)}
+    assert [notes[s.id].cot.verdict for s in refused] == ["rejected:transport"] * 2
+    assert notes[mislabelled.id].cot.verdict == "rejected:answer_label_mismatch"
+    assert notes[mislabelled.id].cot.answer == "real"
+    cfg.write_text(SMALL_MODEL)
+    assert cli.main(["train", "--manifest", str(cots), "--out", str(tmp_path / "run"),
+                     "--config", str(cfg), "--steps", "2", "--batch-size", "4"]) == 0
+    params, vocab = ckpt.load_model(tmp_path / "run" / "checkpoint")
+    for s in refused + [mislabelled]:
+        ids, k = _target_ids(notes[s.id], vocab, params.config)
+        assert k == 0
+        assert ids == [ANSWER_OPEN, *vocab.encode(s.label.value), ANSWER_CLOSE, EOS]
+        assert UNK not in ids
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_class_too_small_to_stratify_exits_2_naming_the_manifest(tmp_path, corpus,
+                                                                   capsys, command):
+    samples = load_manifest(corpus)
+    real = [s for s in samples if s.label.value == "real"]
+    small = tmp_path / "small.jsonl"
+    save_manifest([s for s in samples if s.label.value != "real"] + real[:5], small)
+    argv = {"train": ["--out", str(tmp_path / "run")],
+            "eval": ["--checkpoint", str(tmp_path / "none")]}[command]
+    assert cli.main([command, "--manifest", str(small), *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"DataError: {small}: class real has only 5 samples; need >= 10" in err
 
 
 def test_config_precedence_flags_over_file_over_defaults(tmp_path, corpus):
@@ -939,7 +1001,7 @@ def test_low_similarity_samples_dropped_on_load(tmp_path, corpus):
     gated = tmp_path / "gated.jsonl"
     from umfdet.data import save_manifest
     save_manifest(samples, gated)
-    kept = cli._load_corpus(gated)
+    kept = [s for part in cli._corpus_splits(gated, 0) for s in part]
     assert len(kept) == len(samples) - 1
     assert all(s.id != victim.id for s in kept)
 

@@ -432,7 +432,7 @@ def test_split_rejects_bad_specs_and_tiny_classes():
     samples = synth_toy_corpus(60, 0.5, seed=1)
     with pytest.raises(ConfigError, match="seed"):
         split(samples, SplitSpec(seed=-1))
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError, match="^class real has only 4 samples; need >= 10"):
         split(samples[:12], SplitSpec())  # 4 per class, below the floor of 10
 
 

@@ -295,27 +295,30 @@ def test_build_vocab_covers_prompts_and_rationales(toy_corpus, template):
 
 
 def _reference_build_vocab(samples, template, min_count=2, max_size=8192):
-    """build_vocab as it was before CotNote.target_text: think and answer
-    joined as stored, unstripped, and an empty think block kept."""
+    """build_vocab as one formatted text per target: the think of an accepted
+    note as stored, unstripped, in an always-kept think block, then the label."""
     texts = []
     for s in samples:
         texts.append(render_prompt(template, s.title))
-        if s.cot is not None:
-            texts.append(f"<think>{s.cot.think}</think><answer>{s.cot.answer}</answer>")
+        think = s.cot.think if s.cot is not None and s.cot.verdict == "accepted" else ""
+        texts.append(f"<think>{think}</think><answer>{s.label.value}</answer>")
     return Vocabulary.build(texts, min_count=min_count, max_size=max_size)
 
 
 _PADDING = st.sampled_from(["", " ", "  ", "\n", "\t ", "\u3000", "\x1c"])
 # Empty, whitespace-only, and marker-rich text with whitespace around it.
 _RATIONALE_PART = _PADDING | st.tuples(_PADDING, _TOKEN_TEXT, _PADDING).map("".join)
+_VERDICT = st.sampled_from(["accepted", "rejected:answer_label_mismatch",
+                            "rejected:transport", "rejected:think_too_short"])
 
 
-@given(parts=st.lists(st.tuples(_RATIONALE_PART, _RATIONALE_PART), min_size=1, max_size=6),
+@given(parts=st.lists(st.tuples(_RATIONALE_PART, _RATIONALE_PART, _VERDICT),
+                      min_size=1, max_size=6),
        min_count=st.integers(1, 2))
 def test_build_vocab_matches_the_unstripped_reference(toy_corpus, template, parts,
                                                       min_count):
-    samples = [dataclasses.replace(s, cot=CotNote(think, answer, "accepted"))
-               for s, (think, answer) in zip(toy_corpus, parts)]
+    samples = [dataclasses.replace(s, cot=CotNote(*note))
+               for s, note in zip(toy_corpus, parts)]
     got = instruct.build_vocab(samples, template, min_count=min_count)
     want = _reference_build_vocab(samples, template, min_count=min_count)
     assert got.id_to_token == want.id_to_token

@@ -250,9 +250,6 @@ def test_target_ids_without_the_rationale_loss_are_the_answer_alone(toy_vocab, t
     ("<think> a", "real"),               # a second <think>
     ("a </think> b", "real"),            # the reasoning closes early
     ("a <answer> b </answer>", "real"),  # an answer block inside the reasoning
-    ("", "real<think>"),                 # a think marker inside the answer
-    ("a", "real </answer> more"),        # the answer closes early
-    ("", "</answer> real <answer>"),     # answer markers out of order
 ])
 def test_target_ids_reject_a_rationale_holding_a_marker(toy_vocab, tiny_config, think,
                                                         answer):
@@ -262,18 +259,42 @@ def test_target_ids_reject_a_rationale_holding_a_marker(toy_vocab, tiny_config, 
         M._target_ids(sample, toy_vocab, tiny_config)
 
 
+@pytest.mark.parametrize("verdict", ["rejected:answer_label_mismatch", "rejected:transport",
+                                     "rejected:duplicate_block"])
+def test_target_ids_of_a_rejected_note_are_the_gold_label_alone(toy_vocab, tiny_config,
+                                                                 verdict):
+    """The label is the supervision: a note the gate rejected trains neither
+    its think, markers and all, nor its answer."""
+    sample = replace(_sample(label=Category.AI_SYNTHESIZED),
+                     cot=CotNote("Looks authentic [image] <answer> [text]", "real", verdict))
+    ids, k = M._target_ids(sample, toy_vocab, tiny_config)
+    assert k == 0
+    assert ids == [ANSWER_OPEN] + toy_vocab.encode("ai_synthesized") + [ANSWER_CLOSE, EOS]
+
+
 # ---------------------------------------------------------------------------
 # training forward
 
 
-def test_forward_train_requires_rationale(tiny_model, toy_vocab, template):
-    sample = _sample()
-    sample.cot = None
-    with pytest.raises(DataError, match="rationale"):
-        M.forward_train(tiny_model, [sample], toy_vocab, template)
-    sample.cot = CotNote(think="x", answer="  ", verdict="accepted")
-    with pytest.raises(DataError):
-        M.forward_train(tiny_model, [sample], toy_vocab, template)
+@pytest.mark.parametrize("note", [None, CotNote("", "", "rejected:transport")],
+                         ids=["no_note", "transport"])
+def test_forward_train_without_an_accepted_rationale_trains_the_answer_alone(
+        tiny_model, toy_vocab, template, note):
+    """A post with no note, or with the note cot-gen writes when every
+    request failed, trains beside an accepted one: k is 0, it adds 0 to the
+    reasoning loss, and it still counts in B."""
+    bare = replace(_sample(), id="s-bare", cot=note)
+    ids, k = M._target_ids(bare, toy_vocab, tiny_model.config)
+    assert k == 0
+    assert ids == [ANSWER_OPEN] + toy_vocab.encode("real") + [ANSWER_CLOSE, EOS]
+    alone = M.forward_train(tiny_model, [bare], toy_vocab, template)
+    assert float(alone.loss_cot.values) == 0.0 and float(alone.loss_det.values) > 0.0
+    accepted = M.forward_train(tiny_model, [_sample()], toy_vocab, template)
+    both = M.forward_train(tiny_model, [_sample(), bare], toy_vocab, template)
+    assert np.isclose(float(both.loss_cot.values), float(accepted.loss_cot.values) / 2)
+
+
+def test_forward_train_rejects_a_target_beyond_max_len(tiny_model, toy_vocab, template):
     long = _sample(think="word " * tiny_model.config.max_len)
     long.id = "s-long"
     with pytest.raises(DataError, match="sample s-long: target of .* exceeds max_len 128"):
