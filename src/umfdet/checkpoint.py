@@ -5,8 +5,9 @@ a little-endian u64 manifest length, a JSON manifest listing (name, shape,
 offset) per tensor, then raw little-endian float64 payloads at those
 offsets. Values round-trip bit-exactly, which the resume contract relies
 on. A reader fills arrays its caller already holds, the views of the
-parameter store or the optimizer's moments, after checking that the file
-lists exactly their names and shapes. A checkpoint holds the weights, the
+parameter store or the optimizer's moments, from a file only when its
+header is byte for byte the one the writer writes for those arrays and its
+payload is exactly their bytes. A checkpoint holds the weights, the
 vocabulary and the model config, and, for resuming, train_state.json and
 optimizer.umfd (adam.m, adam.v).
 """
@@ -14,16 +15,17 @@ optimizer.umfd (adam.m, adam.v).
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
+from itertools import chain, zip_longest
 from pathlib import Path
 
-from .errors import ConfigError, DataError, check_record, write_json
+from .errors import ConfigError, DataError, check_record, write_file, write_json
 from .instruct import Vocabulary
 from .model import ModelConfig, ModelParams, init_model
 
 MAGIC = b"UMFD1"
+_PREFIX = len(MAGIC) + 8  # the magic, then the manifest's length as a little-endian u64
 WEIGHTS_FILE = "weights.umfd"
 OPTIMIZER_FILE = "optimizer.umfd"
 CONFIG_FILE = "config.json"
@@ -31,98 +33,84 @@ VOCAB_FILE = "vocab.tsv"
 TRAIN_STATE_FILE = "train_state.json"
 
 
-def write_tensor_file(path, arrays) -> None:
-    """Serialize name -> float64 array preserving insertion order."""
-    entries = []
-    offset = 0
+def _header(arrays) -> bytes:
+    """The magic, the manifest's length and the JSON manifest, each tensor's
+    name, shape and payload offset in order, that precede arrays' bytes."""
+    entries, offset = [], 0
     for name, arr in arrays.items():
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
         offset += arr.nbytes
     manifest = json.dumps({"dtype": "<f8", "tensors": entries}).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(manifest)))
-        fh.write(manifest)
-        for arr in arrays.values():
-            fh.write(arr.tobytes())
+    return MAGIC + struct.pack("<Q", len(manifest)) + manifest
 
 
-_ENTRY_TYPES = {"name": str, "shape": list, "offset": int}
-
-
-def _entry_fields(path, entry):
-    """(name, shape, offset) of one manifest entry, with a non-negative
-    integer offset and shape dimensions."""
-    check_record(entry, _ENTRY_TYPES, f"{path}: manifest entry", required=_ENTRY_TYPES)
-    name, shape, offset = entry["name"], entry["shape"], entry["offset"]
-    if not all(type(n) is int and n >= 0 for n in shape):
-        raise DataError(f"{path}: tensor {name} has invalid shape {shape!r}")
-    if offset < 0:
-        raise DataError(f"{path}: tensor {name} has invalid offset {offset!r}")
-    return name, tuple(shape), offset
+def write_tensor_file(path, arrays) -> None:
+    """Serialize name -> float64 array preserving insertion order, one
+    array's bytes at a time."""
+    write_file(path, chain([_header(arrays)], (arr.tobytes() for arr in arrays.values())))
 
 
 def read_tensor_file(path, arrays) -> None:
-    """Fill arrays, name -> float64 array, from a tensor file that lists
-    exactly those names, each with its array's shape. The whole layout is
-    checked before the first byte is read, so a file that does not match
-    leaves every array as it was; then each tensor is read straight from
-    the file into its array. The file stores '<f8', which is native float64
-    on the little-endian hosts umfdet runs on."""
-    head_len = len(MAGIC) + 8
+    """Fill arrays, name -> float64 array, from a tensor file whose header is
+    _header(arrays) and whose payload is exactly their bytes; any other file
+    is refused before its payload is read, leaving every array as it was, and
+    only then is its manifest parsed, to say why. The file stores '<f8',
+    native float64 on the little-endian hosts umfdet runs on."""
+    head = _header(arrays)
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        head = fh.read(head_len)
-        if head[:len(MAGIC)] != MAGIC:
-            raise DataError(f"{path}: not a tensor file (bad magic {head[:5]!r})")
-        if len(head) < head_len:
-            raise DataError(f"{path}: truncated header")
-        (manifest_len,) = struct.unpack("<Q", head[len(MAGIC):])
-        # a length past the end of the file reads only what is there
-        manifest = check_record(_json(fh.read(min(manifest_len, size - head_len)),
-                                      f"{path}: manifest"),
-                                {"dtype": str, "tensors": list}, f"{path}: manifest",
-                                required=("tensors",))
-        base = head_len + manifest_len
-        payload_len = max(size - base, 0)
-        spans, shapes = [], {}
-        for entry in manifest["tensors"]:
-            name, shape, offset = _entry_fields(path, entry)
-            if name in shapes:
-                raise DataError(f"{path}: tensor {name} is listed twice in the manifest")
-            shapes[name] = shape
-            n = math.prod(shape)
-            if offset + 8 * n > payload_len:
-                raise DataError(f"{path}: tensor {name} overruns payload")
-            spans.append((offset, offset + 8 * n, name))
-        if manifest.get("dtype") != "<f8":
-            raise DataError(f"{path}: tensors stored as dtype {manifest.get('dtype')!r}, "
-                            f"expected '<f8'")
-        filled = sorted(s for s in spans if s[1] > s[0])
-        for (_, end, a), (begin, _, b) in zip(filled, filled[1:]):
-            if begin < end:
-                raise DataError(f"{path}: tensors {a} and {b} overlap in the payload")
-        expected = max((end for _, end, _ in spans), default=0)
-        if expected != payload_len:
-            raise DataError(f"{path}: payload has {payload_len - expected} trailing bytes")
-        wrong = ([f"{n} is missing" for n in arrays if n not in shapes]
-                 + [f"{n} is unexpected" for n in shapes if n not in arrays])
-        if wrong:
-            raise DataError(f"{path}: {', '.join(wrong[:5])}: tensor names disagree "
-                            f"with the expected layout")
+        found = fh.read(_PREFIX)
+        if len(found) == _PREFIX and found.startswith(MAGIC):  # a length past EOF reads less
+            found += fh.read(min(struct.unpack("<Q", found[len(MAGIC):])[0], size - _PREFIX))
+        if found != head:
+            raise _mismatch(path, found, head, arrays)
+        payload = sum(arr.nbytes for arr in arrays.values())
+        if size - len(head) != payload:
+            raise DataError(f"{path}: payload is {size - len(head)} bytes, expected {payload}")
         for name, arr in arrays.items():
-            if shapes[name] != arr.shape:
-                raise DataError(f"{path}: tensor {name} has shape {shapes[name]}, "
-                                f"expected {arr.shape}")
-        for offset, end, name in filled:  # an empty tensor has no bytes to read
-            fh.seek(base + offset)
-            if fh.readinto(arrays[name]) != end - offset:
+            if fh.readinto(arr) != arr.nbytes:
                 raise DataError(f"{path}: tensor {name} is truncated")
+
+
+def _mismatch(path, found, head, arrays) -> DataError:
+    """Why found, a tensor file's header, is not head: its magic, length,
+    JSON or dtype, or else the first entry that differs from the expected
+    one, as tensor names that disagree, a shape, or both entries in full."""
+    if not found.startswith(MAGIC):
+        return DataError(f"{path}: not a tensor file (bad magic {found[:len(MAGIC)]!r})")
+    if len(found) < _PREFIX:
+        return DataError(f"{path}: truncated header")
+    manifest = check_record(_json(found[_PREFIX:], f"{path}: manifest"),
+                            {"dtype": str, "tensors": list}, f"{path}: manifest",
+                            required=("tensors",))
+    if manifest.get("dtype", "<f8") != "<f8":
+        return DataError(f"{path}: tensors stored as dtype {manifest['dtype']!r}, "
+                         f"expected '<f8'")
+    got, want = manifest["tensors"], json.loads(head[_PREFIX:])["tensors"]
+    for i, (entry, expected) in enumerate(zip_longest(got, want)):
+        if json.dumps(entry) == json.dumps(expected):
+            continue
+        if isinstance(entry, dict) and expected and entry.get("name") == expected["name"]:
+            shape = entry.get("shape")
+            if json.dumps(shape) != json.dumps(expected["shape"]):
+                return DataError(f"{path}: tensor {expected['name']} has shape "
+                                 f"{tuple(shape) if isinstance(shape, list) else shape!r}, "
+                                 f"expected {tuple(expected['shape'])}")
+        else:
+            names = [e["name"] for e in got if isinstance(e, dict) and "name" in e]
+            wrong = ([f"{n} is missing" for n in arrays if n not in names]
+                     + [f"{n} is unexpected" for n in names if n not in list(arrays)])
+            if wrong:
+                return DataError(f"{path}: {', '.join(wrong[:5])}: tensor names disagree "
+                                 f"with the expected layout")
+        return DataError(f"{path}: manifest entry {i} is {json.dumps(entry)}, "
+                         f"expected {json.dumps(expected)}")
+    return DataError(f"{path}: manifest lists the expected tensors, but not in the "
+                     f"writer's form (its dtype, key order or spacing differs)")
 
 
 def save_model(ckpt_dir, params: ModelParams, vocab: Vocabulary) -> None:
     d = Path(ckpt_dir)
-    d.mkdir(parents=True, exist_ok=True)
     write_tensor_file(d / WEIGHTS_FILE, {n: t.values for n, t in params.tensors.items()})
     vocab.save(d / VOCAB_FILE)
     write_json(d / CONFIG_FILE, params.config.to_json())
@@ -152,7 +140,6 @@ def save_train_state(ckpt_dir, moment_arrays: dict, meta: dict) -> None:
     """Persist optimizer moments plus the JSON-serializable trainer metadata
     that load_train_state checks."""
     d = Path(ckpt_dir)
-    d.mkdir(parents=True, exist_ok=True)
     write_tensor_file(d / OPTIMIZER_FILE, moment_arrays)
     write_json(d / TRAIN_STATE_FILE, meta)
 

@@ -113,7 +113,7 @@ def _coerce(raw: str, target_type):
     return raw
 
 
-_MODEL_FIELDS = {f.name: f for f in fields(ModelConfig)}
+_MODEL_FIELDS = {f.name: f for f in fields(ModelConfig) if f.name != "vocab_size"}
 _TRAIN_FIELDS = {f.name: f for f in fields(TrainConfig)}
 _EXTRA_KEYS = {"split_seed": int, "min_count": int, "max_vocab": int}
 
@@ -132,7 +132,8 @@ def resolve_configs(config_path, flag_model: dict, flag_train: dict):
             elif key in _EXTRA_KEYS:
                 dest, target = extra_kv, _EXTRA_KEYS[key]
             else:
-                raise ConfigError(f"unknown config key {key!r} in {config_path}")
+                why = "; the vocabulary sets it" if key == "vocab_size" else ""
+                raise ConfigError(f"{config_path}:{lineno}: unknown config key {key!r}{why}")
             try:
                 dest[key] = _coerce(raw, target)
             except ValueError:
@@ -158,8 +159,11 @@ def make_gen_client(args) -> cot_mod.GenClient:
 
 def _corpus_splits(path, split_seed):
     """(train, val, test) of the manifest at path after the similarity gate;
-    a class too small to stratify is a DataError naming the manifest."""
-    kept, _ = data_mod.similarity_gate(data_mod.load_manifest(path))
+    no post left, or a class too small to stratify, is a DataError naming it."""
+    kept, dropped = data_mod.similarity_gate(data_mod.load_manifest(path))
+    if not kept:
+        raise DataError(f"{path}: no post left after the similarity gate "
+                        f"({len(dropped)} dropped)")
     try:
         return data_mod.split(kept, data_mod.SplitSpec(seed=split_seed))
     except DataError as exc:

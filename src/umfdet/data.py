@@ -16,11 +16,10 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ManifestError, check_record
+from .errors import ConfigError, DataError, ManifestError, check_record, write_file
 
 
 class Category(enum.Enum):
@@ -247,13 +246,9 @@ class NewsSample:
 
 
 def save_manifest(samples, path):
-    """Write one JSON line per sample, creating the parent directory."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    """Write one JSON line per sample, through errors.write_file."""
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    with open(path, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            fh.write(encode(sample.to_json()))
-            fh.write("\n")
+    write_file(path, ((encode(sample.to_json()) + "\n").encode("utf-8") for sample in samples))
 
 
 def load_manifest(path):

@@ -1,17 +1,22 @@
 """Shared exception types, the text-file reader that raises them, the one
-JSON-artifact writer and the one JSON-record check.
+file writer and the one JSON-record check.
 
 The CLI maps these onto exit codes: usage problems exit 1, data problems
 exit 2, anything else exits 3.
 
 Every JSON object the program reads from a file (a manifest line and its
 manipulation and cot fields, config.json, train_state.json, a tensor
-file's header and entries) is a closed record: check_record
+file's header) is a closed record: check_record
 refuses a key outside its type table, a missing required key, and a value
 of another type, where a bool never stands for a number.
+
+Every file the program writes goes through write_file: a process killed
+partway through a write leaves the old file or the new one, never a part.
+There is no fsync, so a power cut may still lose both.
 """
 
 import json
+import os
 from pathlib import Path
 
 
@@ -89,11 +94,22 @@ def check_record(obj, types: dict, what, required=(), error: type = DataError) -
     return obj
 
 
-def write_json(path, obj) -> None:
-    """Write obj as indented JSON with sorted keys and a trailing newline,
-    creating the parent directory."""
+def write_file(path, chunks) -> None:
+    """Write the byte chunks in order to a temporary file beside path, then
+    move it over path with os.replace, creating the parent directory; if
+    anything raises, the temporary file is removed and path is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path, obj) -> None:
+    """Write obj as indented JSON with sorted keys and a trailing newline."""
+    write_file(path, [json.dumps(obj, indent=2, sort_keys=True).encode("utf-8") + b"\n"])

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import ConfigError, DataError, TemplateError, read_utf8
+from .errors import ConfigError, DataError, TemplateError, read_utf8, write_file
 
 TITLE_PLACEHOLDER = "{TITLE}"
 
@@ -168,9 +168,9 @@ class Vocabulary:
         return "".join(out)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for i, tok in enumerate(self.id_to_token):
-                fh.write(f"{tok}\t{i}\n")
+        """Write one token<TAB>id line per token, through errors.write_file."""
+        write_file(path, ["".join(f"{tok}\t{i}\n"
+                                  for i, tok in enumerate(self.id_to_token)).encode("utf-8")])
 
     @classmethod
     def load(cls, path) -> "Vocabulary":

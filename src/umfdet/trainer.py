@@ -189,11 +189,7 @@ def train(params: ModelParams, train_samples, val_samples, vocab, template,
         meta = ckpt.load_train_state(ckpt_dir, optim.moment_arrays())
         if meta is None:
             raise ConfigError(f"--resume given but {ckpt_dir} holds no trainer state")
-        if meta["train_size"] != len(train_samples):
-            raise ConfigError(f"checkpoint {ckpt_dir} was trained on {meta['train_size']} "
-                              f"samples, not the {len(train_samples)} given; resume needs "
-                              f"the same training set")
-        for key in ("seed", "batch_size", "freeze_patch_embedder"):
+        for key in run:
             if meta[key] != run[key]:
                 raise ConfigError(f"checkpoint {ckpt_dir} was trained with {key} {meta[key]}, "
                                   f"not the {run[key]} given; resume needs the same {key}")
@@ -292,7 +288,6 @@ def ablate(splits, vocab, template, model_cfg: ModelConfig, tcfg: TrainConfig,
     """
     train_s, val_s, test_s = splits
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for name, model_over, train_over in ABLATION_GRID:
         mcfg = replace(model_cfg, **model_over)

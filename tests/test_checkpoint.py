@@ -130,7 +130,7 @@ def test_tensor_file_payload_overrun(tmp_path):
     ck.write_tensor_file(path, {"x": np.zeros(4)})
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])  # drop one float64
-    with pytest.raises(DataError, match="overruns"):
+    with pytest.raises(DataError, match="payload is 24 bytes, expected 32"):
         ck.read_tensor_file(path, {"x": np.zeros(4)})
 
 
@@ -138,7 +138,7 @@ def test_tensor_file_trailing_bytes(tmp_path):
     path = tmp_path / "t.umfd"
     ck.write_tensor_file(path, {"x": np.zeros(4)})
     path.write_bytes(path.read_bytes() + b"\x00" * 8)
-    with pytest.raises(DataError, match="trailing"):
+    with pytest.raises(DataError, match="payload is 40 bytes, expected 32"):
         ck.read_tensor_file(path, {"x": np.zeros(4)})
 
 
@@ -152,30 +152,40 @@ def _with_manifest(path, manifest, payload=b"\x00" * 16):
     ({"dtype": "<f8"}, r"manifest: missing keys \['tensors'\]"),
     ([{"name": "x", "shape": [2], "offset": 0}], "manifest: expected a JSON object"),
     ({"tensors": [{"name": "x", "shape": [2], "offset": -8}]}, "offset"),
-    ({"tensors": [{"name": "x", "shape": [2]}]}, r"manifest entry: missing keys \['offset'\]"),
+    ({"tensors": [{"name": "x", "shape": [2]}]},
+     r'manifest entry 0 is \{"name": "x", "shape": \[2\]\}, '
+     r'expected \{"name": "x", "shape": \[2\], "offset": 0\}'),
     ({"tensors": [{"name": "x", "shape": 2, "offset": 0}]}, "shape"),
     ({"tensors": [{"name": "x", "shape": [2], "offset": False}]},
-     "offset must be of type int, got bool"),
-    ({"tensors": [{"name": "x", "shape": [True], "offset": 0}]}, "invalid shape"),
+     r'manifest entry 0 is \{.*"offset": false\}'),
+    ({"tensors": [{"name": "x", "shape": [True], "offset": 0}]},
+     r"tensor x has shape \(True,\), expected \(2,\)"),
     ({"dtype": "<f8", "tensors": [], "note": "x"}, r"manifest: unknown keys \['note'\]"),
     ({"tensors": [{"name": "x", "shape": [2], "offset": 0, "dtype": "<f8"}]},
-     r"manifest entry: unknown keys \['dtype'\]"),
+     r'manifest entry 0 is \{.*"dtype": "<f8"\}'),
     ({"dtype": "<f4", "tensors": [{"name": "x", "shape": [2], "offset": 0}]}, "'<f4'"),
     ({"dtype": "<f8", "tensors": [{"name": "x", "shape": [2], "offset": 0},
                                   {"name": "y", "shape": [1], "offset": 8}]},
-     "tensors x and y overlap"),
+     r"tensor y has shape \(1,\), expected \(0, 3\)"),
     ({"dtype": "<f8", "tensors": [{"name": "x", "shape": [2], "offset": 0},
                                   {"name": "x", "shape": [2], "offset": 16}]},
-     "tensor x is listed twice"),
+     "y is missing: tensor names disagree"),
     ({"dtype": "<f8", "tensors": [{"name": "x", "shape": [2], "offset": 0},
                                   {"name": "y", "shape": [2 ** 62, 4], "offset": 16}]},
-     "tensor y overruns"),
+     r"tensor y has shape \(4611686018427387904, 4\), expected \(0, 3\)"),
     ({"dtype": "<f8", "tensors": [{"name": "x", "shape": [2 ** 63], "offset": 0}]},
-     "tensor x overruns"),
+     r"tensor x has shape \(9223372036854775808,\), expected \(2,\)"),
+    ({"dtype": "<f8", "tensors": [{"name": "y", "shape": [0, 3], "offset": 0},
+                                  {"name": "x", "shape": [2], "offset": 0}]},
+     r'manifest entry 0 is \{"name": "y", .*, expected \{"name": "x", '),
+    ({"tensors": [{"name": "x", "shape": [2], "offset": 0},
+                  {"name": "y", "shape": [0, 3], "offset": 16}]},
+     "lists the expected tensors, but not in the writer's form"),
 ], ids=["no_tensors_key", "list_manifest", "negative_offset", "missing_entry_key",
         "non_list_shape", "bool_offset", "bool_dimension", "unknown_header_key",
         "unknown_entry_key", "foreign_dtype", "overlapping_offsets", "duplicate_name",
-        "shape_product_past_int64", "shape_product_at_int64_sign_bit"])
+        "shape_product_past_int64", "shape_product_at_int64_sign_bit", "reordered_entries",
+        "no_dtype"])
 def test_tensor_file_malformed_manifest_is_data_error(tmp_path, manifest, match):
     path = _with_manifest(tmp_path / "t.umfd", manifest)
     with pytest.raises(DataError, match=match) as info:

@@ -526,6 +526,25 @@ def test_a_class_too_small_to_stratify_exits_2_naming_the_manifest(tmp_path, cor
     assert f"DataError: {small}: class real has only 5 samples; need >= 10" in err
 
 
+@pytest.mark.parametrize("gated", [False, True], ids=["empty", "fully_gated"])
+@pytest.mark.parametrize("command", ["train", "ablate", "eval", "route-report"])
+def test_a_manifest_with_no_post_past_the_gate_exits_2_naming_it(tmp_path, corpus, capsys,
+                                                                 command, gated):
+    """An empty manifest, or one whose every post scores below the similarity
+    gate, leaves nothing to split: a data error naming the manifest."""
+    samples = [s for s in load_manifest(corpus) if s.annotation.similarity is not None]
+    for s in samples:
+        s.annotation.similarity = 0.5
+    manifest = tmp_path / "none.jsonl"
+    save_manifest(samples if gated else [], manifest)
+    argv = (["--out", str(tmp_path / "run")] if command in ("train", "ablate")
+            else ["--checkpoint", str(tmp_path / "none")])
+    assert cli.main([command, "--manifest", str(manifest), *argv]) == 2
+    err = capsys.readouterr().err
+    assert (f"DataError: {manifest}: no post left after the similarity gate "
+            f"({len(samples) if gated else 0} dropped)") in err
+
+
 def test_config_precedence_flags_over_file_over_defaults(tmp_path, corpus):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(SMALL_MODEL + "max_steps=9\nlr=0.001\n")
@@ -549,6 +568,19 @@ def test_config_file_unknown_key_exits_1(tmp_path, corpus, capsys):
                        "--steps", "1"])
         assert rc == 1
         assert f"unknown config key {line.split('=')[0]!r}" in capsys.readouterr().err
+
+
+def test_config_file_vocab_size_exits_1_naming_file_and_line(tmp_path, corpus, capsys):
+    """The vocabulary's length is the model's vocab_size; min_count and
+    max_vocab shape it, and the key itself is refused."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("lr=0.1\nvocab_size=100\n")
+    rc = cli.main(["train", "--manifest", str(corpus), "--out", str(tmp_path / "run"),
+                   "--config", str(cfg), "--steps", "1"])
+    assert rc == 1
+    assert (f"ConfigError: {cfg}:2: unknown config key 'vocab_size'; the vocabulary sets it"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_file_duplicate_key_exits_1(tmp_path, corpus, capsys):

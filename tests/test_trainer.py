@@ -356,7 +356,7 @@ def test_train_resume_refuses_another_training_set_size(tmp_path, splits, toy_vo
     tr.train(_fresh(tiny_config), train_s, [], toy_vocab, template, _tcfg(max_steps=2),
              tmp_path / "run")
     params, vocab = ckpt.load_model(tmp_path / "run" / "checkpoint")
-    with pytest.raises(ConfigError, match=f"{len(train_s)} samples, not the "
+    with pytest.raises(ConfigError, match=f"train_size {len(train_s)}, not the "
                                           f"{len(train_s) - 2} given") as info:
         tr.train(params, train_s[:-2], [], vocab, template, _tcfg(max_steps=4),
                  tmp_path / "run", resume=True)
@@ -396,8 +396,7 @@ def test_resume_from_a_fuzzed_train_state_runs_or_is_data_error(
     except DataError as exc:
         assert str(path) in str(exc)
     except ConfigError as exc:
-        need = {"train_size": "training set"}.get(field, field)
-        assert f"resume needs the same {need}" in str(exc)
+        assert f"resume needs the same {field}" in str(exc)
 
 
 def test_train_resume_without_state(tmp_path, splits, toy_vocab, template, tiny_config):
