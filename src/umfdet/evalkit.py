@@ -17,8 +17,9 @@ from .data import CATEGORY_NAMES, Category
 from .errors import DataError
 from . import model as model_mod
 
-# A lockstep batch holds [B, heads, T, T] attention scores, so evaluation
-# generates at most this many posts at once to bound its memory.
+# Evaluation generates at most this many posts at once, which bounds the
+# memory and the decode caches it keeps; the encode's [B, heads, T, T]
+# attention scores are bounded by model.ENCODE_GROUP.
 EVAL_BATCH = 64
 
 _ANSWER_RE = re.compile(r"<answer>(.*?)</answer>", re.DOTALL | re.IGNORECASE)

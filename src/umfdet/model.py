@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import ndtensor as nd
-from .cmoe import bias, cmoe_forward, expert_forward, expert_layout, glorot, layer_layout
+from .cmoe import (Routing, bias, cmoe_forward, expert_forward, expert_layout, glorot,
+                   layer_layout)
 from .data import ImagePayload, NewsSample
 from .errors import ConfigError, DataError, GraphError, check_record
 from .instruct import (ANSWER_CLOSE, ANSWER_OPEN, BOS, EOS, PAD, THINK_CLOSE, THINK_OPEN,
@@ -25,6 +26,9 @@ from .ndtensor import Tensor
 
 PATCH = 8
 _NEG = -1e30
+# Posts per pass of the encoder and mixture stack (the default train batch),
+# which bounds the size of its temporaries; see encode.
+ENCODE_GROUP = 8
 
 
 @dataclass
@@ -277,11 +281,14 @@ def encode(params: ModelParams, samples, vocab: Vocabulary,
     generator is passed; without one nothing is drawn.
 
     One NewsSample gives (memory [T, H], routings). A list of B samples is
-    encoded as one padded batch: sample b fills the first lengths[b] of the
-    T = max(lengths) rows of block b, no row attends to padding or to another
-    sample, and the result is (memory [B*T, H], lengths, routings). routings
-    holds one cmoe.Routing per mixture layer, and is empty without the
-    mixture.
+    padded to T = max(lengths) rows per sample: sample b fills the first
+    lengths[b] of the T rows of block b, no row attends to padding or to
+    another sample, and the result is (memory [B*T, H], lengths, routings).
+    The stack runs on consecutive groups of at most ENCODE_GROUP samples, so
+    its temporaries, the [group, heads, T, T] attention scores among them,
+    stay small; the groups' memories are concatenated. routings holds one
+    cmoe.Routing per mixture layer, the groups' routings concatenated, and
+    is empty without the mixture.
     """
     single = isinstance(samples, NewsSample)
     batch = [samples] if single else list(samples)
@@ -300,27 +307,36 @@ def encode(params: ModelParams, samples, vocab: Vocabulary,
                      embed_text(t["tok_emb"], t["pos_emb"], prompt_ids)))
     lengths = [e_v.shape[0] + e_t.shape[0] for e_v, e_t in seqs]
     n = max(lengths)
-    x = nd.concat([part for (e_v, e_t), m in zip(seqs, lengths)
-                   for part in (e_v, e_t, Tensor(np.zeros((n - m, cfg.h))))])
-    b = len(batch)
-    mask = _key_padding(lengths, n)
-    for i in range(cfg.n_enc):
-        a = _attention(t, f"enc.{i}.attn", _ln(t, f"enc.{i}.ln1", x), None, cfg.n_heads,
-                       mask, b)
-        x = nd.add(x, nd.dropout(a, rate, rng))
-        f = _ffn(t, f"enc.{i}.ffn", _ln(t, f"enc.{i}.ln2", x), rng, rate)
-        x = nd.add(x, nd.dropout(f, rate, rng))
-    routings = []
-    for i in range(cfg.n_moe):
-        normed = _ln(t, f"cmoe.{i}.ln", x)
-        if cfg.moe_enabled:
-            out, routing = cmoe_forward(t, f"cmoe.{i}", normed, lengths, rng, rate,
-                                        cfg.gate_scaling)
-            routings.append(routing)
-        else:
-            out = expert_forward(t, f"cmoe.{i}.solo", normed, rng, rate)
-        x = nd.add(x, out)
-    x = _ln(t, "moe_out_ln", x)
+    memories, layers = [], []
+    for g in range(0, len(batch), ENCODE_GROUP):
+        group = lengths[g:g + ENCODE_GROUP]
+        x = nd.concat([part for (e_v, e_t), m in zip(seqs[g:g + ENCODE_GROUP], group)
+                       for part in (e_v, e_t, Tensor(np.zeros((n - m, cfg.h))))])
+        mask = _key_padding(group, n)
+        for i in range(cfg.n_enc):
+            a = _attention(t, f"enc.{i}.attn", _ln(t, f"enc.{i}.ln1", x), None, cfg.n_heads,
+                           mask, len(group))
+            x = nd.add(x, nd.dropout(a, rate, rng))
+            f = _ffn(t, f"enc.{i}.ffn", _ln(t, f"enc.{i}.ln2", x), rng, rate)
+            x = nd.add(x, nd.dropout(f, rate, rng))
+        routings = []
+        for i in range(cfg.n_moe):
+            normed = _ln(t, f"cmoe.{i}.ln", x)
+            if cfg.moe_enabled:
+                out, routing = cmoe_forward(t, f"cmoe.{i}", normed, group, rng, rate,
+                                            cfg.gate_scaling)
+                routings.append(routing)
+            else:
+                out = expert_forward(t, f"cmoe.{i}.solo", normed, rng, rate)
+            x = nd.add(x, out)
+        memories.append(_ln(t, "moe_out_ln", x))
+        layers.append(routings)
+    if len(memories) == 1:
+        x, routings = memories[0], layers[0]
+    else:
+        x = nd.concat(memories)
+        routings = [Routing(nd.concat([r.logits for r in rs]), nd.concat([r.weights for r in rs]),
+                            np.concatenate([r.selected for r in rs])) for rs in zip(*layers)]
     return (x, routings) if single else (x, lengths, routings)
 
 

@@ -473,7 +473,8 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     if gamma.shape != (h,) or beta.shape != (h,):
         raise ShapeError(f"layer_norm: gamma/beta must be [{h}], got {gamma.shape}/{beta.shape}")
     # The arithmetic of a.mean(1) and a.var(1), with the centred rows reused
-    # as xhat and the squared deviations as the output buffer.
+    # as xhat and the squared deviations as the output buffer; the backward
+    # reads xhat and inv.
     av, gv = a.values, gamma.values
     mu = np.add.reduce(av, axis=1, keepdims=True) / h
     xhat = av - mu
@@ -485,7 +486,6 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     out, node = _result(y, (a._node, gamma._node, beta._node))
     if node:
         def _bw(g, na, ngamma, nbeta):
-            xhat = (av - mu) * inv
             _accum(ngamma, (g * xhat).sum(axis=0))
             _accum(nbeta, g.sum(axis=0))
             gx = g * gv

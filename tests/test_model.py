@@ -592,6 +592,16 @@ def _mixed_batch(toy_corpus):
     return toy_corpus[:8] + [_sample()]
 
 
+def _grouped_batch(toy_corpus):
+    """17 posts, so encode runs three groups of up to ENCODE_GROUP: the
+    longest post sits in the second group and the raw-image post alone in
+    the third."""
+    longest = _sample(title="Merkel visits the bright harbor in Oslo on Friday and the "
+                            "quiet museum in Paris on Monday")
+    return (toy_corpus[:8] + [_sample()] + toy_corpus[8:11] + [longest] + toy_corpus[11:14]
+            + [_raw_post()])
+
+
 def _batch_params(tiny_config, seed, moe_enabled):
     cfg = M.ModelConfig(**{**tiny_config.to_json(), "moe_enabled": moe_enabled,
                            "n_moe": 2, "gen_max_tokens": 12})
@@ -615,7 +625,7 @@ def _lift_eos(params, samples, vocab, template):
 @pytest.mark.parametrize("moe_enabled", [True, False])
 def test_batched_generate_equals_batches_of_one(tiny_config, toy_corpus, toy_vocab, template,
                                                 seed, moe_enabled):
-    samples = _mixed_batch(toy_corpus)
+    samples = _grouped_batch(toy_corpus)
     params = _batch_params(tiny_config, seed, moe_enabled)
     for lifted in (False, True):
         if lifted:
@@ -692,11 +702,12 @@ def _raw_post():
 @pytest.mark.parametrize("moe_enabled", [True, False])
 def test_padded_batch_of_raw_and_feature_posts_equals_batches_of_one(
         tiny_config, toy_corpus, toy_vocab, template, moe_enabled):
-    samples = _mixed_batch(toy_corpus) + [_raw_post()]
+    samples = _grouped_batch(toy_corpus)
     params = _batch_params(tiny_config, 1, moe_enabled)
     with nd.no_grad():
         memory, lengths, _ = M.encode(params, samples, toy_vocab, template)
         n = memory.shape[0] // len(samples)
+        assert lengths.index(n) > M.ENCODE_GROUP and len(samples) > 2 * M.ENCODE_GROUP
         for b, s in enumerate(samples):
             one, [length], _ = M.encode(params, [s], toy_vocab, template)
             assert lengths[b] == length
@@ -706,6 +717,48 @@ def test_padded_batch_of_raw_and_feature_posts_equals_batches_of_one(
     for s, out in zip(samples, batch):
         [one] = M.generate(params, [s], toy_vocab, template)
         assert out.token_ids == one.token_ids and out.experts == one.experts
+
+
+@pytest.mark.parametrize("moe_enabled", [True, False])
+def test_first_group_of_a_batch_encodes_the_bytes_of_that_group_alone(
+        tiny_config, toy_corpus, toy_vocab, template, moe_enabled):
+    samples = toy_corpus[:16] + [_raw_post()]
+    params = _batch_params(tiny_config, 2, moe_enabled)
+    with nd.no_grad():
+        memory, lengths, routings = M.encode(params, samples, toy_vocab, template)
+        first, first_lengths, first_routings = M.encode(params, samples[:M.ENCODE_GROUP],
+                                                        toy_vocab, template)
+    assert max(lengths) == max(first_lengths) and first_lengths == lengths[:M.ENCODE_GROUP]
+    assert memory.values[:first.shape[0]].tobytes() == first.values.tobytes()
+    assert len(routings) == len(first_routings) == (2 if moe_enabled else 0)
+    for r, one in zip(routings, first_routings):
+        assert r.weights.shape == r.logits.shape == (len(samples), 3)
+        assert r.weights.values[:M.ENCODE_GROUP].tobytes() == one.weights.values.tobytes()
+        assert r.logits.values[:M.ENCODE_GROUP].tobytes() == one.logits.values.tobytes()
+        assert list(r.selected[:M.ENCODE_GROUP]) == list(one.selected)
+
+
+def test_generate_never_encodes_more_than_a_group_at_once(tiny_model, toy_corpus, toy_vocab,
+                                                           template, monkeypatch):
+    batches, in_encode = [], []
+    attention, encode = nd.attention, M.encode
+
+    def spy_attention(q, k, v, n_heads, mask, batch=1):
+        if in_encode:
+            batches.append(batch)
+        return attention(q, k, v, n_heads, mask, batch)
+
+    def spy_encode(*args, **kwargs):
+        in_encode.append(True)
+        try:
+            return encode(*args, **kwargs)
+        finally:
+            in_encode.pop()
+
+    monkeypatch.setattr(nd, "attention", spy_attention)
+    monkeypatch.setattr(M, "encode", spy_encode)
+    assert len(M.generate(tiny_model, toy_corpus[:30], toy_vocab, template)) == 30
+    assert batches == [8, 8, 8, 6] and M.ENCODE_GROUP == 8
 
 
 def test_decode_cache_needs_no_grad_and_room(tiny_model, toy_vocab, template):
